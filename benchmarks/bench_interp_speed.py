@@ -1,16 +1,14 @@
-"""Interpreter vs closure-backend steps/s at -O0/-O1/-O2 (the tentpole
-measurement of the block-closure compilation work).
+"""Execution-engine steps/s at -O0/-O1/-O2.
 
 Four workloads: three SPLASH-2 kernels (radix, fft, water_nsquared) and
-a synthetic binop-dense kernel (40 ALU ops per loop iteration — the
-shape the closure backend exists for).  Every cell is first checked
-trace-identical against the -O0 interpreter run, then timed on a warm
+a synthetic binop-dense kernel (40 ALU ops per loop iteration, long
+straight-line runs for the block-closure engine to fuse).  Every cell is
+first checked trace-identical against the -O0 run, then timed on a warm
 compile cache, so the table measures steady-state execution only.
 
 Results land in ``benchmarks/results/BENCH_interp.json`` (machine
 readable, per-cell steps/s plus the per-pass optimizer metrics) and a
-rendered text table.  The dense cell at closure -O2 must clear the
->= 5x speedup acceptance floor.
+rendered text table with the -O2 over -O0 ratio.
 
 ``REPRO_BENCH_REPEATS`` overrides the timing repeats (default 3; the
 best repeat wins, standard for throughput numbers).
@@ -31,7 +29,6 @@ THREADS = 4
 SEED = 3
 KERNELS = ("radix", "fft", "water_nsquared")
 LEVELS = (0, 1, 2)
-SPEEDUP_FLOOR = 5.0
 
 _DENSE_BODY = "\n".join(
     "    acc = acc + %d; acc = acc * 3; acc = acc - i; acc = acc ^ %d;"
@@ -76,7 +73,7 @@ def _time_cell(program, setup, repeats):
     return result, best
 
 
-def test_interp_vs_closure_speed(benchmark, save_result):
+def test_engine_speed_by_opt_level(benchmark, save_result):
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
     table = {}
     opt_metrics = {}
@@ -85,41 +82,36 @@ def test_interp_vs_closure_speed(benchmark, save_result):
         for name, source, entry, setup in _workloads():
             cells = {}
             reference = None
-            for backend in ("interpreter", "closure"):
-                for level in LEVELS:
-                    program = ParallelProgram(source, name, entry=entry,
-                                              opt_level=level,
-                                              backend=backend)
-                    if level and "O%d" % level not in opt_metrics.get(
-                            name, {}):
-                        summary = dict(program.baseline.opt_summary)
-                        summary.pop("module", None)
-                        opt_metrics.setdefault(name, {})[
-                            "O%d" % level] = summary
-                    result, seconds = _time_cell(program, setup, repeats)
-                    if reference is None:
-                        reference = _signature(result)
-                    assert _signature(result) == reference, (
-                        "trace divergence: %s %s -O%d"
-                        % (name, backend, level))
-                    cells["%s-O%d" % (backend, level)] = {
-                        "steps": result.steps,
-                        "seconds": seconds,
-                        "steps_per_second": result.steps / seconds,
-                    }
+            for level in LEVELS:
+                program = ParallelProgram(source, name, entry=entry,
+                                          opt_level=level)
+                if level:
+                    summary = dict(program.baseline.opt_summary)
+                    summary.pop("module", None)
+                    opt_metrics.setdefault(name, {})["O%d" % level] = summary
+                result, seconds = _time_cell(program, setup, repeats)
+                if reference is None:
+                    reference = _signature(result)
+                assert _signature(result) == reference, (
+                    "trace divergence: %s -O%d" % (name, level))
+                cells["O%d" % level] = {
+                    "steps": result.steps,
+                    "seconds": seconds,
+                    "steps_per_second": result.steps / seconds,
+                }
             table[name] = cells
         return table
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    lines = ["Interpreter vs closure backend (t=%d, seed=%d, best of %d)"
-             % (THREADS, SEED, repeats),
-             "  %-16s %14s %14s %9s" % ("workload", "interp -O0",
-                                        "closure -O2", "speedup")]
+    lines = ["Engine steps/s by optimization level (t=%d, seed=%d, "
+             "best of %d)" % (THREADS, SEED, repeats),
+             "  %-16s %14s %14s %9s" % ("workload", "-O0", "-O2",
+                                        "O2/O0")]
     speedups = {}
     for name, cells in table.items():
-        base = cells["interpreter-O0"]["steps_per_second"]
-        fast = cells["closure-O2"]["steps_per_second"]
+        base = cells["O0"]["steps_per_second"]
+        fast = cells["O2"]["steps_per_second"]
         speedups[name] = fast / base
         lines.append("  %-16s %11.0f/s %11.0f/s %8.2fx"
                      % (name, base, fast, fast / base))
@@ -128,14 +120,10 @@ def test_interp_vs_closure_speed(benchmark, save_result):
         "seed": SEED,
         "repeats": repeats,
         "workloads": table,
-        "speedup_closure_o2": speedups,
+        "speedup_o2_over_o0": speedups,
         "opt_metrics": opt_metrics,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "BENCH_interp.json"), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     save_result("interp_speed", "\n".join(lines))
-
-    assert speedups["dense"] >= SPEEDUP_FLOOR, (
-        "closure -O2 is %.2fx on the binop-dense kernel; the acceptance "
-        "floor is %.1fx" % (speedups["dense"], SPEEDUP_FLOOR))

@@ -70,13 +70,12 @@ class BlockWatch:
                  entry: str = "slave",
                  analysis_config: Optional[AnalysisConfig] = None,
                  instrument_config: Optional[InstrumentConfig] = None,
-                 opt_level: Optional[int] = None,
-                 backend: Optional[str] = None):
+                 opt_level: Optional[int] = None):
         self.program = ParallelProgram(
             source, name, entry=entry,
             analysis_config=analysis_config,
             instrument_config=instrument_config,
-            opt_level=opt_level, backend=backend)
+            opt_level=opt_level)
 
     @classmethod
     def from_program(cls, program: ParallelProgram) -> "BlockWatch":
@@ -150,7 +149,7 @@ class BlockWatch:
 
     def spec(self, **kwargs) -> CampaignSpec:
         """A :class:`repro.CampaignSpec` bound to this compiled program:
-        same source, name, entry point, optimization level, and backend.
+        same source, name, entry point, and optimization level.
         Accepts every spec field (``fault=``, ``injections=``,
         ``nthreads=``, ``output_globals=``, ``telemetry=``, ...); the
         result is what :meth:`inject` prefers, what ``repro-serve``
@@ -159,8 +158,6 @@ class BlockWatch:
         kwargs.setdefault("name", self.program.name)
         kwargs.setdefault("entry", self.program.entry)
         kwargs.setdefault("opt_level", getattr(self.program, "opt_level", 0))
-        kwargs.setdefault("backend",
-                          getattr(self.program, "backend", "interpreter"))
         return CampaignSpec.build(self.program.source, **kwargs)
 
     def inject(self, fault_type: Optional[FaultType] = None,

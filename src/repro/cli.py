@@ -76,18 +76,17 @@ def _make_blockwatch(args, store=None, telemetry=None) -> BlockWatch:
     else:
         source, name, entry = _load_source(args.program), "program", args.entry
     opt_level = getattr(args, "opt_level", None)
-    backend = getattr(args, "backend", None)
     if store is not None:
         hits = store.counters.get("store.cache.hit", 0)
         program = store.get_program(source, name, entry=entry,
                                     telemetry=telemetry,
-                                    opt_level=opt_level, backend=backend)
+                                    opt_level=opt_level)
         outcome = ("hit" if store.counters.get("store.cache.hit", 0) > hits
                    else "miss")
         print("store: program cache %s (%s)" % (outcome, name))
         return BlockWatch.from_program(program)
     return BlockWatch(source, name=name, entry=entry,
-                      opt_level=opt_level, backend=backend)
+                      opt_level=opt_level)
 
 
 def _parse_assignments(pairs: List[str]):
@@ -209,7 +208,6 @@ def campaign_spec_from_args(args) -> CampaignSpec:
             output_globals=tuple(n for n in args.outputs.split(",") if n),
             quantize_bits=args.quantize, plan=args.plan,
             opt_level=getattr(args, "opt_level", None),
-            backend=getattr(args, "backend", None),
             telemetry=getattr(args, "trace", None) is not None,
             scalars=_parse_assignments(args.set),
             arrays=_parse_fills(args.fill),

@@ -7,16 +7,16 @@ text and aliases) in each CLI.  :func:`shared_options` builds one
 *parent parser* per feature set; ``repro-minic``, ``repro-blockwatch``,
 ``repro-lint``, and ``repro-serve`` all compose their parsers from it,
 so ``-j/--jobs``, ``--store``, ``--journal``/``--resume``, and
-``-O/--opt-level``/``--backend`` spell, default, and document
-identically everywhere::
+``-O/--opt-level`` spell, default, and document identically
+everywhere::
 
     parser = argparse.ArgumentParser(
         prog="repro-thing",
         parents=[shared_options("jobs", "store")])
 
 Defaults stay ``None`` so each flag keeps deferring to its environment
-knob (``REPRO_JOBS``, ``REPRO_STORE``, ``REPRO_OPT_LEVEL``,
-``REPRO_BACKEND``) at resolution time, not at parse time.
+knob (``REPRO_JOBS``, ``REPRO_STORE``, ``REPRO_OPT_LEVEL``) at
+resolution time, not at parse time.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ HELP_RESUME = ("resume an interrupted campaign from --journal (validates "
                "the plan hash; runs only the missing injections)")
 HELP_OPT = ("trace-preserving optimization level (default: "
             "$REPRO_OPT_LEVEL or 0); results are identical at every level")
-HELP_BACKEND = ("execution backend (default: $REPRO_BACKEND or "
-                "interpreter); results are identical, closure is faster")
 
 FEATURES = ("jobs", "store", "journal", "opt")
 
@@ -66,9 +64,6 @@ def add_shared_options(parser: argparse.ArgumentParser, *features: str,
         parser.add_argument("-O", "--opt-level", type=int, default=None,
                             choices=(0, 1, 2), dest="opt_level",
                             help=HELP_OPT)
-        parser.add_argument("--backend", default=None,
-                            choices=("interpreter", "closure"),
-                            help=HELP_BACKEND)
 
 
 def shared_options(*features: str, jobs_help: Optional[str] = None,

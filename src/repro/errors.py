@@ -4,7 +4,7 @@ Every error raised by this package derives from :class:`ReproError`, so
 callers can catch one base class.  The hierarchy mirrors the pipeline:
 front-end errors, IR verification errors, analysis errors, and runtime
 (simulation) errors.  Simulated program failures — crashes and hangs of the
-*guest* program running on the interpreter — are deliberately separate from
+*guest* program running on the simulated machine — are deliberately separate from
 host-side bugs so fault-injection campaigns can classify them as outcomes
 rather than propagate them as tool failures.
 """

@@ -87,11 +87,9 @@ def main(argv=None) -> int:
         # through the environment (read by repro.parallel.resolve_jobs).
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.opt_level is not None:
-        # Same channel: ParallelProgram resolves these env knobs at
+        # Same channel: ParallelProgram resolves this env knob at
         # construction, and spawn-pool workers inherit them.
         os.environ["REPRO_OPT_LEVEL"] = str(args.opt_level)
-    if args.backend is not None:
-        os.environ["REPRO_BACKEND"] = args.backend
     from repro.store import open_store
     store = open_store(args.store, install=True)
     if store is not None:

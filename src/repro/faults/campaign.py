@@ -31,7 +31,7 @@ from repro.faults.outcomes import CampaignStats, Outcome
 from repro.faults.spec import CampaignSpec, spec_of_config
 from repro.monitor import MODE_FULL
 from repro.parallel import derive_seed, run_tasks
-from repro.runtime.interpreter import RunResult
+from repro.runtime.machine import RunResult
 from repro.runtime.memory import SharedMemory
 from repro.runtime.program import ParallelProgram, RunConfig
 from repro.telemetry import Telemetry, TelemetrySnapshot
@@ -245,12 +245,10 @@ def _campaign_context_from_source(source: str, name: str, entry: str,
                                   config: CampaignConfig, setup,
                                   golden_signature, branch_counts,
                                   max_steps, telemetry=False,
-                                  opt_level=0, backend="interpreter"
-                                  ) -> _CampaignContext:
+                                  opt_level=0) -> _CampaignContext:
     """Spawn-pool factory: compile + analyze + instrument once per worker
     process and reuse it for every injection the worker executes."""
-    program = ParallelProgram(source, name, entry=entry,
-                              opt_level=opt_level, backend=backend)
+    program = ParallelProgram(source, name, entry=entry, opt_level=opt_level)
     return _CampaignContext(program=program, fault_type=fault_type,
                             config=config, setup=setup,
                             golden_signature=golden_signature,
@@ -568,16 +566,19 @@ def _execute_campaign(spec: CampaignSpec, program: Optional[ParallelProgram],
                          injections=config.injections,
                          nthreads=config.nthreads, program=program.name)
 
-    # -- golden run (cached only when no events are being collected) ----
+    # -- golden run (cached only when no events are being collected and
+    # the inputs have a canonical form to key on) -----------------------
+    from repro.store.hashing import program_key_of, setup_inputs
     golden: Optional[RunResult] = None
-    if store is not None and parent_tel is None:
-        from repro.store.hashing import program_key_of
+    inputs = setup_inputs(setup)
+    if store is not None and parent_tel is None and inputs is not None:
         prog_key = program_key_of(program)
         summary = store.get_golden(
             prog_key, config.nthreads, config.seed, config.quantum,
             tuple(config.output_globals),
             compute=lambda: _golden_summary_of(
-                golden_run(program, config, setup), config))
+                golden_run(program, config, setup), config),
+            inputs=inputs)
     else:
         golden = golden_run(program, config, setup, telemetry=parent_tel)
         summary = _golden_summary_of(golden, config)
@@ -662,8 +663,7 @@ def _execute_campaign(spec: CampaignSpec, program: Optional[ParallelProgram],
             factory_args=(program.source, program.name, program.entry,
                           fault_type, config, setup, golden_signature,
                           branch_counts, max_steps, telemetry,
-                          getattr(program, "opt_level", 0),
-                          getattr(program, "backend", "interpreter")),
+                          getattr(program, "opt_level", 0)),
             progress=progress, timings=timings, on_results=checkpoint)
     finally:
         if writer is not None:
@@ -725,8 +725,7 @@ def _run_stratified(program: ParallelProgram, fault_type: FaultType,
         factory_args=(program.source, program.name, program.entry,
                       fault_type, config, setup, golden_signature,
                       ctx.branch_counts, max_steps, False,
-                      getattr(program, "opt_level", 0),
-                      getattr(program, "backend", "interpreter")),
+                      getattr(program, "opt_level", 0)),
         progress=progress)
 
     # Per-class outcome census + the re-weighted coverage estimates.
@@ -811,11 +810,9 @@ class _TrialContext:
 
 def _trial_context_from_source(source: str, name: str, entry: str,
                                nthreads: int, base_seed: int,
-                               setup, opt_level=0,
-                               backend="interpreter") -> _TrialContext:
+                               setup, opt_level=0) -> _TrialContext:
     return _TrialContext(program=ParallelProgram(source, name, entry=entry,
-                                                 opt_level=opt_level,
-                                                 backend=backend),
+                                                 opt_level=opt_level),
                          nthreads=nthreads, base_seed=base_seed, setup=setup)
 
 
@@ -845,6 +842,5 @@ def run_false_positive_trial(program: ParallelProgram, nthreads: int,
         context_factory=_trial_context_from_source,
         factory_args=(program.source, program.name, program.entry,
                       nthreads, base_seed, setup,
-                      getattr(program, "opt_level", 0),
-                      getattr(program, "backend", "interpreter")))
+                      getattr(program, "opt_level", 0)))
     return sum(detections)

@@ -21,8 +21,9 @@ from typing import Optional
 
 from repro.faults.models import FaultSpec, FaultType
 from repro.ir import Cmp, Constant, GlobalVariable
-from repro.runtime.interpreter import FaultHook, Frame, Machine, ThreadContext
-from repro.runtime.values import flip_value_bit
+from repro.runtime.closures import Frame
+from repro.runtime.machine import FaultHook, Machine, ThreadContext
+from repro.runtime.values import evaluate_cmp, flip_value_bit
 
 
 class InjectingHook(FaultHook):
@@ -76,7 +77,7 @@ class InjectingHook(FaultHook):
                 machine.write_reg(frame, victim, new)
                 lhs = machine.read_value(frame, cond.lhs)
                 rhs = machine.read_value(frame, cond.rhs)
-                new_taken = machine.evaluate_cmp(cond.op, lhs, rhs)
+                new_taken = evaluate_cmp(cond.op, lhs, rhs)
                 self.flipped_branch = new_taken != taken
                 self.detail = ("flipped bit %d of %s: %r -> %r"
                                % (bit, victim.short(), old, new))

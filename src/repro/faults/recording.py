@@ -4,14 +4,13 @@ The static analyzer (:mod:`repro.lint.vuln`) names fault sites by
 *static* branch; campaigns target *dynamic* branch instances ``(thread,
 k)`` (the k-th branch thread ``tid`` executes).  The bridge is one
 observation run with a :class:`RecordingHook`: a passive
-:class:`~repro.runtime.interpreter.FaultHook` that writes down, per
+:class:`~repro.runtime.machine.FaultHook` that writes down, per
 thread, the static site of every dynamic branch — and never perturbs a
 decision, so the recorded run *is* the golden run (same seed, same
 schedule, same signature).
 
-Both execution backends drive hooks through the same
-``before_branch(machine, thread, branch, frame, taken)`` entry point
-with the live :class:`~repro.ir.Branch` objects of the protected
+The machine drives hooks through
+``before_branch(machine, thread, branch, frame, taken)`` with the live :class:`~repro.ir.Branch` objects of the protected
 module, which is exactly what :func:`repro.lint.vuln.branch_site_map`
 keys on.
 """
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.runtime.interpreter import FaultHook
+from repro.runtime.machine import FaultHook
 
 #: Site id recorded for a branch the site table does not know (cannot
 #: happen for a map built from the same module; kept for robustness).

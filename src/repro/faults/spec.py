@@ -2,7 +2,7 @@
 
 One frozen value object carries *everything that identifies a campaign*
 — program reference or source, fault model, injection count, thread
-count, seed, sampling plan, backend and optimization level, and the
+count, seed, sampling plan, optimization level, and the
 journal/store knobs — and round-trips through canonical JSON
 byte-identically.  It is the single input type shared by
 
@@ -87,6 +87,15 @@ def _freeze_arrays(arrays) -> Tuple[Tuple[str, Tuple[object, ...]], ...]:
         for name, values in arrays))
 
 
+def _check_backend(backend: Optional[str]) -> None:
+    """A ``backend`` given to a spec surface may only name the engine."""
+    from repro.runtime.program import resolve_backend
+    try:
+        resolve_backend(backend)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything one campaign is, as one canonical-JSON-serializable
@@ -112,7 +121,6 @@ class CampaignSpec:
     #: ``full`` (index-planned uniform sweep) or ``stratified``.
     plan: str = "full"
     opt_level: int = 0
-    backend: str = "interpreter"
     #: Collect merged metrics + event trace on the result.
     telemetry: bool = False
     #: Seed of the kernel's canonical input generator.
@@ -146,8 +154,6 @@ class CampaignSpec:
             set_(field_name, int(getattr(self, field_name)))
         if self.opt_level not in (0, 1, 2):
             raise SpecError("unknown optimization level %r" % (self.opt_level,))
-        if self.backend not in ("interpreter", "closure"):
-            raise SpecError("unknown backend %r" % (self.backend,))
         for field_name in ("seed", "quantize_bits", "hang_factor",
                            "quantum", "input_seed"):
             set_(field_name, int(getattr(self, field_name)))
@@ -162,6 +168,12 @@ class CampaignSpec:
             set_("entry", kernel.entry)
             if not self.output_globals:
                 set_("output_globals", tuple(kernel.output_globals))
+
+    @property
+    def backend(self) -> str:
+        """The execution engine's name (there is only one)."""
+        from repro.runtime.program import ENGINE
+        return ENGINE
 
     # -- program reference -------------------------------------------------
 
@@ -200,21 +212,17 @@ class CampaignSpec:
         if self.is_kernel:
             cached = self._kernel().program()
             # The registry cache compiles at the *environment's* opt
-            # level/backend; reuse it only when that matches the spec.
-            if (getattr(cached, "opt_level", 0) == self.opt_level
-                    and getattr(cached, "backend", "interpreter")
-                    == self.backend):
+            # level; reuse it only when that matches the spec.
+            if getattr(cached, "opt_level", 0) == self.opt_level:
                 return cached
         if store is None:
             from repro.store.runtime import default_store
             store = default_store()
         if store is not None:
             return store.get_program(source, name, entry=entry,
-                                     opt_level=self.opt_level,
-                                     backend=self.backend)
+                                     opt_level=self.opt_level)
         return ParallelProgram(source, name, entry=entry,
-                               opt_level=self.opt_level,
-                               backend=self.backend)
+                               opt_level=self.opt_level)
 
     def default_setup(self) -> "SpecSetup":
         """The picklable input generator the spec describes (kernel
@@ -243,7 +251,7 @@ class CampaignSpec:
         from repro.store.hashing import program_key
         source, name, entry = self.resolved_source()
         return program_key(source, name, entry=entry,
-                           opt_level=self.opt_level, backend=self.backend)
+                           opt_level=self.opt_level)
 
     def plan_fingerprint(self) -> Tuple[str, dict]:
         """The PR 3 journal ``(plan hash, plan dict)``, derived from the
@@ -280,7 +288,6 @@ class CampaignSpec:
             "quantum": self.quantum,
             "plan": self.plan,
             "opt_level": self.opt_level,
-            "backend": self.backend,
             "telemetry": self.telemetry,
             "input_seed": self.input_seed,
             "scalars": {name: value for name, value in self.scalars},
@@ -303,6 +310,7 @@ class CampaignSpec:
             raise SpecError("campaign spec must be a JSON object, got %r"
                             % type(data).__name__)
         data = dict(data)
+        _check_backend(data.pop("backend", None))
         schema = data.pop("schema", SPEC_SCHEMA)
         if schema != SPEC_SCHEMA:
             raise SpecError("campaign spec uses schema %r; this build "
@@ -330,12 +338,12 @@ class CampaignSpec:
     @classmethod
     def build(cls, program: str, **kwargs) -> "CampaignSpec":
         """Lenient constructor for CLI/API surfaces: accepts the loose
-        fault spellings (``flip``/``condition``), ``None`` for
-        environment-resolved ``opt_level``/``backend``, and dict-shaped
+        fault spellings (``flip``/``condition``), ``None`` for the
+        environment-resolved ``opt_level``, and dict-shaped
         ``scalars``/``arrays``."""
-        from repro.runtime.program import resolve_backend, resolve_opt_level
+        from repro.runtime.program import resolve_opt_level
         kwargs["opt_level"] = resolve_opt_level(kwargs.get("opt_level"))
-        kwargs["backend"] = resolve_backend(kwargs.get("backend"))
+        _check_backend(kwargs.pop("backend", None))
         fault = kwargs.get("fault")
         if isinstance(fault, FaultType):
             kwargs["fault"] = fault.value
@@ -398,5 +406,4 @@ def spec_of_config(program, fault_type: FaultType, config,
         quantize_bits=config.quantize_bits,
         hang_factor=config.hang_factor, quantum=config.quantum,
         plan=plan, opt_level=getattr(program, "opt_level", 0),
-        backend=getattr(program, "backend", "interpreter"),
         telemetry=telemetry, journal=journal, resume=resume)

@@ -26,7 +26,7 @@ def branches_in_order(functions: Iterable[Function]) -> List[Branch]:
 def assign_callsite_ids(module: Module, parallel_names) -> int:
     """Give every direct/indirect call in the parallel region a unique id.
 
-    The interpreter pushes these ids onto a per-thread stack at call time;
+    The machine pushes these ids onto a per-thread stack at call time;
     the stack is the call-path half of the monitor's hash key (paper
     Section III-B, "the function's call site ID").
     """

@@ -6,7 +6,7 @@ For every branch the analysis marked checkable, the pass:
   before the branch, carrying the condition basis values (the paper's
   ``sendBranchCondition``);
 * tags the :class:`~repro.ir.Branch` itself with the check info — the
-  interpreter emits the outcome message when the tagged branch executes,
+  machine emits the outcome message when the tagged branch executes,
   which is semantically the paper's ``sendBranchAddr`` calls in both
   successor arms, without the edge-splitting a textual insertion would
   need;

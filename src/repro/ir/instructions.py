@@ -622,7 +622,7 @@ class CallIndirect(Instruction):
 
 
 class Intrinsic(Instruction):
-    """Base class for operations the interpreter implements natively."""
+    """Base class for operations the machine implements natively."""
 
     __slots__ = ()
 
@@ -737,7 +737,7 @@ class SendBranchCondition(Intrinsic):
 
     Ships the branch's static id, the condition operand values, and the
     runtime identifiers (call-site stack + outer-loop iteration counters,
-    maintained natively by the interpreter) to the calling thread's
+    maintained natively by the machine) to the calling thread's
     front-end queue.  Inserted immediately before the checked branch.
     """
 

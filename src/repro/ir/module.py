@@ -28,6 +28,15 @@ class Module:
         #: Set by the instrumentation pass: metadata the runtime monitor
         #: needs (branch registry, queue config...).  ``None`` until then.
         self.bw_metadata = None
+        #: This module compiled to block closures, per (cost model,
+        #: thread count) — see :func:`repro.runtime.closures.get_compiled`.
+        #: Process-local: left out of the pickled state.
+        self.closure_cache: Dict = {}
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["closure_cache"] = {}
+        return state
 
     # -- globals ---------------------------------------------------------
 

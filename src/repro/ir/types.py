@@ -3,7 +3,7 @@
 The type system is intentionally small — just enough to express the
 SPLASH-2-style kernels the reproduction evaluates:
 
-* ``int``   — 64-bit two's-complement integer (the interpreter wraps
+* ``int``   — 64-bit two's-complement integer (the machine wraps
   arithmetic to 64 bits so single-bit-flip faults behave like hardware).
 * ``float`` — IEEE-754 double, mapped onto Python floats.
 * ``bool``  — produced by comparison instructions, consumed by branches.

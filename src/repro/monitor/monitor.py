@@ -87,7 +87,7 @@ class Monitor:
         self._checks_since_discard = 0
         self._finalized = False
 
-    # -- producer side (called from the interpreter) -------------------------
+    # -- producer side (called from the machine) -----------------------------
 
     def try_send(self, thread_id: int, message: BranchMessage) -> bool:
         """Enqueue a message from ``thread_id``.  False = queue full, the

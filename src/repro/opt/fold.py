@@ -1,12 +1,13 @@
 """Constant folding + integer algebraic identities.
 
-Evaluation delegates to the *interpreter's own* operator tables and
-value helpers, so a folded constant is bit-identical to what the
-unoptimized program would have computed — including 64-bit wrapping,
-C-style division, shift masking, and the IEEE inf/nan rules for float
-division by zero.  Anything that would crash the guest (zero divisor,
-``ftoi`` of nan/inf/out-of-range) refuses to fold: the crash is an
-observable outcome the optimized program must still exhibit.
+Evaluation delegates to the guest-value helpers and operator tables of
+:mod:`repro.runtime.values` — the semantics the compiled code has — so
+a folded constant is bit-identical to what the unoptimized program
+would have computed, including 64-bit wrapping, C-style division, shift
+masking, and the IEEE inf/nan rules for float division by zero.
+Anything that would crash the guest (zero divisor, ``ftoi`` of
+nan/inf/out-of-range) refuses to fold: the crash is an observable
+outcome the optimized program must still exhibit.
 """
 
 from __future__ import annotations
@@ -27,8 +28,15 @@ from repro.ir import (
     Value,
 )
 from repro.opt.ghosts import ghost_kind_of, remove_with_ghost, replace_all_uses
-from repro.runtime.interpreter import _BINOP_FUNCS, Machine
-from repro.runtime.values import float_to_int, int_div, int_mod, wrap_int
+from repro.runtime.values import (
+    BINOP_FUNCS,
+    evaluate_cmp,
+    float_div,
+    float_to_int,
+    int_div,
+    int_mod,
+    wrap_int,
+)
 
 
 class _NoFold(Exception):
@@ -36,22 +44,15 @@ class _NoFold(Exception):
 
 
 def eval_binop(op: str, type_, lhs, rhs):
-    """Mirror of ``Machine._exec_binop`` over raw guest values."""
+    """A guest binary operation over raw guest values, with the
+    machine's semantics (the code it generates for the same op)."""
     is_float = type_ is FLOAT
-    fn = _BINOP_FUNCS.get(op)
+    fn = BINOP_FUNCS.get(op)
     try:
         if fn is not None:
             value = fn(lhs, rhs)
         elif op == "div":
-            if is_float:
-                lhs, rhs = float(lhs), float(rhs)
-                if rhs == 0.0:
-                    value = float("inf") if lhs > 0 else (
-                        float("-inf") if lhs < 0 else float("nan"))
-                else:
-                    value = lhs / rhs
-            else:
-                value = int_div(lhs, rhs)
+            value = float_div(lhs, rhs) if is_float else int_div(lhs, rhs)
         elif op == "mod":
             value = int_mod(lhs, rhs)
         else:  # pragma: no cover - constructor rejects unknown ops
@@ -73,7 +74,7 @@ def eval_unop(op: str, type_, value):
 
 
 def eval_cmp(op: str, lhs, rhs) -> bool:
-    return Machine.evaluate_cmp(op, lhs, rhs)
+    return evaluate_cmp(op, lhs, rhs)
 
 
 def eval_cast(kind: str, value):

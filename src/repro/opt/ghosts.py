@@ -16,7 +16,7 @@ before executing the carrier.  Ghosts cascade: removing a carrier folds
 its accumulated baggage into the next survivor.  A block's terminator is
 never removable, so a landing spot always exists.
 
-Phi nodes are the exception: the interpreter executes them as part of
+Phi nodes are the exception: the machine executes them as part of
 the edge transfer at zero step/cycle cost, so removing one needs no
 ghost.
 """

@@ -1,10 +1,10 @@
-"""Simulated SPMD runtime: interpreter, shared memory, synchronization,
-scheduler, and the cycle cost model of the 32-core target machine."""
+"""Simulated SPMD runtime: the block-closure machine, shared memory,
+synchronization, scheduler, and the cycle cost model of the 32-core
+target machine."""
 
 from repro.runtime.costmodel import CostModel, default_cost_model
-from repro.runtime.interpreter import (
+from repro.runtime.machine import (
     FaultHook,
-    Frame,
     Machine,
     RunResult,
     ThreadContext,
@@ -12,13 +12,13 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.closures import (
     CODEGEN_VERSION,
-    ClosureMachine,
+    Frame,
     compile_module,
     get_compiled,
 )
 from repro.runtime.memory import SharedMemory
 from repro.runtime.program import (
-    BACKENDS,
+    ENGINE,
     ParallelProgram,
     RunConfig,
     resolve_backend,
@@ -41,8 +41,8 @@ __all__ = [
     "CostModel", "default_cost_model",
     "FaultHook", "Frame", "Machine", "RunResult", "ThreadContext",
     "ThreadStatus", "SharedMemory", "ParallelProgram", "RunConfig",
-    "BACKENDS", "resolve_backend", "resolve_opt_level",
-    "CODEGEN_VERSION", "ClosureMachine", "compile_module", "get_compiled",
+    "ENGINE", "resolve_backend", "resolve_opt_level",
+    "CODEGEN_VERSION", "compile_module", "get_compiled",
     "SimBarrier", "SimMutex",
     "INT_MAX", "INT_MIN", "flip_float_bit", "flip_int_bit", "flip_value_bit",
     "float_to_int", "int_div", "int_mod", "wrap_int",

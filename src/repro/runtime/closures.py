@@ -1,9 +1,7 @@
-"""Block-closure compilation: the interpreter's hot path, precompiled.
+"""Block-closure compilation: the machine's only execution engine.
 
-The tree-walking :class:`~repro.runtime.interpreter.Machine` pays a
-dict-dispatch, an operand walk, and a register-dict probe per executed
-instruction.  This backend compiles every basic block once, ahead of
-time, into *units*:
+Every basic block is compiled once, at a module's first run, into
+*units*:
 
 * maximal runs of pure/branch-free instructions (arithmetic, casts,
   memory, intrinsics) become one ``exec``-generated Python function with
@@ -11,19 +9,23 @@ time, into *units*:
   for values that never escape the unit), cycle costs summed into a
   single literal, and the program counter advanced once at the end;
 * control flow and synchronization (branch, jump, call, ret, lock,
-  barrier, monitor sends) become hand-built generic closures that mirror
-  the interpreter handlers *exactly*, with branch targets pre-resolved
-  to compiled blocks and phi edge-copies pre-generated per CFG edge.
+  barrier, monitor sends) become hand-built generic closures, with
+  branch targets pre-resolved to compiled blocks and phi edge-copies
+  pre-generated per CFG edge.
+
+Every instruction also gets a *single* closure that executes exactly
+that instruction; it is the per-instruction stepping mode of the engine.
 
 **Schedule identity.**  The scheduler draws jitter from a seeded RNG at
-every quantum decision, so run results are bit-identical to the
-interpreter only if quantum boundaries fall at the same cumulative step
-counts.  The quantum loop therefore dispatches a fused unit only when
-its full (static) step count fits the remaining budget; otherwise it
-falls back to per-instruction *single* closures — and to per-kind
-optimizer-ghost charging — exactly like the interpreter's quantum loop.
-Units never overshoot, scheduler decisions and RNG draws line up one to
-one, and golden traces match across backends.
+every quantum decision, so a run is reproducible only if quantum
+boundaries fall at the same cumulative step counts however the code was
+fused or optimized.  The quantum loop
+(:meth:`repro.runtime.machine.Machine._run_quantum`) therefore
+dispatches a fused unit only when its full (static) step count fits the
+remaining budget; otherwise it falls back to the single closure — and
+to per-kind optimizer-ghost charging.  Units never overshoot, so
+scheduler decisions and RNG draws line up one to one at every
+optimization level and quantum.
 
 **Fault injection.**  The injector reads and corrupts victim registers
 through :meth:`Machine.read_value`/:meth:`Machine.write_reg`.  Every
@@ -31,15 +33,14 @@ value the monitor or injector can observe (branch conditions, compare
 operands feeding branches, monitor-send operands — the same *frozen*
 set the optimizer respects) is always written to its register slot even
 inside fused units, so corruption lands in the slot and every later use
-observes it, exactly as in the interpreter.
+observes it.
 
-Known, accepted divergences (not observable in golden fingerprints or
+Known, accepted imprecisions (not observable in golden fingerprints or
 campaign outcome classification): on a guest *crash* mid-unit the
-partial unit's steps/cycles are not accounted (the interpreter loses
-its partial quantum the same way, just at instruction granularity), and
-for cost models whose costs are not exactly representable dyadic floats
-the single summed cycle literal can round differently from sequential
-addition (the default model is all dyadic, hence exact).
+partial unit's steps/cycles are not accounted, and for cost models
+whose costs are not exactly representable dyadic floats the single
+summed cycle literal can round differently from sequential addition
+(the default model is all dyadic, hence exact).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import weakref
 from dataclasses import astuple
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import GuestCrash, GuestHang, SimulationError
+from repro.errors import GuestCrash, SimulationError
 from repro.ir import (
     BarrierWait,
     BasicBlock,
@@ -70,7 +71,6 @@ from repro.ir import (
     Jump,
     LoadElem,
     LoadGlobal,
-    LocalSlot,
     LockAcquire,
     LockRelease,
     LoopTick,
@@ -89,8 +89,8 @@ from repro.ir import (
 )
 from repro.monitor import ConditionMessage, OutcomeMessage
 from repro.runtime.costmodel import CostModel
-from repro.runtime.interpreter import Machine, ThreadContext, ThreadStatus
-from repro.runtime.values import float_to_int, int_div, int_mod
+from repro.runtime.machine import ThreadStatus
+from repro.runtime.values import float_div, float_to_int, int_div, int_mod
 
 #: Bump when generated code changes shape — part of every store key, so
 #: stale cached closure bundles can never be loaded into a new runtime.
@@ -119,15 +119,6 @@ _CMP_INFIX = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
 _WRAP = "((%s + 9223372036854775808) & 18446744073709551615) - 9223372036854775808"
 
 
-def _fdiv(lhs, rhs):
-    """Float division with the interpreter's IEEE zero-divisor rules."""
-    lhs, rhs = float(lhs), float(rhs)
-    if rhs == 0.0:
-        return (math.inf if lhs > 0
-                else (-math.inf if lhs < 0 else math.nan))
-    return lhs / rhs
-
-
 def _slot_default(type_):
     if type_ is FLOAT:
         return 0.0
@@ -141,8 +132,9 @@ def _slot_default(type_):
 # ---------------------------------------------------------------------------
 
 
-class ClosureFrame:
-    """Activation record for the closure backend: flat register list."""
+class Frame:
+    """One activation record: function, program counter (compiled block
+    and instruction index), and a flat register list."""
 
     __slots__ = ("function", "cfunc", "block", "cblock", "index", "regs",
                  "call_inst")
@@ -193,36 +185,34 @@ class CompiledFunction:
         self.slot_of: Dict[int, int] = {}
         self.nslots = 0
         self.param_slots: Tuple[int, ...] = ()
-        #: (slot, default) pairs for LocalSlots — the interpreter reads
-        #: unwritten locals as typed zeros, so the flat frame prefills.
+        #: (slot, default) pairs for LocalSlots — unwritten locals read
+        #: as typed zeros, so each new frame prefills them.
         self.slot_defaults: Tuple[Tuple[int, Any], ...] = ()
         self.blocks: Dict[int, CompiledBlock] = {}
 
-    def make_frame(self, args: Tuple, call_inst=None) -> ClosureFrame:
+    def make_frame(self, args: Tuple, call_inst=None) -> Frame:
         regs: List[Any] = [None] * self.nslots
         for slot, default in self.slot_defaults:
             regs[slot] = default
         for slot, value in zip(self.param_slots, args):
             regs[slot] = value
         entry = self.function.entry
-        return ClosureFrame(self.function, self, entry,
-                            self.blocks[id(entry)], regs, call_inst)
+        return Frame(self.function, self, entry, self.blocks[id(entry)],
+                     regs, call_inst)
 
 
 class CompiledProgram:
-    __slots__ = ("module", "by_name", "by_id", "sources", "units",
-                 "cost_key", "nthreads")
+    """One module compiled for one (cost model, thread count)."""
 
-    def __init__(self, module: Module, cost_key, nthreads: int):
-        self.module = module
+    __slots__ = ("by_name", "by_id", "sources", "units")
+
+    def __init__(self):
         self.by_name: Dict[str, CompiledFunction] = {}
         self.by_id: Dict[int, CompiledFunction] = {}
         self.sources: Dict[str, str] = {}
         #: Per-function unit metadata (bi, start, end, kind, seg_map) —
         #: together with ``sources`` this is the storable compile result.
         self.units: Dict[str, List] = {}
-        self.cost_key = cost_key
-        self.nthreads = nthreads
 
     def bundle(self) -> Dict[str, Any]:
         """Picklable artifact-store payload: everything a later process
@@ -372,7 +362,7 @@ class _FunctionCodegen:
     def _expr(self, inst: Instruction, local_names: Dict[int, str],
               needs) -> str:
         """The value expression for one fusible, result-producing
-        instruction — semantics mirror the interpreter handlers."""
+        instruction."""
         ref = lambda v: self._ref(v, local_names)
         if isinstance(inst, BinOp):
             lhs, rhs = ref(inst.lhs), ref(inst.rhs)
@@ -590,7 +580,8 @@ class _FunctionCodegen:
         return segments
 
     def emit_phi_skip(self, name: str, position: int) -> str:
-        """Stepping onto a phi just skips it (mirrors _exec_phi)."""
+        """Stepping onto a phi just skips it: phis run as the parallel
+        edge copy of the transfer into their block."""
         self.chunks.append(
             "def %s(machine, thread, frame):\n"
             "    frame.index = %d\n"
@@ -621,7 +612,7 @@ class _FunctionCodegen:
 
 
 # ---------------------------------------------------------------------------
-# Generic (non-fusible) units — hand-built closures mirroring handlers
+# Generic (non-fusible) units — hand-built closures
 # ---------------------------------------------------------------------------
 
 
@@ -638,6 +629,20 @@ def _reader(value: Value, slot_of: Dict[int, int],
     return lambda regs: regs[slot]
 
 
+def _runtime_key(info):
+    """thread -> the monitor's runtime key of ``info``'s branch: the
+    call-site path plus each enclosing loop's iteration counter (-1
+    before the loop's first tick)."""
+    loop_ids = tuple(info.enclosing_loop_ids)
+
+    def key(thread):
+        iters = thread.loop_iters
+        return (thread.callsite_key,
+                tuple([iters.get(lid, -1) for lid in loop_ids]))
+
+    return key
+
+
 def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
                   inst: Instruction, position: int,
                   func_index: Dict[str, int]) -> Callable:
@@ -647,6 +652,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
     if isinstance(inst, Branch):
         cond_read = _reader(inst.cond, slot_of, func_index)
         info = inst.bw_info
+        key_of = _runtime_key(info) if info is not None else None
         then_block, else_block = inst.then_block, inst.else_block
         then_cb = cfunc.blocks[id(then_block)]
         else_cb = cfunc.blocks[id(else_block)]
@@ -666,7 +672,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
             if info is not None and machine.monitor is not None:
                 message = OutcomeMessage(
                     info=info, thread_id=thread.tid,
-                    key=machine._runtime_key(thread, info), taken=taken)
+                    key=key_of(thread), taken=taken)
                 thread.cycles += machine._send_cost
                 if not machine.monitor.try_send(thread.tid, message):
                     thread.pending = ("branch", message,
@@ -860,6 +866,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
 
     if isinstance(inst, SendBranchCondition):
         info = inst.info
+        key_of = _runtime_key(info)
         readers = [_reader(v, slot_of, func_index) for v in inst.operands]
 
         def send_unit(machine, thread, frame):
@@ -867,7 +874,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
             values = tuple(read(regs) for read in readers)
             message = ConditionMessage(
                 info=info, thread_id=thread.tid,
-                key=machine._runtime_key(thread, info), values=values)
+                key=key_of(thread), values=values)
             thread.cycles += machine._send_cost
             if machine.monitor is not None and not machine.monitor.try_send(
                     thread.tid, message):
@@ -891,7 +898,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
 
 def _exec_env() -> Dict[str, Any]:
     return {"_idiv": int_div, "_imod": int_mod, "_ftoi": float_to_int,
-            "_fdiv": _fdiv, "inf": math.inf, "nan": math.nan}
+            "_fdiv": float_div, "inf": math.inf, "nan": math.nan}
 
 
 def _bundle_usable(namespace: Dict[str, Any], fi: int, function,
@@ -919,7 +926,7 @@ def _bundle_usable(namespace: Dict[str, Any], fi: int, function,
 def compile_module(module: Module, cost: Optional[CostModel] = None,
                    nthreads: int = 1,
                    bundle: Optional[Dict[str, Any]] = None) -> CompiledProgram:
-    """Compile every function of ``module`` for the closure backend.
+    """Compile every function of ``module`` to block closures.
 
     ``bundle`` (from a warm artifact store, see
     :meth:`CompiledProgram.bundle`) short-circuits code *generation*
@@ -935,7 +942,7 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
     warm_functions: Dict[str, Any] = {}
     if bundle and bundle.get("version") == CODEGEN_VERSION:
         warm_functions = bundle.get("functions", {}) or {}
-    program = CompiledProgram(module, astuple(cost), nthreads)
+    program = CompiledProgram()
     func_index = {f.name: i for i, f in enumerate(module.function_table)}
     plans: Dict[str, _Plan] = {}
     generated: Dict[str, str] = {}
@@ -1078,10 +1085,32 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
     return program
 
 
-#: Per-module compile cache: (cost tuple, nthreads) -> CompiledProgram.
-#: Weak keys — dropping the module drops its compiled code.
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[Module, Dict]" = (
-    weakref.WeakKeyDictionary())
+class _CompileCache:
+    """The per-module compile caches, as one handle.
+
+    Each module keeps its own cache (``Module.closure_cache``: cost
+    tuple and thread count -> :class:`CompiledProgram`), so the compiled
+    code lives and dies with its module.  Compiled code refers back to
+    the module through its functions and blocks, so a weak-keyed map
+    holding it would keep every module alive forever.  :meth:`clear`
+    empties every live module's cache, forcing the next compile to be
+    cold.
+    """
+
+    def __init__(self):
+        self._modules: "weakref.WeakSet[Module]" = weakref.WeakSet()
+
+    def of(self, module: Module) -> Dict:
+        self._modules.add(module)
+        return module.closure_cache
+
+    def clear(self) -> None:
+        for module in list(self._modules):
+            module.closure_cache.clear()
+        self._modules.clear()
+
+
+_COMPILE_CACHE = _CompileCache()
 
 
 def get_compiled(module: Module, cost: Optional[CostModel] = None,
@@ -1089,8 +1118,8 @@ def get_compiled(module: Module, cost: Optional[CostModel] = None,
                  telemetry=None) -> CompiledProgram:
     """compile_module, memoized twice over.
 
-    In-process: per-module WeakKey cache keyed on (cost tuple,
-    nthreads).  Cross-process: when a default artifact store is active
+    In-process: on the module itself, keyed on (cost tuple, nthreads).
+    Cross-process: when a default artifact store is active
     (``$REPRO_STORE`` / ``set_default_store``), the generated source
     bundle is content-addressed on the printed IR + cost model + thread
     count + codegen version, so repeated campaigns skip the string-
@@ -1099,10 +1128,7 @@ def get_compiled(module: Module, cost: Optional[CostModel] = None,
     """
     if cost is None:
         cost = CostModel()
-    per_module = _COMPILE_CACHE.get(module)
-    if per_module is None:
-        per_module = {}
-        _COMPILE_CACHE[module] = per_module
+    per_module = _COMPILE_CACHE.of(module)
     key = (astuple(cost), nthreads)
     compiled = per_module.get(key)
     if compiled is None:
@@ -1128,128 +1154,3 @@ def get_compiled(module: Module, cost: Optional[CostModel] = None,
                                           bundle=bundle)
         per_module[key] = compiled
     return compiled
-
-
-# ---------------------------------------------------------------------------
-# The machine
-# ---------------------------------------------------------------------------
-
-
-class ClosureMachine(Machine):
-    """Drop-in Machine replacement executing compiled block closures.
-
-    Reuses the scheduler loop, blocked-thread resolution, monitor
-    integration, and result assembly of the base class; only frame
-    representation, quantum execution, and control transfer differ.
-    """
-
-    def __init__(self, module: Module, nthreads: int,
-                 compiled: Optional[CompiledProgram] = None, **kwargs):
-        super().__init__(module, nthreads, **kwargs)
-        if compiled is None:
-            compiled = get_compiled(module, self.cost, nthreads,
-                                    telemetry=self.telemetry)
-        elif compiled.module is not module:
-            raise SimulationError(
-                "compiled program belongs to a different module")
-        self.compiled = compiled
-        entry_cf = compiled.by_name[self.entry_name]
-        for thread in self.threads:
-            thread.frames = [entry_cf.make_frame(())]
-        self._quantum_fn = self._run_quantum
-
-    # -- quantum execution -------------------------------------------------
-
-    def _run_quantum(self, thread: ThreadContext) -> None:
-        frames = thread.frames
-        runnable = _RUNNABLE
-        executed = 0
-        quantum = self.quantum
-        while executed < quantum and thread.status is runnable:
-            frame = frames[-1]
-            cblock = frame.cblock
-            index = frame.index
-            segments, gcosts = cblock.dispatch[index]
-            if gcosts:
-                # Leading-instruction ghost: replay per kind so quantum
-                # boundaries land exactly where the -O0 run puts them.
-                done = thread.ghost_skip
-                ng = len(gcosts)
-                if done < ng:
-                    cycles = thread.cycles
-                    while done < ng and executed < quantum:
-                        cycles += gcosts[done]
-                        done += 1
-                        executed += 1
-                    thread.cycles = cycles
-                    if done < ng or executed >= quantum:
-                        thread.ghost_skip = done
-                        break
-                    thread.ghost_skip = done
-            budget = quantum - executed
-            for steps, fn in segments:
-                if steps <= budget:
-                    executed += fn(self, thread, frame)
-                    break
-            else:
-                # No compiled segment fits the remaining budget (or we
-                # resumed at an unaligned mid-run index): execute one
-                # instruction, interpreter-style.
-                cblock.singles[index](self, thread, frame)
-                executed += 1
-            if gcosts:
-                thread.ghost_skip = 0
-        thread.steps += executed
-        self.total_steps += executed
-        if self.total_steps > self.max_steps:
-            raise GuestHang("exceeded %d interpreted instructions"
-                            % self.max_steps)
-
-    def _step(self, thread: ThreadContext) -> None:
-        """Single-step (tests/debugging): one instruction via its
-        single closure, full ghost charged up front."""
-        frame = thread.frames[-1]
-        cblock = frame.cblock
-        index = frame.index
-        gcosts = cblock.dispatch[index][1]
-        charged = 0
-        done = thread.ghost_skip
-        while done < len(gcosts):
-            thread.cycles += gcosts[done]
-            done += 1
-            charged += 1
-        cblock.singles[index](self, thread, frame)
-        thread.ghost_skip = 0
-        thread.steps += 1 + charged
-        self.total_steps += 1 + charged
-
-    # -- control transfer (retry path; hot paths are prebound) -------------
-
-    def _transfer(self, thread: ThreadContext, frame, target) -> None:
-        cblock = frame.cfunc.blocks[id(target)]
-        copy = cblock.edge_copy.get(id(frame.block))
-        if copy is not None:
-            copy(frame.regs)
-        frame.block = target
-        frame.cblock = cblock
-        frame.index = cblock.nphis
-
-    # -- register access (injector seam + inherited helpers) ---------------
-
-    def read_value(self, frame, value: Value):
-        if isinstance(value, Constant):
-            return value.value
-        slot = frame.cfunc.slot_of.get(id(value))
-        if slot is not None:
-            held = frame.regs[slot]
-            if held is None:
-                raise SimulationError("read of undefined value %r" % value)
-            return held
-        if isinstance(value, FunctionRef):
-            return self._func_index[value.function_name]
-        raise SimulationError("read of undefined value %r" % value)
-
-    _value = read_value
-
-    def write_reg(self, frame, value: Value, new) -> None:
-        frame.regs[frame.cfunc.slot_of[id(value)]] = new

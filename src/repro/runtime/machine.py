@@ -1,0 +1,486 @@
+"""The simulated SPMD machine: threads over shared memory.
+
+This is the substrate that replaces the paper's real 32-core machine.
+Every worker "thread" has its own frame stack, cycle clock, call-site
+stack, and loop-iteration counters; a scheduler interleaves them
+deterministically (always advancing the thread with the lowest cycle
+clock, plus optional seeded jitter for schedule diversity).  The monitor
+drains its queues between scheduling quanta, modeling the paper's
+asynchronous monitor thread.
+
+Code runs as compiled block closures (:mod:`repro.runtime.closures`):
+each quantum dispatches the largest fused unit that fits its remaining
+step budget, else one instruction through its single closure, so
+quantum boundaries — and with them every scheduler RNG draw — fall at
+the same cumulative step counts however the code was fused or
+optimized.
+
+Faults are injected through a :class:`FaultHook` given the chance to
+observe/alter every branch decision — the simulator's analogue of the
+paper's PIN-based injector.
+"""
+
+from __future__ import annotations
+
+import enum
+import random
+import time
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from repro.errors import (
+    DetectionRaised,
+    GuestCrash,
+    GuestDeadlock,
+    GuestHang,
+    SimulationError,
+)
+from repro.ir import Branch, Constant, FunctionRef, Module, Value
+from repro.monitor import Monitor
+from repro.runtime.costmodel import CostModel
+from repro.runtime.memory import SharedMemory
+from repro.runtime.sync import SimBarrier, SimMutex
+from repro.telemetry import Telemetry, TelemetrySnapshot, active
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.closures import Frame
+
+
+class ThreadStatus(enum.Enum):
+    RUNNABLE = "runnable"
+    BLOCKED_LOCK = "blocked_lock"
+    BLOCKED_BARRIER = "blocked_barrier"
+    BLOCKED_QUEUE = "blocked_queue"
+    DONE = "done"
+    CRASHED = "crashed"
+
+
+class ThreadContext:
+    """One simulated worker thread."""
+
+    __slots__ = ("tid", "frames", "status", "cycles", "outputs",
+                 "callsite_key", "loop_iters", "branch_count",
+                 "pending", "steps", "ghost_skip", "sync_wait",
+                 "queue_stall")
+
+    def __init__(self, tid: int, frame: "Frame"):
+        self.tid = tid
+        self.frames: List["Frame"] = [frame]
+        self.status = ThreadStatus.RUNNABLE
+        self.cycles: float = 0.0
+        self.outputs: List[Any] = []
+        #: Simulated cycles this thread spent waiting at locks/barriers
+        #: (the per-thread share of Machine.sync_wait_cycles).
+        self.sync_wait: float = 0.0
+        #: Simulated cycles this thread lost to full-monitor-queue stalls.
+        self.queue_stall: float = 0.0
+        #: Call-site id path of the current activation, as a ready-made
+        #: tuple (it is half of every runtime hash key).
+        self.callsite_key: Tuple[int, ...] = ()
+        self.loop_iters: Dict[int, int] = {}
+        self.branch_count = 0
+        #: Deferred action while blocked on a full monitor queue:
+        #: ("send", message) or ("branch", message, target_block).
+        self.pending: Optional[Tuple] = None
+        self.steps = 0
+        #: Optimizer-ghost kinds already charged at the current program
+        #: point (a scheduling quantum may end mid-ghost; see
+        #: Machine._run_quantum).
+        self.ghost_skip = 0
+
+    @property
+    def frame(self) -> "Frame":
+        return self.frames[-1]
+
+    @property
+    def done(self) -> bool:
+        return self.status in (ThreadStatus.DONE, ThreadStatus.CRASHED)
+
+
+class FaultHook:
+    """Injection interface; the default hook is a no-op (golden runs)."""
+
+    def before_branch(self, machine: "Machine", thread: ThreadContext,
+                      branch: Branch, frame: "Frame", taken: bool) -> bool:
+        """Observe/modify the decision of a dynamic branch instance."""
+        return taken
+
+
+class RunResult:
+    """Everything a run produced; consumed by campaigns and benchmarks."""
+
+    def __init__(self):
+        self.status = "ok"   # ok | crash | hang | deadlock
+        self.failure_message = ""
+        self.failing_thread: Optional[int] = None
+        self.outputs: Dict[int, List[Any]] = {}
+        self.cycles: Dict[int, float] = {}
+        self.parallel_time: float = 0.0
+        self.branch_counts: Dict[int, int] = {}
+        self.violations: List = []
+        self.steps = 0
+        self.monitor: Optional[Monitor] = None
+        self.memory: Optional[SharedMemory] = None
+        #: Synchronization census (the duplication model prices its
+        #: determinism enforcement off these).
+        self.lock_acquisitions = 0
+        self.barrier_episodes = 0
+        #: Simulated cycles threads spent waiting at barriers/locks.
+        self.sync_wait_cycles: float = 0.0
+        #: Per-thread shares of the synchronization wait and of the
+        #: monitor-queue stall cycles (tid -> cycles); the vectors the
+        #: triage performance-anomaly arm compares within a similarity
+        #: class.
+        self.thread_sync_wait: Dict[int, float] = {}
+        self.thread_queue_stall: Dict[int, float] = {}
+        #: Metrics snapshot; None unless the run was given a collector.
+        self.telemetry: Optional[TelemetrySnapshot] = None
+
+    @property
+    def detected(self) -> bool:
+        return bool(self.violations)
+
+    def output_signature(self, output_globals=()) -> Tuple:
+        """Canonical value for golden-result comparison: the per-thread
+        output streams plus designated result globals."""
+        streams = tuple((tid, tuple(self.outputs.get(tid, ())))
+                        for tid in sorted(self.outputs))
+        arrays = ()
+        if self.memory is not None and output_globals:
+            snap = self.memory.snapshot(output_globals)
+            arrays = tuple((name, tuple(snap[name])) for name in sorted(snap))
+        return (self.status, streams, arrays)
+
+
+class Machine:
+    """The simulated multi-core machine executing one program run.
+
+    Executes the module's block-closure compile
+    (:func:`repro.runtime.closures.get_compiled`, cached on the module),
+    built at the module's first run rather than when the program is
+    constructed.
+    """
+
+    def __init__(self, module: Module, nthreads: int,
+                 entry: str = "slave",
+                 monitor: Optional[Monitor] = None,
+                 cost_model: Optional[CostModel] = None,
+                 fault_hook: Optional[FaultHook] = None,
+                 seed: int = 0,
+                 quantum: int = 32,
+                 max_steps: int = 20_000_000,
+                 schedule_jitter: float = 2.0,
+                 halt_on_detection: bool = False,
+                 telemetry: Optional[Telemetry] = None):
+        from repro.runtime import closures  # lazy: closures imports us
+        if module.bw_metadata is not None and monitor is None:
+            raise SimulationError(
+                "instrumented module requires a Monitor (mode 'full' or 'feed')")
+        self.module = module
+        self.nthreads = nthreads
+        self.monitor = monitor
+        self.cost = cost_model if cost_model is not None else CostModel()
+        self.hook = fault_hook if fault_hook is not None else FaultHook()
+        self.quantum = quantum
+        self.max_steps = max_steps
+        self.halt_on_detection = halt_on_detection
+        self.seed = seed
+        #: Live collector or None; hot loops never see the disabled case
+        #: (repro.telemetry normalizes it away here, once).
+        self.telemetry = active(telemetry)
+        self.sync_wait_cycles: float = 0.0
+        self._rng = random.Random(seed)
+        self._jitter = schedule_jitter
+
+        compiled = closures.get_compiled(module, self.cost, nthreads,
+                                         telemetry=self.telemetry)
+        self.memory = SharedMemory(module)
+        entry_cf = compiled.by_name[entry]
+        self.threads = [ThreadContext(tid, entry_cf.make_frame(()))
+                        for tid in range(nthreads)]
+        self.mutexes: Dict[str, SimMutex] = {}
+        self.barriers: Dict[str, SimBarrier] = {}
+        for name, g in module.globals.items():
+            if g.type.name == "lock":
+                self.mutexes[name] = SimMutex(name)
+            elif g.type.name == "barrier":
+                self.barriers[name] = SimBarrier(name, nthreads)
+        self._func_index = {f.name: i for i, f in enumerate(module.function_table)}
+        self.total_steps = 0
+
+        # Pre-derived costs (read by the compiled sync/send closures).
+        self._send_cost = self.cost.send_cost(nthreads)
+        self._barrier_cost = self.cost.barrier_cost(nthreads)
+
+    # ------------------------------------------------------------------
+    # Top-level run loop
+    # ------------------------------------------------------------------
+
+    def run(self) -> RunResult:
+        result = RunResult()
+        tel = self.telemetry
+        wall_started = time.perf_counter_ns() if tel is not None else 0
+        if tel is not None:
+            tel.event("run_start", nthreads=self.nthreads, seed=self.seed)
+        try:
+            self._loop()
+        except DetectionRaised:
+            # halt_on_detection mode: the paper's "raises an exception and
+            # stops the program".  The violation itself is collected from
+            # the monitor below.
+            result.status = "halted"
+        except GuestCrash as crash:
+            result.status = "crash"
+            result.failure_message = str(crash)
+            result.failing_thread = crash.thread_id
+        except GuestHang as hang:
+            result.status = "hang"
+            result.failure_message = str(hang)
+        except GuestDeadlock as dead:
+            result.status = "deadlock"
+            result.failure_message = str(dead)
+        for thread in self.threads:
+            result.outputs[thread.tid] = thread.outputs
+            result.cycles[thread.tid] = thread.cycles
+            result.branch_counts[thread.tid] = thread.branch_count
+            result.thread_sync_wait[thread.tid] = thread.sync_wait
+            result.thread_queue_stall[thread.tid] = thread.queue_stall
+        result.parallel_time = max(
+            (t.cycles for t in self.threads), default=0.0)
+        result.steps = self.total_steps
+        result.memory = self.memory
+        result.monitor = self.monitor
+        result.lock_acquisitions = sum(
+            m.acquisitions for m in self.mutexes.values())
+        result.barrier_episodes = sum(
+            b.episodes for b in self.barriers.values())
+        result.sync_wait_cycles = self.sync_wait_cycles
+        if self.monitor is not None:
+            result.violations = list(self.monitor.finalize())
+        if tel is not None:
+            # End-of-run aggregation: the per-instruction facts come from
+            # counters the simulator maintains anyway, so the hot loop
+            # carries no telemetry cost even when enabled.
+            tel.add_time_ns("interp.wall_ns",
+                            time.perf_counter_ns() - wall_started)
+            tel.count("interp.runs")
+            tel.count("interp.steps", self.total_steps)
+            tel.count("interp.branches",
+                      sum(result.branch_counts.values()))
+            tel.count("sync.lock_acquisitions", result.lock_acquisitions)
+            tel.count("sync.barrier_episodes", result.barrier_episodes)
+            tel.count("sync.wait_cycles", int(self.sync_wait_cycles))
+            tel.gauge_max("interp.parallel_cycles", int(result.parallel_time))
+            summary = getattr(self.module, "opt_summary", None)
+            if summary is not None:
+                for stats in summary.get("passes", ()):
+                    tel.count("opt.pass.%s.removed" % stats["name"],
+                              stats["removed"])
+                tel.count("opt.instructions_saved",
+                          summary["instructions_before"]
+                          - summary["instructions_after"])
+            for thread in self.threads:
+                tel.observe("interp.thread_cycles", thread.cycles)
+                tel.observe("interp.thread_steps", thread.steps)
+                # One event per thread, integer fields only: the runtime
+                # vector the triage performance arm clusters within a
+                # similarity class.  Deterministic in the seed (simulated
+                # cycles, never wall-clock), so jobs=N merges keep the
+                # triage report byte-identical.
+                tel.event("thread_metrics", tid=thread.tid,
+                          cycles=int(thread.cycles),
+                          steps=thread.steps,
+                          branches=thread.branch_count,
+                          sync_wait=int(thread.sync_wait),
+                          queue_stall=int(thread.queue_stall))
+            tel.event("run_end", status=result.status,
+                      steps=self.total_steps,
+                      violations=len(result.violations),
+                      detected=result.detected)
+            result.telemetry = tel.snapshot()
+        return result
+
+    def _loop(self) -> None:
+        # Scheduler hot loop: every attribute that is invariant across
+        # quanta is hoisted to a local (the loop body runs once per
+        # scheduling quantum, tens of thousands of times per run).
+        threads = self.threads
+        run_quantum = self._run_quantum
+        rng_random = self._rng.random
+        jitter = self._jitter
+        runnable_status = ThreadStatus.RUNNABLE
+        monitor = self.monitor
+        drain = monitor.drain if monitor is not None else None
+        batch = (monitor.metadata.config.monitor_batch
+                 if monitor is not None else 0)
+        halt = self.halt_on_detection
+        while True:
+            # Pick the runnable thread with the lowest jittered clock.
+            # One RNG draw per runnable thread in tid order, ties to the
+            # lowest tid — exactly `min(runnable, key=cycles+jitter)`,
+            # without the per-decision closure and list allocations.
+            best = None
+            best_key = 0.0
+            for t in threads:
+                if t.status is runnable_status:
+                    key = t.cycles + rng_random() * jitter
+                    if best is None or key < best_key:
+                        best = t
+                        best_key = key
+            if best is None:
+                if all(t.done for t in threads):
+                    return
+                if not self._resolve_blocked():
+                    raise GuestDeadlock(
+                        "no runnable thread: " + ", ".join(
+                            "t%d=%s" % (t.tid, t.status.value) for t in threads))
+                continue
+            run_quantum(best)
+            if drain is not None:
+                drain(batch)
+                if halt and monitor.detected:
+                    raise DetectionRaised(monitor.first_violation())
+
+    def _resolve_blocked(self) -> bool:
+        """Try to unblock queue-stalled producers by draining the monitor."""
+        stalled = [t for t in self.threads
+                   if t.status is ThreadStatus.BLOCKED_QUEUE]
+        if not stalled or self.monitor is None:
+            return False
+        self.monitor.drain(len(stalled) * 4 + 16)
+        progress = False
+        for thread in stalled:
+            if self._retry_pending(thread):
+                progress = True
+        return progress
+
+    # ------------------------------------------------------------------
+    # Quantum execution
+    # ------------------------------------------------------------------
+
+    def _run_quantum(self, thread: ThreadContext) -> None:
+        """Run ``thread`` for up to ``quantum`` steps.
+
+        Optimizer ghosts (instructions the optimizer removed, replayed
+        for their cost) are charged *one step at a time* against the
+        budget, so quantum boundaries fall at exactly the same cumulative
+        step counts as the unoptimized run — same scheduler decisions,
+        same jitter-RNG draws, bit-identical interleaving.  A quantum
+        that ends mid-ghost records its progress in
+        ``thread.ghost_skip`` and resumes there next time.
+        """
+        frames = thread.frames
+        runnable = ThreadStatus.RUNNABLE
+        executed = 0
+        quantum = self.quantum
+        while executed < quantum and thread.status is runnable:
+            frame = frames[-1]
+            cblock = frame.cblock
+            index = frame.index
+            segments, gcosts = cblock.dispatch[index]
+            if gcosts:
+                done = thread.ghost_skip
+                ng = len(gcosts)
+                if done < ng:
+                    cycles = thread.cycles
+                    while done < ng and executed < quantum:
+                        cycles += gcosts[done]
+                        done += 1
+                        executed += 1
+                    thread.cycles = cycles
+                    if done < ng or executed >= quantum:
+                        thread.ghost_skip = done
+                        break
+                    thread.ghost_skip = done
+            budget = quantum - executed
+            for steps, fn in segments:
+                if steps <= budget:
+                    executed += fn(self, thread, frame)
+                    break
+            else:
+                # No compiled segment fits the remaining budget (or we
+                # resumed at an unaligned mid-run index): execute one
+                # instruction.
+                cblock.singles[index](self, thread, frame)
+                executed += 1
+            if gcosts:
+                thread.ghost_skip = 0
+        thread.steps += executed
+        self.total_steps += executed
+        if self.total_steps > self.max_steps:
+            raise GuestHang("exceeded %d interpreted instructions"
+                            % self.max_steps)
+
+    def _step(self, thread: ThreadContext) -> None:
+        """Execute exactly one instruction through its single closure,
+        its whole ghost charged up front (tests/debugging; the run loop
+        uses the batched _run_quantum)."""
+        frame = thread.frames[-1]
+        cblock = frame.cblock
+        index = frame.index
+        gcosts = cblock.dispatch[index][1]
+        charged = 0
+        done = thread.ghost_skip
+        while done < len(gcosts):
+            thread.cycles += gcosts[done]
+            done += 1
+            charged += 1
+        cblock.singles[index](self, thread, frame)
+        thread.ghost_skip = 0
+        thread.steps += 1 + charged
+        self.total_steps += 1 + charged
+
+    # ------------------------------------------------------------------
+    # Register access (the fault injector's seam)
+    # ------------------------------------------------------------------
+
+    def read_value(self, frame: "Frame", value: Value):
+        """Read ``value`` as ``frame`` sees it."""
+        if isinstance(value, Constant):
+            return value.value
+        slot = frame.cfunc.slot_of.get(id(value))
+        if slot is not None:
+            held = frame.regs[slot]
+            if held is None:
+                raise SimulationError("read of undefined value %r" % value)
+            return held
+        if isinstance(value, FunctionRef):
+            return self._func_index[value.function_name]
+        raise SimulationError("read of undefined value %r" % value)
+
+    def write_reg(self, frame: "Frame", value: Value, new) -> None:
+        """Overwrite the register holding ``value`` in ``frame`` (the
+        fault injector's corruption primitive)."""
+        frame.regs[frame.cfunc.slot_of[id(value)]] = new
+
+    # ------------------------------------------------------------------
+    # The queue-stall retry path
+    # ------------------------------------------------------------------
+
+    def _transfer(self, frame: "Frame", target) -> None:
+        """Jump ``frame`` to block ``target``, running its phi copies
+        (the hot paths use prebound copies; this serves the retry of a
+        branch deferred by a full monitor queue)."""
+        cblock = frame.cfunc.blocks[id(target)]
+        copy = cblock.edge_copy.get(id(frame.block))
+        if copy is not None:
+            copy(frame.regs)
+        frame.block = target
+        frame.cblock = cblock
+        frame.index = cblock.nphis
+
+    def _retry_pending(self, thread: ThreadContext) -> bool:
+        if thread.pending is None or self.monitor is None:
+            return False
+        kind = thread.pending[0]
+        message = thread.pending[1]
+        if not self.monitor.try_send(thread.tid, message):
+            thread.cycles += self.cost.stall
+            thread.queue_stall += self.cost.stall
+            return False
+        if kind == "send":
+            thread.frames[-1].index += 1
+        else:  # branch: complete the deferred transfer
+            self._transfer(thread.frames[-1], thread.pending[2])
+        thread.pending = None
+        thread.status = ThreadStatus.RUNNABLE
+        return True

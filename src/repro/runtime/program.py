@@ -19,18 +19,17 @@ from repro.frontend import compile_source
 from repro.instrument import InstrumentConfig, instrument_module
 from repro.monitor import MODE_FEED, MODE_FULL, Monitor, MonitorMode
 from repro.runtime.costmodel import CostModel
-from repro.runtime.interpreter import FaultHook, Machine, RunResult
+from repro.runtime.machine import FaultHook, Machine, RunResult
 from repro.runtime.memory import SharedMemory
 from repro.telemetry import Telemetry
 
-#: Environment knobs mirrored by the CLI ``--opt-level``/``--backend``
-#: flags; resolved once, when a :class:`ParallelProgram` is built.
+#: Environment knob mirrored by the CLI ``--opt-level`` flag; resolved
+#: once, when a :class:`ParallelProgram` is built.
 OPT_LEVEL_ENV = "REPRO_OPT_LEVEL"
-BACKEND_ENV = "REPRO_BACKEND"
 
-#: ``interpreter`` walks instruction objects; ``closure`` executes
-#: precompiled block closures (same traces, several times faster).
-BACKENDS = ("interpreter", "closure")
+#: The one execution engine: precompiled block closures
+#: (:mod:`repro.runtime.closures`).
+ENGINE = "closure"
 
 
 def resolve_opt_level(opt_level: Optional[int] = None) -> int:
@@ -46,13 +45,11 @@ def resolve_opt_level(opt_level: Optional[int] = None) -> int:
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """``backend`` or ``$REPRO_BACKEND`` or ``interpreter``; validated."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip() or "interpreter"
-    if backend not in BACKENDS:
-        raise ValueError("unknown backend %r (supported: %s)"
-                         % (backend, ", ".join(BACKENDS)))
-    return backend
+    """The engine name; a ``backend`` argument may only repeat it."""
+    if backend is not None and backend != ENGINE:
+        raise ValueError("unknown backend %r (the one execution engine is "
+                         "%r)" % (backend, ENGINE))
+    return ENGINE
 
 
 @dataclass
@@ -76,19 +73,14 @@ class RunConfig:
     #: One collector shared by the machine and the monitor; None (the
     #: default) keeps every telemetry path disabled at zero cost.
     telemetry: Optional[Telemetry] = None
-    #: Execution backend for this run; None inherits the program's
-    #: backend (itself defaulting to ``$REPRO_BACKEND`` or the
-    #: interpreter).  See :data:`BACKENDS`.
-    backend: Optional[str] = None
 
 
 class ParallelProgram:
     """One SPMD program in both baseline and protected form."""
 
-    #: Class-level fallbacks so programs pickled before the optimizer
-    #: existed unpickle into valid (unoptimized, interpreted) objects.
+    #: Class-level fallback so programs pickled before the optimizer
+    #: existed unpickle into valid (unoptimized) objects.
     opt_level = 0
-    backend = "interpreter"
     #: Fallback for programs pickled before the lint layer existed.
     lint_report = None
 
@@ -98,6 +90,7 @@ class ParallelProgram:
                  instrument_config: Optional[InstrumentConfig] = None,
                  opt_level: Optional[int] = None,
                  backend: Optional[str] = None):
+        resolve_backend(backend)  # only the engine's own name is accepted
         self.source = source
         self.name = name
         self.entry = entry
@@ -142,10 +135,9 @@ class ParallelProgram:
         self.baseline_analysis: SimilarityResult = (
             pre_analysis if effective is aconfig and pre_analysis is not None
             else analyze_module(self.baseline, effective))
-        #: Optimization level and default execution backend, resolved
-        #: from the arguments or the environment at construction time.
+        #: Optimization level, resolved from the argument or the
+        #: environment at construction time.
         self.opt_level = resolve_opt_level(opt_level)
-        self.backend = resolve_backend(backend)
         if self.opt_level:
             # Both images run through the same trace-preserving pipeline
             # after instrumentation, so optimized and unoptimized runs
@@ -178,14 +170,7 @@ class ParallelProgram:
             else:
                 monitor = Monitor(self.metadata, config.nthreads,
                                   mode=mode, telemetry=config.telemetry)
-        backend = resolve_backend(config.backend if config.backend is not None
-                                  else self.backend)
-        if backend == "closure":
-            from repro.runtime.closures import ClosureMachine
-            machine_cls = ClosureMachine
-        else:
-            machine_cls = Machine
-        machine = machine_cls(
+        machine = Machine(
             module, config.nthreads, entry=self.entry, monitor=monitor,
             cost_model=config.cost_model, fault_hook=fault_hook,
             seed=config.seed, quantum=config.quantum,

@@ -1,6 +1,6 @@
 """Bit-accurate runtime value helpers.
 
-The interpreter keeps guest integers in 64-bit two's-complement range and
+The machine keeps guest integers in 64-bit two's-complement range and
 guest floats as IEEE-754 doubles, so that the fault injector's single-bit
 flips (:mod:`repro.faults`) behave exactly like register-file upsets on
 real hardware: flipping bit 63 of an int turns a small positive loop
@@ -11,10 +11,11 @@ scales it wildly, and so on.
 from __future__ import annotations
 
 import math
+import operator
 import struct
-from typing import Union
+from typing import Any, Callable, Dict, Union
 
-from repro.errors import GuestCrash
+from repro.errors import GuestCrash, SimulationError
 
 INT_BITS = 64
 _INT_MASK = (1 << INT_BITS) - 1
@@ -46,6 +47,50 @@ def int_mod(lhs: int, rhs: int, thread_id: int = None) -> int:
     if rhs == 0:
         raise GuestCrash("integer modulo by zero", thread_id)
     return wrap_int(lhs - int_div(lhs, rhs, thread_id) * rhs)
+
+
+def float_div(lhs, rhs) -> float:
+    """Float division with IEEE zero-divisor rules (no trap)."""
+    lhs, rhs = float(lhs), float(rhs)
+    if rhs == 0.0:
+        return (math.inf if lhs > 0
+                else (-math.inf if lhs < 0 else math.nan))
+    return lhs / rhs
+
+
+#: Binary operators that are one host operation on guest values.
+#: ``div``/``mod`` are not: they trap (:func:`int_div`, :func:`int_mod`)
+#: or follow IEEE rules (:func:`float_div`).
+BINOP_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "shl": lambda lhs, rhs: lhs << (rhs & 63),
+    "shr": lambda lhs, rhs: lhs >> (rhs & 63),
+    "min": min,
+    "max": max,
+}
+
+CMP_FUNCS: Dict[str, Callable[[Any, Any], bool]] = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
+
+def evaluate_cmp(op: str, lhs, rhs) -> bool:
+    """One guest comparison (the injector re-evaluates corrupted
+    compares with it; the optimizer folds constant ones)."""
+    try:
+        return CMP_FUNCS[op](lhs, rhs)
+    except KeyError:
+        raise SimulationError("unknown comparison %s" % op) from None
 
 
 def float_to_int(value: float, thread_id: int = None) -> int:

@@ -20,6 +20,7 @@ produce the same stats, records, and merged telemetry as a serial
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional
 from repro.errors import ServeError, StoreError
 from repro.faults.spec import CampaignSpec
 from repro.serve import protocol
-from repro.store.artifacts import ArtifactStore
+from repro.store.artifacts import ArtifactStore, write_atomic
 from repro.store.hashing import canonical_json
 from repro.store.serialize import result_to_dict
 from repro.telemetry import Telemetry
@@ -166,24 +167,26 @@ class CampaignScheduler:
     # -- durability -------------------------------------------------------
 
     def _persist(self, job: Job) -> None:
-        """Atomic write of the job's state file (crash leaves old state)."""
+        """Atomic write of the job's state file (crash leaves old state).
+        The worker thread and the request handlers may persist one job
+        at once; each write has its own temp file."""
         os.makedirs(self.jobs_dir, exist_ok=True)
-        path = os.path.join(self.jobs_dir, job.job_id + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(job.to_state(), handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_atomic(os.path.join(self.jobs_dir, job.job_id + ".json"),
+                     json.dumps(job.to_state(), sort_keys=True)
+                     .encode("utf-8"))
 
     def _touch(self, job: Job, state: Optional[str] = None, **changes
                ) -> None:
+        """Apply a state change durably: the new state file is written
+        *before* the in-memory job — which ``status``, ``watch`` and
+        ``fetch`` read — changes, so no client acts on a state that is
+        not on disk yet."""
         if state is not None:
-            job.state = state
+            changes["state"] = state
+        changes["updated"] = time.time()
+        self._persist(dataclasses.replace(job, **changes))
         for name, value in changes.items():
             setattr(job, name, value)
-        job.updated = time.time()
-        self._persist(job)
 
     def _rescan(self) -> List[Job]:
         """Load every persisted job; unfinished ones are resumable."""

@@ -39,6 +39,7 @@ from repro.store.hashing import (
     plan_fingerprint,
     program_key,
     program_key_of,
+    setup_inputs,
     vuln_key,
 )
 from repro.store.journal import JournalReplay, JournalWriter, read_journal
@@ -65,7 +66,7 @@ __all__ = [
     "StoreSchemaError",
     "default_store", "open_store", "set_default_store",
     "golden_fingerprint", "golden_key", "lint_key", "plan_fingerprint",
-    "program_key", "program_key_of", "vuln_key",
+    "program_key", "program_key_of", "setup_inputs", "vuln_key",
     "record_from_dict", "record_to_dict", "result_from_dict",
     "result_to_dict", "spec_from_dict", "spec_to_dict",
     "stats_from_dict", "stats_to_dict",

@@ -19,9 +19,15 @@ or damage, while the high-level :meth:`get_program`/:meth:`get_golden`
 paths treat any unusable entry as a miss and rebuild — a cache must
 never turn corruption into a failed campaign.
 
-Writes are atomic (temp file + ``os.replace``), so concurrent
-campaigns racing on a cold key at worst both compile and one rename
-wins — never a torn object.
+Writes are atomic (a temp file unique to each writer, then
+``os.replace``), so concurrent campaigns or server threads racing on a
+cold key at worst both compile and one rename wins — never a torn
+object.
+
+Loaded programs are also kept in a small in-process LRU, so a
+long-running process (the campaign server) that asks for one program
+many times gets the same object back — with the block closures it
+compiled at the first run — instead of unpickling a fresh copy per job.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ import json
 import os
 import pickle
 import shutil
+import tempfile
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -44,6 +53,38 @@ from repro.store.hashing import (
 
 #: Environment variable naming the default store root.
 STORE_ENV = "REPRO_STORE"
+
+#: Loaded programs an :class:`ArtifactStore` keeps in memory.
+PROGRAM_LRU_SIZE = 8
+
+
+def _file_identity(path: str) -> Optional[Tuple[int, int, int]]:
+    """(inode, size, mtime) of ``path``, or None when it is missing."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` atomically and durably.  The temp
+    file is unique to this writer, so two threads or processes writing
+    one path never share it; the last ``os.replace`` wins."""
+    directory, base = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=base + ".tmp.")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass
@@ -82,26 +123,21 @@ class ArtifactStore:
         #: Process-local hit/miss bookkeeping, mirrored into any
         #: telemetry collector handed to the lookup methods.
         self.counters: Dict[str, int] = {}
+        #: key -> (data-file identity, program): programs loaded or
+        #: compiled by this process, least recently used first.
+        self._programs: "OrderedDict[str, Tuple]" = OrderedDict()
+        self._programs_lock = threading.Lock()
         os.makedirs(self.objects, exist_ok=True)
         os.makedirs(self.journals_dir, exist_ok=True)
         marker = os.path.join(self.root, "store.json")
         if not os.path.exists(marker):
-            self._write_atomic(marker, json.dumps(
+            write_atomic(marker, json.dumps(
                 {"schema": ARTIFACT_SCHEMA}).encode("utf-8"))
 
     # -- low-level object access ---------------------------------------
 
     def _entry_dir(self, key: str) -> str:
         return os.path.join(self.objects, key[:2], key)
-
-    @staticmethod
-    def _write_atomic(path: str, data: bytes) -> None:
-        tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
 
     def put(self, key: str, kind: str, payload, name: str = "") -> None:
         """Store ``payload`` under ``key`` (atomic, overwrites)."""
@@ -110,13 +146,13 @@ class ArtifactStore:
         blob = pickle.dumps(
             {"schema": ARTIFACT_SCHEMA, "kind": kind, "payload": payload},
             protocol=pickle.HIGHEST_PROTOCOL)
-        self._write_atomic(os.path.join(directory, "data.pkl"), blob)
+        write_atomic(os.path.join(directory, "data.pkl"), blob)
         now = time.time()
         meta = {"schema": ARTIFACT_SCHEMA, "key": key, "kind": kind,
                 "name": name, "size": len(blob),
                 "created": now, "last_used": now}
-        self._write_atomic(os.path.join(directory, "meta.json"),
-                           json.dumps(meta, sort_keys=True).encode("utf-8"))
+        write_atomic(os.path.join(directory, "meta.json"),
+                     json.dumps(meta, sort_keys=True).encode("utf-8"))
 
     def load(self, key: str, kind: str, touch: bool = True):
         """Strict load: raises :class:`StoreError` subclasses on any
@@ -154,8 +190,8 @@ class ArtifactStore:
             with open(meta_path, "r", encoding="utf-8") as handle:
                 meta = json.load(handle)
             meta["last_used"] = time.time()
-            self._write_atomic(meta_path,
-                               json.dumps(meta, sort_keys=True).encode("utf-8"))
+            write_atomic(meta_path,
+                         json.dumps(meta, sort_keys=True).encode("utf-8"))
         except (OSError, ValueError):
             pass  # LRU freshness is advisory; never fail a hit over it
 
@@ -176,39 +212,52 @@ class ArtifactStore:
     def get_program(self, source: str, name: str = "program",
                     entry: str = "slave", analysis_config=None,
                     instrument_config=None, telemetry=None,
-                    opt_level=None, backend=None):
+                    opt_level=None):
         """The compile pipeline, memoized: returns a
         :class:`~repro.runtime.program.ParallelProgram`, compiling only
         on a cold (or unusable) entry.  Hits/misses land on the
-        ``store.cache.hit`` / ``store.cache.miss`` counters.
+        ``store.cache.hit`` / ``store.cache.miss`` counters; a program
+        this store already loaded in this process is returned as the
+        same object (and counted as a hit).
 
-        ``opt_level``/``backend`` resolve against the environment
-        *before* keying, so a run under ``REPRO_OPT_LEVEL=2`` can never
-        alias a plain entry (and vice versa).
+        ``opt_level`` resolves against the environment *before* keying,
+        so a run under ``REPRO_OPT_LEVEL=2`` can never alias a plain
+        entry (and vice versa).
         """
-        from repro.runtime.program import (
-            ParallelProgram,
-            resolve_backend,
-            resolve_opt_level,
-        )
+        from repro.runtime.program import ParallelProgram, resolve_opt_level
         opt_level = resolve_opt_level(opt_level)
-        backend = resolve_backend(backend)
         key = program_key(source, name, entry=entry,
                           analysis_config=analysis_config,
                           instrument_config=instrument_config,
-                          opt_level=opt_level, backend=backend)
-        try:
-            program = self.load(key, "program")
+                          opt_level=opt_level)
+        data_path = os.path.join(self._entry_dir(key), "data.pkl")
+        program = None
+        with self._programs_lock:
+            cached = self._programs.get(key)
+        # The memory copy stands for the stored object it came from; a
+        # rewritten, damaged or deleted entry goes the disk path again.
+        if cached is not None and cached[0] == _file_identity(data_path):
+            program = cached[1]
+            self._touch(os.path.dirname(data_path))
+        if program is None:
+            try:
+                program = self.load(key, "program")
+            except StoreError:
+                pass
+        if program is not None:
             self._count("store.cache.hit", telemetry)
-            return program
-        except StoreError:
-            pass
-        self._count("store.cache.miss", telemetry)
-        program = ParallelProgram(source, name, entry=entry,
-                                  analysis_config=analysis_config,
-                                  instrument_config=instrument_config,
-                                  opt_level=opt_level, backend=backend)
-        self.put(key, "program", program, name=name)
+        else:
+            self._count("store.cache.miss", telemetry)
+            program = ParallelProgram(source, name, entry=entry,
+                                      analysis_config=analysis_config,
+                                      instrument_config=instrument_config,
+                                      opt_level=opt_level)
+            self.put(key, "program", program, name=name)
+        with self._programs_lock:
+            self._programs[key] = (_file_identity(data_path), program)
+            self._programs.move_to_end(key)
+            while len(self._programs) > PROGRAM_LRU_SIZE:
+                self._programs.popitem(last=False)
         return program
 
     def get_closure(self, key: str, compute: Callable[[], dict],
@@ -290,10 +339,14 @@ class ArtifactStore:
     def get_golden(self, prog_key: str, nthreads: int, seed: int,
                    quantum: int, output_globals: Tuple[str, ...],
                    compute: Callable[[], GoldenSummary],
-                   telemetry=None) -> GoldenSummary:
+                   telemetry=None, inputs: Optional[dict] = None
+                   ) -> GoldenSummary:
         """One golden run per distinct input, shared across figures and
-        fault types (``store.golden.hit`` / ``store.golden.miss``)."""
-        key = golden_key(prog_key, nthreads, seed, quantum, output_globals)
+        fault types (``store.golden.hit`` / ``store.golden.miss``).
+        ``inputs`` is the canonical form of the run's input generator
+        (:func:`repro.store.hashing.setup_inputs`)."""
+        key = golden_key(prog_key, nthreads, seed, quantum, output_globals,
+                         inputs)
         try:
             summary = self.load(key, "golden")
             self._count("store.golden.hit", telemetry)

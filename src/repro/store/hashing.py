@@ -40,7 +40,9 @@ from typing import Dict, Optional, Tuple
 #: 2: IR types pickle through the interning table (programs stored
 #: under schema 1 rebuilt non-singleton types, breaking the package's
 #: ``x.type is INT`` identity contract on warm loads).
-ARTIFACT_SCHEMA = 2
+#: 3: one execution engine — programs carry no backend, and modules
+#: pickle without their process-local closure cache.
+ARTIFACT_SCHEMA = 3
 
 #: Version of the campaign-journal line format.  Bump when header or
 #: record fields change incompatibly.
@@ -65,14 +67,13 @@ def _config_dict(config) -> Optional[dict]:
 
 def program_key(source: str, name: str, entry: str = "slave",
                 analysis_config=None, instrument_config=None,
-                opt_level: int = 0, backend: str = "interpreter") -> str:
+                opt_level: int = 0) -> str:
     """Content address of one compiled :class:`ParallelProgram`.
 
     ``name`` participates: it is stamped into module names and campaign
     statistics, so two names are two (user-visible) artifacts even over
-    identical source.  The optimizer/backend configuration participates
-    only when non-default, so every pre-optimizer key (and store entry)
-    stays addressable.
+    identical source.  The optimization level participates only when
+    non-zero.
     """
     payload = {
         "schema": ARTIFACT_SCHEMA,
@@ -83,8 +84,8 @@ def program_key(source: str, name: str, entry: str = "slave",
         "analysis": _config_dict(analysis_config),
         "instrument": _config_dict(instrument_config),
     }
-    if opt_level or backend != "interpreter":
-        payload["opt"] = {"level": int(opt_level), "backend": backend}
+    if opt_level:
+        payload["opt"] = {"level": int(opt_level)}
     return _digest(payload)
 
 
@@ -94,8 +95,7 @@ def program_key_of(program) -> str:
                        analysis_config=getattr(program, "analysis_config", None),
                        instrument_config=getattr(program, "instrument_config",
                                                  None),
-                       opt_level=getattr(program, "opt_level", 0),
-                       backend=getattr(program, "backend", "interpreter"))
+                       opt_level=getattr(program, "opt_level", 0))
 
 
 def closure_key(module_text: str, cost_key, nthreads: int,
@@ -200,9 +200,26 @@ def triage_key(fingerprint: str, triage_schema: int) -> str:
     })
 
 
+def setup_inputs(setup) -> Optional[dict]:
+    """The canonical form of a run's input generator, for golden keys:
+    ``{}`` for no setup, the type and fields of a dataclass generator
+    (:class:`~repro.faults.spec.SpecSetup`,
+    :class:`~repro.splash2.common.KernelSetup`), and ``None`` for any
+    other callable — it has no content address, so its golden runs must
+    not be cached."""
+    if setup is None:
+        return {}
+    if dataclasses.is_dataclass(setup) and not isinstance(setup, type):
+        return {"type": type(setup).__name__,
+                "fields": dataclasses.asdict(setup)}
+    return None
+
+
 def golden_key(prog_key: str, nthreads: int, seed: int, quantum: int,
-               output_globals: Tuple[str, ...]) -> str:
-    """Cache key of one golden run (inputs only)."""
+               output_globals: Tuple[str, ...],
+               inputs: Optional[dict] = None) -> str:
+    """Cache key of one golden run (inputs only): the program, the run
+    knobs, and the canonical input generator (:func:`setup_inputs`)."""
     return _digest({
         "schema": ARTIFACT_SCHEMA,
         "kind": "golden",
@@ -211,6 +228,7 @@ def golden_key(prog_key: str, nthreads: int, seed: int, quantum: int,
         "seed": seed,
         "quantum": quantum,
         "output_globals": list(output_globals),
+        "inputs": inputs if inputs is not None else {},
     })
 
 

@@ -1,6 +1,6 @@
 """Zero-cost-when-disabled metrics and tracing for the whole stack.
 
-The interpreter, the monitor, and the fault-injection engine all write
+The machine, the monitor, and the fault-injection engine all write
 into one :class:`Telemetry` collector per run; campaigns merge the
 per-injection :class:`TelemetrySnapshot` objects bit-identically
 regardless of how the work was partitioned across processes, and the

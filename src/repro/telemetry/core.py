@@ -4,7 +4,7 @@ The monitor is itself a runtime observer, yet until this module the
 reproduction was opaque about its own behavior — queue depths, producer
 stalls, check latencies, campaign throughput were all invisible.  A
 :class:`Telemetry` instance threads through one simulated run (the
-interpreter, the monitor, and the fault-injection driver all write to
+machine, the monitor, and the fault-injection driver all write to
 the same instance), and :meth:`Telemetry.snapshot` freezes it into a
 picklable :class:`TelemetrySnapshot` that crosses process boundaries
 and merges deterministically.
@@ -98,7 +98,7 @@ class TelemetrySnapshot:
 
     def rate(self, counter: str, timer: str) -> float:
         """Per-second rate of ``counter`` over ``timer``'s total time
-        (e.g. interpreter steps/s); 0.0 when the timer never ran."""
+        (e.g. executed steps/s); 0.0 when the timer never ran."""
         seconds = self.timer_seconds(timer)
         if seconds <= 0:
             return 0.0

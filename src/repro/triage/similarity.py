@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.runtime.interpreter import FaultHook
+from repro.runtime.machine import FaultHook
 
 
 class BlockStreamHook(FaultHook):

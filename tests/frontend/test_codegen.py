@@ -200,7 +200,7 @@ class TestExecutionSemantics:
     """End-to-end: compile tiny programs, run on one thread, check outputs."""
 
     def run_output(self, body, extra=""):
-        from repro.runtime.interpreter import Machine
+        from repro.runtime.machine import Machine
         source = ("global int g;\nglobal int arr[8];\n%s\n"
                   "func slave() { %s }" % (extra, body))
         module = compile_source(source)

@@ -1,4 +1,4 @@
-"""Tests for the SPMD interpreter: semantics, scheduling, sync, crashes."""
+"""Tests for the simulated machine: semantics, scheduling, sync, crashes."""
 
 import pytest
 

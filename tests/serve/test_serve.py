@@ -23,7 +23,7 @@ import repro
 from repro.errors import ServeError
 from repro.faults import CampaignSpec, run_campaign
 from repro.serve import ServeClient, ServeConfig, ServerThread, protocol
-from repro.serve.scheduler import CampaignScheduler
+from repro.serve.scheduler import CampaignScheduler, Job
 from repro.store.artifacts import ArtifactStore
 from tests.conftest import FIGURE_1
 from tests.store.test_resume import record_view
@@ -168,6 +168,42 @@ class TestBackpressureAndQuota:
             assert client.status()["counters"]["serve.evicted"] == 1
         finally:
             thread.stop()
+
+
+class TestJobStateDurability:
+    def test_fetch_right_after_watch_ends(self, server):
+        """``watch`` reports the end only once the final state is on
+        disk, so an immediate ``fetch`` (which rewrites the job's state
+        file) never races the worker's final write."""
+        client = ServeClient(port=server.port)
+        for seed in range(30):
+            job_id = client.submit(figure1_spec(seed=100 + seed,
+                                                injections=2))
+            events = list(client.watch(job_id))
+            assert events[-1]["job"]["state"] == "done"
+            assert client.fetch(job_id).stats.injections == 2
+
+    def test_state_is_written_before_it_is_published(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        scheduler = CampaignScheduler(store,
+                                      ServeConfig(store_root=store.root))
+        spec = figure1_spec()
+        job = Job(job_id="j1", tenant="t", spec=spec,
+                  spec_hash=spec.plan_hash, shards=None)
+        seen = []
+        persist = scheduler._persist
+
+        def spy(staged):
+            seen.append((job.state, staged.state))
+            persist(staged)
+
+        scheduler._persist = spy
+        scheduler._touch(job, state=protocol.DONE, result_key="r")
+        assert seen == [(protocol.QUEUED, protocol.DONE)]
+        assert job.state == protocol.DONE and job.result_key == "r"
+        path = os.path.join(scheduler.jobs_dir, "j1.json")
+        with open(path) as handle:
+            assert '"state": "done"' in handle.read()
 
 
 class TestDrainResume:

@@ -2,12 +2,14 @@
 
 import os
 import pickle
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.errors import StoreCorruptError, StoreError, StoreSchemaError
-from repro.runtime.program import resolve_backend, resolve_opt_level
+from repro.runtime.program import resolve_opt_level
 from repro.store import ARTIFACT_SCHEMA, ArtifactStore, program_key
 from repro.telemetry import Telemetry
 from tests.conftest import FIGURE_1
@@ -28,6 +30,30 @@ class TestProgramCache:
         assert second.name == first.name
         assert second.checked_branch_count() == first.checked_branch_count()
 
+    def test_repeat_in_process_returns_the_loaded_program(self, store):
+        """A long-running process gets the program (and the closures it
+        compiled) back, instead of unpickling a fresh copy per request;
+        each repeat still counts as a hit."""
+        first = store.get_program(FIGURE_1, "fig1")
+        assert store.get_program(FIGURE_1, "fig1") is first
+        assert store.get_program(FIGURE_1, "fig1") is first
+        assert store.counters == {"store.cache.miss": 1,
+                                  "store.cache.hit": 2}
+        # Another store object on the same root starts cold in memory.
+        other = ArtifactStore(store.root).get_program(FIGURE_1, "fig1")
+        assert other is not first and other.name == first.name
+
+    def test_in_process_programs_are_bounded(self, store):
+        from repro.store.artifacts import PROGRAM_LRU_SIZE
+        names = ["p%d" % i for i in range(PROGRAM_LRU_SIZE + 1)]
+        first = store.get_program(FIGURE_1, names[0])
+        for name in names[1:]:
+            store.get_program(FIGURE_1, name)
+        assert len(store._programs) == PROGRAM_LRU_SIZE
+        again = store.get_program(FIGURE_1, names[0])
+        assert again is not first  # evicted: reloaded from disk
+        assert store.counters["store.cache.hit"] == 1
+
     def test_hit_lands_on_telemetry(self, store):
         store.get_program(FIGURE_1, "fig1")
         tel = Telemetry()
@@ -47,12 +73,11 @@ class TestProgramCache:
 
     def test_corrupt_entry_is_a_miss_and_self_heals(self, store):
         store.get_program(FIGURE_1, "fig1")
-        # Resolve the env knobs exactly as get_program does, so the test
-        # holds under forced REPRO_OPT_LEVEL/REPRO_BACKEND environments
-        # (CI optimizer matrix).
+        # Resolve the env knob exactly as get_program does, so the test
+        # holds under a forced REPRO_OPT_LEVEL environment (CI optimizer
+        # matrix).
         key = program_key(FIGURE_1, "fig1",
-                          opt_level=resolve_opt_level(None),
-                          backend=resolve_backend(None))
+                          opt_level=resolve_opt_level(None))
         data = os.path.join(store._entry_dir(key), "data.pkl")
         with open(data, "wb") as handle:
             handle.write(b"not a pickle")
@@ -61,6 +86,64 @@ class TestProgramCache:
         assert store.counters["store.cache.miss"] == 2
         # healed: strict load works again
         assert store.load(key, "program").name == "fig1"
+
+
+class TestGoldenCache:
+    def test_specs_differing_only_in_input_seed_do_not_share(self, store):
+        from repro.faults import CampaignSpec, run_campaign
+        first = CampaignSpec.for_kernel("radix", injections=2, nthreads=2,
+                                        seed=5)
+        second = first.replace(input_seed=first.input_seed + 1)
+        run_campaign(first, store=store)
+        cached = run_campaign(second, store=store, keep_records=True)
+        assert store.counters["store.golden.miss"] == 2
+        assert "store.golden.hit" not in store.counters
+        goldens = [store.load(e.key, "golden") for e in store.entries()
+                   if e.kind == "golden"]
+        assert len(goldens) == 2
+        assert goldens[0].signature != goldens[1].signature
+        # The cached golden is the one the spec's own inputs produce.
+        fresh = run_campaign(second, store=None, keep_records=True)
+        assert cached.stats.counts == fresh.stats.counts
+        assert ([r.outcome for r in cached.records]
+                == [r.outcome for r in fresh.records])
+        run_campaign(first, store=store)
+        assert store.counters["store.golden.hit"] == 1
+
+
+class TestConcurrentWrites:
+    def test_threads_put_one_key_at_once(self, store):
+        """Each writer has its own temp file, so racing writers of one
+        key all succeed and the entry stays loadable."""
+        payloads = [bytes([65 + i]) * 200_000 for i in range(4)]
+        start = threading.Barrier(len(payloads))
+        errors = []
+
+        def writer(payload):
+            try:
+                start.wait(timeout=30)
+                for _ in range(25):
+                    store.put("k" * 64, "blob", payload, name="race")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,))
+                   for p in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.load("k" * 64, "blob") in payloads
+        leftovers = [name for name in os.listdir(store._entry_dir("k" * 64))
+                     if ".tmp." in name]
+        assert leftovers == []
 
 
 class TestStrictLoad:

@@ -7,6 +7,7 @@ from repro.store import (
     golden_key,
     plan_fingerprint,
     program_key,
+    setup_inputs,
 )
 
 
@@ -34,14 +35,11 @@ class TestProgramKey:
         assert (program_key("s", "p")
                 != program_key("s", "p", analysis_config=AnalysisConfig()))
 
-    def test_opt_and_backend_participate_only_when_non_default(self):
+    def test_opt_level_participates_only_when_non_default(self):
         base = program_key("s", "p")
-        # Pre-optimizer keys stay addressable: explicit defaults alias
-        # the historical key.
-        assert program_key("s", "p", opt_level=0,
-                           backend="interpreter") == base
+        # An explicit default level aliases the plain key.
+        assert program_key("s", "p", opt_level=0) == base
         assert program_key("s", "p", opt_level=2) != base
-        assert program_key("s", "p", backend="closure") != base
         assert (program_key("s", "p", opt_level=2)
                 != program_key("s", "p", opt_level=1))
 
@@ -101,6 +99,23 @@ class TestGoldenHashes:
         assert golden_key("p" * 64, 4, 1, 32, ("r",)) != base
         assert golden_key("p" * 64, 4, 0, 16, ("r",)) != base
         assert golden_key("p" * 64, 4, 0, 32, ("r", "s")) != base
+        assert golden_key("p" * 64, 4, 0, 32, ("r",),
+                          {"fields": {"input_seed": 7}}) != base
+
+    def test_setup_inputs_canonical_forms(self):
+        from repro.faults.spec import SpecSetup
+        from repro.splash2.common import KernelSetup
+        assert setup_inputs(None) == {}
+        assert setup_inputs(lambda memory: None) is None
+        spec_setup = SpecSetup(kernel="radix", nthreads=4, input_seed=7)
+        assert (setup_inputs(spec_setup)
+                == setup_inputs(SpecSetup(kernel="radix", nthreads=4,
+                                          input_seed=7)))
+        assert (setup_inputs(spec_setup)
+                != setup_inputs(SpecSetup(kernel="radix", nthreads=4,
+                                          input_seed=8)))
+        assert (setup_inputs(KernelSetup("radix", 4, 7))
+                != setup_inputs(spec_setup))
 
     def test_golden_fingerprint_over_outputs(self):
         sig = ("ok", ((0, (1, 2)),))
