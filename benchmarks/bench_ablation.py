@@ -15,15 +15,15 @@ III-A and the nesting cutoff on our substrate.
 import pytest
 
 from repro.analysis import AnalysisConfig, format_table
-from repro.faults import CampaignConfig, FaultType, run_campaign
+from repro.faults import CampaignSpec, run_campaign
 from repro.splash2 import kernel
 
 
 def campaign_coverage(prog, spec, injections=40, seed=9):
-    config = CampaignConfig(nthreads=4, injections=injections, seed=seed,
-                            output_globals=spec.output_globals,
-                            quantize_bits=spec.sdc_quantize_bits)
-    stats = run_campaign(prog, FaultType.BRANCH_FLIP, config,
+    campaign_spec = CampaignSpec.for_kernel(
+        spec.name, fault="flip", nthreads=4, injections=injections,
+        seed=seed, opt_level=prog.opt_level)
+    stats = run_campaign(campaign_spec, program=prog,
                          setup=spec.setup(4)).stats
     return stats.coverage_protected
 

@@ -12,7 +12,7 @@ Run:  python examples/fault_injection_campaign.py [injections]
 import sys
 
 from repro.analysis import format_table
-from repro.faults import CampaignConfig, FaultType, Outcome, run_campaign
+from repro.faults import CampaignSpec, FaultType, Outcome, run_campaign
 from repro.splash2 import kernel
 
 
@@ -26,11 +26,11 @@ def main():
 
     rows = []
     for fault_type in (FaultType.BRANCH_FLIP, FaultType.BRANCH_CONDITION):
-        config = CampaignConfig(
-            nthreads=4, injections=injections, seed=7,
-            output_globals=spec.output_globals,
-            quantize_bits=spec.sdc_quantize_bits)
-        campaign = run_campaign(prog, fault_type, config,
+        # The kernel's output globals and SDC quantization come along.
+        campaign_spec = CampaignSpec.for_kernel(
+            "radix", fault=fault_type, nthreads=4, injections=injections,
+            seed=7)
+        campaign = run_campaign(campaign_spec, program=prog,
                                 setup=spec.setup(4), keep_records=True)
         stats = campaign.stats
         rows.append([

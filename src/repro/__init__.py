@@ -17,15 +17,15 @@ Layers (bottom-up):
 
 Quickstart::
 
-    from repro import BlockWatch, FaultType, Telemetry
+    from repro import BlockWatch, Telemetry
 
     bw = BlockWatch(source)               # compile, analyze, instrument
     result = bw.run(nthreads=8, setup=fill_inputs, telemetry=Telemetry())
     print(result.telemetry.format_summary())
 
-    campaign = bw.inject(FaultType.BRANCH_FLIP, injections=100,
-                         setup=fill_inputs, output_globals=("result",),
-                         telemetry=True)
+    spec = bw.spec(fault="flip", injections=100,
+                   output_globals=("result",), telemetry=True)
+    campaign = bw.inject(spec, setup=fill_inputs)
     print(campaign.stats.coverage_protected)
     campaign.write_trace("campaign.jsonl")
 """

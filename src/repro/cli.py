@@ -145,18 +145,24 @@ def cmd_report(args) -> int:
 
 
 def _run_once(args, trace_path: Optional[str]):
-    """Shared body of ``run`` and ``trace``: execute + report one run."""
+    """Shared body of ``run`` and ``trace``: execute + report one run.
+    Returns the result, or None after a one-line error for run settings
+    the machine rejects (e.g. ``-t 0``)."""
     telemetry = None
     if trace_path is not None:
         telemetry = Telemetry(context={"inj": -1, "seed": args.seed})
     bw = _make_blockwatch(args, store=_open_store(args), telemetry=telemetry)
     setup = _make_run_setup(args)
-    if args.baseline:
-        result = bw.run_baseline(args.threads, setup=setup, seed=args.seed,
-                                 telemetry=telemetry)
-    else:
-        result = bw.run(args.threads, setup=setup, seed=args.seed,
-                        monitor_mode=MODE_FULL, telemetry=telemetry)
+    try:
+        if args.baseline:
+            result = bw.run_baseline(args.threads, setup=setup,
+                                     seed=args.seed, telemetry=telemetry)
+        else:
+            result = bw.run(args.threads, setup=setup, seed=args.seed,
+                            monitor_mode=MODE_FULL, telemetry=telemetry)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return None
     print("status: %s" % result.status)
     if result.failure_message:
         print("failure: %s" % result.failure_message)
@@ -183,14 +189,18 @@ def _run_once(args, trace_path: Optional[str]):
     return result
 
 
-def cmd_run(args) -> int:
-    result = _run_once(args, trace_path=args.trace)
+def _exit_status(result) -> int:
+    if result is None:
+        return 2
     return 0 if result.status == "ok" and not result.detected else 1
+
+
+def cmd_run(args) -> int:
+    return _exit_status(_run_once(args, trace_path=args.trace))
 
 
 def cmd_trace(args) -> int:
-    result = _run_once(args, trace_path=args.out)
-    return 0 if result.status == "ok" and not result.detected else 1
+    return _exit_status(_run_once(args, trace_path=args.out))
 
 
 def campaign_spec_from_args(args) -> CampaignSpec:

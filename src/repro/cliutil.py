@@ -17,12 +17,18 @@ everywhere::
 Defaults stay ``None`` so each flag keeps deferring to its environment
 knob (``REPRO_JOBS``, ``REPRO_STORE``, ``REPRO_OPT_LEVEL``) at
 resolution time, not at parse time.
+
+The drift-gate CLIs (``repro-lint``, ``repro-lint vuln``,
+``repro-triage``) also share their report/baseline file helpers here:
+:func:`load_json`, :func:`write_text_atomic` and :func:`emit`.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional
+import json
+import sys
+from typing import Dict, Optional
 
 #: Canonical one-line help per shared flag (the single place the
 #: wording lives; pass ``jobs_help=`` for command-specific phrasing,
@@ -76,3 +82,40 @@ def shared_options(*features: str, jobs_help: Optional[str] = None,
     add_shared_options(parent, *features, jobs_help=jobs_help,
                        store_help=store_help)
     return parent
+
+
+def load_json(path: str, what: str) -> Dict:
+    """Read a JSON file; any failure exits with a one-line error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit("error: cannot read %s %r: %s" % (what, path, exc))
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace ``path`` atomically and durably (see
+    :func:`repro.store.artifacts.write_atomic`): a crashed run can never
+    leave a truncated baseline behind.  Any failure exits with a
+    one-line error."""
+    from repro.store.artifacts import write_atomic
+    try:
+        write_atomic(path, text.encode("utf-8"))
+    except OSError as exc:
+        raise SystemExit("error: cannot write %r: %s" % (path, exc))
+
+
+def emit(text: str, output: Optional[str]) -> int:
+    """Write a report to ``output`` (or stdout); returns the exit status
+    (2 after a one-line error when the file cannot be written)."""
+    if output:
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print("error: cannot write %r: %s" % (output, exc),
+                  file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(text)
+    return 0

@@ -28,12 +28,7 @@ import os
 from typing import Dict, List, Tuple
 
 from repro.analysis import AnalysisConfig, format_table
-from repro.faults import (
-    CampaignConfig,
-    FaultType,
-    check_validation,
-    validate_predictions,
-)
+from repro.faults import CampaignSpec, check_validation, validate_predictions
 from repro.lint.vuln import analyze_program
 from repro.splash2 import kernel
 from repro.store import default_store
@@ -65,18 +60,15 @@ def compute(kernels: Tuple[str, ...] = KERNELS,
     store = default_store()
     results = []
     for name in kernels:
-        spec = kernel(name)
-        program = spec.program(analysis_config=SPARSE)
-        config = CampaignConfig(
-            nthreads=NTHREADS, injections=injections, seed=SEED,
-            output_globals=spec.output_globals,
-            quantize_bits=spec.sdc_quantize_bits)
+        program = kernel(name).program(analysis_config=SPARSE)
+        spec = CampaignSpec.for_kernel(
+            name, fault="flip", injections=injections, nthreads=NTHREADS,
+            seed=SEED, opt_level=program.opt_level)
         report = analyze_program(program,
                                  output_globals=spec.output_globals,
                                  store=store)
         result = validate_predictions(
-            program, FaultType.BRANCH_FLIP, config,
-            setup=spec.setup(NTHREADS), report=report, store=store,
+            spec, program=program, report=report, store=store,
             budget_fraction=BUDGET_FRACTION, jobs=jobs)
         result["failures"] = check_validation(result)
         results.append(result)

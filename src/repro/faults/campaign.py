@@ -21,14 +21,13 @@ from __future__ import annotations
 import os
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import InjectingHook, plan_fault
 from repro.faults.models import FaultSpec, FaultType
 from repro.faults.outcomes import CampaignStats, Outcome
-from repro.faults.spec import CampaignSpec, spec_of_config
+from repro.faults.spec import CampaignSpec
 from repro.monitor import MODE_FULL
 from repro.parallel import derive_seed, run_tasks
 from repro.runtime.machine import RunResult
@@ -82,10 +81,6 @@ class CampaignResult:
     ran with ``telemetry=True``) is the bit-identical-under-partitioning
     merge of the golden run's and every injection's snapshot, and carries
     the full event trace.
-
-    For one deprecation cycle the result also answers for the attributes
-    of :class:`CampaignStats` (``run_campaign``/``BlockWatch.inject``
-    used to return the bare stats object), with a warning.
     """
 
     stats: CampaignStats
@@ -107,50 +102,26 @@ class CampaignResult:
         count.  Requires the campaign to have run with telemetry."""
         if self.telemetry is None:
             raise ValueError(
-                "campaign ran without telemetry; pass telemetry=True to "
-                "run_campaign()/BlockWatch.inject() to record a trace")
+                "campaign ran without telemetry; run a spec with "
+                "telemetry=True to record a trace")
         return _write_trace_file(path, self.telemetry.events)
 
-    def triage(self, spec=None, program=None, config=None, setup=None,
-               store=None, merge_distance: int = 1):
+    def triage(self, spec=None, program=None, setup=None, store=None,
+               merge_distance: int = 1):
         """Cluster this campaign's failure witnesses and flag
         performance anomalies; returns a
         :class:`repro.triage.TriageReport`.
 
         Requires the campaign to have kept its records
-        (``keep_records=True``).  Pass the campaign's ``spec`` (or an
-        explicit ``program`` + ``config``) for precise thread
-        similarity classes from an observation run; a ``store`` caches
-        the finished report as a content-addressed artifact.
+        (``keep_records=True``).  Pass the campaign's ``spec`` for
+        precise thread similarity classes from an observation run
+        (``program=`` overrides the spec-resolved program); a ``store``
+        caches the finished report as a content-addressed artifact.
         """
         from repro.triage import triage_campaign
         return triage_campaign(self, spec=spec, program=program,
-                               config=config, setup=setup, store=store,
+                               setup=setup, store=store,
                                merge_distance=merge_distance)
-
-    #: The exact public surface of the pre-telemetry return shape (a
-    #: bare CampaignStats).  Only these names go through the deprecation
-    #: shim; anything else — a typo, a protocol probe — raises a plain
-    #: AttributeError immediately instead of being answered (or shadowed)
-    #: by whatever happens to exist on the stats object.
-    _STATS_COMPAT = frozenset((
-        "program", "fault_type", "nthreads", "injections",
-        "counts", "baseline_counts", "activated",
-        "coverage_protected", "coverage_original", "detection_gain",
-        "rate", "summary_row", "SUMMARY_HEADERS",
-    ))
-
-    def __getattr__(self, name: str):
-        if name in CampaignResult._STATS_COMPAT:
-            stats = self.__dict__.get("stats")
-            if stats is not None:
-                warnings.warn(
-                    "accessing %r directly on CampaignResult is "
-                    "deprecated; use the .stats field" % name,
-                    DeprecationWarning, stacklevel=2)
-                return getattr(stats, name)
-        raise AttributeError(
-            "%r object has no attribute %r" % (type(self).__name__, name))
 
 
 def quantize_signature(signature, bits: int):
@@ -410,133 +381,75 @@ def plan_stratified(report, streams: Dict[int, List[int]],
     return specs, meta
 
 
-def run_campaign(spec,
-                 fault_type: Optional[FaultType] = None,
-                 config: Optional[CampaignConfig] = None,
+def run_campaign(spec: CampaignSpec,
                  setup: Optional[Callable[[SharedMemory], None]] = None,
                  keep_records: bool = False,
                  jobs: Optional[int] = None,
                  progress: Optional[Callable[[int, int, float], None]] = None,
-                 telemetry: Optional[bool] = None,
-                 journal: Optional[str] = None,
-                 resume: Optional[bool] = None,
                  store=None,
-                 plan: Optional[str] = None,
                  vuln_report=None,
                  program: Optional[ParallelProgram] = None
                  ) -> CampaignResult:
-    """Execute one full campaign and return a :class:`CampaignResult`.
+    """Execute the campaign ``spec`` describes; returns a
+    :class:`CampaignResult`.
 
-    The preferred call shape is ``run_campaign(spec, ...)`` with a
-    :class:`repro.faults.spec.CampaignSpec` — the same value object the
-    CLIs and the :mod:`repro.serve` wire protocol use, and the single
-    source of the journal plan hash.  The spec describes *what* the
-    campaign is; the remaining keywords are execution-side knobs
-    (``jobs``, ``progress``, ``keep_records``, ``store``, plus
-    ``telemetry``/``journal``/``resume``/``plan`` overrides that re-land
-    on the spec).  ``program=`` and ``setup=`` accept pre-compiled
-    programs and closure setups for in-process callers; when omitted
-    they are derived from the spec (kernel registry / inline source, and
-    the spec's serializable kernel-inputs + scalars/arrays setup).
-
-    The legacy ``run_campaign(program, fault_type, config, ...)`` triple
-    still works through a shim that builds the equivalent spec, and
-    emits a :class:`DeprecationWarning`.
+    ``spec`` is a :class:`repro.faults.spec.CampaignSpec` — the same
+    value object the CLIs and the :mod:`repro.serve` wire protocol use,
+    and the single source of the journal plan hash.  The spec describes
+    *what* the campaign is (fault model, knobs, ``telemetry``,
+    ``journal``/``resume``, ``plan``); the keywords are execution-side.
+    ``program=`` and ``setup=`` accept a pre-compiled program and a
+    closure setup for in-process callers; when omitted they come from
+    the spec (kernel registry / inline source, and
+    :meth:`~repro.faults.spec.CampaignSpec.default_setup`).
 
     ``jobs`` fans the independent injections out across a process pool
-    (``None`` reads ``REPRO_JOBS``; ``1`` runs today's serial loop; ``0``
+    (``None`` reads ``REPRO_JOBS``; ``1`` runs the serial loop; ``0``
     uses every core).  The result is identical for every ``jobs`` value:
-    specs are planned per-index (:func:`plan_injection`), records are
+    faults are planned per-index (:func:`plan_injection`), records are
     re-assembled in index order, and :class:`CampaignStats` aggregation
     is order-independent.  ``progress(done, total, chunk_seconds)`` fires
     after every completed chunk.
 
-    ``telemetry=True`` additionally collects metrics and a structured
+    ``spec.telemetry`` additionally collects metrics and a structured
     event trace: the golden run and every injection get a collector, the
     per-worker snapshots merge into ``result.telemetry``, and everything
     except wall-clock timers is bit-identical whatever ``jobs`` was.
 
-    ``journal`` names a crash-safe JSONL checkpoint file: every completed
-    injection is appended (with its telemetry snapshot) as soon as its
-    chunk finishes, so a killed campaign loses at most in-flight work.
-    ``resume=True`` replays an existing journal — after validating its
-    plan hash and golden fingerprint — and schedules **only the missing
-    injection indices**; the merged result (stats, records, event trace)
-    is identical to an uninterrupted run with the same seed.  Journal
-    bookkeeping is reported through ``store.journal.*`` *counters* only,
-    never events, precisely so that identity holds.  A fresh campaign
-    refuses to overwrite an existing journal unless ``resume=True``.
+    ``spec.journal`` names a crash-safe JSONL checkpoint file: every
+    completed injection is appended (with its telemetry snapshot) as
+    soon as its chunk finishes, so a killed campaign loses at most
+    in-flight work.  ``spec.resume`` replays an existing journal — after
+    validating its plan hash and golden fingerprint — and schedules
+    **only the missing injection indices**; the merged result (stats,
+    records, event trace) is identical to an uninterrupted run with the
+    same seed.  Journal bookkeeping is reported through
+    ``store.journal.*`` *counters* only, never events, precisely so that
+    identity holds.  A fresh campaign refuses to overwrite an existing
+    journal unless ``resume`` is set.
 
     ``store`` (an :class:`repro.store.ArtifactStore`; default: the
-    process-wide store from :func:`repro.store.default_store`, usually
-    ``$REPRO_STORE``) caches the golden run: telemetry-off campaigns on
-    the same (program, nthreads, seed, quantum, outputs) reuse one
-    golden execution across fault types, figures, and processes.  On a
-    golden-cache hit ``result.golden`` is ``None`` (stats and records
-    are unaffected).
+    spec's ``store`` directory, else the process-wide store from
+    :func:`repro.store.default_store`, usually ``$REPRO_STORE``) caches
+    the golden run: telemetry-off campaigns on the same (program,
+    nthreads, seed, quantum, outputs, inputs) reuse one golden execution
+    across fault types, figures, and processes.  On a golden-cache hit
+    ``result.golden`` is ``None`` (stats and records are unaffected).
 
-    ``plan="stratified"`` switches from index-planned uniform sampling
-    to prediction-guided sampling: the static vulnerability report
-    (``vuln_report``, or one computed on the fly via
+    ``spec.plan == "stratified"`` switches from index-planned uniform
+    sampling to prediction-guided sampling: the static vulnerability
+    report (``vuln_report``, or one computed on the fly via
     :func:`repro.lint.vuln.analyze_program`) partitions the dynamic
-    fault-site population by predicted class, ``config.injections``
+    fault-site population by predicted class, ``spec.injections``
     becomes the total draw *budget* allocated across strata, and
     ``result.stratified`` carries the re-weighted full-sweep coverage
-    estimates.  Stratified campaigns are incompatible with
-    ``telemetry``, ``journal``, and ``resume`` (the journal format
-    checkpoints index-planned sweeps).
+    estimates.  Stratified campaigns are incompatible with telemetry,
+    journal, and resume (the journal format checkpoints index-planned
+    sweeps).
     """
-    if isinstance(spec, CampaignSpec):
-        if fault_type is not None or config is not None:
-            raise TypeError(
-                "run_campaign(spec, ...) takes no fault_type/config: the "
-                "spec already carries the fault model and campaign knobs")
-        spec_driven = True
-    else:
-        if fault_type is None or config is None:
-            raise TypeError(
-                "run_campaign() takes a CampaignSpec, or the deprecated "
-                "(program, fault_type, config) triple")
-        warnings.warn(
-            "run_campaign(program, fault_type, config, ...) is deprecated; "
-            "build a repro.CampaignSpec and call run_campaign(spec, ...)",
-            DeprecationWarning, stacklevel=2)
-        if program is None:
-            program = spec
-        spec = spec_of_config(program, fault_type, config)
-        spec_driven = False
-    overrides = {}
-    if telemetry is not None:
-        overrides["telemetry"] = bool(telemetry)
-    if journal is not None:
-        overrides["journal"] = journal
-    if resume is not None:
-        overrides["resume"] = bool(resume)
-    if plan is not None:
-        overrides["plan"] = plan
-    if overrides:
-        spec = spec.replace(**overrides)
-    return _execute_campaign(spec, program=program, setup=setup,
-                             spec_driven=spec_driven,
-                             keep_records=keep_records, jobs=jobs,
-                             progress=progress, store=store,
-                             vuln_report=vuln_report)
-
-
-def _execute_campaign(spec: CampaignSpec, program: Optional[ParallelProgram],
-                      setup, spec_driven: bool, keep_records: bool,
-                      jobs: Optional[int], progress, store, vuln_report
-                      ) -> CampaignResult:
-    """The one spec-driven execution path behind :func:`run_campaign`.
-
-    Every entry point — Python API, legacy shim, CLIs, and the serve
-    scheduler — lands here with a validated :class:`CampaignSpec`, so
-    the executed plan (and its journal fingerprint) has exactly one
-    source of truth.  ``program``/``setup`` are optional pre-resolved
-    overrides; ``spec_driven`` records whether the caller spoke spec
-    natively (legacy callers keep their exact pre-spec setup semantics,
-    including "no setup at all").
-    """
+    if not isinstance(spec, CampaignSpec):
+        raise TypeError("run_campaign() takes a CampaignSpec, got %s"
+                        % type(spec).__name__)
     if spec.plan == "stratified" and (spec.journal is not None or spec.resume):
         raise ValueError("stratified campaigns do not support journal/"
                          "resume; checkpoint the full sweep instead")
@@ -551,7 +464,7 @@ def _execute_campaign(spec: CampaignSpec, program: Optional[ParallelProgram],
         store = default_store()
     if program is None:
         program = spec.resolve_program(store)
-    if setup is None and spec_driven:
+    if setup is None:
         setup = spec.default_setup()
     fault_type = spec.fault_type
     config = spec.campaign_config()
@@ -663,7 +576,7 @@ def _execute_campaign(spec: CampaignSpec, program: Optional[ParallelProgram],
             factory_args=(program.source, program.name, program.entry,
                           fault_type, config, setup, golden_signature,
                           branch_counts, max_steps, telemetry,
-                          getattr(program, "opt_level", 0)),
+                          program.opt_level),
             progress=progress, timings=timings, on_results=checkpoint)
     finally:
         if writer is not None:
@@ -725,7 +638,7 @@ def _run_stratified(program: ParallelProgram, fault_type: FaultType,
         factory_args=(program.source, program.name, program.entry,
                       fault_type, config, setup, golden_signature,
                       ctx.branch_counts, max_steps, False,
-                      getattr(program, "opt_level", 0)),
+                      program.opt_level),
         progress=progress)
 
     # Per-class outcome census + the re-weighted coverage estimates.
@@ -842,5 +755,5 @@ def run_false_positive_trial(program: ParallelProgram, nthreads: int,
         context_factory=_trial_context_from_source,
         factory_args=(program.source, program.name, program.entry,
                       nthreads, base_seed, setup,
-                      getattr(program, "opt_level", 0)))
+                      program.opt_level))
     return sum(detections)

@@ -157,6 +157,11 @@ class CampaignSpec:
         for field_name in ("seed", "quantize_bits", "hang_factor",
                            "quantum", "input_seed"):
             set_(field_name, int(getattr(self, field_name)))
+        for field_name, least in (("quantum", 1), ("hang_factor", 1),
+                                  ("quantize_bits", 0)):
+            if getattr(self, field_name) < least:
+                raise SpecError("spec.%s must be at least %d"
+                                % (field_name, least))
         set_("telemetry", bool(self.telemetry))
         set_("resume", bool(self.resume))
         set_("output_globals", tuple(str(g) for g in self.output_globals))
@@ -213,7 +218,7 @@ class CampaignSpec:
             cached = self._kernel().program()
             # The registry cache compiles at the *environment's* opt
             # level; reuse it only when that matches the spec.
-            if getattr(cached, "opt_level", 0) == self.opt_level:
+            if cached.opt_level == self.opt_level:
                 return cached
         if store is None:
             from repro.store.runtime import default_store
@@ -322,7 +327,9 @@ class CampaignSpec:
                             % ", ".join(unknown))
         try:
             return cls(**data)
-        except TypeError as exc:
+        except SpecError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise SpecError("malformed campaign spec: %s" % exc) from None
 
     @classmethod
@@ -390,20 +397,3 @@ class SpecSetup:
         for name, values in self.arrays:
             memory.set_array(name, list(values))
 
-
-def spec_of_config(program, fault_type: FaultType, config,
-                   plan: str = "full", telemetry: bool = False,
-                   journal: Optional[str] = None,
-                   resume: bool = False) -> CampaignSpec:
-    """The spec equivalent of a legacy ``(program, fault_type, config)``
-    call — how the deprecation shim funnels old call sites into the one
-    spec-driven execution path."""
-    return CampaignSpec(
-        program=program.source, name=program.name, entry=program.entry,
-        fault=fault_type.value, injections=config.injections,
-        nthreads=config.nthreads, seed=config.seed,
-        output_globals=config.output_globals,
-        quantize_bits=config.quantize_bits,
-        hang_factor=config.hang_factor, quantum=config.quantum,
-        plan=plan, opt_level=getattr(program, "opt_level", 0),
-        telemetry=telemetry, journal=journal, resume=resume)

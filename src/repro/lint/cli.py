@@ -28,11 +28,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from repro.cliutil import add_shared_options
+from repro.cliutil import (
+    add_shared_options,
+    emit,
+    load_json,
+    write_text_atomic,
+)
 from repro.lint.diagnostics import (
     LINT_SCHEMA,
     SEVERITY_ERROR,
@@ -122,36 +126,9 @@ def _render_text(report: Dict) -> str:
 
 
 def _load_baseline(path: str) -> Dict[str, int]:
-    data = _load_json(path, "baseline")
+    data = load_json(path, "baseline")
     reports = data.get("reports", [data]) if isinstance(data, dict) else data
     return baseline_fingerprints(reports)
-
-
-def _load_json(path: str, what: str) -> Dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SystemExit("error: cannot read %s %r: %s" % (what, path, exc))
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` atomically: full new content appears under a
-    temp name first, then one ``os.replace`` — a crashed run can never
-    leave a truncated baseline behind."""
-    directory = os.path.dirname(path) or "."
-    tmp = os.path.join(directory, ".%s.tmp.%d"
-                       % (os.path.basename(path), os.getpid()))
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise SystemExit("error: cannot write %r: %s" % (path, exc))
 
 
 def _new_beyond_baseline(reports: List[Dict],
@@ -166,20 +143,6 @@ def _new_beyond_baseline(reports: List[Dict],
             else:
                 fresh.append((report["name"], diag))
     return fresh
-
-
-def _emit(text: str, output: Optional[str]) -> int:
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print("error: cannot write %r: %s" % (output, exc),
-                  file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -248,14 +211,14 @@ def lint_main(argv: List[str]) -> int:
     if args.update_baseline:
         target = args.baseline or DEFAULT_LINT_BASELINE
         try:
-            _write_atomic(target, json_text)
+            write_text_atomic(target, json_text)
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 2
         print("baseline updated: %s (%d report(s))" % (target, len(reports)))
         return 0
 
-    status = _emit(text, args.output)
+    status = emit(text, args.output)
     if status:
         return status
 
@@ -473,7 +436,7 @@ def vuln_main(argv: List[str]) -> int:
     if args.update_baseline:
         target = args.baseline or DEFAULT_VULN_BASELINE
         try:
-            _write_atomic(target, json_text)
+            write_text_atomic(target, json_text)
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -483,14 +446,14 @@ def vuln_main(argv: List[str]) -> int:
 
     text = (json_text if args.format == "json"
             else "\n".join(_render_vuln_text(r) for r in reports) + "\n")
-    status = _emit(text, args.output)
+    status = emit(text, args.output)
     if status:
         return status
 
     if args.baseline:
         try:
             baseline = _vuln_fingerprints(
-                _load_json(args.baseline, "vuln baseline"))
+                load_json(args.baseline, "vuln baseline"))
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -511,15 +474,13 @@ def vuln_main(argv: List[str]) -> int:
 
 
 def _vuln_validate(args, targets) -> int:
-    from repro.faults import (CampaignConfig, FaultType, check_validation,
+    from repro.faults import (CampaignSpec, check_validation,
                               validate_predictions)
     from repro.faults.validation import VALIDATION_SCHEMA
     from repro.lint.vuln import analyze_program
     from repro.runtime.program import ParallelProgram
     from repro.splash2 import kernel as kernel_spec
 
-    fault = (FaultType.BRANCH_FLIP if args.fault == "flip"
-             else FaultType.BRANCH_CONDITION)
     store = _open_store(args.store)
     results = []
     failures: List[str] = []
@@ -530,20 +491,21 @@ def _vuln_validate(args, targets) -> int:
         setup = None
         quantize_bits = 0
         try:
-            spec = kernel_spec(name)
-            setup = spec.setup(args.threads)
-            quantize_bits = spec.sdc_quantize_bits
+            kernel = kernel_spec(name)
+            setup = kernel.setup(args.threads)
+            quantize_bits = kernel.sdc_quantize_bits
         except KeyError:
             pass
-        config = CampaignConfig(nthreads=args.threads,
-                                injections=args.injections,
-                                seed=args.seed, output_globals=outputs,
-                                quantize_bits=quantize_bits)
         try:
+            spec = CampaignSpec.build(
+                source, name=name, entry=entry, fault=args.fault,
+                injections=args.injections, nthreads=args.threads,
+                seed=args.seed, output_globals=outputs,
+                quantize_bits=quantize_bits, opt_level=program.opt_level)
             report = analyze_program(program, output_globals=outputs,
                                      store=store)
             result = validate_predictions(
-                program, fault, config, setup=setup, report=report,
+                spec, program=program, setup=setup, report=report,
                 store=store, budget_fraction=args.budget_fraction,
                 jobs=args.jobs)
         except Exception as exc:
@@ -561,7 +523,7 @@ def _vuln_validate(args, targets) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(_render_validation(r) for r in results) + "\n"
-    status = _emit(text, args.output)
+    status = emit(text, args.output)
     if status:
         return status
     if failures:

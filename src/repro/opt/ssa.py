@@ -75,10 +75,6 @@ def reverse_postorder(function: Function) -> List[BasicBlock]:
     return order
 
 
-#: Backward-compatible private alias (pre-export name).
-_reverse_postorder = reverse_postorder
-
-
 # ---------------------------------------------------------------------------
 # SSA -> slots
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def to_ssa(function: Function, frozen: Optional[Set[int]] = None) -> int:
         return 0
     if frozen is None:
         frozen = set()
-    order = _reverse_postorder(function)
+    order = reverse_postorder(function)
     processed: Set[int] = set()
     # Placeholder phis for every (join block, slot).
     entry_values: Dict[int, Dict[int, object]] = {}  # id(block) -> id(slot) -> value

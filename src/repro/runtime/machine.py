@@ -172,6 +172,12 @@ class Machine:
                  halt_on_detection: bool = False,
                  telemetry: Optional[Telemetry] = None):
         from repro.runtime import closures  # lazy: closures imports us
+        if nthreads < 1:
+            raise ValueError("nthreads must be at least 1, got %r"
+                             % (nthreads,))
+        if quantum < 1:
+            raise ValueError("quantum must be at least 1, got %r"
+                             % (quantum,))
         if module.bw_metadata is not None and monitor is None:
             raise SimulationError(
                 "instrumented module requires a Monitor (mode 'full' or 'feed')")

@@ -78,12 +78,6 @@ class RunConfig:
 class ParallelProgram:
     """One SPMD program in both baseline and protected form."""
 
-    #: Class-level fallback so programs pickled before the optimizer
-    #: existed unpickle into valid (unoptimized) objects.
-    opt_level = 0
-    #: Fallback for programs pickled before the lint layer existed.
-    lint_report = None
-
     def __init__(self, source: str, name: str = "program",
                  entry: str = "slave",
                  analysis_config: Optional[AnalysisConfig] = None,

@@ -11,10 +11,10 @@ experiments, and CLI invocations skip compilation entirely on a warm
 cache.  ``repro-store ls/gc/verify`` manage a store root.
 
 **Durable campaign journal** (:mod:`repro.store.journal`) —
-``run_campaign(..., journal=..., resume=True)`` appends every completed
-injection to a crash-safe JSONL file and, on resume, replays it,
-validates the plan hash and golden fingerprint, and schedules only the
-missing injection indices; the merged result is identical (stats,
+``run_campaign(spec.replace(journal=..., resume=True))`` appends every
+completed injection to a crash-safe JSONL file and, on resume, replays
+it, validates the plan hash and golden fingerprint, and schedules only
+the missing injection indices; the merged result is identical (stats,
 records, event trace) to an uninterrupted run with the same seed.
 """
 

@@ -92,10 +92,9 @@ def program_key(source: str, name: str, entry: str = "slave",
 def program_key_of(program) -> str:
     """The content address of an already-compiled program."""
     return program_key(program.source, program.name, entry=program.entry,
-                       analysis_config=getattr(program, "analysis_config", None),
-                       instrument_config=getattr(program, "instrument_config",
-                                                 None),
-                       opt_level=getattr(program, "opt_level", 0))
+                       analysis_config=program.analysis_config,
+                       instrument_config=program.instrument_config,
+                       opt_level=program.opt_level)
 
 
 def closure_key(module_text: str, cost_key, nthreads: int,

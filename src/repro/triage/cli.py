@@ -28,7 +28,12 @@ import json
 import sys
 from typing import List, Optional, Set, Tuple
 
-from repro.cliutil import add_shared_options
+from repro.cliutil import (
+    add_shared_options,
+    emit,
+    load_json,
+    write_text_atomic,
+)
 
 DEFAULT_TRIAGE_BASELINE = ".github/triage-baseline.json"
 
@@ -38,46 +43,6 @@ def _open_store(root: Optional[str]):
         return None
     from repro.store import open_store
     return open_store(root)
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` atomically (same contract as repro-lint)."""
-    import os
-    directory = os.path.dirname(path) or "."
-    tmp = os.path.join(directory, ".%s.tmp.%d"
-                       % (os.path.basename(path), os.getpid()))
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise SystemExit("error: cannot write %r: %s" % (path, exc))
-
-
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SystemExit("error: cannot read %s %r: %s" % (what, path, exc))
-
-
-def _emit(text: str, output: Optional[str]) -> int:
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print("error: cannot write %r: %s" % (output, exc),
-                  file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def _baseline_keys(payload: dict) -> Tuple[Set[str], Set[Tuple]]:
@@ -184,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.update_baseline:
         target = args.baseline or DEFAULT_TRIAGE_BASELINE
         try:
-            _write_atomic(target, json_text)
+            write_text_atomic(target, json_text)
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -193,13 +158,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     text = json_text if args.format == "json" else report.render_text() + "\n"
-    status = _emit(text, args.output)
+    status = emit(text, args.output)
     if status:
         return status
 
     if args.baseline:
         try:
-            baseline = _load_json(args.baseline, "triage baseline")
+            baseline = load_json(args.baseline, "triage baseline")
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 2

@@ -251,28 +251,29 @@ def build_report(result, classes=None, merge_distance: int = 1,
     return TriageReport(data)
 
 
-def triage_campaign(result, spec=None, program=None, config=None,
-                    setup=None, store=None,
-                    merge_distance: int = 1) -> TriageReport:
+def triage_campaign(result, spec=None, program=None, setup=None,
+                    store=None, merge_distance: int = 1) -> TriageReport:
     """Triage one campaign result, resolving thread classes and caching.
 
-    With a ``spec`` (or an explicit ``program`` + ``config``) the
-    similarity classes come from one observation run of the golden
-    schedule; otherwise from the golden run's branch counts.  A
-    ``store`` memoizes the finished report as a content-addressed
-    ``triage`` artifact (``store.triage.hit`` / ``store.triage.miss``).
+    With the campaign's ``spec`` the similarity classes come from one
+    observation run of the golden schedule (``program=`` and ``setup=``
+    override the spec-resolved program and inputs); otherwise from the
+    golden run's branch counts.  A ``store`` memoizes the finished
+    report as a content-addressed ``triage`` artifact
+    (``store.triage.hit`` / ``store.triage.miss``).
     """
-    if spec is not None:
+    if spec is None:
+        if program is not None:
+            raise TypeError("triage_campaign(program=...) needs the "
+                            "campaign's spec=")
+        classes = default_classes(result)
+    else:
         if program is None:
             program = spec.resolve_program(store)
-        if config is None:
-            config = spec.campaign_config()
         if setup is None:
             setup = spec.default_setup()
-    if program is not None and config is not None:
-        classes = observe_thread_classes(program, config, setup=setup)
-    else:
-        classes = default_classes(result)
+        classes = observe_thread_classes(program, spec.campaign_config(),
+                                         setup=setup)
 
     def compute() -> dict:
         return build_report(result, classes=classes,

@@ -2,22 +2,20 @@
 
 import pytest
 
-from repro.faults import (
-    CampaignConfig,
-    CampaignStats,
-    FaultType,
-    Outcome,
-    run_campaign,
-    run_false_positive_trial,
-)
+from repro import BlockWatch
+from repro.faults import CampaignStats, Outcome, run_false_positive_trial
 from repro.faults.campaign import quantize_signature
-from repro.runtime import ParallelProgram
 from tests.conftest import FIGURE_1, figure1_setup
 
 
 @pytest.fixture(scope="module")
-def program():
-    return ParallelProgram(FIGURE_1, "fig1")
+def bw():
+    return BlockWatch(FIGURE_1, name="fig1")
+
+
+@pytest.fixture(scope="module")
+def program(bw):
+    return bw.program
 
 
 class TestCampaignStats:
@@ -77,12 +75,15 @@ class TestQuantization:
         assert value == 1  # round(33/32)
 
 
+def fig1_spec(bw, fault="flip", **knobs):
+    return bw.spec(fault=fault, nthreads=4, output_globals=("result",),
+                   **knobs)
+
+
 class TestCampaigns:
-    def test_flip_campaign_statistics(self, program):
-        config = CampaignConfig(nthreads=4, injections=25, seed=3,
-                                output_globals=("result",))
-        campaign = run_campaign(program, FaultType.BRANCH_FLIP, config,
-                                setup=figure1_setup(4), keep_records=True)
+    def test_flip_campaign_statistics(self, bw):
+        campaign = bw.inject(fig1_spec(bw, injections=25, seed=3),
+                             setup=figure1_setup(4), keep_records=True)
         stats = campaign.stats
         assert stats.injections == 25
         assert stats.activated == 25  # deterministic schedules: all sites hit
@@ -91,20 +92,16 @@ class TestCampaigns:
         assert stats.counts.get(Outcome.DETECTED, 0) > 0
         assert len(campaign.records) == 25
 
-    def test_condition_campaign_has_masked_outcomes(self, program):
-        config = CampaignConfig(nthreads=4, injections=30, seed=3,
-                                output_globals=("result",))
-        campaign = run_campaign(program, FaultType.BRANCH_CONDITION, config,
-                                setup=figure1_setup(4))
+    def test_condition_campaign_has_masked_outcomes(self, bw):
+        campaign = bw.inject(fig1_spec(bw, "condition", injections=30,
+                                       seed=3),
+                             setup=figure1_setup(4))
         assert campaign.stats.counts.get(Outcome.MASKED, 0) > 0
 
-    def test_campaign_reproducible(self, program):
-        config = CampaignConfig(nthreads=4, injections=15, seed=11,
-                                output_globals=("result",))
-        a = run_campaign(program, FaultType.BRANCH_FLIP, config,
-                         setup=figure1_setup(4)).stats
-        b = run_campaign(program, FaultType.BRANCH_FLIP, config,
-                         setup=figure1_setup(4)).stats
+    def test_campaign_reproducible(self, bw):
+        spec = fig1_spec(bw, injections=15, seed=11)
+        a = bw.inject(spec, setup=figure1_setup(4)).stats
+        b = bw.inject(spec, setup=figure1_setup(4)).stats
         assert a.counts == b.counts
 
     def test_false_positive_trial(self, program):
@@ -112,10 +109,8 @@ class TestCampaigns:
                                       setup=figure1_setup(4))
         assert fp == 0
 
-    def test_summary_row_shape(self, program):
-        config = CampaignConfig(nthreads=4, injections=5, seed=1,
-                                output_globals=("result",))
-        stats = run_campaign(program, FaultType.BRANCH_FLIP, config,
-                             setup=figure1_setup(4)).stats
+    def test_summary_row_shape(self, bw):
+        stats = bw.inject(fig1_spec(bw, injections=5, seed=1),
+                          setup=figure1_setup(4)).stats
         row = stats.summary_row()
         assert len(row) == len(CampaignStats.SUMMARY_HEADERS)

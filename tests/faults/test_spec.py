@@ -1,9 +1,10 @@
 """CampaignSpec: the one serializable description of a campaign.
 
 The contract under test: a spec survives the wire (spec → canonical
-JSON → spec) with byte-identical serialization and plan hash; running
-a spec is bit-identical to the legacy kwarg call it replaces; and the
-legacy surfaces still work but say so (``DeprecationWarning``).
+JSON → spec) with byte-identical serialization and plan hash; the plan
+hash of a fixed spec never moves (journals and serve state written by
+earlier builds still resume); and a spec is the only way into a
+campaign — the pre-spec call shapes fail at once, in one line.
 """
 
 import json
@@ -12,15 +13,8 @@ import pytest
 
 import repro
 from repro.errors import SpecError
-from repro.faults import (
-    CampaignConfig,
-    CampaignSpec,
-    FaultType,
-    run_campaign,
-    spec_of_config,
-)
+from repro.faults import CampaignConfig, CampaignSpec, FaultType, run_campaign
 from tests.conftest import FIGURE_1, figure1_setup
-from tests.store.test_resume import record_view
 
 
 def figure1_spec(**overrides):
@@ -63,6 +57,14 @@ class TestRoundTrip:
         assert spec.replace(resume=True).plan_hash == spec.plan_hash
         assert spec.replace(store="/tmp/s").plan_hash == spec.plan_hash
 
+    def test_plan_hash_is_pinned(self):
+        # The value every earlier build computed for this spec: a change
+        # here orphans every journal and serve job already on disk.
+        spec = CampaignSpec.for_kernel("radix", fault="flip", injections=30,
+                                       nthreads=4, seed=7)
+        assert spec.plan_hash == ("b93402049303ef43116e7bf63b8ab9c8"
+                                  "46e69b8234e068f0704954eed0bd9709")
+
 
 class TestValidation:
     def test_unknown_field_rejected(self):
@@ -93,45 +95,27 @@ class TestValidation:
             figure1_spec(plan="clever")
         with pytest.raises(SpecError):
             CampaignSpec.for_kernel("no-such-kernel", fault="flip")
+        for bad in (dict(quantum=0), dict(quantum=-3), dict(hang_factor=0),
+                    dict(quantize_bits=-1)):
+            with pytest.raises(SpecError):
+                figure1_spec(**bad)
+        wire = json.loads(figure1_spec().to_json())
+        for bad in (dict(seed="abc"), dict(quantum=0)):
+            with pytest.raises(SpecError):
+                CampaignSpec.from_dict(dict(wire, **bad))
 
 
 class TestExecutionIdentity:
-    @pytest.fixture(scope="class")
-    def spec(self):
-        return figure1_spec()
+    """A campaign runs from a spec and nothing else."""
 
-    @pytest.fixture(scope="class")
-    def legacy(self, spec):
+    def test_legacy_triple_rejected(self):
         program = repro.runtime.ParallelProgram(FIGURE_1, "figure1")
-        config = CampaignConfig(nthreads=4, injections=8, seed=9,
-                                output_globals=("result",))
-        with pytest.warns(DeprecationWarning):
-            return run_campaign(program, FaultType.BRANCH_FLIP, config,
-                                setup=figure1_setup(4), keep_records=True)
+        with pytest.raises(TypeError, match="CampaignSpec"):
+            run_campaign(program, FaultType.BRANCH_FLIP, CampaignConfig())
 
-    def test_spec_run_matches_legacy_kwargs(self, spec, legacy):
-        result = run_campaign(spec, keep_records=True)
-        assert result.stats.counts == legacy.stats.counts
-        assert ([record_view(r) for r in result.records]
-                == [record_view(r) for r in legacy.records])
-
-    def test_spec_of_config_matches_build(self, spec, legacy):
-        program = repro.runtime.ParallelProgram(FIGURE_1, "figure1")
-        config = CampaignConfig(nthreads=4, injections=8, seed=9,
-                                output_globals=("result",))
-        derived = spec_of_config(program, FaultType.BRANCH_FLIP, config)
-        # Same plan fingerprint => a journal written by either resumes
-        # under the other.
-        assert derived.plan_hash == spec.plan_hash
-
-    def test_legacy_positional_requires_config(self):
-        program = repro.runtime.ParallelProgram(FIGURE_1, "figure1")
+    def test_spec_plus_kwargs_rejected(self):
         with pytest.raises(TypeError):
-            run_campaign(program, FaultType.BRANCH_FLIP)
-
-    def test_spec_plus_kwargs_rejected(self, spec):
-        with pytest.raises(TypeError):
-            run_campaign(spec, FaultType.BRANCH_FLIP)
+            run_campaign(figure1_spec(), FaultType.BRANCH_FLIP)
 
 
 class TestBlockWatchSpec:
@@ -150,18 +134,6 @@ class TestBlockWatchSpec:
                        output_globals=("result",))
         result = bw.inject(spec=spec, setup=figure1_setup(4))
         assert result.stats.injections == 4
-
-    def test_inject_legacy_kwargs_warn_and_match(self, bw):
-        spec = bw.spec(fault="flip", injections=4, seed=9,
-                       output_globals=("result",))
-        via_spec = bw.inject(spec=spec, setup=figure1_setup(4),
-                             keep_records=True)
-        with pytest.warns(DeprecationWarning):
-            legacy = bw.inject(FaultType.BRANCH_FLIP, injections=4,
-                               seed=9, output_globals=("result",),
-                               setup=figure1_setup(4), keep_records=True)
-        assert ([record_view(r) for r in via_spec.records]
-                == [record_view(r) for r in legacy.records])
 
     def test_inject_rejects_foreign_spec(self, bw):
         other = CampaignSpec.for_kernel("radix", fault="flip",

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro import BlockWatch
 from repro.analysis import AnalysisConfig
 from repro.faults import (
-    CampaignConfig,
     FaultType,
     allocate_stratified,
     plan_stratified,
@@ -30,9 +30,15 @@ def program():
 
 
 @pytest.fixture(scope="module")
-def config():
-    return CampaignConfig(nthreads=NTHREADS, injections=BUDGET, seed=77,
-                          output_globals=("result",))
+def spec(program):
+    return BlockWatch.from_program(program).spec(
+        fault="flip", nthreads=NTHREADS, injections=BUDGET, seed=77,
+        output_globals=("result",))
+
+
+@pytest.fixture(scope="module")
+def config(spec):
+    return spec.campaign_config()
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +112,13 @@ class TestPlanning:
 
 
 class TestStratifiedCampaign:
-    def run(self, program, config, report, **kwargs):
-        return run_campaign(program, FaultType.BRANCH_FLIP, config,
-                            setup=figure1_setup(NTHREADS),
-                            plan="stratified", vuln_report=report,
-                            **kwargs)
+    def run(self, program, spec, report, **kwargs):
+        return run_campaign(spec.replace(plan="stratified"),
+                            program=program, setup=figure1_setup(NTHREADS),
+                            vuln_report=report, **kwargs)
 
-    def test_meta_and_estimate_shape(self, program, config, report):
-        result = self.run(program, config, report)
+    def test_meta_and_estimate_shape(self, program, spec, report):
+        result = self.run(program, spec, report)
         assert result.stats.injections == BUDGET
         meta = result.stratified
         assert meta is not None
@@ -124,50 +129,49 @@ class TestStratifiedCampaign:
         for cls in meta["classes"].values():
             assert sum(cls["outcomes"].values()) == cls["planned"]
 
-    def test_every_planned_site_activates(self, program, config, report):
+    def test_every_planned_site_activates(self, program, spec, report):
         # Sites come from a golden-equivalent recording with k <= n_j,
         # so the deterministic replay always reaches them.
-        result = self.run(program, config, report, keep_records=True)
+        result = self.run(program, spec, report, keep_records=True)
         assert all(r.outcome.value != "not-activated"
                    for r in result.records)
         assert len(result.records) == BUDGET
 
-    def test_parallel_matches_serial(self, program, config, report):
-        serial = self.run(program, config, report)
-        fanned = self.run(program, config, report, jobs=2)
+    def test_parallel_matches_serial(self, program, spec, report):
+        serial = self.run(program, spec, report)
+        fanned = self.run(program, spec, report, jobs=2)
         assert serial.stats == fanned.stats
         assert serial.stratified == fanned.stratified
 
-    def test_computes_report_when_not_given(self, program, config):
-        result = run_campaign(program, FaultType.BRANCH_FLIP, config,
-                              setup=figure1_setup(NTHREADS),
-                              plan="stratified")
+    def test_computes_report_when_not_given(self, program, spec):
+        result = run_campaign(spec.replace(plan="stratified"),
+                              program=program,
+                              setup=figure1_setup(NTHREADS))
         assert result.stratified is not None
 
-    def test_full_plan_leaves_stratified_unset(self, program, config):
-        result = run_campaign(program, FaultType.BRANCH_FLIP, config,
+    def test_full_plan_leaves_stratified_unset(self, program, spec):
+        result = run_campaign(spec, program=program,
                               setup=figure1_setup(NTHREADS))
         assert result.stratified is None
 
 
 class TestRejections:
-    def test_unknown_plan(self, program, config):
+    def test_unknown_plan(self, spec):
         with pytest.raises(ValueError, match="plan"):
-            run_campaign(program, FaultType.BRANCH_FLIP, config,
-                         plan="quota")
+            spec.replace(plan="quota")
 
-    def test_stratified_rejects_journal(self, program, config, tmp_path):
+    def test_stratified_rejects_journal(self, program, spec, tmp_path):
         with pytest.raises(ValueError):
-            run_campaign(program, FaultType.BRANCH_FLIP, config,
-                         plan="stratified",
-                         journal=str(tmp_path / "j.jsonl"))
+            run_campaign(spec.replace(plan="stratified",
+                                      journal=str(tmp_path / "j.jsonl")),
+                         program=program)
 
-    def test_stratified_rejects_resume(self, program, config):
+    def test_stratified_rejects_resume(self, program, spec):
         with pytest.raises(ValueError):
-            run_campaign(program, FaultType.BRANCH_FLIP, config,
-                         plan="stratified", resume=True)
+            run_campaign(spec.replace(plan="stratified", resume=True),
+                         program=program)
 
-    def test_stratified_rejects_telemetry(self, program, config):
+    def test_stratified_rejects_telemetry(self, program, spec):
         with pytest.raises(ValueError):
-            run_campaign(program, FaultType.BRANCH_FLIP, config,
-                         plan="stratified", telemetry=True)
+            run_campaign(spec.replace(plan="stratified", telemetry=True),
+                         program=program)

@@ -108,6 +108,15 @@ class TestArgumentErrors:
         assert message.startswith("error:")
         assert "/no/such/program.mc" in message
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_thread_count_exits_2(self, demo_file, threads,
+                                              capsys):
+        assert main(["run", demo_file, "-t", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_run_subcommand_shares_the_handling(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "kernel:nope", "-t", "2"])

@@ -42,6 +42,15 @@ class TestParallelProgram:
         with pytest.raises(ValueError):
             program.run(RunConfig(nthreads=4, monitor_mode="half"))
 
+    def test_nonpositive_threads_or_quantum_rejected(self, program):
+        # quantum <= 0 used to spin the scheduler forever; nthreads <= 0
+        # used to "succeed" with no work done.
+        for config in (RunConfig(nthreads=4, quantum=0),
+                       RunConfig(nthreads=4, quantum=-3),
+                       RunConfig(nthreads=0), RunConfig(nthreads=-2)):
+            with pytest.raises(ValueError, match="at least 1"):
+                program.run(config, setup=figure1_setup(4))
+
     def test_instrumented_module_requires_monitor(self, program):
         with pytest.raises(SimulationError):
             Machine(program.protected, 2, entry="slave", monitor=None)

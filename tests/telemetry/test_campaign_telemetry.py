@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import CampaignConfig, CampaignResult, FaultType, run_campaign
-from repro.runtime import ParallelProgram
+from repro import BlockWatch
+from repro.faults import CampaignResult, run_campaign
 from repro.telemetry import Telemetry, sort_events, validate_event
 
 from tests.conftest import figure1_setup
@@ -20,12 +20,12 @@ INJECTIONS = 8
 SEED = 2012
 
 
-def _campaign(program, jobs):
-    config = CampaignConfig(nthreads=THREADS, injections=INJECTIONS,
-                            seed=SEED, output_globals=("result",))
-    return run_campaign(program, FaultType.BRANCH_FLIP, config,
-                        setup=figure1_setup(THREADS), jobs=jobs,
-                        telemetry=True)
+def _campaign(program, jobs=None, injections=INJECTIONS, telemetry=True):
+    spec = BlockWatch.from_program(program).spec(
+        fault="flip", nthreads=THREADS, injections=injections, seed=SEED,
+        output_globals=("result",), telemetry=telemetry)
+    return run_campaign(spec, program=program,
+                        setup=figure1_setup(THREADS), jobs=jobs)
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +91,7 @@ def test_campaign_counters_cover_the_stack(serial_and_pooled):
 
 
 def test_disabled_campaign_collects_nothing(figure1_program):
-    config = CampaignConfig(nthreads=THREADS, injections=2, seed=SEED,
-                            output_globals=("result",))
-    result = run_campaign(figure1_program, FaultType.BRANCH_FLIP, config,
-                          setup=figure1_setup(THREADS))
+    result = _campaign(figure1_program, injections=2, telemetry=False)
     assert isinstance(result, CampaignResult)
     assert result.telemetry is None
     assert result.trace_events == []

@@ -73,3 +73,20 @@ def test_unknown_kernel_is_reported():
     # SystemExit path (same surface as repro-minic inject).
     with pytest.raises(SystemExit, match="unknown kernel"):
         main(["kernel:nonexistent", "-n", "5"])
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory-target"])
+def test_unwritable_baseline_is_usage_error(where, tmp_path, capsys):
+    if where == "missing-dir":
+        baseline = tmp_path / "no-such-dir" / "baseline.json"
+    else:  # the temp file is created, then cannot replace a directory
+        baseline = tmp_path / "baseline.json"
+        baseline.mkdir()
+    code, out, err = run_cli(["--baseline", str(baseline),
+                              "--update-baseline"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert err.count("\n") == 1
+    leftovers = [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
+    assert leftovers == []

@@ -113,6 +113,13 @@ def test_build_report_requires_records(radix_spec):
         build_report(bare)
 
 
+def test_program_without_spec_rejected(radix_result, radix_spec):
+    # Thread classes come from the spec's campaign knobs; a bare program
+    # cannot say which schedule to observe.
+    with pytest.raises(TypeError, match="spec"):
+        radix_result.triage(program=radix_spec.resolve_program())
+
+
 def test_from_dict_rejects_unknown_schema(radix_report):
     data = dict(radix_report.to_dict())
     data["schema"] = TRIAGE_SCHEMA + 1
