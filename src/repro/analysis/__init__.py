@@ -1,5 +1,6 @@
 """BLOCKWATCH static analysis: similarity inference and its supporting
-structural analyses (CFG, dominators, loops, critical sections).
+structural analyses (loops, critical sections) over the CFG library
+in :mod:`repro.ir.cfg`.
 
 The one-call entry point is :func:`analyze_module`; its
 :class:`SimilarityResult` feeds both the reporting layer (Tables IV/V)
@@ -13,9 +14,7 @@ from repro.analysis.categories import (
     propagate,
     rank,
 )
-from repro.analysis.cfg import CFG
 from repro.analysis.critical_sections import CriticalSections
-from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import Loop, LoopInfo, find_loops
 from repro.analysis.report import (
     CategoryStatistics,
@@ -43,7 +42,7 @@ from repro.analysis.threadid_patterns import find_tid_counters
 
 __all__ = [
     "Category", "TABLE_II", "fold_operands", "propagate", "rank",
-    "CFG", "CriticalSections", "DominatorTree",
+    "CriticalSections",
     "Loop", "LoopInfo", "find_loops",
     "CategoryStatistics", "ProgramCharacteristics", "category_statistics",
     "count_branches", "format_table", "program_characteristics", "source_loc",

@@ -17,8 +17,14 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.analysis.cfg import CFG
-from repro.ir import Function, Instruction, LockAcquire, LockRelease, Module
+from repro.ir import (
+    CFG,
+    Function,
+    Instruction,
+    LockAcquire,
+    LockRelease,
+    Module,
+)
 
 
 class CriticalSections:

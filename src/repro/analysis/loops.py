@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.cfg import CFG
-from repro.analysis.dominators import DominatorTree
 from repro.errors import AnalysisError
-from repro.ir import BasicBlock, Function
+from repro.ir import CFG, BasicBlock, DominatorTree, Function
 
 
 class Loop:

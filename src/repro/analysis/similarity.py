@@ -56,16 +56,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.categories import Category, fold_operands, propagate
-from repro.analysis.cfg import CFG
 from repro.analysis.critical_sections import (
     CriticalSections,
     functions_only_called_under_lock,
 )
-from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import LoopInfo, find_loops
 from repro.analysis.threadid_patterns import find_tid_counters
 from repro.errors import AnalysisError
 from repro.ir import (
+    CFG,
     Argument,
     BinOp,
     Branch,
@@ -74,6 +73,7 @@ from repro.ir import (
     Cast,
     Cmp,
     Constant,
+    DominatorTree,
     Function,
     FunctionRef,
     GetTid,

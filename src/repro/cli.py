@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Callable, List, Optional
 
 from repro.analysis import format_table
 from repro.api import BlockWatch
 from repro.cliutil import add_shared_options
+from repro.errors import AnalysisError, ReproError
 from repro.faults import CampaignSpec, FaultType
 from repro.frontend import compile_source
 from repro.ir import print_module
@@ -69,24 +71,40 @@ def _open_store(args):
     return open_store(getattr(args, "store", None), install=True)
 
 
-def _make_blockwatch(args, store=None, telemetry=None) -> BlockWatch:
+def _program_source(args):
+    """``(source, name, entry)`` named by the ``program`` argument."""
     if args.program.startswith(KERNEL_PREFIX):
         spec = _kernel_spec(args.program)
-        source, name, entry = spec.source, spec.name, spec.entry
-    else:
-        source, name, entry = _load_source(args.program), "program", args.entry
+        return spec.source, spec.name, spec.entry
+    return _load_source(args.program), "program", args.entry
+
+
+@contextmanager
+def _program_errors():
+    """A program that fails to compile or analyze is one ``error:`` line
+    and exit status 2, not a traceback."""
+    try:
+        yield
+    except ReproError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _make_blockwatch(args, store=None, telemetry=None) -> BlockWatch:
+    source, name, entry = _program_source(args)
     opt_level = getattr(args, "opt_level", None)
-    if store is not None:
-        hits = store.counters.get("store.cache.hit", 0)
-        program = store.get_program(source, name, entry=entry,
-                                    telemetry=telemetry,
-                                    opt_level=opt_level)
-        outcome = ("hit" if store.counters.get("store.cache.hit", 0) > hits
-                   else "miss")
-        print("store: program cache %s (%s)" % (outcome, name))
-        return BlockWatch.from_program(program)
-    return BlockWatch(source, name=name, entry=entry,
-                      opt_level=opt_level)
+    with _program_errors():
+        if store is not None:
+            hits = store.counters.get("store.cache.hit", 0)
+            program = store.get_program(source, name, entry=entry,
+                                        telemetry=telemetry,
+                                        opt_level=opt_level)
+            outcome = ("hit" if store.counters.get("store.cache.hit", 0)
+                       > hits else "miss")
+            print("store: program cache %s (%s)" % (outcome, name))
+            return BlockWatch.from_program(program)
+        return BlockWatch(source, name=name, entry=entry,
+                          opt_level=opt_level)
 
 
 def _parse_assignments(pairs: List[str]):
@@ -133,7 +151,12 @@ def _make_run_setup(args) -> Callable[[SharedMemory], None]:
 
 
 def cmd_dump(args) -> int:
-    module = compile_source(_load_source(args.program), "program")
+    source, _name, entry = _program_source(args)
+    with _program_errors():
+        module = compile_source(source, "program")
+        if entry not in module.functions:
+            raise AnalysisError("entry function %r not found in module"
+                                % entry)
     print(print_module(module))
     return 0
 
@@ -229,8 +252,8 @@ def campaign_spec_from_args(args) -> CampaignSpec:
 
 def cmd_inject(args) -> int:
     store = _open_store(args)
-    spec = campaign_spec_from_args(args)
     bw = _make_blockwatch(args, store=store)
+    spec = campaign_spec_from_args(args)
     from repro.errors import StoreError
     try:
         result = bw.inject(spec=spec, jobs=args.jobs, store=store)

@@ -24,6 +24,7 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.ir import (
     BOOL,
+    CFG,
     FLOAT,
     INT,
     IRBuilder,
@@ -553,14 +554,7 @@ class _FunctionCodegen:
 
     def _prune_unreachable(self) -> None:
         """Drop blocks unreachable from the entry and fix phi edges."""
-        reachable = set()
-        stack = [self.function.entry]
-        while stack:
-            block = stack.pop()
-            if id(block) in reachable:
-                continue
-            reachable.add(id(block))
-            stack.extend(block.successors())
+        reachable = {id(b) for b in CFG(self.function).reachable()}
         dead = [b for b in self.function.blocks if id(b) not in reachable]
         for block in self.function.blocks:
             if id(block) not in reachable:

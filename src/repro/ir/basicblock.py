@@ -16,8 +16,8 @@ class BasicBlock:
     Instructions are stored in execution order; zero or more :class:`Phi`
     nodes must appear first, and a well-formed block ends with exactly one
     :class:`Terminator`.  Predecessor edges are derived, not stored: use
-    :meth:`predecessors` (or the cached CFG in :mod:`repro.analysis.cfg`
-    for whole-function passes).
+    :meth:`predecessors` (or the cached :class:`repro.ir.cfg.CFG` for
+    whole-function passes).
     """
 
     def __init__(self, name: str, parent: Optional["Function"] = None):
@@ -81,7 +81,11 @@ class BasicBlock:
         return term.successors() if term is not None else ()
 
     def predecessors(self) -> List["BasicBlock"]:
-        """Derive predecessors by scanning the parent function (O(blocks))."""
+        """Derive predecessors by scanning the parent function (O(blocks)).
+
+        Deduplicated: a ``br`` with both arms on this block is listed
+        once, while :attr:`repro.ir.cfg.CFG.predecessors` lists one entry
+        per edge."""
         if self.parent is None:
             return []
         return [b for b in self.parent.blocks if self in b.successors()]

@@ -17,18 +17,18 @@ Run after the front-end and after every transforming pass.  The checks:
   no barrier wait while any lock may be held (a barrier under a lock
   deadlocks as soon as a second thread needs the lock to reach it).
 
-The verifier computes its own dominator sets with the simple iterative
-dataflow algorithm; the analysis package has a faster CHK implementation,
-but the verifier stays dependency-free so it can validate the IR before
-any analysis is trusted.
+Edges, reachability and dominance come from :mod:`repro.ir.cfg`, which
+sits beside the verifier so the IR can be validated before any analysis
+is trusted.  Unreachable blocks pass the dominance checks vacuously.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.errors import VerificationError
 from repro.ir.basicblock import BasicBlock
+from repro.ir.cfg import CFG, DominatorTree
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BarrierWait,
@@ -62,10 +62,11 @@ def verify_function(function: Function, module: Module = None) -> None:
     if not function.blocks:
         raise VerificationError("function %s has no blocks" % function.name)
     _check_block_structure(function)
-    _check_phi_edges(function)
-    _check_dominance(function)
+    cfg = CFG(function)
+    _check_phi_edges(function, cfg)
+    _check_dominance(function, cfg)
     _check_returns(function)
-    _check_sync_protocol(function)
+    _check_sync_protocol(function, cfg)
     if module is not None:
         _check_module_references(function, module)
 
@@ -109,10 +110,9 @@ def _check_block_structure(function: Function) -> None:
                     "%s: instruction %r has wrong parent" % (function.name, inst))
 
 
-def _check_phi_edges(function: Function) -> None:
-    preds = _predecessor_map(function)
+def _check_phi_edges(function: Function, cfg: CFG) -> None:
     for block in function.blocks:
-        expected = preds[block]
+        expected = cfg.predecessors[block]
         for phi in block.phis():
             got = list(phi.blocks)
             if len(got) != len(expected) or set(id(b) for b in got) != set(
@@ -130,9 +130,16 @@ def _check_phi_edges(function: Function) -> None:
                         % (function.name, phi, value.type))
 
 
-def _check_dominance(function: Function) -> None:
-    doms = _dominator_sets(function)
+def _check_dominance(function: Function, cfg: CFG) -> None:
+    tree = DominatorTree(function, cfg)
     block_index = {id(b): b for b in function.blocks}
+
+    def dominates(a: BasicBlock, b: BasicBlock) -> bool:
+        if b not in tree.idom:
+            # Unreachable: every block of the function dominates it.
+            return id(a) in block_index
+        return tree.dominates(a, b)
+
     positions: Dict[int, int] = {}
     for block in function.blocks:
         for pos, inst in enumerate(block.instructions):
@@ -145,7 +152,7 @@ def _check_dominance(function: Function) -> None:
             return False
         if def_block is use_block:
             return positions[id(def_inst)] < positions[id(use_inst)]
-        return def_block in doms[use_block]
+        return dominates(def_block, use_block)
 
     for block in function.blocks:
         for inst in block.instructions:
@@ -153,7 +160,7 @@ def _check_dominance(function: Function) -> None:
                 for value, pred in zip(inst.operands, inst.blocks):
                     if isinstance(value, Instruction):
                         # The def must dominate the end of the incoming edge.
-                        if value.parent is not pred and value.parent not in doms[pred]:
+                        if not dominates(value.parent, pred):
                             raise VerificationError(
                                 "%s: phi %r incoming %s from %s not dominated by def"
                                 % (function.name, inst, value.short(), pred.name))
@@ -219,31 +226,22 @@ def _check_module_references(function: Function, module: Module) -> None:
                         % (function.name, op.function_name))
 
 
-def _check_sync_protocol(function: Function) -> None:
+def _check_sync_protocol(function: Function, cfg: CFG) -> None:
     """Lock/barrier discipline, via a small may/must-held fixpoint.
 
     ``must`` (intersection at joins) proves a release has a dominating
     acquire on *every* path; ``may`` (union at joins) catches a path
     that re-acquires a held lock or parks on a barrier while holding
-    one.  Like the dominance check this stays dependency-free: plain
-    iteration over the predecessor map, reachable blocks only.
+    one.  Plain iteration over the predecessor map, reachable blocks
+    only.
     """
     if not any(isinstance(inst, (LockAcquire, LockRelease, BarrierWait))
                for inst in function.instructions()):
         return
-    preds = _predecessor_map(function)
+    preds = cfg.predecessors
     entry = function.entry
-
-    reachable: Set[int] = set()
-    stack = [entry]
-    order: List[BasicBlock] = []
-    while stack:
-        block = stack.pop()
-        if id(block) in reachable:
-            continue
-        reachable.add(id(block))
-        order.append(block)
-        stack.extend(block.successors())
+    order = cfg.reachable()
+    reachable = {id(block) for block in order}
 
     universe = frozenset(
         inst.lock.name for inst in function.instructions()
@@ -312,59 +310,3 @@ def _check_sync_protocol(function: Function) -> None:
                                         inst.barrier.name,
                                         ", ".join("@" + name
                                                   for name in sorted(may))))
-
-
-# ---------------------------------------------------------------------------
-# Local dominance computation (simple iterative algorithm)
-# ---------------------------------------------------------------------------
-
-
-def _predecessor_map(function: Function) -> Dict[BasicBlock, List[BasicBlock]]:
-    preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in function.blocks}
-    for block in function.blocks:
-        for succ in block.successors():
-            if succ not in preds:
-                raise VerificationError(
-                    "%s: successor %s of %s is not in the function"
-                    % (function.name, succ.name, block.name))
-            preds[succ].append(block)
-    return preds
-
-
-def _dominator_sets(function: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
-    """dom[b] = set of *strict* dominators of b, via iterative dataflow.
-
-    Dominance is defined over paths from the entry, so unreachable
-    predecessors must be ignored; unreachable blocks themselves keep the
-    full universe (every check on them passes vacuously).
-    """
-    blocks = function.blocks
-    preds = _predecessor_map(function)
-    entry = function.entry
-    universe = set(blocks)
-
-    reachable: Set[int] = set()
-    stack = [entry]
-    while stack:
-        block = stack.pop()
-        if id(block) in reachable:
-            continue
-        reachable.add(id(block))
-        stack.extend(block.successors())
-
-    dom: Dict[BasicBlock, Set[BasicBlock]] = {
-        b: (set() if b is entry else set(universe)) for b in blocks}
-    changed = True
-    while changed:
-        changed = False
-        for block in blocks:
-            if block is entry or id(block) not in reachable:
-                continue
-            pred_doms = [dom[p] | {p} for p in preds[block]
-                         if id(p) in reachable]
-            new = set.intersection(*pred_doms) if pred_doms else set()
-            new.discard(block)
-            if new != dom[block]:
-                dom[block] = new
-                changed = True
-    return dom

@@ -3,9 +3,11 @@
 Every analysis in :mod:`repro.lint` — barrier phases, locksets — is an
 instance of one fixpoint schema: a join-semilattice of facts, a
 per-instruction transfer function, and iteration to convergence over
-:class:`repro.analysis.cfg.CFG` edges.  This module factors that schema
-out so new analyses (and SCCP-style passes that want block-level facts)
-only state their lattice and transfer.
+:class:`repro.ir.cfg.CFG` edges, in that module's reverse postorder.
+This module factors that schema out so new analyses (and SCCP-style
+passes that want block-level facts) only state their lattice and
+transfer.  Dominance and postdominance are not dataflow problems here:
+they come from :class:`repro.ir.cfg.DominatorTree`.
 
 The engine is deliberately value-agnostic: facts are opaque objects
 compared with ``lattice.equals``.  Two conventions keep must- and
@@ -29,8 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.cfg import CFG
-from repro.ir import Function, Instruction
+from repro.ir import CFG, Function, Instruction
 
 FORWARD = "forward"
 BACKWARD = "backward"

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Tuple
 
-from repro.analysis.cfg import CFG
 from repro.ir import (
+    CFG,
     BarrierWait,
     Function,
     Instruction,

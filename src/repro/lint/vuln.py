@@ -27,10 +27,10 @@ reduced to a flow relation between **in-ports** (parameters, loads, call
 results, ``gettid``) and **out-ports** (stores, call arguments, returns,
 ``output``, branch conditions, ``send_cond`` payloads), computed by a
 deterministic fixpoint over def-use chains iterated in reverse postorder
-(:func:`repro.opt.ssa.reverse_postorder`).  Divergence regions — the
-blocks a flipped branch can add to or remove from the trace — come from
-a postdominator analysis run on the shared worklist engine
-(:func:`repro.lint.dataflow.run_dataflow`, backward + intersection).
+(:meth:`repro.ir.cfg.CFG.reverse_postorder`).  Divergence regions — the
+blocks a flipped branch can add to or remove from the trace — end where
+the two arms rejoin, at their common postdominators
+(:meth:`repro.ir.cfg.DominatorTree.post`).
 Summaries mention only names (locations, callees, port tokens), never
 object identities, so they are JSON-safe, byte-stable under any
 ``PYTHONHASHSEED``, and content-addressed in :mod:`repro.store` at
@@ -48,14 +48,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.ir import (
+    CFG,
     Branch,
     Call,
     CallIndirect,
     Cmp,
     Constant,
+    DominatorTree,
     Function,
     GlobalVariable,
     Instruction,
@@ -74,8 +76,6 @@ from repro.ir import (
 from repro.ir.printer import print_function
 from repro.ir.types import VOID
 from repro.ir.values import FunctionRef
-from repro.lint.dataflow import BACKWARD, TOP, IntersectionLattice, run_dataflow
-from repro.opt.ssa import reverse_postorder
 
 #: Version of the vulnerability summary/report shape.  Participates in
 #: every per-function store key, so bumping it invalidates cached
@@ -163,44 +163,18 @@ def _is_opaque(value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _postdominators(function: Function) -> Dict[str, Optional[FrozenSet[str]]]:
-    """Block name -> names of its postdominators (including itself), or
-    ``None`` for blocks with no path to an exit (engine fact ``TOP``)."""
-
-    def transfer(fact, inst):
-        if fact is TOP:
-            return fact
-        return fact | frozenset((inst.parent.name,))
-
-    result = run_dataflow(function, IntersectionLattice(), transfer,
-                          direction=BACKWARD)
-    out: Dict[str, Optional[FrozenSet[str]]] = {}
-    for block in function.blocks:
-        if not block.instructions:
-            out[block.name] = None
-            continue
-        fact = result.before(block.instructions[0])
-        out[block.name] = None if fact is TOP else frozenset(fact)
-    return out
-
-
-def _divergence_region(branch: Branch,
-                       postdom: Dict[str, Optional[FrozenSet[str]]]
-                       ) -> Set[str]:
+def _divergence_region(branch: Branch, postdom: DominatorTree) -> Set[str]:
     """Names of the blocks whose execution can change when ``branch``
     goes the other way: everything reachable from either successor
-    before the arms rejoin (their common postdominators)."""
-    then_pd = postdom.get(branch.then_block.name)
-    else_pd = postdom.get(branch.else_block.name)
-    if then_pd is None or else_pd is None:
-        common: FrozenSet[str] = frozenset()
-    else:
-        common = then_pd & else_pd
+    before the arms rejoin (their common postdominators; none when an
+    arm has no path to an exit)."""
+    common = ({id(b) for b in postdom.dominators(branch.then_block)}
+              & {id(b) for b in postdom.dominators(branch.else_block)})
     region: Set[str] = set()
     work = [branch.then_block, branch.else_block]
     while work:
         block = work.pop()
-        if block.name in common or block.name in region:
+        if id(block) in common or block.name in region:
             continue
         region.add(block.name)
         work.extend(block.successors())
@@ -297,10 +271,9 @@ def summarize_function(function: Function) -> dict:
     # argument's influence on the result goes through the callee's
     # summary, not a local edge).  Iteration order is reverse postorder,
     # so acyclic chains converge in one pass and phi cycles in two.
-    order = reverse_postorder(function)
-    ordered = order + [b for b in function.blocks if b not in order]
+    cfg = CFG(function)
     values: List = list(function.params)
-    for block in ordered:
+    for block in cfg.reverse_postorder():
         values.extend(i for i in block.instructions if i.type is not VOID)
     reach: Dict[int, FrozenSet[str]] = {}
 
@@ -331,7 +304,7 @@ def summarize_function(function: Function) -> dict:
         flow.setdefault("param:%d" % arg.index, set()).update(reach_of(arg))
 
     # Per-site facts: divergence region effects + condition-operand reach.
-    postdom = _postdominators(function)
+    postdom = DominatorTree.post(function, cfg)
     site_rows: List[dict] = []
     site_div: List[List[str]] = []
     site_div_calls: List[List[int]] = []

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import OptimizationError
 from repro.ir import (
+    CFG,
     BasicBlock,
     BOOL,
     Constant,
@@ -47,32 +48,6 @@ def _default_constant(type_) -> Constant:
     if type_ is BOOL:
         return Constant(False, BOOL)
     return Constant(0, type_)
-
-
-def reverse_postorder(function: Function) -> List[BasicBlock]:
-    """Blocks of ``function`` in reverse postorder over the CFG —
-    predecessors before successors except on back edges.  Unreachable
-    blocks are omitted.  The canonical iteration order for forward
-    fixpoints (SSA renaming here, def-use reach in
-    :mod:`repro.lint.vuln`)."""
-    entry = function.entry
-    seen = {id(entry)}
-    order: List[BasicBlock] = []
-    stack = [(entry, iter(entry.successors()))]
-    while stack:
-        block, successors = stack[-1]
-        advanced = False
-        for succ in successors:
-            if id(succ) not in seen:
-                seen.add(id(succ))
-                stack.append((succ, iter(succ.successors())))
-                advanced = True
-                break
-        if not advanced:
-            order.append(block)
-            stack.pop()
-    order.reverse()
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +120,9 @@ def to_ssa(function: Function, frozen: Optional[Set[int]] = None) -> int:
         return 0
     if frozen is None:
         frozen = set()
-    order = reverse_postorder(function)
+    cfg = CFG(function)
+    reached = {id(block) for block in cfg.reachable()}
+    order = [b for b in cfg.reverse_postorder() if id(b) in reached]
     processed: Set[int] = set()
     # Placeholder phis for every (join block, slot).
     entry_values: Dict[int, Dict[int, object]] = {}  # id(block) -> id(slot) -> value

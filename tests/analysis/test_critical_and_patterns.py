@@ -1,9 +1,9 @@
 """Tests for critical-section analysis and thread-id idiom recognition."""
 
-from repro.analysis import CFG, CriticalSections, find_tid_counters
+from repro.analysis import CriticalSections, find_tid_counters
 from repro.analysis.critical_sections import functions_only_called_under_lock
 from repro.frontend import compile_source
-from repro.ir import Branch
+from repro.ir import CFG, Branch
 
 PRELUDE = """
 global int g;

@@ -1,8 +1,8 @@
 """Tests for the structural analyses: CFG, dominators, loops.
 
-The dominator test cross-checks the fast CHK implementation against the
-verifier's independent set-based computation on randomly generated CFGs
-— a classic differential property test.
+The (post)dominator tests cross-check the CHK trees against the
+definition — removing a dominator disconnects the block — on randomly
+generated CFGs with back edges, self-loops and irreducible loops.
 """
 
 import random
@@ -10,11 +10,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import CFG, DominatorTree, find_loops
+from repro.analysis import find_loops
 from repro.errors import AnalysisError
 from repro.frontend import compile_source
-from repro.ir import Function, IRBuilder
-from repro.ir.verifier import _dominator_sets
+from repro.ir import CFG, DominatorTree, Function, IRBuilder
 
 
 def diamond():
@@ -66,39 +65,94 @@ class TestDominators:
         assert not dom.strictly_dominates(entry, entry)
 
     def _random_function(self, rng: random.Random, nblocks: int) -> Function:
+        """Random CFG with forward edges, back edges, self-loops, and —
+        half the time — an irreducible two-entry loop."""
+        targets = []
+        for _ in range(nblocks):
+            kind = rng.random()
+            if kind < 0.2:
+                targets.append([])
+            elif kind < 0.55:
+                targets.append([rng.randrange(nblocks)])
+            else:
+                targets.append([rng.randrange(nblocks),
+                                rng.randrange(nblocks)])
+        if nblocks >= 3 and rng.random() < 0.5:
+            # ``a`` enters the cycle j <-> k at both j and k.
+            a, j, k = sorted(rng.sample(range(nblocks), 3))
+            targets[a] = [j, k]
+            targets[j] = [k, rng.randrange(nblocks)]
+            targets[k] = [j]
         f = Function("f")
         blocks = [f.add_block("b%d" % i) for i in range(nblocks)]
-        for index, block in enumerate(blocks):
+        for block, succs in zip(blocks, targets):
             builder = IRBuilder(block)
-            # bias edges forward so most blocks are reachable
-            choices = blocks[index + 1:] or [block]
-            kind = rng.random()
-            if kind < 0.3 or not blocks[index + 1:]:
+            if not succs:
                 builder.ret()
-            elif kind < 0.65:
-                builder.jmp(rng.choice(choices))
+            elif len(succs) == 1:
+                builder.jmp(blocks[succs[0]])
             else:
                 cond = builder.cmp("lt", 1, 2)
-                builder.br(cond, rng.choice(choices), rng.choice(choices))
+                builder.br(cond, blocks[succs[0]], blocks[succs[1]])
         return f
+
+    @staticmethod
+    def _reach(edges, starts, removed=None):
+        """ids of the blocks reachable from ``starts`` without entering
+        ``removed``."""
+        seen = set()
+        work = [b for b in starts if b is not removed]
+        while work:
+            block = work.pop()
+            if id(block) in seen:
+                continue
+            seen.add(id(block))
+            work.extend(s for s in edges[block] if s is not removed)
+        return seen
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=2, max_value=12))
-    @settings(max_examples=60, deadline=None)
-    def test_chk_matches_set_based_dominators(self, seed, nblocks):
-        rng = random.Random(seed)
-        f = self._random_function(rng, nblocks)
+    @settings(max_examples=100, deadline=None)
+    def test_chk_matches_brute_force_dominators(self, seed, nblocks):
+        # ``a`` dominates ``b`` iff ``b`` is unreachable once ``a`` is
+        # removed.
+        f = self._random_function(random.Random(seed), nblocks)
         cfg = CFG(f)
         tree = DominatorTree(f, cfg)
-        strict_sets = _dominator_sets(f)
-        reachable = set(id(b) for b in cfg.reachable())
-        for a in f.blocks:
-            for b in f.blocks:
-                if id(a) not in reachable or id(b) not in reachable:
-                    continue
-                expected = (a is b) or (a in strict_sets[b])
+        reachable = self._reach(cfg.successors, [f.entry])
+        assert reachable == {id(b) for b in cfg.reachable()}
+        for b in f.blocks:
+            if id(b) not in reachable:
+                assert b not in tree.idom
+                continue
+            for a in f.blocks:
+                expected = a is b or id(b) not in self._reach(
+                    cfg.successors, [f.entry], removed=a)
                 assert tree.dominates(a, b) == expected, (
                     "dominates(%s, %s)" % (a.name, b.name))
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=2, max_value=12))
+    @settings(max_examples=100, deadline=None)
+    def test_chk_matches_brute_force_postdominators(self, seed, nblocks):
+        # ``a`` postdominates ``b`` iff no exit is reachable from ``b``
+        # once ``a`` is removed; a block with no path to an exit has no
+        # postdominators at all.
+        f = self._random_function(random.Random(seed), nblocks)
+        cfg = CFG(f)
+        post = DominatorTree.post(f, cfg)
+        exits = {id(b) for b in f.blocks if not cfg.successors[b]}
+        for b in f.blocks:
+            if not exits & self._reach(cfg.successors, [b]):
+                assert post.dominators(b) == []
+                continue
+            for a in f.blocks:
+                expected = a is b or not exits & self._reach(
+                    cfg.successors, [b], removed=a)
+                assert post.dominates(a, b) == expected, (
+                    "postdominates(%s, %s)" % (a.name, b.name))
+            assert {id(a) for a in post.dominators(b)} == {
+                id(a) for a in f.blocks if post.dominates(a, b)}
 
 
 class TestLoops:

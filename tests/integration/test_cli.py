@@ -1,8 +1,13 @@
 """Tests for the ``repro-minic`` command-line tool."""
 
+import os
+
 import pytest
 
 from repro.cli import main
+
+MALFORMED = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                         "malformed.mc")
 
 DEMO = """
 global int nprocs;
@@ -121,3 +126,32 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "kernel:nope", "-t", "2"])
         assert str(excinfo.value.code).startswith("error:")
+
+
+class TestBadPrograms:
+    """A program that fails to compile or has no entry function is one
+    ``error:`` line and exit status 2 on every subcommand."""
+
+    @pytest.mark.parametrize("command",
+                             ["dump", "report", "run", "trace", "inject"])
+    @pytest.mark.parametrize("kind, source, message", [
+        ("parse", None, "expected an expression"),
+        ("codegen", "func slave() { nosuch(); }\n",
+         "call to unknown function 'nosuch'"),
+        ("no-entry", "", "entry function 'slave' not found"),
+    ])
+    def test_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                         command, kind, source, message):
+        monkeypatch.chdir(tmp_path)
+        path = MALFORMED
+        if source is not None:
+            path = str(tmp_path / ("%s.mc" % kind))
+            with open(path, "w") as handle:
+                handle.write(source)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, path])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err

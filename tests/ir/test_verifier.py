@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import VerificationError
 from repro.ir import (
+    CFG,
     INT,
     Constant,
     Function,
@@ -98,6 +99,27 @@ class TestPhis:
         with pytest.raises(VerificationError, match="phi"):
             verify_function(f)
 
+    def test_incoming_from_unreachable_predecessor_passes(self):
+        # ``orphan`` is unreachable, so the edge it contributes carries
+        # no dominance obligation: ``y`` (defined only on the ``side``
+        # path) may flow in along it.
+        f = Function("f")
+        entry, side, orphan, merge = (
+            f.add_block(name) for name in ("entry", "side", "orphan", "merge"))
+        builder = IRBuilder(entry)
+        builder.br(builder.cmp("lt", 1, 2), side, merge)
+        builder.position_at_end(side)
+        y = builder.add(1, 2)
+        builder.jmp(merge)
+        IRBuilder(orphan).jmp(merge)
+        phi = Phi(INT, "x")
+        merge.insert_after_phis(phi)
+        phi.add_incoming(Constant(1), entry)
+        phi.add_incoming(y, side)
+        phi.add_incoming(y, orphan)
+        IRBuilder(merge).ret()
+        verify_function(f)
+
 
 class TestDominance:
     def test_use_before_def_in_block_rejected(self):
@@ -172,3 +194,15 @@ class TestModuleReferences:
         IRBuilder(f.add_block()).jmp(target)
         with pytest.raises(VerificationError):
             verify_module(m)
+
+    def test_jump_to_foreign_block_names_the_edge(self):
+        f = Function("f")
+        g = Function("g")
+        target = g.add_block("target")
+        IRBuilder(target).ret()
+        IRBuilder(f.add_block("entry")).jmp(target)
+        message = "f: successor target of entry is not in the function"
+        with pytest.raises(VerificationError, match=message):
+            verify_function(f)
+        with pytest.raises(VerificationError, match=message):
+            CFG(f)
