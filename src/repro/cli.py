@@ -31,7 +31,7 @@ from typing import Callable, List, Optional
 
 from repro.analysis import format_table
 from repro.api import BlockWatch
-from repro.cliutil import add_shared_options
+from repro.cliutil import UsageExit, add_shared_options
 from repro.errors import AnalysisError, ReproError
 from repro.faults import CampaignSpec, FaultType
 from repro.frontend import compile_source
@@ -247,7 +247,11 @@ def campaign_spec_from_args(args) -> CampaignSpec:
             journal=getattr(args, "journal", None),
             resume=getattr(args, "resume", False))
     except ValueError as exc:
-        raise SystemExit("error: %s" % exc)
+        # A usage error (an empty program file lands here): one line,
+        # exit status 2.
+        message = "error: %s" % exc
+        print(message, file=sys.stderr)
+        raise UsageExit(message)
 
 
 def cmd_inject(args) -> int:

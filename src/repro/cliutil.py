@@ -84,6 +84,18 @@ def shared_options(*features: str, jobs_help: Optional[str] = None,
     return parent
 
 
+class UsageExit(SystemExit):
+    """Exit status 2 for a usage error whose one ``error:`` line is
+    already on stderr; ``str()`` gives the line back to callers."""
+
+    def __init__(self, message: str):
+        super().__init__(2)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
 def load_json(path: str, what: str) -> Dict:
     """Read a JSON file; any failure exits with a one-line error."""
     try:

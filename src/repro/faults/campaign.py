@@ -1,12 +1,16 @@
 """Fault-injection campaigns (paper Section IV, *Coverage Evaluation*).
 
 One campaign = one (program, fault type, thread count): a golden run
-establishes the reference output and the per-thread dynamic branch
-counts, then ``n`` single-fault runs are classified into
-masked / detected / crash / hang / SDC.  Coverage is reported both with
-BLOCKWATCH (detections count) and for the original program (detections
-ignored — the run's underlying fate is used), which is how the paper's
-Figures 8 and 9 pair their bars.
+establishes the reference output, the per-thread dynamic branch counts
+and the thread similarity classes, then ``n`` single-fault runs are
+classified into masked / detected / crash / hang / SDC.  Coverage is
+reported both with BLOCKWATCH (detections count) and for the original
+program (detections ignored — the run's underlying fate is used), which
+is how the paper's Figures 8 and 9 pair their bars.
+
+The golden run also leaves a few machine checkpoints behind
+(:mod:`repro.runtime.golden`); each fault run resumes from the latest
+one before its fault site, so only the suffix after it executes.
 
 Campaigns run through :mod:`repro.parallel`: every injection's
 :class:`FaultSpec` is derived up-front from ``(base_seed,
@@ -30,7 +34,8 @@ from repro.faults.outcomes import CampaignStats, Outcome
 from repro.faults.spec import CampaignSpec
 from repro.monitor import MODE_FULL
 from repro.parallel import derive_seed, run_tasks
-from repro.runtime.machine import RunResult
+from repro.runtime.golden import GoldenRecorder, select_checkpoint
+from repro.runtime.machine import Checkpoint, RunResult
 from repro.runtime.memory import SharedMemory
 from repro.runtime.program import ParallelProgram, RunConfig
 from repro.telemetry import Telemetry, TelemetrySnapshot
@@ -91,6 +96,9 @@ class CampaignResult:
     #: per-class strata (weight, planned draws, outcome counts) and the
     #: reweighted full-sweep coverage estimates.
     stratified: Optional[dict] = None
+    #: Thread similarity classes recorded by the golden run: sorted tid
+    #: lists ordered by least member (see repro.runtime.golden).
+    thread_classes: List[List[int]] = field(default_factory=list)
 
     @property
     def trace_events(self) -> List[dict]:
@@ -106,22 +114,21 @@ class CampaignResult:
                 "telemetry=True to record a trace")
         return _write_trace_file(path, self.telemetry.events)
 
-    def triage(self, spec=None, program=None, setup=None, store=None,
+    def triage(self, spec=None, program=None, store=None,
                merge_distance: int = 1):
         """Cluster this campaign's failure witnesses and flag
         performance anomalies; returns a
         :class:`repro.triage.TriageReport`.
 
         Requires the campaign to have kept its records
-        (``keep_records=True``).  Pass the campaign's ``spec`` for
-        precise thread similarity classes from an observation run
-        (``program=`` overrides the spec-resolved program); a ``store``
+        (``keep_records=True``).  The thread similarity classes are the
+        ones the golden run recorded; ``spec`` and ``program``, when
+        given, are checked to describe this campaign.  A ``store``
         caches the finished report as a content-addressed artifact.
         """
         from repro.triage import triage_campaign
         return triage_campaign(self, spec=spec, program=program,
-                               setup=setup, store=store,
-                               merge_distance=merge_distance)
+                               store=store, merge_distance=merge_distance)
 
 
 def quantize_signature(signature, bits: int):
@@ -151,11 +158,15 @@ def quantize_signature(signature, bits: int):
 
 def golden_run(program: ParallelProgram, config: CampaignConfig,
                setup: Optional[Callable[[SharedMemory], None]],
+               recorder: GoldenRecorder,
                telemetry: Optional[Telemetry] = None) -> RunResult:
-    result = program.run_protected(
-        config.nthreads, seed=config.seed, setup=setup,
-        monitor_mode=MODE_FULL, quantum=config.quantum,
-        telemetry=telemetry)
+    """The campaign's fault-free reference run; ``recorder`` collects its
+    thread classes and checkpoints."""
+    result = program.run(
+        RunConfig(nthreads=config.nthreads, seed=config.seed,
+                  monitor_mode=MODE_FULL, quantum=config.quantum,
+                  telemetry=telemetry),
+        setup=setup, recorder=recorder)
     if result.status != "ok":
         raise RuntimeError("golden run failed: %s (%s)"
                            % (result.status, result.failure_message))
@@ -165,13 +176,15 @@ def golden_run(program: ParallelProgram, config: CampaignConfig,
     return result
 
 
-def _golden_summary_of(golden: RunResult, config: CampaignConfig):
+def _golden_summary_of(golden: RunResult, recorder: GoldenRecorder,
+                       config: CampaignConfig):
     """The light, cacheable facts a campaign needs from its golden run."""
     from repro.store.artifacts import GoldenSummary
     return GoldenSummary(
         signature=golden.output_signature(config.output_globals),
         branch_counts=dict(golden.branch_counts),
-        steps=golden.steps)
+        steps=golden.steps,
+        thread_classes=recorder.thread_classes(golden.branch_counts))
 
 
 def injection_seed(base_seed: int, fault_type: FaultType, index: int) -> int:
@@ -196,9 +209,10 @@ def plan_injection(fault_type: FaultType, branch_counts: Dict[int, int],
 @dataclass
 class _CampaignContext:
     """Per-worker campaign state: the compiled program plus the golden
-    artifacts every injection classifies against.  Built once in the
-    parent (fork workers inherit it); rebuilt once per worker from
-    source under spawn."""
+    artifacts every injection classifies against and resumes from.
+    Built once in the parent (fork workers inherit it, checkpoints
+    included); rebuilt once per worker from source under spawn, without
+    checkpoints (its injections start at step 0)."""
 
     program: ParallelProgram
     fault_type: FaultType
@@ -209,6 +223,8 @@ class _CampaignContext:
     max_steps: int
     #: Collect per-injection telemetry snapshots + trace events.
     telemetry: bool = False
+    #: The golden run's checkpoints, in run order (empty: step 0 only).
+    checkpoints: Tuple[Checkpoint, ...] = ()
 
 
 def _campaign_context_from_source(source: str, name: str, entry: str,
@@ -252,7 +268,7 @@ def _injection_task(ctx: _CampaignContext, index: int) -> InjectionRecord:
         started = time.perf_counter_ns()
     outcome, baseline_outcome, hook = run_one_injection(
         ctx.program, spec, ctx.config, ctx.setup, ctx.golden_signature,
-        ctx.max_steps, telemetry=tel)
+        ctx.max_steps, telemetry=tel, checkpoints=ctx.checkpoints)
     record = InjectionRecord(
         spec=spec, outcome=outcome, baseline_outcome=baseline_outcome,
         flipped_branch=hook.flipped_branch, detail=hook.detail)
@@ -277,7 +293,7 @@ def _spec_injection_task(ctx: _CampaignContext,
     _cls, spec = item
     outcome, baseline_outcome, hook = run_one_injection(
         ctx.program, spec, ctx.config, ctx.setup, ctx.golden_signature,
-        ctx.max_steps)
+        ctx.max_steps, checkpoints=ctx.checkpoints)
     return InjectionRecord(
         spec=spec, outcome=outcome, baseline_outcome=baseline_outcome,
         flipped_branch=hook.flipped_branch, detail=hook.detail)
@@ -480,9 +496,11 @@ def run_campaign(spec: CampaignSpec,
                          nthreads=config.nthreads, program=program.name)
 
     # -- golden run (cached only when no events are being collected and
-    # the inputs have a canonical form to key on) -----------------------
+    # the inputs have a canonical form to key on; a cache hit leaves no
+    # checkpoints, so its injections start at step 0) -------------------
     from repro.store.hashing import program_key_of, setup_inputs
     golden: Optional[RunResult] = None
+    recorder = GoldenRecorder()
     inputs = setup_inputs(setup)
     if store is not None and parent_tel is None and inputs is not None:
         prog_key = program_key_of(program)
@@ -490,11 +508,14 @@ def run_campaign(spec: CampaignSpec,
             prog_key, config.nthreads, config.seed, config.quantum,
             tuple(config.output_globals),
             compute=lambda: _golden_summary_of(
-                golden_run(program, config, setup), config),
+                golden_run(program, config, setup, recorder), recorder,
+                config),
             inputs=inputs)
     else:
-        golden = golden_run(program, config, setup, telemetry=parent_tel)
-        summary = _golden_summary_of(golden, config)
+        golden = golden_run(program, config, setup, recorder,
+                            telemetry=parent_tel)
+        summary = _golden_summary_of(golden, recorder, config)
+    checkpoints = tuple(recorder.checkpoints)
     golden_signature = quantize_signature(summary.signature,
                                           config.quantize_bits)
     branch_counts = dict(summary.branch_counts)
@@ -505,7 +526,7 @@ def run_campaign(spec: CampaignSpec,
         return _run_stratified(
             program, fault_type, config, setup, keep_records, jobs,
             progress, store, vuln_report, golden, golden_signature,
-            max_steps)
+            max_steps, summary.thread_classes, checkpoints)
 
     # -- journal replay / checkpoint setup ------------------------------
     pending = list(range(config.injections))
@@ -552,12 +573,13 @@ def run_campaign(spec: CampaignSpec,
 
     stats = CampaignStats(program=program.name, fault_type=fault_type.value,
                           nthreads=config.nthreads)
-    result = CampaignResult(stats=stats, golden=golden)
+    result = CampaignResult(stats=stats, golden=golden,
+                            thread_classes=list(summary.thread_classes))
     ctx = _CampaignContext(
         program=program, fault_type=fault_type, config=config, setup=setup,
         golden_signature=golden_signature,
         branch_counts=branch_counts, max_steps=max_steps,
-        telemetry=telemetry)
+        telemetry=telemetry, checkpoints=checkpoints)
     timings: Optional[List[Tuple[int, int, float]]] = (
         [] if telemetry else None)
 
@@ -611,7 +633,8 @@ def _run_stratified(program: ParallelProgram, fault_type: FaultType,
                     config: CampaignConfig, setup, keep_records: bool,
                     jobs: Optional[int], progress, store, vuln_report,
                     golden: Optional[RunResult], golden_signature,
-                    max_steps: int) -> CampaignResult:
+                    max_steps: int, thread_classes: List[List[int]],
+                    checkpoints: Tuple[Checkpoint, ...]) -> CampaignResult:
     """Plan + execute a stratified campaign (the ``plan="stratified"``
     arm of :func:`run_campaign`; golden artifacts already resolved)."""
     from repro.faults.recording import record_site_streams
@@ -631,7 +654,7 @@ def _run_stratified(program: ParallelProgram, fault_type: FaultType,
         program=program, fault_type=fault_type, config=config, setup=setup,
         golden_signature=golden_signature,
         branch_counts={tid: len(s) for tid, s in streams.items()},
-        max_steps=max_steps)
+        max_steps=max_steps, checkpoints=checkpoints)
     records = run_tasks(
         _spec_injection_task, specs, jobs=jobs, context=ctx,
         context_factory=_campaign_context_from_source,
@@ -678,7 +701,8 @@ def _run_stratified(program: ParallelProgram, fault_type: FaultType,
         "injections": len(specs),
     }
 
-    result = CampaignResult(stats=stats, golden=golden, stratified=meta)
+    result = CampaignResult(stats=stats, golden=golden, stratified=meta,
+                            thread_classes=list(thread_classes))
     if keep_records:
         result.records = list(records)
     return result
@@ -688,16 +712,24 @@ def run_one_injection(program: ParallelProgram, spec: FaultSpec,
                       config: CampaignConfig,
                       setup: Optional[Callable[[SharedMemory], None]],
                       golden_signature, max_steps: int,
-                      telemetry: Optional[Telemetry] = None
+                      telemetry: Optional[Telemetry] = None,
+                      checkpoints: Sequence[Checkpoint] = ()
                       ) -> Tuple[Outcome, Outcome, InjectingHook]:
     """One fault run, classified.  Returns (protected outcome, outcome the
-    unprotected program would have had, the hook)."""
+    unprotected program would have had, the hook).
+
+    The run resumes from the latest of the golden run's ``checkpoints``
+    taken before the fault site (step 0 when there is none): up to the
+    fault the run is the golden run, so the result is the same as a run
+    from step 0."""
     hook = InjectingHook(spec)
     run = program.run(
         RunConfig(nthreads=config.nthreads, seed=config.seed,
                   monitor_mode=MODE_FULL, max_steps=max_steps,
                   quantum=config.quantum, telemetry=telemetry),
-        setup=setup, fault_hook=hook)
+        setup=setup, fault_hook=hook,
+        resume=select_checkpoint(checkpoints, spec.thread_id,
+                                 spec.branch_index))
     if not hook.activated:
         return Outcome.NOT_ACTIVATED, Outcome.NOT_ACTIVATED, hook
     if run.status == "crash":

@@ -96,6 +96,56 @@ class BranchTable:
     def pending_entries(self) -> List[InstanceEntry]:
         return [e for e in self.all_entries() if not e.checked]
 
+    def save_state(self) -> Tuple:
+        """A copy of the table, occurrence counters and entry count that
+        later runs of the same prefix can :meth:`load_state` from.
+
+        Flat encoding: one list of object references for the table and
+        two tuples for the counters, about a third of the memory of
+        copied dicts and entries (a machine checkpoint holds one).
+        Report values are immutable and shared, not copied."""
+        flat: List = []
+        for level1_key, level2 in self._table.items():
+            flat.append(level1_key)
+            flat.append(len(level2))
+            for level2_key, entry in level2.items():
+                values, outcomes = entry.values, entry.outcomes
+                flat.extend((level2_key, entry.info, entry.checked,
+                             len(values)))
+                flat.extend(values)
+                flat.extend(values.values())
+                flat.append(len(outcomes))
+                flat.extend(outcomes)
+                flat.extend(outcomes.values())
+        occurrence = self._occurrence
+        return (flat, tuple(occurrence), tuple(occurrence.values()),
+                self.entries_created)
+
+    def load_state(self, state: Tuple) -> None:
+        """Fill this (fresh) table from :meth:`save_state` output, with
+        entries of its own."""
+        flat, occ_keys, occ_counts, self.entries_created = state
+        table: Dict = {}
+        i, n = 0, len(flat)
+        while i < n:
+            level2 = table[flat[i]] = {}
+            count = flat[i + 1]
+            i += 2
+            for _ in range(count):
+                level2_key, info, checked, nv = flat[i:i + 4]
+                i += 4
+                values = dict(zip(flat[i:i + nv], flat[i + nv:i + 2 * nv]))
+                i += 2 * nv
+                no = flat[i]
+                i += 1
+                outcomes = dict(zip(flat[i:i + no],
+                                    flat[i + no:i + 2 * no]))
+                i += 2 * no
+                level2[level2_key] = InstanceEntry(info, values, outcomes,
+                                                   checked)
+        self._table = table
+        self._occurrence = dict(zip(occ_keys, occ_counts))
+
     def discard_checked(self) -> int:
         """Free completed instances (keeps the table bounded on long runs)."""
         freed = 0

@@ -61,6 +61,18 @@ class HierarchicalMonitor(Monitor):
         self.messages_processed += total
         return total
 
+    def save_state(self) -> dict:
+        state = super().save_state()
+        state["leaves"] = (list(self._group_cursor),
+                           list(self.leaf_processed))
+        return state
+
+    def load_state(self, state: dict) -> None:
+        super().load_state(state)
+        cursors, processed = state["leaves"]
+        self._group_cursor = list(cursors)
+        self.leaf_processed = list(processed)
+
     def _drain_leaf(self, leaf: int, limit: int) -> int:
         members = self.group_members[leaf]
         if not members:

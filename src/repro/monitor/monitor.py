@@ -172,6 +172,39 @@ class Monitor:
             self._checks_since_discard = 0
             self.table.discard_checked()
 
+    # -- checkpoints ----------------------------------------------------
+
+    def save_state(self) -> dict:
+        """Everything a run's later behaviour depends on, copied: the
+        queues' live items, the table, the check statistics and the
+        cursors (see :meth:`repro.runtime.machine.Machine.checkpoint`)."""
+        stats = self.stats
+        return {
+            "queues": [queue.save_state() for queue in self.queues],
+            "table": self.table.save_state(),
+            "violations": list(self.violations),
+            "stats": (stats.instances_checked, dict(stats.checks_by_kind),
+                      dict(stats.violations_by_kind)),
+            "counters": (self.messages_received, self.messages_processed,
+                         self._round_robin, self._checks_since_discard,
+                         self._finalized),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Assign :meth:`save_state` output into this freshly built
+        monitor (fresh objects keep the hot paths as fast as a new
+        run's)."""
+        for queue, saved in zip(self.queues, state["queues"]):
+            queue.load_state(saved)
+        self.table.load_state(state["table"])
+        self.violations = list(state["violations"])
+        checked, by_kind, violations_by_kind = state["stats"]
+        self.stats = CheckStatistics(checked, dict(by_kind),
+                                     dict(violations_by_kind))
+        (self.messages_received, self.messages_processed,
+         self._round_robin, self._checks_since_discard,
+         self._finalized) = state["counters"]
+
     # -- end of run -----------------------------------------------------
 
     def finalize(self) -> List[Violation]:
@@ -190,6 +223,9 @@ class Monitor:
                 tel.count("monitor.incomplete_swept", len(pending))
             for entry in pending:
                 self._check(entry)
+        # Every instance is checked and no message can follow: release
+        # the table (a finished run's result keeps its monitor).
+        self.table = BranchTable()
         if tel is not None:
             tel.count("monitor.messages_received", self.messages_received)
             tel.count("monitor.messages_processed", self.messages_processed)

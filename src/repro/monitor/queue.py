@@ -11,7 +11,7 @@ though CPython lists would have been "atomic enough" anyway.
 
 from __future__ import annotations
 
-from typing import Generic, List, Optional, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -73,6 +73,24 @@ class SpscQueue(Generic[T]):
         self._buffer[self._head] = None
         self._head = (self._head + 1) % self._size
         return item
+
+    def save_state(self) -> Tuple[List[T], int]:
+        """The live items, oldest first, and the stall count (a machine
+        checkpoint copies only the occupied slots)."""
+        head, tail, buffer = self._head, self._tail, self._buffer
+        if head <= tail:
+            items = buffer[head:tail]
+        else:
+            items = buffer[head:] + buffer[:tail]
+        return items, self.full_events
+
+    def load_state(self, state: Tuple[List[T], int]) -> None:
+        """Refill a fresh queue from :meth:`save_state` output.  The
+        cursors restart at slot 0; only their distance is observable."""
+        items, self.full_events = state
+        self._buffer[:len(items)] = items
+        self._head = 0
+        self._tail = len(items)
 
     def drain(self, limit: int) -> List[T]:
         """Pop up to ``limit`` items (consumer side)."""

@@ -18,6 +18,12 @@ optimized.
 Faults are injected through a :class:`FaultHook` given the chance to
 observe/alter every branch decision — the simulator's analogue of the
 paper's PIN-based injector.
+
+A run given a *recorder* (:class:`repro.runtime.golden.GoldenRecorder`)
+hands it the machine between quanta so it can take
+:class:`Checkpoint` objects; a run given a checkpoint to *resume* from
+restores that state into its freshly built objects and executes only
+the rest of the run.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import enum
 import random
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -43,6 +50,7 @@ from repro.telemetry import Telemetry, TelemetrySnapshot, active
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.closures import Frame
+    from repro.runtime.golden import GoldenRecorder
 
 
 class ThreadStatus(enum.Enum):
@@ -103,6 +111,33 @@ class FaultHook:
                       branch: Branch, frame: "Frame", taken: bool) -> bool:
         """Observe/modify the decision of a dynamic branch instance."""
         return taken
+
+
+@dataclass
+class Checkpoint:
+    """The complete machine state between two scheduling quanta.
+
+    Taken by :meth:`Machine.checkpoint` during a recorded run and
+    restored by :meth:`Machine.restore` into a freshly built machine of
+    the same program, seed and thread count.  Everything mutable is a
+    copy, so one checkpoint serves any number of resumed runs; immutable
+    parts (compiled blocks, queued messages, register values) are
+    shared.  ``branch_counts`` (per thread) and ``steps`` say where in
+    the run it was taken.
+    """
+
+    steps: int
+    branch_counts: Tuple[int, ...]
+    threads: list
+    memory: tuple
+    mutexes: dict
+    barriers: dict
+    rng: tuple
+    sync_wait_cycles: float
+    monitor: Optional[dict]
+    #: The monitor's telemetry metrics of the prefix (None when the
+    #: recorded run had no collector).
+    metrics: Optional[TelemetrySnapshot]
 
 
 class RunResult:
@@ -170,7 +205,8 @@ class Machine:
                  max_steps: int = 20_000_000,
                  schedule_jitter: float = 2.0,
                  halt_on_detection: bool = False,
-                 telemetry: Optional[Telemetry] = None):
+                 telemetry: Optional[Telemetry] = None,
+                 recorder: Optional["GoldenRecorder"] = None):
         from repro.runtime import closures  # lazy: closures imports us
         if nthreads < 1:
             raise ValueError("nthreads must be at least 1, got %r"
@@ -183,9 +219,19 @@ class Machine:
                 "instrumented module requires a Monitor (mode 'full' or 'feed')")
         self.module = module
         self.nthreads = nthreads
+        if recorder is not None:
+            if fault_hook is not None:
+                raise ValueError("a recorded run takes no fault hook")
+            fault_hook = recorder
         self.monitor = monitor
         self.cost = cost_model if cost_model is not None else CostModel()
         self.hook = fault_hook if fault_hook is not None else FaultHook()
+        self.recorder = recorder
+        #: Private collector of the monitor's in-loop metrics during a
+        #: recorded run with telemetry, so every checkpoint can carry
+        #: the prefix's metrics alone (folded into the run's collector
+        #: when the loop ends).
+        self._loop_telemetry: Optional[Telemetry] = None
         self.quantum = quantum
         self.max_steps = max_steps
         self.halt_on_detection = halt_on_detection
@@ -227,6 +273,9 @@ class Machine:
         wall_started = time.perf_counter_ns() if tel is not None else 0
         if tel is not None:
             tel.event("run_start", nthreads=self.nthreads, seed=self.seed)
+            if self.recorder is not None and self.monitor is not None:
+                self._loop_telemetry = Telemetry()
+                self.monitor.telemetry = self._loop_telemetry
         try:
             self._loop()
         except DetectionRaised:
@@ -244,6 +293,10 @@ class Machine:
         except GuestDeadlock as dead:
             result.status = "deadlock"
             result.failure_message = str(dead)
+        if self._loop_telemetry is not None:
+            self.monitor.telemetry = tel
+            tel.absorb(self._loop_telemetry.snapshot())
+            self._loop_telemetry = None
         for thread in self.threads:
             result.outputs[thread.tid] = thread.outputs
             result.cycles[thread.tid] = thread.cycles
@@ -319,6 +372,10 @@ class Machine:
         batch = (monitor.metadata.config.monitor_batch
                  if monitor is not None else 0)
         halt = self.halt_on_detection
+        recorder = self.recorder
+        # Step count at which the recorder wants the next checkpoint.
+        checkpoint_at = (recorder.next_at if recorder is not None
+                         else float("inf"))
         while True:
             # Pick the runnable thread with the lowest jittered clock.
             # One RNG draw per runnable thread in tid order, ties to the
@@ -345,6 +402,8 @@ class Machine:
                 drain(batch)
                 if halt and monitor.detected:
                     raise DetectionRaised(monitor.first_violation())
+            if self.total_steps >= checkpoint_at:
+                checkpoint_at = recorder.capture(self)
 
     def _resolve_blocked(self) -> bool:
         """Try to unblock queue-stalled producers by draining the monitor."""
@@ -434,6 +493,91 @@ class Machine:
         thread.ghost_skip = 0
         thread.steps += 1 + charged
         self.total_steps += 1 + charged
+
+    # ------------------------------------------------------------------
+    # Checkpoints
+    # ------------------------------------------------------------------
+
+    def checkpoint(self) -> Checkpoint:
+        """Copy the machine state; call only between quanta."""
+        threads = []
+        for t in self.threads:
+            frames = [(f.function, f.cfunc, f.block, f.cblock, f.index,
+                       list(f.regs), f.call_inst) for f in t.frames]
+            threads.append((frames, t.status, t.cycles, list(t.outputs),
+                            t.callsite_key, dict(t.loop_iters),
+                            t.branch_count, t.pending, t.steps,
+                            t.ghost_skip, t.sync_wait, t.queue_stall))
+        monitor = self.monitor
+        loop_tel = self._loop_telemetry
+        return Checkpoint(
+            steps=self.total_steps,
+            branch_counts=tuple(t.branch_count for t in self.threads),
+            threads=threads,
+            memory=self.memory.save_state(),
+            mutexes={name: (m.owner, list(m.waiters), m.last_release,
+                            m.acquisitions, m.contentions)
+                     for name, m in self.mutexes.items()},
+            barriers={name: (b.generation, dict(b.arrived), b.episodes)
+                      for name, b in self.barriers.items()},
+            rng=self._rng.getstate(),
+            sync_wait_cycles=self.sync_wait_cycles,
+            monitor=monitor.save_state() if monitor is not None else None,
+            metrics=loop_tel.snapshot() if loop_tel is not None else None)
+
+    def restore(self, checkpoint: Checkpoint) -> None:
+        """Assign ``checkpoint``'s state into this freshly built machine
+        (and its monitor and telemetry collector); :meth:`run` then
+        continues from the quantum boundary the checkpoint was taken at.
+        Fresh objects with assigned fields run as fast as a new run's;
+        copies of the recorded objects would not."""
+        from repro.runtime.closures import Frame  # lazy: closures imports us
+        if len(checkpoint.threads) != self.nthreads:
+            raise ValueError("checkpoint of %d threads restored into a "
+                             "%d-thread machine"
+                             % (len(checkpoint.threads), self.nthreads))
+        if (checkpoint.monitor is None) != (self.monitor is None):
+            raise ValueError("checkpoint and machine disagree on running "
+                             "a monitor")
+        if self.telemetry is not None and checkpoint.metrics is None:
+            raise ValueError("checkpoint was recorded without telemetry")
+        for thread, saved in zip(self.threads, checkpoint.threads):
+            (frames, thread.status, thread.cycles, outputs,
+             thread.callsite_key, loop_iters, thread.branch_count,
+             thread.pending, thread.steps, thread.ghost_skip,
+             thread.sync_wait, thread.queue_stall) = saved
+            restored = []
+            for function, cfunc, block, cblock, index, regs, call_inst \
+                    in frames:
+                frame = Frame(function, cfunc, block, cblock, list(regs),
+                              call_inst)
+                frame.index = index
+                restored.append(frame)
+            thread.frames = restored
+            thread.outputs = list(outputs)
+            thread.loop_iters = dict(loop_iters)
+        self.memory.load_state(checkpoint.memory)
+        for name, (owner, waiters, last_release, acquisitions,
+                   contentions) in checkpoint.mutexes.items():
+            mutex = self.mutexes[name]
+            mutex.owner = owner
+            mutex.waiters = list(waiters)
+            mutex.last_release = last_release
+            mutex.acquisitions = acquisitions
+            mutex.contentions = contentions
+        for name, (generation, arrived, episodes) in \
+                checkpoint.barriers.items():
+            barrier = self.barriers[name]
+            barrier.generation = generation
+            barrier.arrived = dict(arrived)
+            barrier.episodes = episodes
+        self._rng.setstate(checkpoint.rng)
+        self.total_steps = checkpoint.steps
+        self.sync_wait_cycles = checkpoint.sync_wait_cycles
+        if self.monitor is not None:
+            self.monitor.load_state(checkpoint.monitor)
+        if self.telemetry is not None:
+            self.telemetry.absorb(checkpoint.metrics)
 
     # ------------------------------------------------------------------
     # Register access (the fault injector's seam)

@@ -79,6 +79,20 @@ class SharedMemory:
                 thread_id)
         array[index] = value
 
+    # -- checkpoints -------------------------------------------------------
+
+    def save_state(self) -> tuple:
+        """Copies of every scalar and array plus the access counters."""
+        return (dict(self.scalars),
+                {name: list(array) for name, array in self.arrays.items()},
+                self.loads, self.stores)
+
+    def load_state(self, state: tuple) -> None:
+        """Overwrite this memory with (copies of) a saved state."""
+        scalars, arrays, self.loads, self.stores = state
+        self.scalars = dict(scalars)
+        self.arrays = {name: list(array) for name, array in arrays.items()}
+
     # -- host accessors (kernel setup / result readout) -----------------------
 
     def set_scalar(self, name: str, value: Union[int, float]) -> None:

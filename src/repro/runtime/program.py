@@ -12,16 +12,19 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.analysis import AnalysisConfig, SimilarityResult, analyze_module
 from repro.frontend import compile_source
 from repro.instrument import InstrumentConfig, instrument_module
 from repro.monitor import MODE_FEED, MODE_FULL, Monitor, MonitorMode
 from repro.runtime.costmodel import CostModel
-from repro.runtime.machine import FaultHook, Machine, RunResult
+from repro.runtime.machine import Checkpoint, FaultHook, Machine, RunResult
 from repro.runtime.memory import SharedMemory
 from repro.telemetry import Telemetry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.golden import GoldenRecorder
 
 #: Environment knob mirrored by the CLI ``--opt-level`` flag; resolved
 #: once, when a :class:`ParallelProgram` is built.
@@ -144,11 +147,18 @@ class ParallelProgram:
 
     def run(self, config: RunConfig,
             setup: Optional[Callable[[SharedMemory], None]] = None,
-            fault_hook: Optional[FaultHook] = None) -> RunResult:
+            fault_hook: Optional[FaultHook] = None,
+            resume: Optional[Checkpoint] = None,
+            recorder: Optional["GoldenRecorder"] = None) -> RunResult:
         """Execute one image per ``config.monitor_mode``.
 
         ``setup`` is the host-side ``main()``: it may fill input globals
-        and arrays before the workers start.
+        and arrays before the workers start.  ``resume`` continues a run
+        of the same image and configuration from one of its checkpoints
+        instead (``setup`` is then already part of the restored
+        memory).  ``recorder`` (a
+        :class:`repro.runtime.golden.GoldenRecorder`, in place of a
+        fault hook) records thread classes and checkpoints.
         """
         if config.monitor_mode is None:
             module, monitor = self.baseline, None
@@ -171,8 +181,10 @@ class ParallelProgram:
             max_steps=config.max_steps,
             schedule_jitter=config.schedule_jitter,
             halt_on_detection=config.halt_on_detection,
-            telemetry=config.telemetry)
-        if setup is not None:
+            telemetry=config.telemetry, recorder=recorder)
+        if resume is not None:
+            machine.restore(resume)
+        elif setup is not None:
             setup(machine.memory)
         return machine.run()
 

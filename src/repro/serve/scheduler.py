@@ -435,13 +435,12 @@ class CampaignScheduler:
     def triage(self, job_id: str) -> dict:
         """The clustered triage report of a finished job.
 
-        Rebuilds the :class:`CampaignResult` from the stored payload,
-        derives thread similarity classes from the job's spec (one
-        observation run of the golden schedule, program compile cached
-        in the store), and memoizes the finished report as a
+        Rebuilds the :class:`CampaignResult` from the stored payload
+        (which carries the thread similarity classes its golden run
+        recorded) and memoizes the finished report as a
         content-addressed ``triage`` artifact — repeat requests are a
         store hit, and clients get clustered failure modes instead of
-        raw records.
+        raw records.  Nothing is re-run.
         """
         from repro.store.serialize import result_from_dict
         from repro.triage import triage_campaign

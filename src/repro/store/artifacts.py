@@ -98,6 +98,9 @@ class GoldenSummary:
     signature: tuple
     branch_counts: Dict[int, int]
     steps: int
+    #: Thread similarity classes (sorted tid lists, ordered by least
+    #: member) recorded during the run.
+    thread_classes: List[List[int]]
 
 
 @dataclass

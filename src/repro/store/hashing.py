@@ -42,7 +42,15 @@ from typing import Dict, Optional, Tuple
 #: ``x.type is INT`` identity contract on warm loads).
 #: 3: one execution engine — programs carry no backend, and modules
 #: pickle without their process-local closure cache.
-ARTIFACT_SCHEMA = 3
+#: 4: golden summaries carry the thread similarity classes.
+ARTIFACT_SCHEMA = 4
+
+#: Version of the compiled-program content address.  Program keys are
+#: also part of every campaign plan hash (journals, served jobs), so
+#: they version on their own: bump this only when a compiled program
+#: changes meaning, not when a stored payload changes shape (load
+#: rejects stale payloads by ARTIFACT_SCHEMA and rebuilds them).
+PROGRAM_SCHEMA = 3
 
 #: Version of the campaign-journal line format.  Bump when header or
 #: record fields change incompatibly.
@@ -76,7 +84,7 @@ def program_key(source: str, name: str, entry: str = "slave",
     non-zero.
     """
     payload = {
-        "schema": ARTIFACT_SCHEMA,
+        "schema": PROGRAM_SCHEMA,
         "kind": "program",
         "source": source,
         "name": name,

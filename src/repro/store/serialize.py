@@ -29,7 +29,8 @@ RECORD_SCHEMA = 1
 
 #: Version of one serialized CampaignResult (the :mod:`repro.serve`
 #: fetch payload and the store's ``result`` artifact kind).
-RESULT_SCHEMA = 1
+#: 2: results carry the golden run's thread similarity classes.
+RESULT_SCHEMA = 2
 
 
 def spec_to_dict(spec: FaultSpec) -> dict:
@@ -135,7 +136,8 @@ def result_to_dict(result) -> dict:
     golden :class:`RunResult` is deliberately not included (it is an
     execution artifact, not a result; its fingerprint lives in the
     journal), so a round-tripped result compares against a serial run on
-    stats, records, stratified summary, and telemetry."""
+    stats, records, stratified summary, thread classes, and
+    telemetry."""
     # Wire contract: records ship in strictly ascending injection-index
     # order whatever order the campaign's shards completed in, so two
     # fetches of the same campaign — serial or jobs=N — are
@@ -149,6 +151,7 @@ def result_to_dict(result) -> dict:
         "stats": stats_to_dict(result.stats),
         "records": records,
         "stratified": result.stratified,
+        "thread_classes": [list(cls) for cls in result.thread_classes],
         "telemetry": (None if result.telemetry is None
                       else result.telemetry.to_dict()),
     }
@@ -184,7 +187,9 @@ def result_from_dict(data: dict):
             stats=stats_from_dict(data["stats"]),
             records=records,
             telemetry=telemetry,
-            stratified=data.get("stratified"))
+            stratified=data.get("stratified"),
+            thread_classes=[[int(tid) for tid in cls]
+                            for cls in data["thread_classes"]])
     except StoreCorruptError:
         raise
     except (KeyError, ValueError, TypeError, IndexError) as exc:

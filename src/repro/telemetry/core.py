@@ -251,6 +251,22 @@ class Telemetry:
             pair[0] += 1
             pair[1] += int(ns)
 
+    def absorb(self, snapshot: TelemetrySnapshot) -> None:
+        """Add ``snapshot``'s metrics (not its events) to this collector,
+        as if they had been recorded here."""
+        for name, value in snapshot.counters.items():
+            self.count(name, value)
+        for name, value in snapshot.gauges.items():
+            self.gauge_max(name, value)
+        for name, buckets in snapshot.hists.items():
+            mine = self._hists.setdefault(name, {})
+            for bucket, count in buckets.items():
+                mine[bucket] = mine.get(bucket, 0) + count
+        for name, (count, total) in snapshot.timers.items():
+            pair = self._timers.setdefault(name, [0, 0])
+            pair[0] += count
+            pair[1] += total
+
     @contextmanager
     def timer(self, name: str):
         started = time.perf_counter_ns()
@@ -308,6 +324,9 @@ class NullTelemetry(Telemetry):
         pass
 
     def add_time_ns(self, name: str, ns: int) -> None:
+        pass
+
+    def absorb(self, snapshot: TelemetrySnapshot) -> None:
         pass
 
     @contextmanager

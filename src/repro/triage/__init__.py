@@ -37,11 +37,7 @@ from repro.triage.report import (
     triage_campaign,
     triage_fingerprint,
 )
-from repro.triage.similarity import (
-    class_ranks,
-    classes_from_counts,
-    observe_thread_classes,
-)
+from repro.triage.similarity import class_ranks, observe_thread_classes
 from repro.triage.witness import (
     canonical_site,
     canonical_witness,
@@ -54,7 +50,7 @@ from repro.triage.witness import (
 __all__ = [
     "PERF_METRICS", "TRIAGE_SCHEMA", "TriageReport", "build_report",
     "canonical_site", "canonical_witness", "class_ranks",
-    "classes_from_counts", "cluster_witnesses", "normalize_detail",
+    "cluster_witnesses", "normalize_detail",
     "observe_thread_classes", "perf_anomalies", "result_fingerprint",
     "thread_vectors", "token_distance", "triage_campaign",
     "triage_fingerprint", "witness_hash",

@@ -2,14 +2,13 @@
 
 :func:`build_report` is the pure core: records + thread classes in, a
 :class:`TriageReport` out, touching only seed-deterministic data (the
-record fields, the event stream, the golden branch counts) so the same
-campaign yields byte-identical reports under any ``jobs=N``.
-:func:`triage_campaign` is the convenience wrapper that resolves the
-thread classes (observation run when a program/spec is at hand, golden
-fallback otherwise) and caches the finished report as a ``triage``
-artifact in the store, keyed by :func:`triage_fingerprint` — a hash of
-the campaign's deterministic outcome rows, the classes, and the
-clustering parameters.
+record fields, the event stream, the golden run's thread classes) so
+the same campaign yields byte-identical reports under any ``jobs=N``.
+:func:`triage_campaign` is the convenience wrapper that reads the
+thread classes the golden run recorded and caches the finished report
+as a ``triage`` artifact in the store, keyed by
+:func:`triage_fingerprint` — a hash of the campaign's deterministic
+outcome rows, the classes, and the clustering parameters.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ from typing import List, Optional
 from repro.faults.outcomes import Outcome
 from repro.store.hashing import canonical_json
 from repro.triage.perf import perf_anomalies, thread_vectors
-from repro.triage.similarity import (
-    class_ranks,
-    default_classes,
-    observe_thread_classes,
-)
+from repro.triage.similarity import class_ranks, observe_thread_classes
 from repro.triage.witness import (
     canonical_witness,
     cluster_witnesses,
@@ -195,7 +190,7 @@ def build_report(result, classes=None, merge_distance: int = 1,
             "keep_records=True (the default for repro-minic inject and "
             "repro.serve) to triage it")
     if classes is None:
-        classes = default_classes(result)
+        classes = observe_thread_classes(result)
     ranks = class_ranks(classes)
     golden_steps = _golden_steps(result)
 
@@ -251,29 +246,31 @@ def build_report(result, classes=None, merge_distance: int = 1,
     return TriageReport(data)
 
 
-def triage_campaign(result, spec=None, program=None, setup=None,
-                    store=None, merge_distance: int = 1) -> TriageReport:
-    """Triage one campaign result, resolving thread classes and caching.
+def triage_campaign(result, spec=None, program=None, store=None,
+                    merge_distance: int = 1) -> TriageReport:
+    """Triage one campaign result under the thread classes its golden
+    run recorded, caching the report.
 
-    With the campaign's ``spec`` the similarity classes come from one
-    observation run of the golden schedule (``program=`` and ``setup=``
-    override the spec-resolved program and inputs); otherwise from the
-    golden run's branch counts.  A ``store`` memoizes the finished
-    report as a content-addressed ``triage`` artifact
-    (``store.triage.hit`` / ``store.triage.miss``).
+    ``spec`` (and with it ``program``), when given, must describe the
+    campaign: a mismatched fault model, thread count or program name is
+    an error.  A ``store`` memoizes the finished report as a
+    content-addressed ``triage`` artifact (``store.triage.hit`` /
+    ``store.triage.miss``).
     """
-    if spec is None:
-        if program is not None:
-            raise TypeError("triage_campaign(program=...) needs the "
-                            "campaign's spec=")
-        classes = default_classes(result)
-    else:
-        if program is None:
-            program = spec.resolve_program(store)
-        if setup is None:
-            setup = spec.default_setup()
-        classes = observe_thread_classes(program, spec.campaign_config(),
-                                         setup=setup)
+    if program is not None and spec is None:
+        raise TypeError("triage_campaign(program=...) needs the "
+                        "campaign's spec=")
+    if spec is not None:
+        stats = result.stats
+        if (spec.fault_type.value != stats.fault_type
+                or spec.nthreads != stats.nthreads
+                or (program is not None and program.name != stats.program)):
+            raise ValueError(
+                "spec (%s, %d threads) does not describe this campaign "
+                "(%s on %s, %d threads)"
+                % (spec.fault_type.value, spec.nthreads, stats.fault_type,
+                   stats.program, stats.nthreads))
+    classes = observe_thread_classes(result)
 
     def compute() -> dict:
         return build_report(result, classes=classes,

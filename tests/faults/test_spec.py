@@ -58,12 +58,21 @@ class TestRoundTrip:
         assert spec.replace(store="/tmp/s").plan_hash == spec.plan_hash
 
     def test_plan_hash_is_pinned(self):
-        # The value every earlier build computed for this spec: a change
-        # here orphans every journal and serve job already on disk.
-        spec = CampaignSpec.for_kernel("radix", fault="flip", injections=30,
-                                       nthreads=4, seed=7)
-        assert spec.plan_hash == ("b93402049303ef43116e7bf63b8ab9c8"
-                                  "46e69b8234e068f0704954eed0bd9709")
+        # The values every earlier build computed for this spec: a change
+        # here orphans every journal and serve job already on disk.  The
+        # opt level is part of the plan, so each level has its own pin;
+        # stating it keeps $REPRO_OPT_LEVEL from choosing one.
+        pinned = {
+            0: ("b93402049303ef43116e7bf63b8ab9c8"
+                "46e69b8234e068f0704954eed0bd9709"),
+            2: ("bb03cf6546d0307775aa5ce38152fcd8"
+                "aba7228834e6bcd0d166e23c311539a1"),
+        }
+        for opt_level, plan_hash in pinned.items():
+            spec = CampaignSpec.for_kernel("radix", fault="flip",
+                                           injections=30, nthreads=4,
+                                           seed=7, opt_level=opt_level)
+            assert spec.plan_hash == plan_hash, opt_level
 
 
 class TestValidation:

@@ -155,3 +155,22 @@ class TestBadPrograms:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tool", ["repro-lint", "repro-lint vuln",
+                                      "repro-triage"])
+    def test_empty_file_exits_2_in_every_tool(self, tmp_path, capsys, tool):
+        from repro.lint.cli import main as lint_main
+        from repro.triage.cli import main as triage_main
+        path = str(tmp_path / "empty.mc")
+        open(path, "w").close()
+        argv = [path] if tool != "repro-lint vuln" else ["vuln", path]
+        entry = triage_main if tool == "repro-triage" else lint_main
+        try:
+            status = entry(argv)
+        except SystemExit as exc:
+            status = exc.code
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -1,14 +1,59 @@
-"""Thread similarity classes: stream grouping, fallbacks, and the
-observation run on the paper's Figure 1 program."""
+"""Thread similarity classes: stream grouping, the classes the golden
+run records, and their agreement with a reference observation run."""
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import pytest
 
-from repro.faults.campaign import CampaignConfig
-from repro.triage import class_ranks, classes_from_counts, observe_thread_classes
-from repro.triage.similarity import BlockStreamHook, default_classes, group_streams
-from tests.conftest import figure1_setup
+from repro.faults.campaign import CampaignConfig, golden_run, run_campaign
+from repro.faults.spec import CampaignSpec
+from repro.runtime.golden import GoldenRecorder, group_streams
+from repro.runtime.machine import FaultHook
+from repro.runtime.program import RunConfig
+from repro.splash2 import all_kernels
+from repro.triage import class_ranks, observe_thread_classes
+from tests.conftest import FIGURE_1, figure1_setup
+
+
+class BlockStreamHook(FaultHook):
+    """Reference recorder: each thread's full ``(function, block,
+    decision)`` branch stream, kept as a list.  The golden run records
+    a digest of the same stream; the classes must agree."""
+
+    def __init__(self) -> None:
+        self.streams: Dict[int, List[tuple]] = {}
+
+    def before_branch(self, machine, thread, branch, frame, taken):
+        block = branch.parent
+        self.streams.setdefault(thread.tid, []).append(
+            (block.parent.name, block.name, bool(taken)))
+        return taken
+
+
+def reference_classes(program, config, setup) -> List[List[int]]:
+    """Classes from one hooked run of the golden schedule."""
+    hook = BlockStreamHook()
+    result = program.run(
+        RunConfig(nthreads=config.nthreads, seed=config.seed,
+                  quantum=config.quantum),
+        setup=setup, fault_hook=hook)
+    assert result.status == "ok" and not result.detected
+    return group_streams(hook.streams, config.nthreads)
+
+
+def recorded_classes(program, config, setup) -> List[List[int]]:
+    recorder = GoldenRecorder()
+    golden = golden_run(program, config, setup, recorder)
+    return recorder.thread_classes(golden.branch_counts)
+
+
+def figure1_campaign(program, seed):
+    spec = CampaignSpec.build(FIGURE_1, name="figure1", nthreads=4,
+                              seed=seed, injections=1)
+    return run_campaign(spec, program=program, setup=figure1_setup(4),
+                        store=None)
 
 
 def test_group_streams_identical_streams_share_a_class():
@@ -34,12 +79,6 @@ def test_group_streams_missing_tids_get_empty_streams():
     assert group_streams({}, 3) == [[0, 1, 2]]
 
 
-def test_classes_from_counts():
-    assert classes_from_counts({0: 26, 1: 27, 2: 26, 3: 28}) == [
-        [0, 2], [1], [3]]
-    assert classes_from_counts({}) == []
-
-
 def test_class_ranks():
     assert class_ranks([[0, 2], [1], [3]]) == {0: 0, 2: 0, 1: 1, 3: 2}
     assert class_ranks([]) == {}
@@ -50,9 +89,7 @@ def test_observe_figure1_classes(figure1_program):
     # whose gp[procid] clears im-1, and those whose does not.  The
     # decision-aware streams see it; block identity alone would not
     # (the divergent arms are straight-line).
-    classes = observe_thread_classes(
-        figure1_program, CampaignConfig(nthreads=4, seed=3),
-        setup=figure1_setup(4))
+    classes = observe_thread_classes(figure1_campaign(figure1_program, 3))
     assert len(classes) == 3
     assert sorted(tid for cls in classes for tid in cls) == [0, 1, 2, 3]
     # Canonical form: each class sorted, classes ordered by least member.
@@ -63,17 +100,12 @@ def test_observe_figure1_classes(figure1_program):
 
 
 def test_observation_run_is_deterministic(figure1_program):
-    config = CampaignConfig(nthreads=4, seed=12345)
-    first = observe_thread_classes(figure1_program, config,
-                                   setup=figure1_setup(4))
-    second = observe_thread_classes(figure1_program, config,
-                                    setup=figure1_setup(4))
+    first = observe_thread_classes(figure1_campaign(figure1_program, 12345))
+    second = observe_thread_classes(figure1_campaign(figure1_program, 12345))
     assert first == second
 
 
 def test_block_stream_hook_passes_decisions_through(figure1_program):
-    from repro.runtime.program import RunConfig
-
     hook = BlockStreamHook()
     result = figure1_program.run(RunConfig(nthreads=4, seed=3),
                                  setup=figure1_setup(4), fault_hook=hook)
@@ -85,20 +117,25 @@ def test_block_stream_hook_passes_decisions_through(figure1_program):
             assert isinstance(taken, bool)
 
 
-def test_default_classes_fallbacks():
-    class Stats:
-        nthreads = 4
+def test_observe_reads_without_running():
+    class Unrecorded:
+        thread_classes: List[List[int]] = []
 
-    class Result:
-        stats = Stats()
-        golden = None
-        records = []
+    with pytest.raises(ValueError, match="no thread classes"):
+        observe_thread_classes(Unrecorded())
 
-    assert default_classes(Result()) == [[0, 1, 2, 3]]
 
-    class Golden:
-        branch_counts = {0: 10, 1: 12, 2: 10, 3: 12}
+@pytest.mark.parametrize("kernel", [k.name for k in all_kernels()])
+def test_recorded_classes_match_reference_run(compiled_kernels, kernel):
+    spec, program = compiled_kernels[kernel]
+    config = CampaignConfig(nthreads=4, seed=2012)
+    setup = spec.setup(4)
+    assert (recorded_classes(program, config, setup)
+            == reference_classes(program, config, setup))
 
-    result = Result()
-    result.golden = Golden()
-    assert default_classes(result) == [[0, 2], [1, 3]]
+
+def test_recorded_classes_match_reference_run_figure1(figure1_program):
+    config = CampaignConfig(nthreads=4, seed=3)
+    assert (recorded_classes(figure1_program, config, figure1_setup(4))
+            == reference_classes(figure1_program, config,
+                                 figure1_setup(4)))
