@@ -17,6 +17,7 @@ Run:  python examples/scalability_study.py [kernel ...]
 import sys
 
 from repro.analysis import format_table
+from repro.monitor import MonitorMode
 from repro.splash2 import KERNELS, kernel
 
 THREADS = (1, 2, 4, 8, 16, 32)
@@ -31,7 +32,7 @@ def study(name: str):
         setup = spec.setup(nthreads)
         base = prog.run_baseline(nthreads, setup=setup)
         prot = prog.run_protected(nthreads, setup=setup,
-                                  monitor_mode="feed")
+                                  monitor_mode=MonitorMode.FEED)
         if single_thread_time is None:
             single_thread_time = base.parallel_time
         rows.append([

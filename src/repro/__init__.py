@@ -43,7 +43,7 @@ from repro.faults import (
 )
 from repro.frontend import compile_source
 from repro.instrument import InstrumentConfig, instrument_module
-from repro.monitor import MODE_FEED, MODE_FULL, Monitor, MonitorMode
+from repro.monitor import Monitor, MonitorMode
 from repro.runtime import CostModel, Machine, ParallelProgram, RunConfig, RunResult
 from repro.telemetry import Telemetry, TelemetrySnapshot
 from repro.triage import TriageReport, triage_campaign
@@ -57,7 +57,7 @@ __all__ = [
     "FaultType", "Outcome", "run_campaign",
     "compile_source",
     "InstrumentConfig", "instrument_module",
-    "MODE_FEED", "MODE_FULL", "Monitor", "MonitorMode",
+    "Monitor", "MonitorMode",
     "CostModel", "Machine", "ParallelProgram", "RunConfig", "RunResult",
     "Telemetry", "TelemetrySnapshot",
     "TriageReport", "triage_campaign",

@@ -33,7 +33,7 @@ control.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.analysis import (
     AnalysisConfig,
@@ -113,7 +113,7 @@ class BlockWatch:
     # -- execution ---------------------------------------------------------
 
     def run(self, nthreads: int, setup: Setup = None, seed: int = 0,
-            monitor_mode: Union[MonitorMode, str] = MonitorMode.FULL,
+            monitor_mode: MonitorMode = MonitorMode.FULL,
             telemetry: Optional[Telemetry] = None, **kwargs) -> RunResult:
         """Run the protected program.
 

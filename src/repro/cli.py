@@ -36,7 +36,7 @@ from repro.errors import AnalysisError, ReproError
 from repro.faults import CampaignSpec, FaultType
 from repro.frontend import compile_source
 from repro.ir import print_module
-from repro.monitor import MODE_FULL
+from repro.monitor import MonitorMode
 from repro.runtime.memory import SharedMemory
 from repro.telemetry import Telemetry, write_trace
 
@@ -182,7 +182,7 @@ def _run_once(args, trace_path: Optional[str]):
                                      seed=args.seed, telemetry=telemetry)
         else:
             result = bw.run(args.threads, setup=setup, seed=args.seed,
-                            monitor_mode=MODE_FULL, telemetry=telemetry)
+                            monitor_mode=MonitorMode.FULL, telemetry=telemetry)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return None

@@ -32,7 +32,7 @@ from repro.faults.injector import InjectingHook, plan_fault
 from repro.faults.models import FaultSpec, FaultType
 from repro.faults.outcomes import CampaignStats, Outcome
 from repro.faults.spec import CampaignSpec
-from repro.monitor import MODE_FULL
+from repro.monitor import MonitorMode
 from repro.parallel import derive_seed, run_tasks
 from repro.runtime.golden import GoldenRecorder, select_checkpoint
 from repro.runtime.machine import Checkpoint, RunResult
@@ -164,7 +164,7 @@ def golden_run(program: ParallelProgram, config: CampaignConfig,
     thread classes and checkpoints."""
     result = program.run(
         RunConfig(nthreads=config.nthreads, seed=config.seed,
-                  monitor_mode=MODE_FULL, quantum=config.quantum,
+                  monitor_mode=MonitorMode.FULL, quantum=config.quantum,
                   telemetry=telemetry),
         setup=setup, recorder=recorder)
     if result.status != "ok":
@@ -725,7 +725,7 @@ def run_one_injection(program: ParallelProgram, spec: FaultSpec,
     hook = InjectingHook(spec)
     run = program.run(
         RunConfig(nthreads=config.nthreads, seed=config.seed,
-                  monitor_mode=MODE_FULL, max_steps=max_steps,
+                  monitor_mode=MonitorMode.FULL, max_steps=max_steps,
                   quantum=config.quantum, telemetry=telemetry),
         setup=setup, fault_hook=hook,
         resume=select_checkpoint(checkpoints, spec.thread_id,

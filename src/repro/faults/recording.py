@@ -55,7 +55,7 @@ def record_site_streams(program, config, setup=None,
     behave like a golden run (non-ok status or a detection).
     """
     from repro.lint.vuln import analyze_program, branch_site_map
-    from repro.monitor import MODE_FULL
+    from repro.monitor import MonitorMode
     from repro.runtime.program import RunConfig
 
     if report is None:
@@ -65,7 +65,7 @@ def record_site_streams(program, config, setup=None,
     hook = RecordingHook(branch_site_map(program.protected, report))
     result = program.run(
         RunConfig(nthreads=config.nthreads, seed=config.seed,
-                  monitor_mode=MODE_FULL, quantum=config.quantum),
+                  monitor_mode=MonitorMode.FULL, quantum=config.quantum),
         setup=setup, fault_hook=hook)
     if result.status != "ok":
         raise RuntimeError("recording run failed: %s (%s)"

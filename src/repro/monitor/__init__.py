@@ -2,25 +2,18 @@
 and the category-specific similarity checks."""
 
 from repro.monitor.checker import (
+    CheckSite,
     CheckStatistics,
     Violation,
-    check_instance,
+    check_sites,
 )
 from repro.monitor.hashtable import BranchTable, InstanceEntry
-from repro.monitor.messages import (
-    BranchMessage,
-    ConditionMessage,
-    OutcomeMessage,
-    RuntimeKey,
-)
 from repro.monitor.hierarchy import HierarchicalMonitor
-from repro.monitor.monitor import MODE_FEED, MODE_FULL, Monitor, MonitorMode
+from repro.monitor.monitor import Monitor, MonitorMode
 from repro.monitor.queue import SpscQueue
 
 __all__ = [
-    "CheckStatistics", "Violation", "check_instance",
+    "CheckSite", "CheckStatistics", "Violation", "check_sites",
     "BranchTable", "InstanceEntry",
-    "BranchMessage", "ConditionMessage", "OutcomeMessage", "RuntimeKey",
-    "MODE_FEED", "MODE_FULL", "MonitorMode",
-    "HierarchicalMonitor", "Monitor", "SpscQueue",
+    "MonitorMode", "HierarchicalMonitor", "Monitor", "SpscQueue",
 ]

@@ -29,9 +29,9 @@ to detect errors".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.instrument.config import CheckedBranchInfo
+from repro.instrument.config import CheckedBranchInfo, InstrumentationMetadata
 from repro.monitor.hashtable import InstanceEntry
 
 
@@ -51,24 +51,6 @@ class Violation:
             ",".join(str(t) for t in self.thread_ids))
 
 
-def check_instance(entry: InstanceEntry) -> Optional[Violation]:
-    """Run the check appropriate to the entry's branch; None if clean."""
-    kind = entry.info.check_kind
-    if kind == "shared":
-        return _check_shared(entry)
-    if kind == "uniform":
-        return _check_uniform(entry)
-    if kind == "tid_eq":
-        return _check_tid_eq(entry)
-    if kind == "tid_monotone":
-        return _check_tid_monotone(entry)
-    if kind == "partial":
-        return _check_partial(entry)
-    if kind == "store_shared":
-        return _check_store_shared(entry)
-    raise ValueError("unknown check kind %r" % kind)
-
-
 def _check_store_shared(entry: InstanceEntry) -> Optional[Violation]:
     """The check_stores extension: the stored value is statically shared,
     so every reporting thread must have shipped the same value."""
@@ -78,7 +60,7 @@ def _check_store_shared(entry: InstanceEntry) -> Optional[Violation]:
     base_tid, base_values = reported[0]
     for tid, values in reported[1:]:
         if values != base_values:
-            return Violation(entry.info, "store-shared",
+            return Violation(entry.site.info, "store-shared",
                              "stored values differ: %r vs %r"
                              % (base_values, values), (base_tid, tid))
     return None
@@ -99,11 +81,11 @@ def _check_shared(entry: InstanceEntry) -> Optional[Violation]:
     base_tid, base_values, base_outcome = pairs[0]
     for tid, values, outcome in pairs[1:]:
         if values != base_values:
-            return Violation(entry.info, "shared-values",
+            return Violation(entry.site.info, "shared-values",
                              "condition values differ: %r vs %r"
                              % (base_values, values), (base_tid, tid))
         if outcome != base_outcome:
-            return Violation(entry.info, "shared-outcome",
+            return Violation(entry.site.info, "shared-outcome",
                              "branch decisions differ", (base_tid, tid))
     return None
 
@@ -118,7 +100,7 @@ def _check_uniform(entry: InstanceEntry) -> Optional[Violation]:
     base_tid, _, base_outcome = pairs[0]
     for tid, _, outcome in pairs[1:]:
         if outcome != base_outcome:
-            return Violation(entry.info, "uniform",
+            return Violation(entry.site.info, "uniform",
                              "branch decisions differ (tid-invariant "
                              "condition)", (base_tid, tid))
     return None
@@ -128,7 +110,7 @@ def _check_shared_side(entry: InstanceEntry, pairs) -> Optional[Violation]:
     """Common sub-check for tid branches: the basis is ``(lhs, rhs)`` and
     ``info.shared_operand_index`` names the operand that is shared across
     threads (if any); it must agree."""
-    index = entry.info.shared_operand_index
+    index = entry.site.info.shared_operand_index
     if index < 0:
         return None
     with_values = [(tid, values) for tid, values, _ in pairs
@@ -138,7 +120,7 @@ def _check_shared_side(entry: InstanceEntry, pairs) -> Optional[Violation]:
     base_tid, base_values = with_values[0]
     for tid, values in with_values[1:]:
         if values[index] != base_values[index]:
-            return Violation(entry.info, "tid-shared-operand",
+            return Violation(entry.site.info, "tid-shared-operand",
                              "shared operand differs: %r vs %r"
                              % (base_values[index], values[index]),
                              (base_tid, tid))
@@ -155,12 +137,12 @@ def _check_tid_eq(entry: InstanceEntry) -> Optional[Violation]:
     # For 'eq' at most one thread's compare is true -> at most one taken;
     # for 'ne' at most one false -> at most one NOT taken.  Sound because
     # the tid expression is provably injective across threads.
-    sense = entry.info.eq_sense
+    sense = entry.site.info.eq_sense
     offenders = [tid for tid, _, outcome in pairs
                  if (outcome if sense == "eq" else not outcome)]
     if len(offenders) > 1:
         what = "took the branch" if sense == "eq" else "fell through"
-        return Violation(entry.info, "tid-eq",
+        return Violation(entry.site.info, "tid-eq",
                          "%d threads %s; at most one may" % (len(offenders), what),
                          tuple(offenders))
     return None
@@ -187,7 +169,7 @@ def _check_tid_monotone(entry: InstanceEntry) -> Optional[Violation]:
         reporting.append((diff, outcome, tid))
     if len(reporting) < 2:
         return None
-    if entry.info.monotone_dir == "low":
+    if entry.site.info.monotone_dir == "low":
         reporting.sort(key=lambda item: (item[0], not item[1]))
         outcomes = [outcome for _, outcome, _ in reporting]
         legal = sorted(outcomes, reverse=True)   # takers first
@@ -196,23 +178,21 @@ def _check_tid_monotone(entry: InstanceEntry) -> Optional[Violation]:
         outcomes = [outcome for _, outcome, _ in reporting]
         legal = sorted(outcomes)                 # takers last
     if outcomes != legal:
-        return Violation(entry.info, "tid-monotone",
+        return Violation(entry.site.info, "tid-monotone",
                          "taken set is not the %s-difference block of the "
-                         "operand order" % entry.info.monotone_dir,
+                         "operand order" % entry.site.info.monotone_dir,
                          tuple(tid for _, _, tid in reporting))
     # Ties must agree: an equal (lhs - rhs) difference implies an equal
     # outcome for every ordered compare.
     by_diff = {}
     for diff, outcome, tid in reporting:
         if diff in by_diff and by_diff[diff][0] != outcome:
-            return Violation(entry.info, "tid-monotone",
+            return Violation(entry.site.info, "tid-monotone",
                              "threads with equal operand difference %r "
                              "decided differently" % (diff,),
                              (by_diff[diff][1], tid))
         by_diff.setdefault(diff, (outcome, tid))
     return None
-
-
 
 
 def _check_partial(entry: InstanceEntry) -> Optional[Violation]:
@@ -227,12 +207,59 @@ def _check_partial(entry: InstanceEntry) -> Optional[Violation]:
             first_tid, first_outcome = group_outcome[values]
             if outcome != first_outcome:
                 return Violation(
-                    entry.info, "partial",
+                    entry.site.info, "partial",
                     "threads with equal condition %r decided differently"
                     % (values,), (first_tid, tid))
         else:
             group_outcome[values] = (tid, outcome)
     return None
+
+
+_CHECKS = {
+    "shared": _check_shared,
+    "uniform": _check_uniform,
+    "tid_eq": _check_tid_eq,
+    "tid_monotone": _check_tid_monotone,
+    "partial": _check_partial,
+    "store_shared": _check_store_shared,
+}
+
+
+class CheckSite:
+    """One checked static branch, built once per compiled program.
+
+    It holds everything the monitor needs to check an instance of the
+    branch: the check function of its kind, its completion rule, and its
+    statistics and telemetry names.  Every message of the branch carries
+    its site, so the monitor never looks a branch up or dispatches on a
+    check-kind string.
+    """
+
+    __slots__ = ("info", "check", "values_only", "check_metric",
+                 "violation_metric")
+
+    def __init__(self, info: CheckedBranchInfo):
+        check = _CHECKS.get(info.check_kind)
+        if check is None:
+            raise ValueError("unknown check kind %r" % info.check_kind)
+        self.info = info
+        self.check = check
+        #: Store-value checks have no outcome message (there is no
+        #: decision to report): their instances are complete once every
+        #: thread sent its value.
+        self.values_only = info.check_kind.startswith("store")
+        self.check_metric = "monitor.check." + info.check_kind
+        self.violation_metric = "monitor.violation." + info.check_kind
+
+    def __repr__(self) -> str:
+        return "CheckSite(#%d %s)" % (self.info.static_id,
+                                      self.info.check_kind)
+
+
+def check_sites(metadata: InstrumentationMetadata) -> Dict[int, CheckSite]:
+    """static branch id -> the branch's check site."""
+    return {static_id: CheckSite(info)
+            for static_id, info in metadata.branches.items()}
 
 
 @dataclass

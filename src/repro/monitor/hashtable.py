@@ -17,100 +17,98 @@ aligned without ever mixing distinct dynamic instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
-from repro.instrument.config import CheckedBranchInfo
-from repro.monitor.messages import RuntimeKey
+if TYPE_CHECKING:  # checker imports this module
+    from repro.monitor.checker import CheckSite
 
 
-@dataclass
 class InstanceEntry:
     """All reports for one dynamic instance of one branch."""
 
-    info: CheckedBranchInfo
-    #: thread id -> condition basis values (from sendBranchCondition)
-    values: Dict[int, Tuple] = field(default_factory=dict)
-    #: thread id -> branch outcome (from sendBranchAddr)
-    outcomes: Dict[int, bool] = field(default_factory=dict)
-    checked: bool = False
+    __slots__ = ("site", "values", "outcomes", "checked")
 
-    @property
-    def reporters(self) -> int:
-        return len(self.outcomes)
-
-    def complete_for(self, nthreads: int) -> bool:
-        """All worker threads have reported this instance.
-
-        Store-value checks have no outcome message (there is no decision
-        to report), so completeness is value-count only for them."""
-        if self.info.check_kind.startswith("store"):
-            return len(self.values) == nthreads
-        return len(self.outcomes) == nthreads and len(self.values) == nthreads
+    def __init__(self, site: "CheckSite",
+                 values: Optional[Dict[int, Tuple]] = None,
+                 outcomes: Optional[Dict[int, bool]] = None,
+                 checked: bool = False):
+        self.site = site
+        #: thread id -> condition basis values (from sendBranchCondition)
+        self.values = {} if values is None else values
+        #: thread id -> branch outcome (from sendBranchAddr)
+        self.outcomes = {} if outcomes is None else outcomes
+        self.checked = checked
 
 
 class BranchTable:
     """Two-level hash table plus per-thread occurrence counters."""
 
     def __init__(self):
-        # level 1: (call-site path, static id) -> level 2 dict
-        # level 2: (loop iterations, occurrence) -> InstanceEntry
-        self._table: Dict[Tuple[Tuple[int, ...], int],
-                          Dict[Tuple[Tuple[int, ...], int], InstanceEntry]] = {}
-        # (level1 key, loop iters, thread, message kind) -> occurrences seen
+        #: level 1: (call-site path, static id) -> level 2 dict;
+        #: level 2: (loop iterations, occurrence) -> InstanceEntry
+        self._levels: Dict[Tuple[Tuple[int, ...], int],
+                           Dict[Tuple[Tuple[int, ...], int],
+                                InstanceEntry]] = {}
+        #: (level-1 key, loop iterations, thread, is outcome) ->
+        #: reports of that kind seen so far
         self._occurrence: Dict[Tuple, int] = {}
-        self.entries_created = 0
 
-    def _entry(self, info: CheckedBranchInfo, key: RuntimeKey,
-               thread_id: int, kind: str) -> InstanceEntry:
-        call_path, loop_iters = key
-        level1_key = (call_path, info.static_id)
-        occ_key = (level1_key, loop_iters, thread_id, kind)
-        occurrence = self._occurrence.get(occ_key, 0)
-        self._occurrence[occ_key] = occurrence + 1
-        level2 = self._table.setdefault(level1_key, {})
-        level2_key = (loop_iters, occurrence)
-        entry = level2.get(level2_key)
-        if entry is None:
-            entry = InstanceEntry(info=info)
-            level2[level2_key] = entry
-            self.entries_created += 1
-        return entry
+    def file(self, messages: Iterable[Tuple], nthreads: int,
+             on_complete: Callable[[InstanceEntry], None]) -> None:
+        """File a drained batch of ``(site, tid, key, payload,
+        is_outcome)`` messages, calling ``on_complete`` on an unchecked
+        instance once all ``nthreads`` threads have reported it.
 
-    def record_condition(self, info: CheckedBranchInfo, key: RuntimeKey,
-                         thread_id: int, values: Tuple) -> InstanceEntry:
-        entry = self._entry(info, key, thread_id, "cond")
-        entry.values[thread_id] = values
-        return entry
-
-    def record_outcome(self, info: CheckedBranchInfo, key: RuntimeKey,
-                       thread_id: int, taken: bool) -> InstanceEntry:
-        entry = self._entry(info, key, thread_id, "outcome")
-        entry.outcomes[thread_id] = taken
-        return entry
-
-    def all_entries(self) -> List[InstanceEntry]:
-        return [entry for level2 in self._table.values()
-                for entry in level2.values()]
+        The k-th report of a thread for one (call path, branch, loop
+        iterations) key joins the k-th instance.  One call per batch
+        keeps the per-message work inline.
+        """
+        levels = self._levels
+        occurrence = self._occurrence
+        for site, tid, key, payload, is_outcome in messages:
+            call_path, loop_iters = key
+            level1_key = (call_path, site.info.static_id)
+            occ_key = (level1_key, loop_iters, tid, is_outcome)
+            seen = occurrence.get(occ_key, 0)
+            occurrence[occ_key] = seen + 1
+            level2 = levels.get(level1_key)
+            if level2 is None:
+                level2 = levels[level1_key] = {}
+            level2_key = (loop_iters, seen)
+            entry = level2.get(level2_key)
+            if entry is None:
+                entry = level2[level2_key] = InstanceEntry(site)
+            if is_outcome:
+                entry.outcomes[tid] = payload
+            else:
+                entry.values[tid] = payload
+            if (not entry.checked and len(entry.values) == nthreads
+                    and (site.values_only
+                         or len(entry.outcomes) == nthreads)):
+                on_complete(entry)
 
     def pending_entries(self) -> List[InstanceEntry]:
-        return [e for e in self.all_entries() if not e.checked]
+        """Unchecked instances, in level-1 then level-2 insertion order
+        (the final sweep's order)."""
+        return [entry for level2 in self._levels.values()
+                for entry in level2.values() if not entry.checked]
 
     def save_state(self) -> Tuple:
-        """A copy of the table, occurrence counters and entry count that
-        later runs of the same prefix can :meth:`load_state` from.
+        """A copy of the table and occurrence counters that later runs
+        of the same prefix can :meth:`load_state` from.
 
         Flat encoding: one list of object references for the table and
         two tuples for the counters, about a third of the memory of
         copied dicts and entries (a machine checkpoint holds one).
         Report values are immutable and shared, not copied."""
         flat: List = []
-        for level1_key, level2 in self._table.items():
+        for level1_key, level2 in self._levels.items():
             flat.append(level1_key)
             flat.append(len(level2))
             for level2_key, entry in level2.items():
                 values, outcomes = entry.values, entry.outcomes
-                flat.extend((level2_key, entry.info, entry.checked,
+                flat.extend((level2_key, entry.site, entry.checked,
                              len(values)))
                 flat.extend(values)
                 flat.extend(values.values())
@@ -118,13 +116,12 @@ class BranchTable:
                 flat.extend(outcomes)
                 flat.extend(outcomes.values())
         occurrence = self._occurrence
-        return (flat, tuple(occurrence), tuple(occurrence.values()),
-                self.entries_created)
+        return flat, tuple(occurrence), tuple(occurrence.values())
 
     def load_state(self, state: Tuple) -> None:
         """Fill this (fresh) table from :meth:`save_state` output, with
         entries of its own."""
-        flat, occ_keys, occ_counts, self.entries_created = state
+        flat, occ_keys, occ_counts = state
         table: Dict = {}
         i, n = 0, len(flat)
         while i < n:
@@ -132,7 +129,7 @@ class BranchTable:
             count = flat[i + 1]
             i += 2
             for _ in range(count):
-                level2_key, info, checked, nv = flat[i:i + 4]
+                level2_key, site, checked, nv = flat[i:i + 4]
                 i += 4
                 values = dict(zip(flat[i:i + nv], flat[i + nv:i + 2 * nv]))
                 i += 2 * nv
@@ -141,23 +138,24 @@ class BranchTable:
                 outcomes = dict(zip(flat[i:i + no],
                                     flat[i + no:i + 2 * no]))
                 i += 2 * no
-                level2[level2_key] = InstanceEntry(info, values, outcomes,
+                level2[level2_key] = InstanceEntry(site, values, outcomes,
                                                    checked)
-        self._table = table
+        self._levels = table
         self._occurrence = dict(zip(occ_keys, occ_counts))
 
     def discard_checked(self) -> int:
         """Free completed instances (keeps the table bounded on long runs)."""
         freed = 0
-        for level1_key in list(self._table):
-            level2 = self._table[level1_key]
+        levels = self._levels
+        for level1_key in list(levels):
+            level2 = levels[level1_key]
             for level2_key in list(level2):
                 if level2[level2_key].checked:
                     del level2[level2_key]
                     freed += 1
             if not level2:
-                del self._table[level1_key]
+                del levels[level1_key]
         return freed
 
     def __len__(self) -> int:
-        return sum(len(level2) for level2 in self._table.values())
+        return sum(len(level2) for level2 in self._levels.values())

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.instrument.config import InstrumentationMetadata
-from repro.monitor.monitor import MODE_FULL, Monitor
+from repro.monitor.monitor import Monitor, MonitorMode
+from repro.monitor.queue import pop_round_robin
 from repro.telemetry import Telemetry
 
 
@@ -34,7 +35,7 @@ class HierarchicalMonitor(Monitor):
     """
 
     def __init__(self, metadata: InstrumentationMetadata, nthreads: int,
-                 groups: int = 2, mode: str = MODE_FULL,
+                 groups: int = 2, mode: MonitorMode = MonitorMode.FULL,
                  telemetry: Optional[Telemetry] = None):
         super().__init__(metadata, nthreads, mode=mode, telemetry=telemetry)
         if groups < 1:
@@ -44,6 +45,8 @@ class HierarchicalMonitor(Monitor):
         self.group_members: List[List[int]] = [[] for _ in range(self.groups)]
         for tid in range(nthreads):
             self.group_members[tid % self.groups].append(tid)
+        self._leaf_queues = [[self.queues[tid] for tid in members]
+                             for members in self.group_members]
         self._group_cursor = [0] * self.groups
         #: messages retired per leaf (for the ablation report)
         self.leaf_processed = [0] * self.groups
@@ -74,25 +77,15 @@ class HierarchicalMonitor(Monitor):
         self.leaf_processed = list(processed)
 
     def _drain_leaf(self, leaf: int, limit: int) -> int:
-        members = self.group_members[leaf]
-        if not members:
+        messages, self._group_cursor[leaf] = pop_round_robin(
+            self._leaf_queues[leaf], self._group_cursor[leaf], limit)
+        processed = len(messages)
+        if not processed:
             return 0
-        processed = 0
-        empty_streak = 0
-        while processed < limit and empty_streak < len(members):
-            cursor = self._group_cursor[leaf]
-            tid = members[cursor % len(members)]
-            self._group_cursor[leaf] = (cursor + 1) % len(members)
-            message = self.queues[tid].try_pop()
-            if message is None:
-                empty_streak += 1
-                continue
-            empty_streak = 0
-            processed += 1
-            if self._full:
-                self._process(message)
+        if self._full:
+            self.table.file(messages, self.nthreads, self._check)
         self.leaf_processed[leaf] += processed
         tel = self.telemetry
-        if tel is not None and processed:
+        if tel is not None:
             tel.observe("monitor.leaf_drain_batch", processed)
         return processed

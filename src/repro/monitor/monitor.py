@@ -14,9 +14,9 @@ Architecture, as in the paper:
 
 Modes mirror the paper's experimental setups:
 
-``full``
+``MonitorMode.FULL``
     normal operation — drain, file, check.
-``feed``
+``MonitorMode.FEED``
     the 32-thread performance configuration: "the threads still send the
     branch information to the front-end queues of the monitor — the only
     difference is that the monitor does not do anything with the
@@ -28,55 +28,49 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.instrument.config import InstrumentationMetadata
-from repro.monitor.checker import CheckStatistics, Violation, check_instance
+from repro.monitor.checker import CheckStatistics, Violation
 from repro.monitor.hashtable import BranchTable, InstanceEntry
-from repro.monitor.messages import BranchMessage
-from repro.monitor.queue import SpscQueue
+from repro.monitor.queue import SpscQueue, pop_round_robin
 from repro.telemetry import Telemetry, active
 
 
-class MonitorMode(str, enum.Enum):
-    """The monitor's operating modes (a ``str`` subclass, so the loose
-    ``"full"``/``"feed"`` strings the API accepted historically compare
-    equal and remain accepted everywhere a mode is expected)."""
+class MonitorMode(enum.Enum):
+    """The monitor's operating modes."""
 
     FULL = "full"
     FEED = "feed"
 
-    @classmethod
-    def coerce(cls, mode: Union["MonitorMode", str]) -> "MonitorMode":
-        try:
-            return cls(mode)
-        except ValueError:
-            raise ValueError("unknown monitor mode %r" % (mode,)) from None
-
-
-#: Legacy aliases (now enum members; still ``== "full"`` / ``== "feed"``).
-MODE_FULL = MonitorMode.FULL
-MODE_FEED = MonitorMode.FEED
-
 
 class Monitor:
-    """One monitor serving ``nthreads`` producer threads."""
+    """One monitor serving ``nthreads`` producer threads.
+
+    Messages are plain tuples ``(site, tid, key, payload, is_outcome)``:
+    the branch's :class:`~repro.monitor.checker.CheckSite`, the sending
+    thread, the runtime key (call-site path, loop iterations), and the
+    condition basis values or the branch outcome.
+    """
 
     def __init__(self, metadata: InstrumentationMetadata, nthreads: int,
-                 mode: Union[MonitorMode, str] = MonitorMode.FULL,
+                 mode: MonitorMode = MonitorMode.FULL,
                  telemetry: Optional[Telemetry] = None):
+        if not isinstance(mode, MonitorMode):
+            raise TypeError("monitor mode must be a MonitorMode, not %r"
+                            % (mode,))
         self.metadata = metadata
         self.nthreads = nthreads
-        self.mode = MonitorMode.coerce(mode)
+        self.mode = mode
         #: Hot-path booleans: one attribute load instead of an enum
         #: comparison per message.
-        self._full = self.mode is MonitorMode.FULL
-        self._feed = self.mode is MonitorMode.FEED
+        self._full = mode is MonitorMode.FULL
+        self._feed = mode is MonitorMode.FEED
         #: Live collector or None — the disabled path is one identity
         #: check (see repro.telemetry).
         self.telemetry = active(telemetry)
         capacity = metadata.config.queue_capacity
-        self.queues: List[SpscQueue[BranchMessage]] = [
+        self.queues: List[SpscQueue[tuple]] = [
             SpscQueue(capacity) for _ in range(nthreads)]
         self.table = BranchTable()
         self.violations: List[Violation] = []
@@ -89,7 +83,7 @@ class Monitor:
 
     # -- producer side (called from the machine) -----------------------------
 
-    def try_send(self, thread_id: int, message: BranchMessage) -> bool:
+    def try_send(self, thread_id: int, message: tuple) -> bool:
         """Enqueue a message from ``thread_id``.  False = queue full, the
         producer must stall and retry (full mode only)."""
         queue = self.queues[thread_id]
@@ -114,57 +108,39 @@ class Monitor:
     def drain(self, limit: int) -> int:
         """Round-robin drain of up to ``limit`` messages; returns the
         number processed."""
-        processed = 0
-        empty_streak = 0
-        nqueues = len(self.queues)
-        if nqueues == 0:
+        messages, self._round_robin = pop_round_robin(
+            self.queues, self._round_robin, limit)
+        processed = len(messages)
+        if not processed:
             return 0
-        while processed < limit and empty_streak < nqueues:
-            queue = self.queues[self._round_robin]
-            self._round_robin = (self._round_robin + 1) % nqueues
-            message = queue.try_pop()
-            if message is None:
-                empty_streak += 1
-                continue
-            empty_streak = 0
-            processed += 1
-            if self._full:
-                self._process(message)
+        if self._full:
+            self.table.file(messages, self.nthreads, self._check)
         self.messages_processed += processed
         tel = self.telemetry
-        if tel is not None and processed:
+        if tel is not None:
             tel.count("monitor.drains")
             tel.observe("monitor.drain_batch", processed)
         return processed
 
-    def _process(self, message: BranchMessage) -> None:
-        if message.is_outcome:
-            entry = self.table.record_outcome(
-                message.info, message.key, message.thread_id, message.taken)
-        else:
-            entry = self.table.record_condition(
-                message.info, message.key, message.thread_id, message.values)
-        if not entry.checked and entry.complete_for(self.nthreads):
-            self._check(entry)
-
     def _check(self, entry: InstanceEntry) -> None:
         entry.checked = True
-        self.stats.note_check(entry.info.check_kind)
+        site = entry.site
+        self.stats.note_check(site.info.check_kind)
         tel = self.telemetry
         if tel is None:
-            violation = check_instance(entry)
+            violation = site.check(entry)
         else:
             started = time.perf_counter_ns()
-            violation = check_instance(entry)
+            violation = site.check(entry)
             tel.add_time_ns("monitor.check_ns",
                             time.perf_counter_ns() - started)
             tel.count("monitor.checks")
-            tel.count("monitor.check.%s" % entry.info.check_kind)
+            tel.count(site.check_metric)
         if violation is not None:
-            self.stats.note_violation(entry.info.check_kind)
+            self.stats.note_violation(site.info.check_kind)
             self.violations.append(violation)
             if tel is not None:
-                tel.count("monitor.violation.%s" % entry.info.check_kind)
+                tel.count(site.violation_metric)
         # Bound the back-end table on long runs: periodically free
         # instances whose check already ran.
         self._checks_since_discard += 1

@@ -11,7 +11,8 @@ though CPython lists would have been "atomic enough" anyway.
 
 from __future__ import annotations
 
-from typing import Generic, List, Optional, Tuple, TypeVar
+from bisect import bisect_left
+from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -101,3 +102,41 @@ class SpscQueue(Generic[T]):
                 break
             items.append(item)
         return items
+
+
+def pop_round_robin(queues: Sequence[SpscQueue[T]], cursor: int,
+                    limit: int) -> Tuple[List[T], int]:
+    """Pop up to ``limit`` items from ``queues``, one per non-empty
+    queue per visit, visiting them cyclically from position ``cursor``.
+
+    Returns the items in pop order and the next cursor: one past the
+    last queue popped, or ``cursor`` when nothing was popped.  This is
+    the paper's round-robin drain, which visits every queue in turn
+    until a whole cycle of visits finds nothing.  No item arrives during
+    a drain, so a queue found empty stays empty, and visiting only the
+    non-empty ones pops the same items in the same order at
+    O(items + queues) cost.
+    """
+    n = len(queues)
+    live = [pos for pos, queue in enumerate(queues)
+            if queue._head != queue._tail]
+    if not live or limit <= 0:
+        return [], cursor
+    split = bisect_left(live, cursor)
+    live = live[split:] + live[:split]
+    items: List[T] = []
+    budget = limit
+    while budget > 0:
+        kept = []
+        for pos in live:
+            queue = queues[pos]
+            items.append(queue.try_pop())
+            budget -= 1
+            if not budget:
+                break
+            if queue._head != queue._tail:
+                kept.append(pos)
+        if not kept:
+            break
+        live = kept
+    return items, (pos + 1) % n

@@ -87,7 +87,7 @@ from repro.ir import (
     Value,
     WriteLocal,
 )
-from repro.monitor import ConditionMessage, OutcomeMessage
+from repro.monitor import CheckSite, check_sites
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import ThreadStatus
 from repro.runtime.values import float_div, float_to_int, int_div, int_mod
@@ -204,12 +204,15 @@ class CompiledFunction:
 class CompiledProgram:
     """One module compiled for one (cost model, thread count)."""
 
-    __slots__ = ("by_name", "by_id", "sources", "units")
+    __slots__ = ("by_name", "by_id", "sources", "units", "sites")
 
     def __init__(self):
         self.by_name: Dict[str, CompiledFunction] = {}
         self.by_id: Dict[int, CompiledFunction] = {}
         self.sources: Dict[str, str] = {}
+        #: static branch id -> the monitor's check site for that branch
+        #: (shared by its outcome and condition messages).
+        self.sites: Dict[int, CheckSite] = {}
         #: Per-function unit metadata (bi, start, end, kind, seg_map) —
         #: together with ``sources`` this is the storable compile result.
         self.units: Dict[str, List] = {}
@@ -652,7 +655,9 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
     if isinstance(inst, Branch):
         cond_read = _reader(inst.cond, slot_of, func_index)
         info = inst.bw_info
-        key_of = _runtime_key(info) if info is not None else None
+        if info is not None:
+            site = program.sites[info.static_id]
+            key_of = _runtime_key(info)
         then_block, else_block = inst.then_block, inst.else_block
         then_cb = cfunc.blocks[id(then_block)]
         else_cb = cfunc.blocks[id(else_block)]
@@ -670,9 +675,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
                                                frame, taken)
             thread.cycles += machine.cost.branch
             if info is not None and machine.monitor is not None:
-                message = OutcomeMessage(
-                    info=info, thread_id=thread.tid,
-                    key=key_of(thread), taken=taken)
+                message = (site, thread.tid, key_of(thread), taken, True)
                 thread.cycles += machine._send_cost
                 if not machine.monitor.try_send(thread.tid, message):
                     thread.pending = ("branch", message,
@@ -866,15 +869,14 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
 
     if isinstance(inst, SendBranchCondition):
         info = inst.info
+        site = program.sites[info.static_id]
         key_of = _runtime_key(info)
         readers = [_reader(v, slot_of, func_index) for v in inst.operands]
 
         def send_unit(machine, thread, frame):
             regs = frame.regs
             values = tuple(read(regs) for read in readers)
-            message = ConditionMessage(
-                info=info, thread_id=thread.tid,
-                key=key_of(thread), values=values)
+            message = (site, thread.tid, key_of(thread), values, False)
             thread.cycles += machine._send_cost
             if machine.monitor is not None and not machine.monitor.try_send(
                     thread.tid, message):
@@ -943,6 +945,8 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
     if bundle and bundle.get("version") == CODEGEN_VERSION:
         warm_functions = bundle.get("functions", {}) or {}
     program = CompiledProgram()
+    if module.bw_metadata is not None:
+        program.sites = check_sites(module.bw_metadata)
     func_index = {f.name: i for i, f in enumerate(module.function_table)}
     plans: Dict[str, _Plan] = {}
     generated: Dict[str, str] = {}

@@ -216,7 +216,7 @@ class Machine:
                              % (quantum,))
         if module.bw_metadata is not None and monitor is None:
             raise SimulationError(
-                "instrumented module requires a Monitor (mode 'full' or 'feed')")
+                "instrumented module requires a Monitor (MonitorMode.FULL or FEED)")
         self.module = module
         self.nthreads = nthreads
         if recorder is not None:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.analysis import AnalysisConfig, SimilarityResult, analyze_module
 from repro.frontend import compile_source
 from repro.instrument import InstrumentConfig, instrument_module
-from repro.monitor import MODE_FEED, MODE_FULL, Monitor, MonitorMode
+from repro.monitor import Monitor, MonitorMode
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import Checkpoint, FaultHook, Machine, RunResult
 from repro.runtime.memory import SharedMemory
@@ -63,8 +63,8 @@ class RunConfig:
     seed: int = 0
     #: MonitorMode.FULL checks; MonitorMode.FEED sends without processing
     #: (the paper's 32-thread performance setup); None runs the
-    #: uninstrumented image.  Loose "full"/"feed" strings are accepted.
-    monitor_mode: Optional[Union[MonitorMode, str]] = MonitorMode.FULL
+    #: uninstrumented image.
+    monitor_mode: Optional[MonitorMode] = MonitorMode.FULL
     #: >1 enables the hierarchical multi-monitor of the paper's Section VI
     #: (that many leaf monitor threads, each serving a thread sub-group).
     monitor_groups: int = 1
@@ -163,7 +163,7 @@ class ParallelProgram:
         if config.monitor_mode is None:
             module, monitor = self.baseline, None
         else:
-            mode = MonitorMode.coerce(config.monitor_mode)
+            mode = config.monitor_mode
             module = self.protected
             if config.monitor_groups > 1:
                 from repro.monitor import HierarchicalMonitor
@@ -196,7 +196,7 @@ class ParallelProgram:
 
     def run_protected(self, nthreads: int, seed: int = 0,
                       setup: Optional[Callable[[SharedMemory], None]] = None,
-                      monitor_mode: Union[MonitorMode, str] = MonitorMode.FULL,
+                      monitor_mode: MonitorMode = MonitorMode.FULL,
                       fault_hook: Optional[FaultHook] = None,
                       **kwargs) -> RunResult:
         return self.run(RunConfig(nthreads=nthreads, seed=seed,
@@ -208,10 +208,10 @@ class ParallelProgram:
     def overhead(self, nthreads: int, seed: int = 0,
                  setup: Optional[Callable[[SharedMemory], None]] = None) -> float:
         """Instrumented/baseline parallel-section time ratio, measured the
-        paper's way: the monitor is fed but disabled (mode 'feed')."""
+        paper's way: the monitor is fed but disabled (MonitorMode.FEED)."""
         base = self.run_baseline(nthreads, seed=seed, setup=setup)
         prot = self.run_protected(nthreads, seed=seed, setup=setup,
-                                  monitor_mode=MODE_FEED)
+                                  monitor_mode=MonitorMode.FEED)
         if base.status != "ok" or prot.status != "ok":
             raise RuntimeError(
                 "overhead measurement needs clean runs (baseline=%s, "

@@ -8,21 +8,18 @@ from repro.instrument.config import (
     InstrumentConfig,
     InstrumentationMetadata,
 )
-from repro.monitor import (
-    ConditionMessage,
-    HierarchicalMonitor,
-    OutcomeMessage,
-)
+from repro.monitor import CheckSite, HierarchicalMonitor
 from repro.runtime import ParallelProgram, RunConfig
 from tests.conftest import FIGURE_1, figure1_setup
 
 KEY = ((), ())
 
 
-def make_info(static_id=0, kind="shared"):
-    return CheckedBranchInfo(static_id=static_id, function_name="f",
-                             block_name="b", check_kind=kind,
-                             category=Category.SHARED)
+def make_site(static_id=0, kind="shared"):
+    return CheckSite(CheckedBranchInfo(static_id=static_id,
+                                       function_name="f", block_name="b",
+                                       check_kind=kind,
+                                       category=Category.SHARED))
 
 
 def make_monitor(nthreads=8, groups=4, capacity=64):
@@ -51,11 +48,11 @@ class TestStructure:
 class TestSemantics:
     def test_detects_like_flat_monitor(self):
         monitor = make_monitor(nthreads=4, groups=2)
-        info = make_info()
+        site = make_site()
         for tid in range(4):
             taken = tid != 3  # thread 3 deviates
-            monitor.try_send(tid, ConditionMessage(info, tid, KEY, (1,)))
-            monitor.try_send(tid, OutcomeMessage(info, tid, KEY, taken))
+            monitor.try_send(tid, (site, tid, KEY, (1,), False))
+            monitor.try_send(tid, (site, tid, KEY, taken, True))
         monitor.finalize()
         assert monitor.detected
         assert sum(monitor.leaf_processed) == 8
@@ -64,11 +61,11 @@ class TestSemantics:
         """One invocation retires up to groups x limit messages."""
         wide = make_monitor(nthreads=8, groups=4)
         narrow = make_monitor(nthreads=8, groups=1)
-        info = make_info()
+        site = make_site()
         for monitor in (wide, narrow):
             for tid in range(8):
                 for _ in range(4):
-                    monitor.try_send(tid, OutcomeMessage(info, tid, KEY, True))
+                    monitor.try_send(tid, (site, tid, KEY, True, True))
         assert wide.drain(4) == 16   # 4 leaves x 4
         assert narrow.drain(4) == 4
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import AnalysisConfig
 from repro.instrument import InstrumentConfig
-from repro.monitor import MODE_FULL
+from repro.monitor import MonitorMode
 from repro.runtime import ParallelProgram, RunConfig
 
 BRANCH_HEAVY = """
@@ -35,7 +35,7 @@ class TestBackpressure:
             instrument_config=InstrumentConfig(queue_capacity=3,
                                                monitor_batch=2))
         result = program.run(
-            RunConfig(nthreads=4, monitor_mode=MODE_FULL, quantum=64),
+            RunConfig(nthreads=4, monitor_mode=MonitorMode.FULL, quantum=64),
             setup=lambda m: m.set_scalar("nprocs", 4))
         assert result.status == "ok", result.failure_message
         assert not result.detected

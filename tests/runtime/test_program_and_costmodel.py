@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.frontend import compile_source
-from repro.monitor import MODE_FEED, MODE_FULL
+from repro.monitor import MonitorMode
 from repro.runtime import CostModel, Machine, ParallelProgram, RunConfig
 from tests.conftest import FIGURE_1, figure1_setup
 
@@ -27,20 +27,21 @@ class TestParallelProgram:
         assert result.status == "ok"
 
     def test_monitor_mode_full_checks(self, program):
-        result = program.run(RunConfig(nthreads=4, monitor_mode=MODE_FULL),
+        result = program.run(RunConfig(nthreads=4, monitor_mode=MonitorMode.FULL),
                              setup=figure1_setup(4))
         assert result.monitor is not None
         assert result.monitor.stats.instances_checked > 0
 
     def test_monitor_mode_feed_sends_without_checking(self, program):
-        result = program.run(RunConfig(nthreads=4, monitor_mode=MODE_FEED),
+        result = program.run(RunConfig(nthreads=4, monitor_mode=MonitorMode.FEED),
                              setup=figure1_setup(4))
         assert result.monitor.messages_received > 0
         assert result.monitor.stats.instances_checked == 0
 
     def test_unknown_monitor_mode_rejected(self, program):
-        with pytest.raises(ValueError):
-            program.run(RunConfig(nthreads=4, monitor_mode="half"))
+        for mode in ("half", "full"):
+            with pytest.raises(TypeError, match="must be a MonitorMode"):
+                program.run(RunConfig(nthreads=4, monitor_mode=mode))
 
     def test_nonpositive_threads_or_quantum_rejected(self, program):
         # quantum <= 0 used to spin the scheduler forever; nthreads <= 0

@@ -6,9 +6,9 @@ from __future__ import annotations
 import pytest
 
 import repro
+import repro.monitor
 from repro import BlockWatch, MonitorMode
 from repro.faults import CampaignResult, CampaignStats, FaultType
-from repro.monitor import MODE_FEED, MODE_FULL
 
 from tests.conftest import FIGURE_1, figure1_setup
 
@@ -26,21 +26,25 @@ def small_result(bw):
 
 
 def test_monitor_mode_enum_and_strings():
-    assert MonitorMode.coerce("full") is MonitorMode.FULL
-    assert MonitorMode.coerce("feed") is MonitorMode.FEED
-    assert MonitorMode.coerce(MonitorMode.FEED) is MonitorMode.FEED
-    # str subclass: legacy comparisons and the old constants keep working.
-    assert MonitorMode.FULL == "full"
-    assert MODE_FULL is MonitorMode.FULL
-    assert MODE_FEED is MonitorMode.FEED
-    with pytest.raises(ValueError, match="unknown monitor mode"):
-        MonitorMode.coerce("bogus")
+    """The mode is an enum only: strings are not modes, and the old
+    string aliases are gone."""
+    assert list(MonitorMode) == [MonitorMode.FULL, MonitorMode.FEED]
+    assert MonitorMode.FULL != "full"
+    assert not hasattr(MonitorMode, "coerce")
+    for name in ("MODE_FULL", "MODE_FEED"):
+        assert not hasattr(repro, name)
+        assert not hasattr(repro.monitor, name)
 
 
 def test_run_accepts_enum_and_string(bw):
-    for mode in (MonitorMode.FEED, "feed"):
-        result = bw.run(4, setup=figure1_setup(4), monitor_mode=mode)
-        assert result.status == "ok"
+    """An enum mode runs; a string mode is rejected with one TypeError."""
+    result = bw.run(4, setup=figure1_setup(4), monitor_mode=MonitorMode.FEED)
+    assert result.status == "ok"
+    for mode in ("feed", "full", "bogus"):
+        with pytest.raises(TypeError,
+                           match="^monitor mode must be a MonitorMode, "
+                                 "not '%s'$" % mode):
+            bw.run(4, setup=figure1_setup(4), monitor_mode=mode)
 
 
 def test_inject_returns_full_campaign_result(small_result):
