@@ -8,13 +8,21 @@ Every basic block is compiled once, at a module's first run, into
   operands resolved to flat register-list slots (or plain Python locals
   for values that never escape the unit), cycle costs summed into a
   single literal, and the program counter advanced once at the end;
-* control flow and synchronization (branch, jump, call, ret, lock,
-  barrier, monitor sends) become hand-built generic closures, with
-  branch targets pre-resolved to compiled blocks and phi edge-copies
-  pre-generated per CFG edge.
+* a run's segments that end where the run ends also execute the block's
+  *tail*: its ``Jump``, its ``Branch``, or the checked branch's
+  ``SendBranchCondition``/``Branch`` pair — condition message, branch
+  count, fault hook, outcome message and transfer to the successor in
+  the same generated call;
+* calls, returns, locks and barriers become hand-built generic
+  closures.
 
-Every instruction also gets a *single* closure that executes exactly
-that instruction; it is the per-instruction stepping mode of the engine.
+Every instruction also gets a *single* unit that executes exactly that
+instruction; the quantum loop runs it when no larger unit fits its
+budget.  The singles of phis, sends, jumps and branches come from the
+same emitter as the fused units, so send and branch semantics live in
+one place.  A send that finds its monitor queue full leaves through
+one cold helper, :func:`_stall`, which parks the message for
+:meth:`repro.runtime.machine.Machine._retry_pending`.
 
 **Schedule identity.**  The scheduler draws jitter from a seeded RNG at
 every quantum decision, so a run is reproducible only if quantum
@@ -33,13 +41,15 @@ value the monitor or injector can observe (branch conditions, compare
 operands feeding branches, monitor-send operands — the same *frozen*
 set the optimizer respects) is always written to its register slot even
 inside fused units, so corruption lands in the slot and every later use
-observes it.
+observes it; a branch tail copies its successor's phis from slots too,
+never from unit locals.
 
 Known, accepted imprecisions (not observable in golden fingerprints or
 campaign outcome classification): on a guest *crash* mid-unit the
 partial unit's steps/cycles are not accounted, and for cost models
 whose costs are not exactly representable dyadic floats the single
-summed cycle literal can round differently from sequential addition
+summed cycle literal — which also folds in a tail's send, branch and
+jump costs and ghosts — can round differently from sequential addition
 (the default model is all dyadic, hence exact).
 """
 
@@ -94,7 +104,7 @@ from repro.runtime.values import float_div, float_to_int, int_div, int_mod
 
 #: Bump when generated code changes shape — part of every store key, so
 #: stale cached closure bundles can never be loaded into a new runtime.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 _RUNNABLE = ThreadStatus.RUNNABLE
 _DONE = ThreadStatus.DONE
@@ -204,17 +214,18 @@ class CompiledFunction:
 class CompiledProgram:
     """One module compiled for one (cost model, thread count)."""
 
-    __slots__ = ("by_name", "by_id", "sources", "units", "sites")
+    __slots__ = ("by_name", "by_id", "chunks", "units", "sites")
 
     def __init__(self):
         self.by_name: Dict[str, CompiledFunction] = {}
         self.by_id: Dict[int, CompiledFunction] = {}
-        self.sources: Dict[str, str] = {}
+        #: Per-function generated source, one chunk per unit.
+        self.chunks: Dict[str, List[str]] = {}
         #: static branch id -> the monitor's check site for that branch
         #: (shared by its outcome and condition messages).
         self.sites: Dict[int, CheckSite] = {}
         #: Per-function unit metadata (bi, start, end, kind, seg_map) —
-        #: together with ``sources`` this is the storable compile result.
+        #: together with ``chunks`` this is the storable compile result.
         self.units: Dict[str, List] = {}
 
     def bundle(self) -> Dict[str, Any]:
@@ -222,9 +233,9 @@ class CompiledProgram:
         needs to skip code *generation* (it still plans and ``exec``\\ s
         against its own live module objects)."""
         return {"version": CODEGEN_VERSION,
-                "functions": {name: {"source": self.sources[name],
+                "functions": {name: {"chunks": self.chunks[name],
                                      "units": self.units[name]}
-                              for name in self.sources}}
+                              for name in self.chunks}}
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +244,17 @@ class CompiledProgram:
 
 
 def _partition(block: BasicBlock) -> List[Tuple[int, int, str]]:
-    """Split a block's instruction list into units: each phi and each
-    non-fusible instruction alone, maximal fusible runs between."""
+    """Split a block's instruction list into units: maximal fusible runs,
+    and every other instruction alone — a generated *single* for phis
+    and the block tail (sends, jumps, branches), a hand-built *generic*
+    closure for the rest."""
     insts = block.instructions
     units: List[Tuple[int, int, str]] = []
     i, n = 0, len(insts)
     while i < n:
         inst = insts[i]
-        if isinstance(inst, Phi):
-            units.append((i, i + 1, "phi"))
+        if isinstance(inst, (Phi, SendBranchCondition, Jump, Branch)):
+            units.append((i, i + 1, "single"))
             i += 1
         elif isinstance(inst, _FUSIBLE):
             j = i
@@ -316,6 +329,22 @@ class _Plan:
 # ---------------------------------------------------------------------------
 
 
+def _stall(machine, thread, frame, index: int, pending: Tuple,
+           cycles: float, steps: int) -> int:
+    """Cold path of a generated send or branch whose monitor queue is
+    full: charge the unit's cycles so far plus one stall, park
+    ``pending`` for :meth:`Machine._retry_pending`, stop the frame at
+    the stalled instruction ``index`` and return the steps executed."""
+    stall = machine.cost.stall
+    thread.cycles += cycles
+    thread.cycles += stall
+    thread.queue_stall += stall
+    thread.pending = pending
+    thread.status = _BLOCKED_QUEUE
+    frame.index = index
+    return steps
+
+
 class _FunctionCodegen:
     def __init__(self, fi: int, function: Function, plan: _Plan,
                  cost: CostModel, nthreads: int,
@@ -327,7 +356,12 @@ class _FunctionCodegen:
         self.nthreads = nthreads
         self.func_index = func_index
         self.mem_cost = cost.memory_cost(nthreads)
+        self.send_cost = cost.send_cost(nthreads)
         self.block_index = {id(b): i for i, b in enumerate(function.blocks)}
+        #: (id(target), id(predecessor)) -> that edge's phi-copy name.
+        self.edge_names = {(id(target), id(pred)): name
+                           for target, pred, name in _edges(fi, function)}
+        #: Generated source, one chunk per unit.
         self.chunks: List[str] = []
 
     # -- value references --------------------------------------------------
@@ -454,37 +488,81 @@ class _FunctionCodegen:
     # -- emitters ----------------------------------------------------------
 
     def emit_run(self, name: str, block: BasicBlock, start: int, end: int,
-                 force_slots: bool, tail_jump: Optional[Jump] = None
-                 ) -> Tuple[str, int]:
+                 force_slots: bool) -> Tuple[str, int]:
         """Generate one unit function for instructions [start, end) of
         ``block``; returns (function name, static step count).
 
-        With ``force_slots`` (the per-instruction *singles* variant)
-        every result goes to its register slot and ghosts are ignored —
-        the quantum loop replays them per kind on that path.  With
-        ``tail_jump`` (the unconditional terminator following ``end``)
-        the block exit is folded in: phi edge-copy inline, the frame
-        retargeted to the successor, one extra step charged.
+        The instructions are fusible ones, optionally followed by a
+        *tail* from the end of the block: a ``SendBranchCondition``
+        and/or the terminating ``Jump`` or ``Branch``.  Every ghost but
+        the leading instruction's (which the quantum loop charges per
+        kind) is folded into the unit's one cycle literal and its static
+        step count.  With ``force_slots`` (the per-instruction *singles*
+        variant) every result goes to its register slot.
         """
         plan = self.plan
         insts = block.instructions
         body: List[str] = []
         needs: set = set()
         local_names: Dict[int, str] = {}
+        ref = lambda v: self._ref(v, local_names)
         cycles = 0.0
         steps = 0
+        keyed = False
         for pos in range(start, end):
             inst = insts[pos]
-            if not force_slots and pos != start:
+            if pos != start:
                 ghost = getattr(inst, "ghost", None)
                 if ghost is not None:
-                    # Interior replayed ghosts: cycles folded into the
-                    # unit's literal (sequential compile-time sum),
-                    # steps into its static count.
                     for kind in ghost[1]:
                         cycles += self.cost.ghost_kind_cost(kind,
                                                             self.nthreads)
                     steps += ghost[0]
+            if isinstance(inst, (SendBranchCondition, Branch)):
+                info = (inst.info if isinstance(inst, SendBranchCondition)
+                        else inst.bw_info)
+                if info is not None and not keyed:
+                    # One runtime key for both messages: the call-site
+                    # path plus each enclosing loop's iteration counter
+                    # (-1 before the loop's first tick).
+                    keyed = True
+                    needs.add("tid")
+                    loops = info.enclosing_loop_ids
+                    if loops:
+                        body.append("_li = thread.loop_iters")
+                    body.append("key = (thread.callsite_key, (%s))" % "".join(
+                        "_li.get(%d, -1), " % lid for lid in loops))
+                    body.append("mon = machine.monitor")
+                if isinstance(inst, SendBranchCondition):
+                    cycles += self.send_cost
+                    steps += 1
+                    body += [
+                        "msg = (S_%d, tid, key, (%s), False)"
+                        % (info.static_id,
+                           "".join(ref(v) + ", " for v in inst.operands)),
+                        "if mon is not None and not mon.try_send(tid, msg):",
+                        "    return _stall(machine, thread, frame, %d, "
+                        "('send', msg), %r, %d)" % (pos, cycles, steps)]
+                else:
+                    cycles += self.cost.branch
+                    steps += 1
+                    cond = ref(inst.cond)
+                    if not isinstance(inst.cond, Cmp):  # compares give bools
+                        cond = "bool(%s)" % cond
+                    body += self._branch_tail(inst, block, pos, info, cond,
+                                              cycles, steps)
+                continue
+            if isinstance(inst, Jump):
+                cycles += self.cost.jump
+                steps += 1
+                target = inst.target
+                phis = target.phis()
+                for n, phi in enumerate(phis):
+                    body.append("t%d = %s" % (n, ref(phi.incoming_for(block))))
+                for n, phi in enumerate(phis):
+                    body.append("regs[%d] = t%d" % (plan.slot_of[id(phi)], n))
+                body += self._retarget(target)
+                continue
             if inst.type is VOID:
                 body.extend(self._stmt(inst, local_names, needs))
             else:
@@ -512,30 +590,10 @@ class _FunctionCodegen:
                         body.append("regs[%d] = %s" % (slot, expr))
             cycles += self._inst_cost(inst)
             steps += 1
-        if tail_jump is not None:
-            ghost = getattr(tail_jump, "ghost", None)
-            if ghost is not None:
-                for kind in ghost[1]:
-                    cycles += self.cost.ghost_kind_cost(kind, self.nthreads)
-                steps += ghost[0]
-            target = tail_jump.target
-            ti = self.block_index[id(target)]
-            phis = target.phis()
-            for n, phi in enumerate(phis):
-                body.append("t%d = %s"
-                            % (n, self._ref(phi.incoming_for(block),
-                                            local_names)))
-            for n, phi in enumerate(phis):
-                body.append("regs[%d] = t%d"
-                            % (plan.slot_of[id(phi)], n))
-            cycles += self.cost.jump
-            steps += 1
-            body.append("frame.block = B_%d_%d" % (self.fi, ti))
-            body.append("frame.cblock = C_%d_%d" % (self.fi, ti))
-            body.append("frame.index = %d" % len(phis))
-        else:
+        last = insts[end - 1]
+        if not isinstance(last, (Jump, Branch)):
             body.append("frame.index = %d" % end)
-        if cycles:
+        if cycles and not isinstance(last, Branch):
             body.append("thread.cycles += %r" % cycles)
         body.append("return %d" % steps)
         header = ["def %s(machine, thread, frame):" % name,
@@ -549,6 +607,50 @@ class _FunctionCodegen:
                            + "\n")
         return name, steps
 
+    def _branch_tail(self, branch: Branch, block: BasicBlock, pos: int,
+                     info, cond: str, cycles: float, steps: int) -> List[str]:
+        """Lines of a unit ending in ``branch``: count it, let the fault
+        hook decide, send the outcome message (its send cost charged
+        only with a monitor), charge the unit's cycles and transfer.
+        Successor phis are copied by the ``e_*`` edge copies, which read
+        register slots: that is where a condition fault's corruption
+        lands."""
+        lines = ["thread.branch_count += 1",
+                 "taken = machine.hook.before_branch(machine, thread, "
+                 "I_%d_%d, frame, %s)"
+                 % (self.fi, self.block_index[id(block)], cond)]
+        if info is not None:
+            then_b, else_b = (self.block_index[id(branch.then_block)],
+                              self.block_index[id(branch.else_block)])
+            lines += [
+                "if mon is not None:",
+                "    msg = (S_%d, tid, key, taken, True)" % info.static_id,
+                "    if not mon.try_send(tid, msg):",
+                "        return _stall(machine, thread, frame, %d, ('branch', "
+                "msg, B_%d_%d if taken else B_%d_%d), %r, %d)"
+                % (pos, self.fi, then_b, self.fi, else_b,
+                   cycles + self.send_cost, steps),
+                "    thread.cycles += %r" % (cycles + self.send_cost),
+                "else:",
+                "    thread.cycles += %r" % cycles]
+        else:
+            lines.append("thread.cycles += %r" % cycles)
+        for test, target in (("if taken:", branch.then_block),
+                             ("else:", branch.else_block)):
+            lines.append(test)
+            copy = self.edge_names.get((id(target), id(block)))
+            if copy is not None:
+                lines.append("    %s(regs)" % copy)
+            lines += ["    " + line for line in self._retarget(target)]
+        return lines
+
+    def _retarget(self, target: BasicBlock) -> List[str]:
+        """Lines moving the frame to ``target``, past its phis."""
+        ti = self.block_index[id(target)]
+        return ["frame.block = B_%d_%d" % (self.fi, ti),
+                "frame.cblock = C_%d_%d" % (self.fi, ti),
+                "frame.index = %d" % len(target.phis())]
+
     def emit_segments(self, fi: int, bi: int, block: BasicBlock,
                       start: int, end: int) -> Dict[int, List[Tuple[int, str]]]:
         """Compile fused segments covering the run [start, end).
@@ -556,17 +658,21 @@ class _FunctionCodegen:
         One full-run segment (when short enough to ever fit a quantum),
         plus power-of-two-sized segments aligned to the run start, so
         the quantum loop can cover any remaining budget mostly with
-        large chunks.  Returns {position: [(steps, name), ...]}.
+        large chunks.  The segments that end at the run's end also run
+        the tail that follows it (see :meth:`emit_run`).  Returns
+        {position: [(steps, name), ...]}.
         """
         segments: Dict[int, List[Tuple[int, str]]] = {}
         n = end - start
         insts = block.instructions
-        tail = insts[end] if end < len(insts) else None
-        tail_jump = tail if isinstance(tail, Jump) else None
+        stop = end
+        if stop < len(insts) and isinstance(insts[stop], SendBranchCondition):
+            stop += 1
+        if stop < len(insts) and isinstance(insts[stop], (Jump, Branch)):
+            stop += 1
         if n <= 64:
             name, steps = self.emit_run("g_%d_%d_%d_%d" % (fi, bi, start, n),
-                                        block, start, end, force_slots=False,
-                                        tail_jump=tail_jump)
+                                        block, start, stop, force_slots=False)
             segments.setdefault(start, []).append((steps, name))
         size = 1
         while size * 2 <= min(n, 32):
@@ -577,8 +683,9 @@ class _FunctionCodegen:
                 position = start + offset
                 name, steps = self.emit_run(
                     "g_%d_%d_%d_%d" % (fi, bi, position, size),
-                    block, position, position + size, force_slots=False,
-                    tail_jump=(tail_jump if offset + size == n else None))
+                    block, position,
+                    stop if offset + size == n else position + size,
+                    force_slots=False)
                 segments.setdefault(position, []).append((steps, name))
         return segments
 
@@ -591,31 +698,25 @@ class _FunctionCodegen:
             "    return 1\n" % (name, position + 1))
         return name
 
-    def emit_edge_copy(self, name: str, target: BasicBlock,
-                       pred: BasicBlock) -> Optional[str]:
-        """Parallel phi-copy for the CFG edge pred -> target."""
+    def emit_edge_copies(self) -> None:
+        """Parallel phi-copies, one per CFG edge into a block with phis."""
         plan = self.plan
-        phis = list(target.phis())
-        if not phis:
-            return None
-        reads: List[str] = []
-        writes: List[str] = []
-        for n, phi in enumerate(phis):
-            source = phi.incoming_for(pred)
-            reads.append("t%d = %s" % (n, self._ref(source, {})))
-            writes.append("regs[%d] = t%d" % (plan.slot_of[id(phi)], n))
-        self.chunks.append("def %s(regs):\n" % name
-                           + "\n".join("    " + line
-                                       for line in reads + writes)
-                           + "\n")
-        return name
+        for target, pred, name in _edges(self.fi, self.function):
+            reads: List[str] = []
+            writes: List[str] = []
+            for n, phi in enumerate(target.phis()):
+                source = phi.incoming_for(pred)
+                reads.append("t%d = %s" % (n, self._ref(source, {})))
+                writes.append("regs[%d] = t%d" % (plan.slot_of[id(phi)], n))
+            self.chunks.append("def %s(regs):\n" % name
+                               + "\n".join("    " + line
+                                           for line in reads + writes)
+                               + "\n")
 
-    def source(self) -> str:
-        return "\n".join(self.chunks)
 
 
 # ---------------------------------------------------------------------------
-# Generic (non-fusible) units — hand-built closures
+# Generic units (calls, returns, locks, barriers) — hand-built closures
 # ---------------------------------------------------------------------------
 
 
@@ -632,90 +733,11 @@ def _reader(value: Value, slot_of: Dict[int, int],
     return lambda regs: regs[slot]
 
 
-def _runtime_key(info):
-    """thread -> the monitor's runtime key of ``info``'s branch: the
-    call-site path plus each enclosing loop's iteration counter (-1
-    before the loop's first tick)."""
-    loop_ids = tuple(info.enclosing_loop_ids)
-
-    def key(thread):
-        iters = thread.loop_iters
-        return (thread.callsite_key,
-                tuple([iters.get(lid, -1) for lid in loop_ids]))
-
-    return key
-
-
 def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
                   inst: Instruction, position: int,
                   func_index: Dict[str, int]) -> Callable:
     slot_of = cfunc.slot_of
     next_index = position + 1
-
-    if isinstance(inst, Branch):
-        cond_read = _reader(inst.cond, slot_of, func_index)
-        info = inst.bw_info
-        if info is not None:
-            site = program.sites[info.static_id]
-            key_of = _runtime_key(info)
-        then_block, else_block = inst.then_block, inst.else_block
-        then_cb = cfunc.blocks[id(then_block)]
-        else_cb = cfunc.blocks[id(else_block)]
-        bid = id(inst.parent)
-        then_copy = then_cb.edge_copy.get(bid)
-        else_copy = else_cb.edge_copy.get(bid)
-        then_entry = then_cb.nphis
-        else_entry = else_cb.nphis
-
-        def branch_unit(machine, thread, frame, _inst=inst):
-            regs = frame.regs
-            taken = bool(cond_read(regs))
-            thread.branch_count += 1
-            taken = machine.hook.before_branch(machine, thread, _inst,
-                                               frame, taken)
-            thread.cycles += machine.cost.branch
-            if info is not None and machine.monitor is not None:
-                message = (site, thread.tid, key_of(thread), taken, True)
-                thread.cycles += machine._send_cost
-                if not machine.monitor.try_send(thread.tid, message):
-                    thread.pending = ("branch", message,
-                                      then_block if taken else else_block)
-                    thread.status = _BLOCKED_QUEUE
-                    thread.cycles += machine.cost.stall
-                    thread.queue_stall += machine.cost.stall
-                    return 1
-            if taken:
-                if then_copy is not None:
-                    then_copy(regs)
-                frame.block = then_block
-                frame.cblock = then_cb
-                frame.index = then_entry
-            else:
-                if else_copy is not None:
-                    else_copy(regs)
-                frame.block = else_block
-                frame.cblock = else_cb
-                frame.index = else_entry
-            return 1
-
-        return branch_unit
-
-    if isinstance(inst, Jump):
-        target = inst.target
-        target_cb = cfunc.blocks[id(target)]
-        copy = target_cb.edge_copy.get(id(inst.parent))
-        entry = target_cb.nphis
-
-        def jump_unit(machine, thread, frame):
-            thread.cycles += machine.cost.jump
-            if copy is not None:
-                copy(frame.regs)
-            frame.block = target
-            frame.cblock = target_cb
-            frame.index = entry
-            return 1
-
-        return jump_unit
 
     if isinstance(inst, Ret):
         value_read = (None if inst.value is None
@@ -867,29 +889,6 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
 
         return barrier_unit
 
-    if isinstance(inst, SendBranchCondition):
-        info = inst.info
-        site = program.sites[info.static_id]
-        key_of = _runtime_key(info)
-        readers = [_reader(v, slot_of, func_index) for v in inst.operands]
-
-        def send_unit(machine, thread, frame):
-            regs = frame.regs
-            values = tuple(read(regs) for read in readers)
-            message = (site, thread.tid, key_of(thread), values, False)
-            thread.cycles += machine._send_cost
-            if machine.monitor is not None and not machine.monitor.try_send(
-                    thread.tid, message):
-                thread.pending = ("send", message)
-                thread.status = _BLOCKED_QUEUE
-                thread.cycles += machine.cost.stall
-                thread.queue_stall += machine.cost.stall
-                return 1
-            frame.index = next_index
-            return 1
-
-        return send_unit
-
     raise SimulationError("no generic unit for %r" % inst)  # pragma: no cover
 
 
@@ -898,15 +897,32 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
 # ---------------------------------------------------------------------------
 
 
-def _exec_env() -> Dict[str, Any]:
-    return {"_idiv": int_div, "_imod": int_mod, "_ftoi": float_to_int,
-            "_fdiv": float_div, "inf": math.inf, "nan": math.nan}
+def _edges(fi: int, function: Function) -> List[Tuple[BasicBlock,
+                                                     BasicBlock, str]]:
+    """(target, predecessor, edge-copy name) of every CFG edge into a
+    block with phis."""
+    return [(block, pred, "e_%d_%d_%d" % (fi, bi, pi))
+            for bi, block in enumerate(function.blocks) if block.phis()
+            for pi, pred in enumerate(block.predecessors())]
+
+
+def _exec_units(chunks: List[str], filename: str) -> Dict[str, Any]:
+    """``exec`` each generated unit on its own into one namespace: many
+    small compiles keep the compiler's peak memory at one unit's, not
+    one function's."""
+    namespace = {"_idiv": int_div, "_imod": int_mod, "_ftoi": float_to_int,
+                 "_fdiv": float_div, "_stall": _stall, "inf": math.inf,
+                 "nan": math.nan}
+    for chunk in chunks:
+        exec(compile(chunk, filename, "exec"), namespace)
+    return namespace
 
 
 def _bundle_usable(namespace: Dict[str, Any], fi: int, function,
                    unit_meta) -> bool:
-    """Does the exec'd warm source define every name phase 3 (and the
-    edge-copy fill) will look up for this function?"""
+    """Does the exec'd warm source define every name the dispatch
+    tables and edge copies will look up for this function (the singles
+    of phis, jumps, sends and branches included)?"""
     for bi, start, end, kind, seg_map in unit_meta:
         if kind != "generic":
             for pos in range(start, end):
@@ -916,13 +932,7 @@ def _bundle_usable(namespace: Dict[str, Any], fi: int, function,
             for _steps, name in entries:
                 if name not in namespace:
                     return False
-    for bi, block in enumerate(function.blocks):
-        if not any(True for _ in block.phis()):
-            continue
-        for pi in range(len(block.predecessors())):
-            if "e_%d_%d_%d" % (fi, bi, pi) not in namespace:
-                return False
-    return True
+    return all(name in namespace for _, _, name in _edges(fi, function))
 
 
 def compile_module(module: Module, cost: Optional[CostModel] = None,
@@ -947,9 +957,9 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
     program = CompiledProgram()
     if module.bw_metadata is not None:
         program.sites = check_sites(module.bw_metadata)
+    site_names = {"S_%d" % sid: site for sid, site in program.sites.items()}
     func_index = {f.name: i for i, f in enumerate(module.function_table)}
     plans: Dict[str, _Plan] = {}
-    generated: Dict[str, str] = {}
 
     # Phase 1: plan + shells (blocks must exist before units prebind).
     for function in module.function_table:
@@ -966,34 +976,29 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
         program.by_name[function.name] = cfunc
         program.by_id[id(function)] = cfunc
 
-    # Phase 2: generate + exec per-function source (fused units, singles,
-    # phi skips, edge copies), then fill edge copies.
-    namespaces: Dict[str, Dict[str, Any]] = {}
+    # Phase 2, per function: generate (or take from the bundle) and exec
+    # the units, then assemble the dispatch and singles tables.
     for fi, function in enumerate(module.function_table):
         plan = plans[function.name]
-        fresh_units = [(bi, start, end, kind)
-                       for bi, block in enumerate(function.blocks)
-                       for start, end, kind in plan.units[id(block)]]
-        source = None
-        unit_meta: Optional[List[Tuple[int, int, int, str, Dict]]] = None
+        filename = "<closures:%s>" % function.name
+        namespace = None
         warm = warm_functions.get(function.name)
         if warm is not None:
             stored = [tuple(entry) for entry in warm.get("units", ())]
-            if ([entry[:4] for entry in stored] == fresh_units
-                    and warm.get("source")):
-                source = warm["source"]
+            chunks = warm.get("chunks")
+            fresh_units = [(bi, start, end, kind)
+                           for bi, block in enumerate(function.blocks)
+                           for start, end, kind in plan.units[id(block)]]
+            if [entry[:4] for entry in stored] == fresh_units and chunks:
+                try:
+                    namespace = _exec_units(chunks, filename)
+                except SyntaxError:
+                    pass
+                else:
+                    if not _bundle_usable(namespace, fi, function, stored):
+                        namespace = None
                 unit_meta = stored
-        if source is not None:
-            namespace = _exec_env()
-            try:
-                exec(compile(source, "<closures:%s>" % function.name,
-                             "exec"), namespace)
-            except SyntaxError:
-                source = None
-            else:
-                if not _bundle_usable(namespace, fi, function, unit_meta):
-                    source = None
-        if source is None:  # cold (or rejected warm entry): generate
+        if namespace is None:  # cold (or rejected warm entry): generate
             gen = _FunctionCodegen(fi, function, plan, cost, nthreads,
                                    func_index)
             unit_meta = []
@@ -1005,49 +1010,30 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
                         seg_map = {}
                     unit_meta.append((bi, start, end, kind, seg_map))
                     for pos in range(start, end):
-                        inst = block.instructions[pos]
-                        if isinstance(inst, Phi):
-                            gen.emit_phi_skip("s_%d_%d_%d" % (fi, bi, pos),
-                                              pos)
-                        elif isinstance(inst, _FUSIBLE):
-                            gen.emit_run("s_%d_%d_%d" % (fi, bi, pos), block,
-                                         pos, pos + 1, force_slots=True)
-                for pi, pred in enumerate(block.predecessors()):
-                    gen.emit_edge_copy("e_%d_%d_%d" % (fi, bi, pi), block,
-                                       pred)
-            source = gen.source()
-            namespace = _exec_env()
-            exec(compile(source, "<closures:%s>" % function.name, "exec"),
-                 namespace)
-        generated[function.name] = source
+                        name = "s_%d_%d_%d" % (fi, bi, pos)
+                        if isinstance(block.instructions[pos], Phi):
+                            gen.emit_phi_skip(name, pos)
+                        elif kind != "generic":
+                            gen.emit_run(name, block, pos, pos + 1,
+                                         force_slots=True)
+            gen.emit_edge_copies()
+            chunks = gen.chunks
+            namespace = _exec_units(chunks, filename)
+        program.chunks[function.name] = chunks
         program.units[function.name] = unit_meta
-        # Fused jumps retarget frames through these globals (the block
-        # shells exist since phase 1).
+        # Generated units retarget frames, call the fault hook and send
+        # to check sites through these globals (the block shells exist
+        # since phase 1).
         cfunc = program.by_name[function.name]
         for ti, tblock in enumerate(function.blocks):
             namespace["B_%d_%d" % (fi, ti)] = tblock
             namespace["C_%d_%d" % (fi, ti)] = cfunc.blocks[id(tblock)]
-        namespaces[function.name] = namespace
-        function._closure_unit_meta = unit_meta  # consumed in phase 3
+            if isinstance(tblock.terminator, Branch):
+                namespace["I_%d_%d" % (fi, ti)] = tblock.terminator
+        namespace.update(site_names)
+        for target, pred, name in _edges(fi, function):
+            cfunc.blocks[id(target)].edge_copy[id(pred)] = namespace[name]
 
-    # Phase 2b: edge copies into block shells (branch/jump units prebind
-    # them, so this must complete before phase 3).
-    for fi, function in enumerate(module.function_table):
-        cfunc = program.by_name[function.name]
-        namespace = namespaces[function.name]
-        for bi, block in enumerate(function.blocks):
-            cblock = cfunc.blocks[id(block)]
-            for pi, pred in enumerate(block.predecessors()):
-                copy = namespace.get("e_%d_%d_%d" % (fi, bi, pi))
-                if copy is not None:
-                    cblock.edge_copy[id(pred)] = copy
-
-    # Phase 3: assemble dispatch/singles tables.
-    for fi, function in enumerate(module.function_table):
-        cfunc = program.by_name[function.name]
-        namespace = namespaces[function.name]
-        unit_meta = function._closure_unit_meta
-        del function._closure_unit_meta
         blocks = function.blocks
         for block in blocks:
             cblock = cfunc.blocks[id(block)]
@@ -1058,19 +1044,16 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
             block = blocks[bi]
             cblock = cfunc.blocks[id(block)]
             insts = block.instructions
-            if kind == "phi":
-                unit_fn = namespace["s_%d_%d_%d" % (fi, bi, start)]
-            elif kind == "generic":
-                unit_fn = _make_generic(program, cfunc, insts[start], start,
-                                        func_index)
-            else:
-                unit_fn = None
             for pos in range(start, end):
-                inst = insts[pos]
-                ghost = getattr(inst, "ghost", None)
+                ghost = getattr(insts[pos], "ghost", None)
                 gcosts = (tuple(cost.ghost_kind_cost(kind_, nthreads)
                                 for kind_ in ghost[1])
                           if ghost is not None else ())
+                if kind == "generic":
+                    single = _make_generic(program, cfunc, insts[pos], pos,
+                                           func_index)
+                else:
+                    single = namespace["s_%d_%d_%d" % (fi, bi, pos)]
                 if kind == "fused":
                     # Larger segments have strictly larger step counts,
                     # so a descending sort is unambiguous.
@@ -1078,14 +1061,9 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
                         (steps, namespace[name]) for steps, name in
                         sorted(seg_map.get(pos, ()), reverse=True))
                 else:
-                    segments = ((1, unit_fn),)
+                    segments = ((1, single),)
                 cblock.dispatch[pos] = (segments, gcosts)
-                if kind == "generic":
-                    cblock.singles[pos] = unit_fn
-                else:
-                    cblock.singles[pos] = namespace["s_%d_%d_%d"
-                                                    % (fi, bi, pos)]
-    program.sources = generated
+                cblock.singles[pos] = single
     return program
 
 

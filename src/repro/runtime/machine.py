@@ -259,8 +259,7 @@ class Machine:
         self._func_index = {f.name: i for i, f in enumerate(module.function_table)}
         self.total_steps = 0
 
-        # Pre-derived costs (read by the compiled sync/send closures).
-        self._send_cost = self.cost.send_cost(nthreads)
+        # Pre-derived cost (read by the compiled barrier closure).
         self._barrier_cost = self.cost.barrier_cost(nthreads)
 
     # ------------------------------------------------------------------
@@ -474,25 +473,6 @@ class Machine:
         if self.total_steps > self.max_steps:
             raise GuestHang("exceeded %d interpreted instructions"
                             % self.max_steps)
-
-    def _step(self, thread: ThreadContext) -> None:
-        """Execute exactly one instruction through its single closure,
-        its whole ghost charged up front (tests/debugging; the run loop
-        uses the batched _run_quantum)."""
-        frame = thread.frames[-1]
-        cblock = frame.cblock
-        index = frame.index
-        gcosts = cblock.dispatch[index][1]
-        charged = 0
-        done = thread.ghost_skip
-        while done < len(gcosts):
-            thread.cycles += gcosts[done]
-            done += 1
-            charged += 1
-        cblock.singles[index](self, thread, frame)
-        thread.ghost_skip = 0
-        thread.steps += 1 + charged
-        self.total_steps += 1 + charged
 
     # ------------------------------------------------------------------
     # Checkpoints

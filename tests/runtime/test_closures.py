@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import FaultType
 from repro.runtime import ParallelProgram, get_compiled
-from repro.runtime.closures import _COMPILE_CACHE
+from repro.runtime.closures import CODEGEN_VERSION, _COMPILE_CACHE
 
 from tests.conftest import FIGURE_1, figure1_setup
 from tests.opt.helpers import run_signature
@@ -182,7 +182,7 @@ def test_corrupt_closure_bundle_is_rejected_not_trusted(tmp_path):
                 continue
             bundle = store.load(entry.key, "closure")
             for data in bundle["functions"].values():
-                data["source"] = "def nonsense(:\n"
+                data["chunks"] = ["def nonsense(:\n"]
             store.put(entry.key, "closure", bundle)
         _COMPILE_CACHE.clear()
         rebuilt = ParallelProgram(FIGURE_1, "figure1")
@@ -190,3 +190,45 @@ def test_corrupt_closure_bundle_is_rejected_not_trusted(tmp_path):
         assert run_signature(warm) == run_signature(cold)
     finally:
         set_default_store(None)
+
+
+def _run_with_stored_bundle(tmp_path, version):
+    """Cold run; then rewrite every stored closure bundle so its units
+    charge 1000 extra cycles, mark it ``version`` and rerun warm."""
+    from repro.store import ArtifactStore
+    from repro.store.runtime import set_default_store
+    store = ArtifactStore(str(tmp_path / ("store%d" % version)))
+    set_default_store(store)
+    try:
+        program = ParallelProgram(FIGURE_1, "figure1")
+        cold = program.run_protected(4, seed=3, setup=figure1_setup(4))
+        for entry in store.entries():
+            if entry.kind != "closure":
+                continue
+            bundle = store.load(entry.key, "closure")
+            bundle["version"] = version
+            for data in bundle["functions"].values():
+                data["chunks"] = [
+                    chunk.replace("thread.cycles += ",
+                                  "thread.cycles += 1000.0 + ")
+                    for chunk in data["chunks"]]
+            store.put(entry.key, "closure", bundle)
+        _COMPILE_CACHE.clear()
+        rebuilt = ParallelProgram(FIGURE_1, "figure1")
+        warm = rebuilt.run_protected(4, seed=3, setup=figure1_setup(4))
+        assert store.counters.get("store.closure.hit") == 1
+        return cold, warm
+    finally:
+        set_default_store(None)
+
+
+def test_older_codegen_bundle_is_ignored(tmp_path):
+    """``compile_module`` ignores a bundle of codegen version 1: the warm
+    run equals the cold compile although the bundle's code, were it
+    executed, would change the cycle counts (as it does at the current
+    version)."""
+    assert CODEGEN_VERSION == 2
+    cold, current = _run_with_stored_bundle(tmp_path, CODEGEN_VERSION)
+    assert run_signature(current) != run_signature(cold)
+    cold, old = _run_with_stored_bundle(tmp_path, 1)
+    assert run_signature(old) == run_signature(cold)
