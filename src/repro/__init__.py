@@ -8,7 +8,7 @@ Layers (bottom-up):
 ``repro.analysis``    the similarity-inference fixpoint (paper Section III-A)
 ``repro.instrument``  the sendBranchCondition/sendBranchAddr pass
 ``repro.runtime``     simulated 32-core SPMD machine + cycle cost model
-``repro.monitor``     lock-free queues, two-level table, category checks
+``repro.monitor``     per-thread queues, two-level table, category checks
 ``repro.faults``      PIN-analogue single-bit fault injector + campaigns
 ``repro.telemetry``   zero-cost-when-disabled metrics + JSONL event traces
 ``repro.triage``      witness clustering + similarity-based perf anomalies

@@ -1,8 +1,9 @@
 """The injecting :class:`~repro.runtime.FaultHook` — our PIN analogue.
 
-The hook rides along a normal protected run, counts every dynamic branch
-of every thread (PIN's instrumentation step), and at the planned
-(thread, k-th branch) applies the fault exactly once:
+The hook rides along a normal protected run; every thread counts its
+dynamic branches (PIN's instrumentation step), and the machine calls the
+hook only at the planned (thread, k-th branch), where it applies the
+fault exactly once:
 
 * ``BRANCH_FLIP`` — invert the decision;
 * ``BRANCH_CONDITION`` — pick a random register operand of the compare
@@ -38,14 +39,13 @@ class InjectingHook(FaultHook):
         #: Human-readable description of what was corrupted.
         self.detail = ""
 
+    def call_at(self, tid: int) -> int:
+        """The target thread's planned branch (below 1: none)."""
+        spec = self.spec
+        return max(spec.branch_index, 0) if tid == spec.thread_id else 0
+
     def before_branch(self, machine: Machine, thread: ThreadContext,
                       branch, frame: Frame, taken: bool) -> bool:
-        if self.activated or thread.tid != self.spec.thread_id:
-            return taken
-        # thread.branch_count was incremented before the hook runs, so it
-        # is the 1-based index of the current dynamic branch.
-        if thread.branch_count != self.spec.branch_index:
-            return taken
         self.activated = True
         if self.spec.fault_type is FaultType.BRANCH_FLIP:
             self.flipped_branch = True

@@ -24,6 +24,12 @@ class InstrumentConfig:
     #: Messages the monitor drains per scheduling quantum.
     monitor_batch: int = 64
 
+    def __post_init__(self):
+        for name in ("queue_capacity", "monitor_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r"
+                                 % (name, getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class CheckedBranchInfo:

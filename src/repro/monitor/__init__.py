@@ -1,4 +1,4 @@
-"""BLOCKWATCH runtime monitor: lock-free queues, two-level branch table,
+"""BLOCKWATCH runtime monitor: per-thread queues, two-level branch table,
 and the category-specific similarity checks."""
 
 from repro.monitor.checker import (
@@ -10,10 +10,9 @@ from repro.monitor.checker import (
 from repro.monitor.hashtable import BranchTable, InstanceEntry
 from repro.monitor.hierarchy import HierarchicalMonitor
 from repro.monitor.monitor import Monitor, MonitorMode
-from repro.monitor.queue import SpscQueue
 
 __all__ = [
     "CheckSite", "CheckStatistics", "Violation", "check_sites",
     "BranchTable", "InstanceEntry",
-    "MonitorMode", "HierarchicalMonitor", "Monitor", "SpscQueue",
+    "MonitorMode", "HierarchicalMonitor", "Monitor",
 ]

@@ -17,7 +17,7 @@ aligned without ever mixing distinct dynamic instances.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
 if TYPE_CHECKING:  # checker imports this module
@@ -54,7 +54,7 @@ class BranchTable:
         #: reports of that kind seen so far
         self._occurrence: Dict[Tuple, int] = {}
 
-    def file(self, messages: Iterable[Tuple], nthreads: int,
+    def file(self, messages: Sequence[Tuple], nthreads: int,
              on_complete: Callable[[InstanceEntry], None]) -> None:
         """File a drained batch of ``(site, tid, key, payload,
         is_outcome)`` messages, calling ``on_complete`` on an unchecked
@@ -63,15 +63,34 @@ class BranchTable:
         The k-th report of a thread for one (call path, branch, loop
         iterations) key joins the k-th instance.  One call per batch
         keeps the per-message work inline.
+
+        A condition message directly followed by this thread's outcome
+        of the same site, key object and occurrence (a checked tail's
+        two sends) is filed with it in one lookup.  That is exact: the
+        instance cannot complete on the condition while this outcome is
+        missing.  Store kinds complete on values alone: never paired.
         """
         levels = self._levels
         occurrence = self._occurrence
-        for site, tid, key, payload, is_outcome in messages:
+        i, n = 0, len(messages)
+        while i < n:
+            site, tid, key, payload, is_outcome = messages[i]
+            i += 1
             call_path, loop_iters = key
             level1_key = (call_path, site.info.static_id)
             occ_key = (level1_key, loop_iters, tid, is_outcome)
             seen = occurrence.get(occ_key, 0)
             occurrence[occ_key] = seen + 1
+            paired = False
+            if not is_outcome and i < n and not site.values_only:
+                nxt = messages[i]
+                if (nxt[2] is key and nxt[0] is site and nxt[1] == tid
+                        and nxt[4]):
+                    out_key = (level1_key, loop_iters, tid, True)
+                    if occurrence.get(out_key, 0) == seen:
+                        occurrence[out_key] = seen + 1
+                        paired = True
+                        i += 1
             level2 = levels.get(level1_key)
             if level2 is None:
                 level2 = levels[level1_key] = {}
@@ -79,7 +98,10 @@ class BranchTable:
             entry = level2.get(level2_key)
             if entry is None:
                 entry = level2[level2_key] = InstanceEntry(site)
-            if is_outcome:
+            if paired:
+                entry.values[tid] = payload
+                entry.outcomes[tid] = nxt[3]
+            elif is_outcome:
                 entry.outcomes[tid] = payload
             else:
                 entry.values[tid] = payload

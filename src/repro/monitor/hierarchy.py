@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.instrument.config import InstrumentationMetadata
-from repro.monitor.monitor import Monitor, MonitorMode
+from repro.monitor.monitor import Monitor, MonitorMode, gauge_queues
 from repro.monitor.queue import pop_round_robin
 from repro.telemetry import Telemetry
 
@@ -58,11 +58,8 @@ class HierarchicalMonitor(Monitor):
         full ``limit`` budget; the shared back-end table is the paper's
         hierarchical aggregation point.
         """
-        total = 0
-        for leaf in range(self.groups):
-            total += self._drain_leaf(leaf, limit)
-        self.messages_processed += total
-        return total
+        return sum(self._drain_leaf(leaf, limit)
+                   for leaf in range(self.groups))
 
     def save_state(self) -> dict:
         state = super().save_state()
@@ -77,15 +74,19 @@ class HierarchicalMonitor(Monitor):
         self.leaf_processed = list(processed)
 
     def _drain_leaf(self, leaf: int, limit: int) -> int:
+        queues = self._leaf_queues[leaf]
+        tel = self.telemetry
+        if tel is not None:
+            gauge_queues(tel, queues)
         messages, self._group_cursor[leaf] = pop_round_robin(
-            self._leaf_queues[leaf], self._group_cursor[leaf], limit)
+            queues, self._group_cursor[leaf], limit)
         processed = len(messages)
         if not processed:
             return 0
         if self._full:
             self.table.file(messages, self.nthreads, self._check)
         self.leaf_processed[leaf] += processed
-        tel = self.telemetry
+        self.messages_processed += processed
         if tel is not None:
             tel.observe("monitor.leaf_drain_batch", processed)
         return processed

@@ -2,8 +2,8 @@
 
 Architecture, as in the paper:
 
-* one lock-free SPSC front-end queue per program thread
-  (:mod:`repro.monitor.queue`);
+* one bounded FIFO front-end queue per program thread, a plain list
+  filled by the generated send code (:mod:`repro.monitor.queue`);
 * the monitor drains the queues round-robin, asynchronously with the
   program;
 * a two-level back-end hash table files reports per dynamic branch
@@ -33,7 +33,7 @@ from typing import List, Optional
 from repro.instrument.config import InstrumentationMetadata
 from repro.monitor.checker import CheckStatistics, Violation
 from repro.monitor.hashtable import BranchTable, InstanceEntry
-from repro.monitor.queue import SpscQueue, pop_round_robin
+from repro.monitor.queue import pop_round_robin
 from repro.telemetry import Telemetry, active
 
 
@@ -51,6 +51,10 @@ class Monitor:
     the branch's :class:`~repro.monitor.checker.CheckSite`, the sending
     thread, the runtime key (call-site path, loop iterations), and the
     condition basis values or the branch outcome.
+
+    ``queues[tid]`` is thread ``tid``'s queue, a list the generated send
+    code appends to while it is shorter than ``capacity``; a send that
+    finds it full calls :meth:`try_send`.
     """
 
     def __init__(self, metadata: InstrumentationMetadata, nthreads: int,
@@ -69,13 +73,15 @@ class Monitor:
         #: Live collector or None — the disabled path is one identity
         #: check (see repro.telemetry).
         self.telemetry = active(telemetry)
-        capacity = metadata.config.queue_capacity
-        self.queues: List[SpscQueue[tuple]] = [
-            SpscQueue(capacity) for _ in range(nthreads)]
+        self.capacity = metadata.config.queue_capacity
+        self.queues: List[List[tuple]] = [[] for _ in range(nthreads)]
+        #: Per-thread producer stall events (see queue_pressure).
+        self._stalls = [0] * nthreads
+        #: Oldest messages FEED mode discarded to make room.
+        self._dropped = 0
         self.table = BranchTable()
         self.violations: List[Violation] = []
         self.stats = CheckStatistics()
-        self.messages_received = 0
         self.messages_processed = 0
         self._round_robin = 0
         self._checks_since_discard = 0
@@ -85,29 +91,42 @@ class Monitor:
 
     def try_send(self, thread_id: int, message: tuple) -> bool:
         """Enqueue a message from ``thread_id``.  False = queue full, the
-        producer must stall and retry (full mode only)."""
+        producer must stall and retry (full mode only).  Generated send
+        code appends to a queue with room itself and calls this only
+        when it is full."""
         queue = self.queues[thread_id]
-        if self._feed and queue.is_full:
-            # Disabled monitor: the queue is never consumed; model the
-            # paper's setup by discarding the oldest entry so producers
-            # never block on a thread nobody will read.
-            queue.try_pop()
-        if queue.try_push(message):
-            self.messages_received += 1
-            tel = self.telemetry
-            if tel is not None:
-                tel.gauge_max("monitor.queue_hwm", len(queue))
+        if len(queue) < self.capacity:
+            queue.append(message)
             return True
+        if self._feed:
+            # Disabled monitor: model the paper's setup by discarding
+            # the oldest entry so producers never block on a queue
+            # nobody acts on.
+            del queue[0]
+            queue.append(message)
+            self._dropped += 1
+            return True
+        self._stalls[thread_id] += 1
         tel = self.telemetry
         if tel is not None:
             tel.count("monitor.producer_stalls")
         return False
+
+    @property
+    def messages_received(self) -> int:
+        """Messages accepted from producers: processed, still queued,
+        or dropped by FEED mode."""
+        return (self.messages_processed + sum(map(len, self.queues))
+                + self._dropped)
 
     # -- consumer side (the monitor "thread") --------------------------------
 
     def drain(self, limit: int) -> int:
         """Round-robin drain of up to ``limit`` messages; returns the
         number processed."""
+        tel = self.telemetry
+        if tel is not None:
+            gauge_queues(tel, self.queues)
         messages, self._round_robin = pop_round_robin(
             self.queues, self._round_robin, limit)
         processed = len(messages)
@@ -116,7 +135,6 @@ class Monitor:
         if self._full:
             self.table.file(messages, self.nthreads, self._check)
         self.messages_processed += processed
-        tel = self.telemetry
         if tel is not None:
             tel.count("monitor.drains")
             tel.observe("monitor.drain_batch", processed)
@@ -152,16 +170,18 @@ class Monitor:
 
     def save_state(self) -> dict:
         """Everything a run's later behaviour depends on, copied: the
-        queues' live items, the table, the check statistics and the
-        cursors (see :meth:`repro.runtime.machine.Machine.checkpoint`)."""
+        queued messages and stall counts, the table, the check
+        statistics and the cursors (see
+        :meth:`repro.runtime.machine.Machine.checkpoint`)."""
         stats = self.stats
         return {
-            "queues": [queue.save_state() for queue in self.queues],
+            "queues": [list(queue) for queue in self.queues],
+            "stalls": list(self._stalls),
             "table": self.table.save_state(),
             "violations": list(self.violations),
             "stats": (stats.instances_checked, dict(stats.checks_by_kind),
                       dict(stats.violations_by_kind)),
-            "counters": (self.messages_received, self.messages_processed,
+            "counters": (self._dropped, self.messages_processed,
                          self._round_robin, self._checks_since_discard,
                          self._finalized),
         }
@@ -170,14 +190,16 @@ class Monitor:
         """Assign :meth:`save_state` output into this freshly built
         monitor (fresh objects keep the hot paths as fast as a new
         run's)."""
+        # In place: a hierarchical monitor's leaves share these lists.
         for queue, saved in zip(self.queues, state["queues"]):
-            queue.load_state(saved)
+            queue[:] = saved
+        self._stalls = list(state["stalls"])
         self.table.load_state(state["table"])
         self.violations = list(state["violations"])
         checked, by_kind, violations_by_kind = state["stats"]
         self.stats = CheckStatistics(checked, dict(by_kind),
                                      dict(violations_by_kind))
-        (self.messages_received, self.messages_processed,
+        (self._dropped, self.messages_processed,
          self._round_robin, self._checks_since_discard,
          self._finalized) = state["counters"]
 
@@ -217,4 +239,13 @@ class Monitor:
 
     def queue_pressure(self) -> int:
         """Total producer stall events across all queues (cost model)."""
-        return sum(q.full_events for q in self.queues)
+        return sum(self._stalls)
+
+
+def gauge_queues(tel: Telemetry, queues: List[List[tuple]]) -> None:
+    """Gauge ``monitor.queue_hwm`` from ``queues`` before a drain pops
+    them.  Between drains a queue only grows, and every run ends with a
+    drain, so this is the maximum length any push reached."""
+    longest = max(map(len, queues), default=0)
+    if longest:
+        tel.gauge_max("monitor.queue_hwm", longest)

@@ -104,7 +104,7 @@ from repro.runtime.values import float_div, float_to_int, int_div, int_mod
 
 #: Bump when generated code changes shape — part of every store key, so
 #: stale cached closure bundles can never be loaded into a new runtime.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 _RUNNABLE = ThreadStatus.RUNNABLE
 _DONE = ThreadStatus.DONE
@@ -532,17 +532,15 @@ class _FunctionCodegen:
                         body.append("_li = thread.loop_iters")
                     body.append("key = (thread.callsite_key, (%s))" % "".join(
                         "_li.get(%d, -1), " % lid for lid in loops))
-                    body.append("mon = machine.monitor")
+                    body += ["mon = machine.monitor", "q = mon.queues[tid]"]
                 if isinstance(inst, SendBranchCondition):
                     cycles += self.send_cost
                     steps += 1
-                    body += [
-                        "msg = (S_%d, tid, key, (%s), False)"
+                    body += self._send(
+                        "(S_%d, tid, key, (%s), False)"
                         % (info.static_id,
                            "".join(ref(v) + ", " for v in inst.operands)),
-                        "if mon is not None and not mon.try_send(tid, msg):",
-                        "    return _stall(machine, thread, frame, %d, "
-                        "('send', msg), %r, %d)" % (pos, cycles, steps)]
+                        pos, "('send', msg)", cycles, steps)
                 else:
                     cycles += self.cost.branch
                     steps += 1
@@ -607,34 +605,45 @@ class _FunctionCodegen:
                            + "\n")
         return name, steps
 
+    @staticmethod
+    def _send(msg: str, pos: int, pending: str, cycles: float,
+              steps: int) -> List[str]:
+        """Lines appending ``msg`` to the thread's queue ``q`` while it
+        has room, else through :meth:`Monitor.try_send` or a stall."""
+        return ["msg = " + msg,
+                "if len(q) < mon.capacity:",
+                "    q.append(msg)",
+                "elif not mon.try_send(tid, msg):",
+                "    return _stall(machine, thread, frame, %d, %s, %r, %d)"
+                % (pos, pending, cycles, steps)]
+
     def _branch_tail(self, branch: Branch, block: BasicBlock, pos: int,
                      info, cond: str, cycles: float, steps: int) -> List[str]:
         """Lines of a unit ending in ``branch``: count it, let the fault
-        hook decide, send the outcome message (its send cost charged
-        only with a monitor), charge the unit's cycles and transfer.
+        hook decide if this is a branch it asked for
+        (``thread.hook_at``, see :meth:`FaultHook.call_at`), send the
+        outcome message, charge the unit's cycles and transfer.
         Successor phis are copied by the ``e_*`` edge copies, which read
         register slots: that is where a condition fault's corruption
-        lands."""
-        lines = ["thread.branch_count += 1",
-                 "taken = machine.hook.before_branch(machine, thread, "
+        lands.  A checked branch always runs with a monitor (the machine
+        refuses an instrumented module without one)."""
+        lines = ["thread.branch_count = bc = thread.branch_count + 1",
+                 "at = thread.hook_at",
+                 "if at == bc or at < 0:",
+                 "    taken = machine.hook.before_branch(machine, thread, "
                  "I_%d_%d, frame, %s)"
-                 % (self.fi, self.block_index[id(block)], cond)]
+                 % (self.fi, self.block_index[id(block)], cond),
+                 "else:",
+                 "    taken = %s" % cond]
         if info is not None:
             then_b, else_b = (self.block_index[id(branch.then_block)],
                               self.block_index[id(branch.else_block)])
-            lines += [
-                "if mon is not None:",
-                "    msg = (S_%d, tid, key, taken, True)" % info.static_id,
-                "    if not mon.try_send(tid, msg):",
-                "        return _stall(machine, thread, frame, %d, ('branch', "
-                "msg, B_%d_%d if taken else B_%d_%d), %r, %d)"
-                % (pos, self.fi, then_b, self.fi, else_b,
-                   cycles + self.send_cost, steps),
-                "    thread.cycles += %r" % (cycles + self.send_cost),
-                "else:",
-                "    thread.cycles += %r" % cycles]
-        else:
-            lines.append("thread.cycles += %r" % cycles)
+            cycles += self.send_cost
+            lines += self._send(
+                "(S_%d, tid, key, taken, True)" % info.static_id, pos,
+                "('branch', msg, B_%d_%d if taken else B_%d_%d)"
+                % (self.fi, then_b, self.fi, else_b), cycles, steps)
+        lines.append("thread.cycles += %r" % cycles)
         for test, target in (("if taken:", branch.then_block),
                              ("else:", branch.else_block)):
             lines.append(test)

@@ -16,8 +16,8 @@ the same cumulative step counts however the code was fused or
 optimized.
 
 Faults are injected through a :class:`FaultHook` given the chance to
-observe/alter every branch decision — the simulator's analogue of the
-paper's PIN-based injector.
+observe/alter the branch decisions it asks for — the simulator's
+analogue of the paper's PIN-based injector.
 
 A run given a *recorder* (:class:`repro.runtime.golden.GoldenRecorder`)
 hands it the machine between quanta so it can take
@@ -68,7 +68,7 @@ class ThreadContext:
     __slots__ = ("tid", "frames", "status", "cycles", "outputs",
                  "callsite_key", "loop_iters", "branch_count",
                  "pending", "steps", "ghost_skip", "sync_wait",
-                 "queue_stall")
+                 "queue_stall", "hook_at")
 
     def __init__(self, tid: int, frame: "Frame"):
         self.tid = tid
@@ -86,6 +86,9 @@ class ThreadContext:
         self.callsite_key: Tuple[int, ...] = ()
         self.loop_iters: Dict[int, int] = {}
         self.branch_count = 0
+        #: :meth:`FaultHook.call_at` of the run's hook (a resumed run
+        #: brings its own hook, so checkpoints leave it out).
+        self.hook_at = -1
         #: Deferred action while blocked on a full monitor queue:
         #: ("send", message) or ("branch", message, target_block).
         self.pending: Optional[Tuple] = None
@@ -106,6 +109,12 @@ class ThreadContext:
 
 class FaultHook:
     """Injection interface; the default hook is a no-op (golden runs)."""
+
+    def call_at(self, tid: int) -> int:
+        """Which of thread ``tid``'s branches :meth:`before_branch`
+        sees: -1 all, 0 none, k >= 1 the k-th.  By default an override
+        of :meth:`before_branch` sees all and the no-op hook none."""
+        return 0 if type(self).before_branch is FaultHook.before_branch else -1
 
     def before_branch(self, machine: "Machine", thread: ThreadContext,
                       branch: Branch, frame: "Frame", taken: bool) -> bool:
@@ -249,6 +258,8 @@ class Machine:
         entry_cf = compiled.by_name[entry]
         self.threads = [ThreadContext(tid, entry_cf.make_frame(()))
                         for tid in range(nthreads)]
+        for thread in self.threads:
+            thread.hook_at = self.hook.call_at(thread.tid)
         self.mutexes: Dict[str, SimMutex] = {}
         self.barriers: Dict[str, SimBarrier] = {}
         for name, g in module.globals.items():

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from repro.faults import FaultSpec, FaultType, InjectingHook, plan_fault
-from repro.runtime import ParallelProgram
+from repro.faults.recording import RecordingHook
+from repro.runtime import FaultHook, ParallelProgram, RunConfig
+from repro.runtime.golden import GoldenRecorder, select_checkpoint
+from repro.splash2 import kernel
 from tests.conftest import FIGURE_1, figure1_setup
 
 
@@ -113,3 +116,79 @@ class TestDetectionEndToEnd:
         result = program.run_protected(4, setup=figure1_setup(4),
                                        fault_hook=hook)
         assert result.detected
+
+
+def spy_on(hook):
+    """Count, per thread, the calls the machine makes to ``hook``'s
+    ``before_branch`` (an instance attribute: ``call_at`` still sees the
+    class's own method)."""
+    calls = {}
+    original = hook.before_branch
+
+    def spy(machine, thread, branch, frame, taken):
+        calls.setdefault(thread.tid, []).append(thread.branch_count)
+        return original(machine, thread, branch, frame, taken)
+
+    hook.before_branch = spy
+    return calls
+
+
+class TestHookTrigger:
+    """``FaultHook.call_at`` decides which branches reach the hook."""
+
+    def test_no_op_hook_is_never_called(self, program):
+        hook = FaultHook()
+        assert hook.call_at(0) == 0
+        calls = spy_on(hook)
+        result = program.run_protected(4, setup=figure1_setup(4),
+                                       fault_hook=hook)
+        assert sum(result.branch_counts.values()) > 0
+        assert calls == {}
+
+    @pytest.mark.parametrize("make", [
+        lambda: RecordingHook({}), GoldenRecorder,
+        lambda: type("Observer", (FaultHook,), {
+            "before_branch": lambda self, m, t, b, f, taken: taken})()])
+    def test_overriding_hooks_see_every_branch(self, program, make):
+        hook = make()
+        assert hook.call_at(0) == -1
+        calls = spy_on(hook)
+        kwargs = ({"recorder": hook} if isinstance(hook, GoldenRecorder)
+                  else {"fault_hook": hook})
+        result = program.run(RunConfig(nthreads=4), setup=figure1_setup(4),
+                             **kwargs)
+        assert {tid: len(seen) for tid, seen in calls.items()} == \
+            result.branch_counts
+        assert all(seen == list(range(1, len(seen) + 1))
+                   for seen in calls.values())
+
+    def test_injecting_hook_runs_once_per_activated_trial(self):
+        """From step 0 and resumed from golden checkpoints alike, the
+        injector is called exactly at its target branch, once."""
+        spec = kernel("radix")
+        program = spec.program()
+        config = RunConfig(nthreads=4, seed=2012)
+        recorder = GoldenRecorder()
+        golden = program.run(config, setup=spec.setup(4), recorder=recorder)
+        assert recorder.checkpoints
+        rng = random.Random(5)
+        for trial in range(12):
+            fault_type = (FaultType.BRANCH_FLIP, FaultType.BRANCH_CONDITION)[
+                trial % 2]
+            fault = plan_fault(fault_type, golden.branch_counts, rng)
+            if trial == 11:  # beyond the thread's last branch
+                fault = FaultSpec(fault_type, 1, 10 ** 9)
+            hook = InjectingHook(fault)
+            assert hook.call_at(fault.thread_id) == fault.branch_index
+            assert hook.call_at((fault.thread_id + 1) % 4) == 0
+            calls = spy_on(hook)
+            resume = (select_checkpoint(recorder.checkpoints,
+                                        fault.thread_id, fault.branch_index)
+                      if trial % 3 else None)
+            program.run(config, setup=spec.setup(4), fault_hook=hook,
+                        resume=resume)
+            if trial == 11:
+                assert not hook.activated and calls == {}
+            else:
+                assert hook.activated
+                assert calls == {fault.thread_id: [fault.branch_index]}

@@ -30,10 +30,10 @@ def reference_drain(queues, cursor, limit, monitor):
     while processed < limit and empty_streak < nqueues:
         queue = queues[cursor]
         cursor = (cursor + 1) % nqueues
-        message = queue.try_pop()
-        if message is None:
+        if not queue:
             empty_streak += 1
             continue
+        message = queue.pop(0)
         empty_streak = 0
         processed += 1
         monitor.table.file([message], monitor.nthreads, monitor._check)
@@ -54,6 +54,7 @@ class ReferenceHierarchy(HierarchicalMonitor):
         processed, self._group_cursor[leaf] = reference_drain(
             queues, self._group_cursor[leaf], limit, self)
         self.leaf_processed[leaf] += processed
+        self.messages_processed += processed
         return processed
 
 

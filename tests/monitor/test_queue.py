@@ -1,62 +1,76 @@
-"""Tests for the Lamport SPSC queue, including a property test that
-model-checks FIFO behaviour under arbitrary push/pop interleavings."""
+"""Tests for the monitor's front-end queues (one bounded FIFO list per
+thread), driven through ``Monitor.try_send`` and ``Monitor.drain``,
+including a property test that model-checks FIFO behaviour under
+arbitrary send/drain interleavings."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.monitor import SpscQueue
+from repro.instrument.config import InstrumentConfig, InstrumentationMetadata
+from repro.monitor import Monitor, MonitorMode
+
+
+def queue_monitor(capacity, nthreads=1):
+    """A monitor whose table only records what the drain hands it."""
+    monitor = Monitor(InstrumentationMetadata(
+        config=InstrumentConfig(queue_capacity=capacity)), nthreads,
+        mode=MonitorMode.FULL)
+    monitor.drained = []
+    monitor.table.file = (
+        lambda messages, nthreads, on_complete:
+        monitor.drained.extend(messages))
+    return monitor
+
+
+def pop(monitor, limit=1):
+    start = len(monitor.drained)
+    monitor.drain(limit)
+    return monitor.drained[start:]
 
 
 class TestBasics:
     def test_empty_initially(self):
-        q = SpscQueue(4)
-        assert q.is_empty and not q.is_full
-        assert len(q) == 0
-        assert q.try_pop() is None
+        monitor = queue_monitor(4)
+        assert monitor.queues == [[]]
+        assert monitor.drain(1) == 0
+        assert pop(monitor) == []
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            SpscQueue(0)
+            InstrumentConfig(queue_capacity=0)
 
     def test_push_pop_order(self):
-        q = SpscQueue(8)
+        monitor = queue_monitor(8)
         for i in range(5):
-            assert q.try_push(i)
-        assert [q.try_pop() for _ in range(5)] == [0, 1, 2, 3, 4]
-        assert q.is_empty
+            assert monitor.try_send(0, i)
+        assert pop(monitor, 5) == [0, 1, 2, 3, 4]
+        assert monitor.queues == [[]]
 
     def test_full_rejects_and_counts(self):
-        q = SpscQueue(2)
-        assert q.try_push("a") and q.try_push("b")
-        assert q.is_full
-        assert not q.try_push("c")
-        assert q.full_events == 1
-        assert len(q) == 2
+        monitor = queue_monitor(2)
+        assert monitor.try_send(0, "a") and monitor.try_send(0, "b")
+        assert not monitor.try_send(0, "c")
+        assert monitor.queue_pressure() == 1
+        assert monitor.queues[0] == ["a", "b"]
 
     def test_capacity_is_usable_slots(self):
-        q = SpscQueue(3)
-        assert q.capacity == 3
-        assert all(q.try_push(i) for i in range(3))
-        assert not q.try_push(99)
+        monitor = queue_monitor(3)
+        assert monitor.capacity == 3
+        assert all(monitor.try_send(0, i) for i in range(3))
+        assert not monitor.try_send(0, 99)
 
     def test_wraparound(self):
-        q = SpscQueue(3)
+        monitor = queue_monitor(3)
         for round_ in range(10):
-            assert q.try_push(round_)
-            assert q.try_pop() == round_
+            assert monitor.try_send(0, round_)
+            assert pop(monitor) == [round_]
 
     def test_drain_limit(self):
-        q = SpscQueue(8)
+        monitor = queue_monitor(8)
         for i in range(6):
-            q.try_push(i)
-        assert q.drain(4) == [0, 1, 2, 3]
-        assert q.drain(10) == [4, 5]
-
-    def test_slots_cleared_on_pop(self):
-        q = SpscQueue(2)
-        q.try_push("payload")
-        q.try_pop()
-        assert all(slot is None for slot in q._buffer)
+            monitor.try_send(0, i)
+        assert pop(monitor, 4) == [0, 1, 2, 3]
+        assert pop(monitor, 10) == [4, 5]
 
 
 class TestFifoProperty:
@@ -67,18 +81,21 @@ class TestFifoProperty:
         st.integers(min_value=1, max_value=7))
     def test_behaves_like_bounded_deque(self, ops, capacity):
         """Differential test against a plain list model."""
-        q = SpscQueue(capacity)
+        monitor = queue_monitor(capacity)
         model = []
+        stalls = 0
         for op, value in ops:
             if op == "push":
-                ok = q.try_push(value)
+                ok = monitor.try_send(0, value)
                 assert ok == (len(model) < capacity)
                 if ok:
                     model.append(value)
+                else:
+                    stalls += 1
             else:
-                got = q.try_pop()
-                expected = model.pop(0) if model else None
-                assert got == expected
-            assert len(q) == len(model)
-            assert q.is_empty == (not model)
-            assert q.is_full == (len(model) == capacity)
+                expected = [model.pop(0)] if model else []
+                assert pop(monitor) == expected
+            assert monitor.queues[0] == model
+            assert monitor.queue_pressure() == stalls
+            assert monitor.messages_received == (len(monitor.drained)
+                                                 + len(model))

@@ -70,10 +70,15 @@ def _facts(result, output_globals):
 
 
 def _run(program, setup, quantum, output_globals, fault=None):
+    """(facts, result); with a fault the facts include what the hook
+    did and wrote."""
     hook = InjectingHook(fault) if fault is not None else None
     result = program.run(RunConfig(nthreads=1, quantum=quantum),
                          setup=setup, fault_hook=hook)
-    return _facts(result, output_globals), result
+    facts = _facts(result, output_globals)
+    if hook is not None:
+        facts = (facts, hook.activated, hook.flipped_branch, hook.detail)
+    return facts, result
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -89,6 +94,7 @@ def test_runs_agree_across_quanta(case):
             spec = FaultSpec(fault_type, 0, index, rng_seed=11 * index)
             facts = [_run(program, setup, q, output_globals, spec)[0]
                      for q in QUANTA]
+            assert facts[0][1], (fault_type, index)  # activated
             assert facts[0] == facts[1] == facts[2], (fault_type, index)
 
 

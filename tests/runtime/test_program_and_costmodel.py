@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.frontend import compile_source
+from repro.instrument import InstrumentConfig
 from repro.monitor import MonitorMode
 from repro.runtime import CostModel, Machine, ParallelProgram, RunConfig
 from tests.conftest import FIGURE_1, figure1_setup
@@ -51,6 +52,16 @@ class TestParallelProgram:
                        RunConfig(nthreads=0), RunConfig(nthreads=-2)):
             with pytest.raises(ValueError, match="at least 1"):
                 program.run(config, setup=figure1_setup(4))
+
+    @pytest.mark.parametrize("field", ["queue_capacity", "monitor_batch"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_nonpositive_queue_capacity_or_batch_rejected(self, field,
+                                                          value):
+        # monitor_batch <= 0 used to defer every check to the join;
+        # queue_capacity <= 0 failed only when the first monitor was
+        # built.
+        with pytest.raises(ValueError, match="%s must be at least 1" % field):
+            InstrumentConfig(**{field: value})
 
     def test_instrumented_module_requires_monitor(self, program):
         with pytest.raises(SimulationError):
