@@ -268,6 +268,8 @@ def cmd_inject(args) -> int:
         stats.SUMMARY_HEADERS, [stats.summary_row()],
         title="Campaign: %d x %s on %s" % (args.injections, spec.fault,
                                            args.program)))
+    print("trials cut short: %d stopped checking, %d re-joined golden"
+          % (stats.settled, stats.rejoined))
     if result.stratified is not None:
         estimate = result.stratified["estimate"]
         print("stratified estimate: coverage %.4f (protected) / %.4f "

@@ -76,6 +76,12 @@ class InjectionRecord:
     #: Per-injection metrics + trace events (None unless the campaign
     #: ran with telemetry); picklable, so it crosses worker boundaries.
     telemetry: Optional[TelemetrySnapshot] = None
+    #: How the trial ended early (:attr:`RunResult.cut`): "" (ran in
+    #: full), "settled" (stopped checking after the first violation) or
+    #: "rejoined" (stopped at an exact golden re-join).  Bookkeeping,
+    #: not part of the result: it depends on whether the campaign had
+    #: golden checkpoints, so it is not compared.
+    cut: str = field(default="", compare=False)
 
 
 @dataclass
@@ -266,12 +272,12 @@ def _injection_task(ctx: _CampaignContext, index: int) -> InjectionRecord:
                   target_thread=spec.thread_id,
                   target_branch=spec.branch_index)
         started = time.perf_counter_ns()
-    outcome, baseline_outcome, hook = run_one_injection(
+    outcome, baseline_outcome, hook, cut = run_one_injection(
         ctx.program, spec, ctx.config, ctx.setup, ctx.golden_signature,
         ctx.max_steps, telemetry=tel, checkpoints=ctx.checkpoints)
     record = InjectionRecord(
         spec=spec, outcome=outcome, baseline_outcome=baseline_outcome,
-        flipped_branch=hook.flipped_branch, detail=hook.detail)
+        flipped_branch=hook.flipped_branch, detail=hook.detail, cut=cut)
     if tel is not None:
         tel.add_time_ns("campaign.injection_ns",
                         time.perf_counter_ns() - started)
@@ -291,12 +297,12 @@ def _spec_injection_task(ctx: _CampaignContext,
     """Execute one *pre-planned* injection (stratified campaigns plan
     every spec in the parent; workers only execute)."""
     _cls, spec = item
-    outcome, baseline_outcome, hook = run_one_injection(
+    outcome, baseline_outcome, hook, cut = run_one_injection(
         ctx.program, spec, ctx.config, ctx.setup, ctx.golden_signature,
         ctx.max_steps, checkpoints=ctx.checkpoints)
     return InjectionRecord(
         spec=spec, outcome=outcome, baseline_outcome=baseline_outcome,
-        flipped_branch=hook.flipped_branch, detail=hook.detail)
+        flipped_branch=hook.flipped_branch, detail=hook.detail, cut=cut)
 
 
 def allocate_stratified(budget: int, weights: Dict[str, float]
@@ -612,7 +618,7 @@ def run_campaign(spec: CampaignSpec,
     for position, index in enumerate(pending):
         records[index] = new_records[position]
     for record in records:
-        stats.note(record.outcome, record.baseline_outcome)
+        stats.note(record.outcome, record.baseline_outcome, record.cut)
     if keep_records:
         result.records = list(records)
     if parent_tel is not None:
@@ -672,7 +678,7 @@ def _run_stratified(program: ParallelProgram, fault_type: FaultType,
     by_class: Dict[str, Dict[str, int]] = {}
     baseline_by_class: Dict[str, Dict[str, int]] = {}
     for (cls, _spec), record in zip(specs, records):
-        stats.note(record.outcome, record.baseline_outcome)
+        stats.note(record.outcome, record.baseline_outcome, record.cut)
         census = by_class.setdefault(cls, {})
         census[record.outcome.value] = census.get(record.outcome.value,
                                                   0) + 1
@@ -714,14 +720,20 @@ def run_one_injection(program: ParallelProgram, spec: FaultSpec,
                       golden_signature, max_steps: int,
                       telemetry: Optional[Telemetry] = None,
                       checkpoints: Sequence[Checkpoint] = ()
-                      ) -> Tuple[Outcome, Outcome, InjectingHook]:
+                      ) -> Tuple[Outcome, Outcome, InjectingHook, str]:
     """One fault run, classified.  Returns (protected outcome, outcome the
-    unprotected program would have had, the hook).
+    unprotected program would have had, the hook, how the run was cut
+    short: :attr:`InjectionRecord.cut`).
 
     The run resumes from the latest of the golden run's ``checkpoints``
     taken before the fault site (step 0 when there is none): up to the
     fault the run is the golden run, so the result is the same as a run
-    from step 0."""
+    from step 0.  Without telemetry it runs only until its outcome is
+    decided: it stops checking at the first violation and stops at an
+    exact re-join with a later checkpoint.  Both leave the outcome pair
+    unchanged.  A telemetry collector records the whole run (triage
+    reads its violations and per-thread metrics), so such a trial runs
+    in full."""
     hook = InjectingHook(spec)
     run = program.run(
         RunConfig(nthreads=config.nthreads, seed=config.seed,
@@ -729,9 +741,12 @@ def run_one_injection(program: ParallelProgram, spec: FaultSpec,
                   quantum=config.quantum, telemetry=telemetry),
         setup=setup, fault_hook=hook,
         resume=select_checkpoint(checkpoints, spec.thread_id,
-                                 spec.branch_index))
+                                 spec.branch_index),
+        cut_short=checkpoints if telemetry is None else None)
     if not hook.activated:
-        return Outcome.NOT_ACTIVATED, Outcome.NOT_ACTIVATED, hook
+        return Outcome.NOT_ACTIVATED, Outcome.NOT_ACTIVATED, hook, run.cut
+    if run.cut == "rejoined":
+        return Outcome.MASKED, Outcome.MASKED, hook, run.cut
     if run.status == "crash":
         underlying = Outcome.CRASH
     elif run.status in ("hang", "deadlock"):
@@ -742,7 +757,7 @@ def run_one_injection(program: ParallelProgram, spec: FaultSpec,
         underlying = (Outcome.MASKED if signature == golden_signature
                       else Outcome.SDC)
     protected = Outcome.DETECTED if run.detected else underlying
-    return protected, underlying, hook
+    return protected, underlying, hook, run.cut
 
 
 @dataclass

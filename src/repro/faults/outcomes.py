@@ -45,12 +45,22 @@ class CampaignStats:
     #: Outcomes the *unprotected* program would have seen (detection
     #: replaced by what happened underneath).
     baseline_counts: Dict[Outcome, int] = field(default_factory=dict)
+    #: Trials that stopped checking after their first violation, and
+    #: trials that stopped at an exact golden re-join (the work the
+    #: campaign skipped; not part of its result, so not compared).
+    settled: int = field(default=0, compare=False)
+    rejoined: int = field(default=0, compare=False)
 
-    def note(self, outcome: Outcome, baseline_outcome: Outcome) -> None:
+    def note(self, outcome: Outcome, baseline_outcome: Outcome,
+             cut: str = "") -> None:
         self.injections += 1
         self.counts[outcome] = self.counts.get(outcome, 0) + 1
         self.baseline_counts[baseline_outcome] = (
             self.baseline_counts.get(baseline_outcome, 0) + 1)
+        if cut == "settled":
+            self.settled += 1
+        elif cut == "rejoined":
+            self.rejoined += 1
 
     @property
     def activated(self) -> int:

@@ -23,7 +23,11 @@ A run given a *recorder* (:class:`repro.runtime.golden.GoldenRecorder`)
 hands it the machine between quanta so it can take
 :class:`Checkpoint` objects; a run given a checkpoint to *resume* from
 restores that state into its freshly built objects and executes only
-the rest of the run.
+the rest of the run.  A fault trial given the golden run's checkpoints
+(``cut_short``) runs only until its outcome is decided: its monitor
+stops checking at the first violation, and the run ends where its state
+equals a later checkpoint exactly (see docs/INTERNALS.md, "Trials that
+stop early").
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import enum
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DetectionRaised,
@@ -46,6 +50,7 @@ from repro.monitor import Monitor
 from repro.runtime.costmodel import CostModel
 from repro.runtime.memory import SharedMemory
 from repro.runtime.sync import SimBarrier, SimMutex
+from repro.runtime.values import exactly_equal
 from repro.telemetry import Telemetry, TelemetrySnapshot, active
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -178,6 +183,12 @@ class RunResult:
         self.thread_queue_stall: Dict[int, float] = {}
         #: Metrics snapshot; None unless the run was given a collector.
         self.telemetry: Optional[TelemetrySnapshot] = None
+        #: How a ``cut_short`` trial ended early: "" (it did not),
+        #: "settled" (its monitor stopped checking at the first
+        #: violation; the program ran to its end) or "rejoined" (it
+        #: stopped at a golden checkpoint; the fields above hold the
+        #: state there, and no final sweep ran).
+        self.cut = ""
 
     @property
     def detected(self) -> bool:
@@ -193,6 +204,10 @@ class RunResult:
             snap = self.memory.snapshot(output_globals)
             arrays = tuple((name, tuple(snap[name])) for name in sorted(snap))
         return (self.status, streams, arrays)
+
+
+class _Rejoined(Exception):
+    """A ``cut_short`` trial's state equals a golden checkpoint."""
 
 
 class Machine:
@@ -215,7 +230,8 @@ class Machine:
                  schedule_jitter: float = 2.0,
                  halt_on_detection: bool = False,
                  telemetry: Optional[Telemetry] = None,
-                 recorder: Optional["GoldenRecorder"] = None):
+                 recorder: Optional["GoldenRecorder"] = None,
+                 cut_short: Optional[Sequence[Checkpoint]] = None):
         from repro.runtime import closures  # lazy: closures imports us
         if nthreads < 1:
             raise ValueError("nthreads must be at least 1, got %r"
@@ -232,6 +248,14 @@ class Machine:
             if fault_hook is not None:
                 raise ValueError("a recorded run takes no fault hook")
             fault_hook = recorder
+        if cut_short is not None and (recorder is not None
+                                      or telemetry is not None):
+            raise ValueError("only a fault trial without telemetry is "
+                             "cut short")
+        if cut_short is not None and monitor is not None:
+            monitor.settle = True
+        #: Golden checkpoints this trial may still re-join, in run order.
+        self._ahead = list(cut_short) if cut_short is not None else []
         self.monitor = monitor
         self.cost = cost_model if cost_model is not None else CostModel()
         self.hook = fault_hook if fault_hook is not None else FaultHook()
@@ -286,8 +310,14 @@ class Machine:
             if self.recorder is not None and self.monitor is not None:
                 self._loop_telemetry = Telemetry()
                 self.monitor.telemetry = self._loop_telemetry
+        rejoined = False
         try:
             self._loop()
+        except _Rejoined:
+            # The rest of the run is the golden run's: masked, and the
+            # golden run's monitor found nothing to sweep.
+            rejoined = True
+            result.cut = "rejoined"
         except DetectionRaised:
             # halt_on_detection mode: the paper's "raises an exception and
             # stops the program".  The violation itself is collected from
@@ -323,8 +353,10 @@ class Machine:
         result.barrier_episodes = sum(
             b.episodes for b in self.barriers.values())
         result.sync_wait_cycles = self.sync_wait_cycles
-        if self.monitor is not None:
+        if self.monitor is not None and not rejoined:
             result.violations = list(self.monitor.finalize())
+            if self.monitor.settle and result.violations:
+                result.cut = "settled"
         if tel is not None:
             # End-of-run aggregation: the per-instruction facts come from
             # counters the simulator maintains anyway, so the hot loop
@@ -383,9 +415,16 @@ class Machine:
                  if monitor is not None else 0)
         halt = self.halt_on_detection
         recorder = self.recorder
-        # Step count at which the recorder wants the next checkpoint.
-        checkpoint_at = (recorder.next_at if recorder is not None
-                         else float("inf"))
+        # Step count at which the recorder wants the next checkpoint,
+        # or at which a cut-short trial next meets a golden checkpoint.
+        if recorder is not None:
+            checkpoint_at = recorder.next_at
+
+            def capture():
+                return recorder.capture(self)
+        else:
+            capture = self._rejoin
+            checkpoint_at = self._next_rejoin()
         while True:
             # Pick the runnable thread with the lowest jittered clock.
             # One RNG draw per runnable thread in tid order, ties to the
@@ -413,7 +452,7 @@ class Machine:
                 if halt and monitor.detected:
                     raise DetectionRaised(monitor.first_violation())
             if self.total_steps >= checkpoint_at:
-                checkpoint_at = recorder.capture(self)
+                checkpoint_at = capture()
 
     def _resolve_blocked(self) -> bool:
         """Try to unblock queue-stalled producers by draining the monitor."""
@@ -491,6 +530,23 @@ class Machine:
 
     def checkpoint(self) -> Checkpoint:
         """Copy the machine state; call only between quanta."""
+        monitor = self.monitor
+        loop_tel = self._loop_telemetry
+        mutexes, barriers = self._sync_state()
+        return Checkpoint(
+            steps=self.total_steps,
+            branch_counts=tuple(t.branch_count for t in self.threads),
+            threads=self._thread_states(),
+            memory=self.memory.save_state(),
+            mutexes=mutexes,
+            barriers=barriers,
+            rng=self._rng.getstate(),
+            sync_wait_cycles=self.sync_wait_cycles,
+            monitor=monitor.save_state() if monitor is not None else None,
+            metrics=loop_tel.snapshot() if loop_tel is not None else None)
+
+    def _thread_states(self) -> list:
+        """Every thread's state as a checkpoint holds it."""
         threads = []
         for t in self.threads:
             frames = [(f.function, f.cfunc, f.block, f.cblock, f.index,
@@ -499,22 +555,61 @@ class Machine:
                             t.callsite_key, dict(t.loop_iters),
                             t.branch_count, t.pending, t.steps,
                             t.ghost_skip, t.sync_wait, t.queue_stall))
+        return threads
+
+    def _sync_state(self) -> Tuple[dict, dict]:
+        """Every mutex's and barrier's state as a checkpoint holds it."""
+        return ({name: (m.owner, list(m.waiters), m.last_release,
+                        m.acquisitions, m.contentions)
+                 for name, m in self.mutexes.items()},
+                {name: (b.generation, dict(b.arrived), b.episodes)
+                 for name, b in self.barriers.items()})
+
+    def _next_rejoin(self) -> float:
+        ahead = self._ahead
+        return ahead[0].steps if ahead else float("inf")
+
+    def _rejoin(self) -> float:
+        """At a quantum boundary at or past the next golden checkpoint:
+        if it lands exactly on the checkpoint's step count, the fault
+        has been applied, the monitor has found nothing, and the state
+        is the checkpoint's, end the run (:class:`_Rejoined`).  Returns
+        the step count of the next checkpoint ahead."""
+        ahead = self._ahead
+        steps = self.total_steps
+        while ahead and ahead[0].steps < steps:
+            del ahead[0]
+        if ahead and ahead[0].steps == steps:
+            checkpoint = ahead.pop(0)
+            monitor = self.monitor
+            if (getattr(self.hook, "activated", False)
+                    and (monitor is None or not monitor.violations)
+                    and self.same_state(checkpoint)):
+                raise _Rejoined()
+        return self._next_rejoin()
+
+    def same_state(self, checkpoint: Checkpoint) -> bool:
+        """Whether this machine's state is exactly ``checkpoint``'s
+        (:func:`~repro.runtime.values.exactly_equal`).  Cheap fields
+        first: per-thread branch counts and cycles, the scheduler RNG;
+        then threads, memory (in place, no array copies), sync objects
+        and the monitor."""
+        threads = self.threads
         monitor = self.monitor
-        loop_tel = self._loop_telemetry
-        return Checkpoint(
-            steps=self.total_steps,
-            branch_counts=tuple(t.branch_count for t in self.threads),
-            threads=threads,
-            memory=self.memory.save_state(),
-            mutexes={name: (m.owner, list(m.waiters), m.last_release,
-                            m.acquisitions, m.contentions)
-                     for name, m in self.mutexes.items()},
-            barriers={name: (b.generation, dict(b.arrived), b.episodes)
-                      for name, b in self.barriers.items()},
-            rng=self._rng.getstate(),
-            sync_wait_cycles=self.sync_wait_cycles,
-            monitor=monitor.save_state() if monitor is not None else None,
-            metrics=loop_tel.snapshot() if loop_tel is not None else None)
+        return (checkpoint.branch_counts
+                == tuple(t.branch_count for t in threads)
+                and exactly_equal([t.cycles for t in threads],
+                                  [saved[2] for saved in checkpoint.threads])
+                and exactly_equal(self._rng.getstate(), checkpoint.rng)
+                and exactly_equal(self._thread_states(), checkpoint.threads)
+                and self.total_steps == checkpoint.steps
+                and exactly_equal(self.sync_wait_cycles,
+                                  checkpoint.sync_wait_cycles)
+                and self.memory.same_state(checkpoint.memory)
+                and exactly_equal(self._sync_state(),
+                                  (checkpoint.mutexes, checkpoint.barriers))
+                and (checkpoint.monitor is None if monitor is None
+                     else monitor.same_state(checkpoint.monitor)))
 
     def restore(self, checkpoint: Checkpoint) -> None:
         """Assign ``checkpoint``'s state into this freshly built machine

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import GuestCrash, SimulationError
 from repro.ir import ArrayType, Module
-from repro.runtime.values import GuestValue, wrap_int
+from repro.runtime.values import GuestValue, exactly_equal, wrap_int
 
 
 class SharedMemory:
@@ -92,6 +92,15 @@ class SharedMemory:
         scalars, arrays, self.loads, self.stores = state
         self.scalars = dict(scalars)
         self.arrays = {name: list(array) for name, array in arrays.items()}
+
+    def same_state(self, state: tuple) -> bool:
+        """Whether this memory holds exactly the saved ``state``
+        (:func:`~repro.runtime.values.exactly_equal`), compared in
+        place."""
+        scalars, arrays, loads, stores = state
+        return (self.loads == loads and self.stores == stores
+                and exactly_equal(self.scalars, scalars)
+                and exactly_equal(self.arrays, arrays))
 
     # -- host accessors (kernel setup / result readout) -----------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.analysis import AnalysisConfig, SimilarityResult, analyze_module
 from repro.frontend import compile_source
@@ -149,7 +149,8 @@ class ParallelProgram:
             setup: Optional[Callable[[SharedMemory], None]] = None,
             fault_hook: Optional[FaultHook] = None,
             resume: Optional[Checkpoint] = None,
-            recorder: Optional["GoldenRecorder"] = None) -> RunResult:
+            recorder: Optional["GoldenRecorder"] = None,
+            cut_short: Optional[Sequence[Checkpoint]] = None) -> RunResult:
         """Execute one image per ``config.monitor_mode``.
 
         ``setup`` is the host-side ``main()``: it may fill input globals
@@ -159,6 +160,9 @@ class ParallelProgram:
         memory).  ``recorder`` (a
         :class:`repro.runtime.golden.GoldenRecorder`, in place of a
         fault hook) records thread classes and checkpoints.
+        ``cut_short`` (fault trials without telemetry only: the golden
+        run's checkpoints) ends the run once its outcome is decided
+        (:attr:`RunResult.cut`).
         """
         if config.monitor_mode is None:
             module, monitor = self.baseline, None
@@ -181,7 +185,8 @@ class ParallelProgram:
             max_steps=config.max_steps,
             schedule_jitter=config.schedule_jitter,
             halt_on_detection=config.halt_on_detection,
-            telemetry=config.telemetry, recorder=recorder)
+            telemetry=config.telemetry, recorder=recorder,
+            cut_short=cut_short)
         if resume is not None:
             machine.restore(resume)
         elif setup is not None:

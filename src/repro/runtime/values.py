@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from typing import Any, Callable, Dict, Union
+from itertools import compress, repeat
+from typing import Any, Callable, Dict, Sequence, Union
 
 from repro.errors import GuestCrash, SimulationError
 
@@ -118,6 +119,75 @@ def flip_float_bit(value: float, bit: int) -> float:
     (raw,) = struct.unpack("<Q", struct.pack("<d", value))
     (result,) = struct.unpack("<d", struct.pack("<Q", raw ^ (1 << bit)))
     return result
+
+
+def exactly_equal(a, b) -> bool:
+    """Equality of run state that no later execution can tell apart.
+
+    ``a == b``, and the same types all the way down (``True`` is not
+    ``1``), floats of the same sign (``-0.0`` is not ``0.0``) and no NaN
+    anywhere (a NaN equals nothing, itself included).  Tuples, lists and
+    dicts compare element by element, dicts in insertion order; other
+    objects by ``==`` (identity for the compiled program's objects).
+    The ``==`` pass rejects almost every difference; the typed pass
+    runs only on states that pass it.  Both run mostly in C.
+    """
+    return a == b and _exact_items([a], [b])
+
+
+_SEQUENCES = frozenset((tuple, list))
+_CONTAINERS = _SEQUENCES | {dict}
+#: Items the typed pass slices or gathers at a time, per nesting level,
+#: which bounds the memory it allocates.
+_CHUNK = 1024
+
+
+def _exact_items(mine: Sequence, theirs: Sequence) -> bool:
+    """The typed pass of :func:`exactly_equal` over two aligned
+    sequences whose pairs are all ``==`` (or identical), one nesting
+    level at a time: only types, zero signs and NaN are left to check.
+    A nested sequence of ``_CHUNK`` items or more is walked on its own;
+    shorter ones are gathered, up to ``_CHUNK`` items, into one pass."""
+    for start in range(0, len(mine), _CHUNK):
+        chunk = mine[start:start + _CHUNK]
+        other_chunk = theirs[start:start + _CHUNK]
+        types = list(map(type, chunk))
+        if types != list(map(type, other_chunk)):
+            return False
+        kinds = set(types)
+        if float in kinds:
+            is_float = list(map(operator.is_, types, repeat(float)))
+            floats = list(compress(chunk, is_float))
+            if (any(map(math.isnan, floats))
+                    or list(map(math.copysign, repeat(1.0), floats))
+                    != list(map(math.copysign, repeat(1.0),
+                                compress(other_chunk, is_float)))):
+                return False
+        if kinds.isdisjoint(_CONTAINERS):
+            continue
+        inner: list = []
+        other: list = []
+        for x, y in compress(zip(chunk, other_chunk),
+                             map(_CONTAINERS.__contains__, types)):
+            if type(x) is dict:
+                # dict == ignores order: pair keys and values by position.
+                x = (list(x), list(x.values()))
+                y = (list(y), list(y.values()))
+                if x != y:
+                    return False
+            if len(x) >= _CHUNK:
+                if not _exact_items(x, y):
+                    return False
+                continue
+            inner += x
+            other += y
+            if len(inner) >= _CHUNK:
+                if not _exact_items(inner, other):
+                    return False
+                inner, other = [], []
+        if inner and not _exact_items(inner, other):
+            return False
+    return True
 
 
 def flip_value_bit(value: GuestValue, bit: int) -> GuestValue:

@@ -69,6 +69,7 @@ def record_to_dict(index: int, record) -> dict:
         "detail": record.detail,
         "telemetry": (None if record.telemetry is None
                       else record.telemetry.to_dict()),
+        "cut": record.cut,
     }
 
 
@@ -86,7 +87,9 @@ def record_from_dict(data: dict) -> Tuple[int, "InjectionRecord"]:
             baseline_outcome=Outcome(data["baseline_outcome"]),
             flipped_branch=bool(data["flipped_branch"]),
             detail=data.get("detail", ""),
-            telemetry=telemetry)
+            telemetry=telemetry,
+            # Journals written before trials were cut short lack it.
+            cut=str(data.get("cut", "")))
     except StoreCorruptError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
@@ -183,8 +186,15 @@ def result_from_dict(data: dict):
         telemetry = None
         if data.get("telemetry") is not None:
             telemetry = TelemetrySnapshot.from_dict(data["telemetry"])
+        stats = stats_from_dict(data["stats"])
+        # The cut-short counts are bookkeeping, kept out of the stats
+        # payload (and so out of every result digest): recount them.
+        for record in records:
+            if record is not None:
+                stats.settled += record.cut == "settled"
+                stats.rejoined += record.cut == "rejoined"
         return CampaignResult(
-            stats=stats_from_dict(data["stats"]),
+            stats=stats,
             records=records,
             telemetry=telemetry,
             stratified=data.get("stratified"),
