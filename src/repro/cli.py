@@ -66,7 +66,8 @@ def _kernel_spec(path: str):
 
 def _open_store(args):
     """The ``--store``/``$REPRO_STORE`` artifact store, installed as the
-    process default so campaign golden-run caching engages too."""
+    process default so campaigns resolve programs through it and share
+    golden runs (kept in its memory, with their checkpoints)."""
     from repro.store import open_store
     return open_store(getattr(args, "store", None), install=True)
 

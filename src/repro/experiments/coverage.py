@@ -15,8 +15,9 @@ scaled without editing code):
 ``REPRO_THREADS``  comma-separated thread counts; default ``4,32``.
 ``REPRO_JOBS``     worker processes per campaign (0 = all cores);
                    results are bit-identical to serial execution.
-``REPRO_STORE``    artifact-store root: kernel compiles and golden runs
-                   are cached there, so Figures 8 and 9 (same kernels,
+``REPRO_STORE``    artifact-store root: kernel compiles are cached
+                   there, and golden runs in the store's memory, so
+                   Figures 8 and 9 run in one process (same kernels,
                    same seeds, different fault type) share one golden
                    run per configuration instead of recomputing it.
 """

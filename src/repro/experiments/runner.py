@@ -16,10 +16,11 @@ campaign-shaped workload out across worker processes; results are
 bit-identical to serial runs.
 
 ``--store`` (or ``REPRO_STORE``) routes every kernel compile and every
-campaign golden run through a durable :mod:`repro.store` artifact
-cache, so fig6/fig7/fig8/fig9 on the same kernels share one compiled
-program and one golden run per configuration — across figures *and*
-across invocations.
+campaign golden run through a :mod:`repro.store` artifact cache, so
+fig6/fig7/fig8/fig9 on the same kernels share one compiled program per
+configuration across figures and invocations, and one golden run per
+configuration across the figures of one invocation (golden runs stay
+in memory with their checkpoints).
 """
 
 from __future__ import annotations

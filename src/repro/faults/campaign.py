@@ -453,10 +453,11 @@ def run_campaign(spec: CampaignSpec,
     ``store`` (an :class:`repro.store.ArtifactStore`; default: the
     spec's ``store`` directory, else the process-wide store from
     :func:`repro.store.default_store`, usually ``$REPRO_STORE``) caches
-    the golden run: telemetry-off campaigns on the same (program,
-    nthreads, seed, quantum, outputs, inputs) reuse one golden execution
-    across fault types, figures, and processes.  On a golden-cache hit
-    ``result.golden`` is ``None`` (stats and records are unaffected).
+    the golden run in memory: telemetry-off campaigns of this process on
+    the same program object and (nthreads, seed, quantum, outputs,
+    inputs) reuse one golden execution, checkpoints included, across
+    fault types and figures.  On a golden-cache hit ``result.golden`` is
+    ``None`` (stats and records are unaffected).
 
     ``spec.plan == "stratified"`` switches from index-planned uniform
     sampling to prediction-guided sampling: the static vulnerability
@@ -502,26 +503,26 @@ def run_campaign(spec: CampaignSpec,
                          nthreads=config.nthreads, program=program.name)
 
     # -- golden run (cached only when no events are being collected and
-    # the inputs have a canonical form to key on; a cache hit leaves no
-    # checkpoints, so its injections start at step 0) -------------------
-    from repro.store.hashing import program_key_of, setup_inputs
+    # the inputs have a canonical form to key on) ------------------------
+    from repro.store.hashing import setup_inputs
     golden: Optional[RunResult] = None
-    recorder = GoldenRecorder()
     inputs = setup_inputs(setup)
     if store is not None and parent_tel is None and inputs is not None:
-        prog_key = program_key_of(program)
-        summary = store.get_golden(
-            prog_key, config.nthreads, config.seed, config.quantum,
-            tuple(config.output_globals),
-            compute=lambda: _golden_summary_of(
-                golden_run(program, config, setup, recorder), recorder,
-                config),
-            inputs=inputs)
+        def compute():
+            recorder = GoldenRecorder()
+            run = golden_run(program, config, setup, recorder)
+            return (_golden_summary_of(run, recorder, config),
+                    tuple(recorder.checkpoints))
+
+        summary, checkpoints = store.get_golden(
+            program, config.nthreads, config.seed, config.quantum,
+            tuple(config.output_globals), compute=compute, inputs=inputs)
     else:
+        recorder = GoldenRecorder()
         golden = golden_run(program, config, setup, recorder,
                             telemetry=parent_tel)
         summary = _golden_summary_of(golden, recorder, config)
-    checkpoints = tuple(recorder.checkpoints)
+        checkpoints = tuple(recorder.checkpoints)
     golden_signature = quantize_signature(summary.signature,
                                           config.quantize_bits)
     branch_counts = dict(summary.branch_counts)

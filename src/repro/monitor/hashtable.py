@@ -13,6 +13,19 @@ a loop the callee knows nothing about), identical (static, runtime) keys
 repeat; the table then matches the k-th occurrence reported by each
 thread against the k-th of every other, which keeps SPMD instances
 aligned without ever mixing distinct dynamic instances.
+
+The table holds only *open* instances.  An instance is deleted from its
+level-2 dict the moment it completes (level-1 dicts stay, even empty, so
+the final sweep visits open instances in first-report order).  A
+(call path, branch, loop iterations) key's occurrence counters are
+dropped when its last instance completes with no later report of the key
+filed: every thread then has reported equally many conditions and
+equally many outcomes for it (outcomes: 0 at a values-only site, which
+gets none), so the next report restarts at occurrence 0 and builds the
+instance the old numbering would have built.  Occurrence indices are
+never observable — a :class:`~repro.monitor.checker.Violation` carries
+none — and a golden run and its trials prune the same way, so saved
+states compare exactly (docs/INTERNALS.md §6).
 """
 
 from __future__ import annotations
@@ -27,22 +40,20 @@ if TYPE_CHECKING:  # checker imports this module
 class InstanceEntry:
     """All reports for one dynamic instance of one branch."""
 
-    __slots__ = ("site", "values", "outcomes", "checked")
+    __slots__ = ("site", "values", "outcomes")
 
     def __init__(self, site: "CheckSite",
                  values: Optional[Dict[int, Tuple]] = None,
-                 outcomes: Optional[Dict[int, bool]] = None,
-                 checked: bool = False):
+                 outcomes: Optional[Dict[int, bool]] = None):
         self.site = site
         #: thread id -> condition basis values (from sendBranchCondition)
         self.values = {} if values is None else values
         #: thread id -> branch outcome (from sendBranchAddr)
         self.outcomes = {} if outcomes is None else outcomes
-        self.checked = checked
 
 
 class BranchTable:
-    """Two-level hash table plus per-thread occurrence counters."""
+    """Two-level hash table of open instances plus occurrence counters."""
 
     def __init__(self):
         #: level 1: (call-site path, static id) -> level 2 dict;
@@ -50,15 +61,16 @@ class BranchTable:
         self._levels: Dict[Tuple[Tuple[int, ...], int],
                            Dict[Tuple[Tuple[int, ...], int],
                                 InstanceEntry]] = {}
-        #: (level-1 key, loop iterations, thread, is outcome) ->
-        #: reports of that kind seen so far
-        self._occurrence: Dict[Tuple, int] = {}
+        #: (level-1 key, loop iterations) -> reports seen so far, per
+        #: thread: conditions at [tid], outcomes at [nthreads + tid]
+        self._occurrence: Dict[Tuple, List[int]] = {}
 
     def file(self, messages: Sequence[Tuple], nthreads: int,
              on_complete: Callable[[InstanceEntry], None]) -> None:
         """File a drained batch of ``(site, tid, key, payload,
-        is_outcome)`` messages, calling ``on_complete`` on an unchecked
-        instance once all ``nthreads`` threads have reported it.
+        is_outcome)`` messages, calling ``on_complete`` on an instance
+        (then no longer in the table) once all ``nthreads`` threads have
+        reported it.
 
         The k-th report of a thread for one (call path, branch, loop
         iterations) key joins the k-th instance.  One call per batch
@@ -78,19 +90,21 @@ class BranchTable:
             i += 1
             call_path, loop_iters = key
             level1_key = (call_path, site.info.static_id)
-            occ_key = (level1_key, loop_iters, tid, is_outcome)
-            seen = occurrence.get(occ_key, 0)
-            occurrence[occ_key] = seen + 1
+            group = (level1_key, loop_iters)
+            counts = occurrence.get(group)
+            if counts is None:
+                counts = occurrence[group] = [0] * (2 * nthreads)
+            slot = nthreads + tid if is_outcome else tid
+            seen = counts[slot]
+            counts[slot] = seen + 1
             paired = False
             if not is_outcome and i < n and not site.values_only:
                 nxt = messages[i]
                 if (nxt[2] is key and nxt[0] is site and nxt[1] == tid
-                        and nxt[4]):
-                    out_key = (level1_key, loop_iters, tid, True)
-                    if occurrence.get(out_key, 0) == seen:
-                        occurrence[out_key] = seen + 1
-                        paired = True
-                        i += 1
+                        and nxt[4] and counts[nthreads + tid] == seen):
+                    counts[nthreads + tid] = seen + 1
+                    paired = True
+                    i += 1
             level2 = levels.get(level1_key)
             if level2 is None:
                 level2 = levels[level1_key] = {}
@@ -105,45 +119,53 @@ class BranchTable:
                 entry.outcomes[tid] = payload
             else:
                 entry.values[tid] = payload
-            if (not entry.checked and len(entry.values) == nthreads
+            if (len(entry.values) == nthreads
                     and (site.values_only
                          or len(entry.outcomes) == nthreads)):
+                del level2[level2_key]
+                # Instances of a key complete in occurrence order, so
+                # without a next one no later report was filed: every
+                # count is seen + 1 and the key has no open instance.
+                if (loop_iters, seen + 1) not in level2:
+                    del occurrence[group]
                 on_complete(entry)
 
     def pending_entries(self) -> List[InstanceEntry]:
-        """Unchecked instances, in level-1 then level-2 insertion order
-        (the final sweep's order)."""
+        """Open instances, in level-1 then level-2 insertion order (the
+        final sweep's order)."""
         return [entry for level2 in self._levels.values()
-                for entry in level2.values() if not entry.checked]
+                for entry in level2.values()]
 
     def save_state(self) -> Tuple:
         """A copy of the table and occurrence counters that later runs
         of the same prefix can :meth:`load_state` from.
 
-        Flat encoding: one list of object references for the table and
-        two tuples for the counters, about a third of the memory of
-        copied dicts and entries (a machine checkpoint holds one).
-        Report values are immutable and shared, not copied."""
+        Flat encoding: one list of object references for the table, a
+        tuple of counter keys and one list of their counts, about a
+        third of the memory of copied dicts and entries (a machine
+        checkpoint holds one).  Report values are immutable and shared,
+        not copied."""
         flat: List = []
         for level1_key, level2 in self._levels.items():
             flat.append(level1_key)
             flat.append(len(level2))
             for level2_key, entry in level2.items():
                 values, outcomes = entry.values, entry.outcomes
-                flat.extend((level2_key, entry.site, entry.checked,
-                             len(values)))
+                flat.extend((level2_key, entry.site, len(values)))
                 flat.extend(values)
                 flat.extend(values.values())
                 flat.append(len(outcomes))
                 flat.extend(outcomes)
                 flat.extend(outcomes.values())
-        occurrence = self._occurrence
-        return flat, tuple(occurrence), tuple(occurrence.values())
+        counts: List[int] = []
+        for group_counts in self._occurrence.values():
+            counts.extend(group_counts)
+        return flat, tuple(self._occurrence), counts
 
     def load_state(self, state: Tuple) -> None:
         """Fill this (fresh) table from :meth:`save_state` output, with
         entries of its own."""
-        flat, occ_keys, occ_counts = state
+        flat, groups, counts = state
         table: Dict = {}
         i, n = 0, len(flat)
         while i < n:
@@ -151,8 +173,8 @@ class BranchTable:
             count = flat[i + 1]
             i += 2
             for _ in range(count):
-                level2_key, site, checked, nv = flat[i:i + 4]
-                i += 4
+                level2_key, site, nv = flat[i:i + 3]
+                i += 3
                 values = dict(zip(flat[i:i + nv], flat[i + nv:i + 2 * nv]))
                 i += 2 * nv
                 no = flat[i]
@@ -160,24 +182,8 @@ class BranchTable:
                 outcomes = dict(zip(flat[i:i + no],
                                     flat[i + no:i + 2 * no]))
                 i += 2 * no
-                level2[level2_key] = InstanceEntry(site, values, outcomes,
-                                                   checked)
+                level2[level2_key] = InstanceEntry(site, values, outcomes)
         self._levels = table
-        self._occurrence = dict(zip(occ_keys, occ_counts))
-
-    def discard_checked(self) -> int:
-        """Free completed instances (keeps the table bounded on long runs)."""
-        freed = 0
-        levels = self._levels
-        for level1_key in list(levels):
-            level2 = levels[level1_key]
-            for level2_key in list(level2):
-                if level2[level2_key].checked:
-                    del level2[level2_key]
-                    freed += 1
-            if not level2:
-                del levels[level1_key]
-        return freed
-
-    def __len__(self) -> int:
-        return sum(len(level2) for level2 in self._levels.values())
+        width = len(counts) // len(groups) if groups else 0
+        self._occurrence = {group: counts[j * width:(j + 1) * width]
+                            for j, group in enumerate(groups)}

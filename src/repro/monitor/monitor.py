@@ -84,7 +84,6 @@ class Monitor:
         self.stats = CheckStatistics()
         self.messages_processed = 0
         self._round_robin = 0
-        self._checks_since_discard = 0
         self._finalized = False
         #: Stop checking at the first violation (a fault trial without
         #: telemetry: the violation decides its protected outcome).
@@ -144,7 +143,6 @@ class Monitor:
         return processed
 
     def _check(self, entry: InstanceEntry) -> None:
-        entry.checked = True
         site = entry.site
         self.stats.note_check(site.info.check_kind)
         tel = self.telemetry
@@ -166,12 +164,6 @@ class Monitor:
                 # From here on, as in FEED mode: the drain pops but
                 # files nothing, and finalize sweeps nothing.
                 self._full = False
-        # Bound the back-end table on long runs: periodically free
-        # instances whose check already ran.
-        self._checks_since_discard += 1
-        if self._checks_since_discard >= 512:
-            self._checks_since_discard = 0
-            self.table.discard_checked()
 
     # -- checkpoints ----------------------------------------------------
 
@@ -189,8 +181,7 @@ class Monitor:
             "stats": (stats.instances_checked, dict(stats.checks_by_kind),
                       dict(stats.violations_by_kind)),
             "counters": (self._dropped, self.messages_processed,
-                         self._round_robin, self._checks_since_discard,
-                         self._finalized),
+                         self._round_robin, self._finalized),
         }
 
     def load_state(self, state: dict) -> None:
@@ -207,8 +198,7 @@ class Monitor:
         self.stats = CheckStatistics(checked, dict(by_kind),
                                      dict(violations_by_kind))
         (self._dropped, self.messages_processed,
-         self._round_robin, self._checks_since_discard,
-         self._finalized) = state["counters"]
+         self._round_robin, self._finalized) = state["counters"]
 
     def same_state(self, state: dict) -> bool:
         """Whether this monitor holds exactly the :meth:`save_state`

@@ -30,9 +30,10 @@ from typing import Dict, Hashable, List, Optional, Sequence
 from repro.runtime.machine import Checkpoint, FaultHook
 
 #: Checkpoint slots of one golden run.  Each checkpoint costs memory
-#: (up to 0.6 MB on the SPLASH-2 kernels, mostly the monitor's table
-#: and occurrence counters) and 0.1-7 ms of golden-run time to take;
-#: see docs/INTERNALS.md for the measured trade-off behind this value.
+#: (its monitor part from 11 KB to 2.4 MB on the SPLASH-2 kernels at
+#: 4 threads: the open instances and their occurrence counters) and
+#: 0.1-7 ms of golden-run time to take; see docs/INTERNALS.md for the
+#: measured trade-off behind this value.
 CHECKPOINTS = 8
 
 #: Steps between checkpoints before the first thinning.

@@ -155,6 +155,8 @@ class CampaignScheduler:
         self.store = store
         self.config = config
         self.jobs: Dict[str, Job] = {}
+        #: plan hash -> the spec object jobs of that plan share.
+        self._specs: Dict[str, CampaignSpec] = {}
         self.telemetry = Telemetry()
         self._queue: Optional[asyncio.Queue] = None
         self._workers: List[asyncio.Task] = []
@@ -280,6 +282,13 @@ class CampaignScheduler:
             raise ServeError(
                 "queue full (%d queued); retry after a job finishes"
                 % self._queue.qsize())
+        # The job table keeps every job; equal specs share one object
+        # instead of each holding its own decoded copy of the inputs.
+        known = self._specs.get(computed)
+        if known == spec:
+            spec = known
+        else:
+            self._specs[computed] = spec
         self._seq += 1
         job_id = "%s-%06d-%s" % (spec.name, self._seq,
                                  os.urandom(4).hex())

@@ -5,10 +5,12 @@ guarantees (stable ``(base_seed, injection_index)`` fault plans and an
 associative telemetry merge):
 
 **Content-addressed artifact cache** (:class:`ArtifactStore`) — the
-frontend → IR → analysis → instrument pipeline and golden runs are
-memoized under SHA-256 keys of their inputs, so repeated campaigns,
-experiments, and CLI invocations skip compilation entirely on a warm
-cache.  ``repro-store ls/gc/verify`` manage a store root.
+frontend → IR → analysis → instrument pipeline is memoized on disk
+under SHA-256 keys of its inputs, so repeated campaigns, experiments,
+and CLI invocations skip compilation entirely on a warm cache; golden
+runs are memoized in the store's memory, with their checkpoints, for
+the campaigns of one process.  ``repro-store ls/gc/verify`` manage a
+store root.
 
 **Durable campaign journal** (:mod:`repro.store.journal`) —
 ``run_campaign(spec.replace(journal=..., resume=True))`` appends every

@@ -1,4 +1,5 @@
-"""Content-addressed artifact cache for compiled programs + golden runs.
+"""Content-addressed artifact cache: compiled programs, closure bundles,
+lint, vulnerability and triage reports on disk, golden runs in memory.
 
 On-disk layout (everything under one *store root*)::
 
@@ -15,9 +16,9 @@ addressed (no invalidation protocol — the LRU ``gc`` reclaims them).
 Payloads are wrapped as ``{"schema": ARTIFACT_SCHEMA, "kind": ...,
 "payload": obj}``: :meth:`ArtifactStore.load` raises
 :class:`~repro.errors.StoreSchemaError`/``StoreCorruptError`` on drift
-or damage, while the high-level :meth:`get_program`/:meth:`get_golden`
-paths treat any unusable entry as a miss and rebuild — a cache must
-never turn corruption into a failed campaign.
+or damage, while the high-level ``get_*`` paths treat any unusable
+entry as a miss and rebuild — a cache must never turn corruption into
+a failed campaign.
 
 Writes are atomic (a temp file unique to each writer, then
 ``os.replace``), so concurrent campaigns or server threads racing on a
@@ -28,6 +29,14 @@ Loaded programs are also kept in a small in-process LRU, so a
 long-running process (the campaign server) that asks for one program
 many times gets the same object back — with the block closures it
 compiled at the first run — instead of unpickling a fresh copy per job.
+
+Golden runs live only in memory: a second in-process LRU keeps each
+one's :class:`GoldenSummary` with its machine checkpoints, which refer
+to the compiled blocks and check sites of the program object that ran
+it, so they are served only to campaigns of that same object.  A golden
+run without its checkpoints is worth no more than running it again
+(every trial would replay its prefix from step 0), so none is written
+to disk.
 """
 
 from __future__ import annotations
@@ -49,12 +58,14 @@ from repro.store.hashing import (
     golden_key,
     lint_key,
     program_key,
+    program_key_of,
 )
 
 #: Environment variable naming the default store root.
 STORE_ENV = "REPRO_STORE"
 
-#: Loaded programs an :class:`ArtifactStore` keeps in memory.
+#: Loaded programs, and golden runs, an :class:`ArtifactStore` keeps in
+#: memory (each LRU holds at most this many).
 PROGRAM_LRU_SIZE = 8
 
 
@@ -87,9 +98,18 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _remember(lru: "OrderedDict[str, Tuple]", key: str, value) -> None:
+    """Put ``value`` at the fresh end of ``lru``, evicting past
+    :data:`PROGRAM_LRU_SIZE` (caller holds the lock)."""
+    lru[key] = value
+    lru.move_to_end(key)
+    while len(lru) > PROGRAM_LRU_SIZE:
+        lru.popitem(last=False)
+
+
 @dataclass
 class GoldenSummary:
-    """The golden-run facts a campaign needs (picklable, light).
+    """The golden-run facts a campaign needs, besides its checkpoints.
 
     ``signature`` is the **raw** (un-quantized) output signature for the
     campaign's ``output_globals``; quantization happens per-campaign.
@@ -129,7 +149,11 @@ class ArtifactStore:
         #: key -> (data-file identity, program): programs loaded or
         #: compiled by this process, least recently used first.
         self._programs: "OrderedDict[str, Tuple]" = OrderedDict()
-        self._programs_lock = threading.Lock()
+        #: key -> (program, GoldenSummary, checkpoints): golden runs of
+        #: this process, least recently used first.
+        self._goldens: "OrderedDict[str, Tuple]" = OrderedDict()
+        #: Guards both in-memory LRUs.
+        self._lock = threading.Lock()
         os.makedirs(self.objects, exist_ok=True)
         os.makedirs(self.journals_dir, exist_ok=True)
         marker = os.path.join(self.root, "store.json")
@@ -235,7 +259,7 @@ class ArtifactStore:
                           opt_level=opt_level)
         data_path = os.path.join(self._entry_dir(key), "data.pkl")
         program = None
-        with self._programs_lock:
+        with self._lock:
             cached = self._programs.get(key)
         # The memory copy stands for the stored object it came from; a
         # rewritten, damaged or deleted entry goes the disk path again.
@@ -256,11 +280,9 @@ class ArtifactStore:
                                       instrument_config=instrument_config,
                                       opt_level=opt_level)
             self.put(key, "program", program, name=name)
-        with self._programs_lock:
-            self._programs[key] = (_file_identity(data_path), program)
-            self._programs.move_to_end(key)
-            while len(self._programs) > PROGRAM_LRU_SIZE:
-                self._programs.popitem(last=False)
+        with self._lock:
+            _remember(self._programs, key,
+                      (_file_identity(data_path), program))
         return program
 
     def get_closure(self, key: str, compute: Callable[[], dict],
@@ -339,28 +361,37 @@ class ArtifactStore:
         self.put(key, "triage", report, name=name)
         return report
 
-    def get_golden(self, prog_key: str, nthreads: int, seed: int,
+    def get_golden(self, program, nthreads: int, seed: int,
                    quantum: int, output_globals: Tuple[str, ...],
-                   compute: Callable[[], GoldenSummary],
+                   compute: Callable[[], Tuple[GoldenSummary, tuple]],
                    telemetry=None, inputs: Optional[dict] = None
-                   ) -> GoldenSummary:
-        """One golden run per distinct input, shared across figures and
-        fault types (``store.golden.hit`` / ``store.golden.miss``).
-        ``inputs`` is the canonical form of the run's input generator
-        (:func:`repro.store.hashing.setup_inputs`)."""
-        key = golden_key(prog_key, nthreads, seed, quantum, output_globals,
-                         inputs)
-        try:
-            summary = self.load(key, "golden")
+                   ) -> Tuple[GoldenSummary, tuple]:
+        """One golden run per distinct program and input, with its
+        checkpoints, shared by the campaigns of one process
+        (``store.golden.hit`` / ``store.golden.miss``).  ``compute``
+        runs it and returns ``(summary, checkpoints)``; ``inputs`` is
+        the canonical form of the run's input generator
+        (:func:`repro.store.hashing.setup_inputs`).
+
+        A hit needs ``program`` itself, not an equal compile of it: the
+        checkpoints point into the compiled program that took them.
+        Another object under the same key is a miss and replaces the
+        entry."""
+        key = golden_key(program_key_of(program), nthreads, seed, quantum,
+                         output_globals, inputs)
+        with self._lock:
+            cached = self._goldens.get(key)
+            hit = cached is not None and cached[0] is program
+            if hit:
+                self._goldens.move_to_end(key)
+        if hit:
             self._count("store.golden.hit", telemetry)
-            return summary
-        except StoreError:
-            pass
+            return cached[1], cached[2]
         self._count("store.golden.miss", telemetry)
-        summary = compute()
-        self.put(key, "golden", summary,
-                 name="golden t=%d seed=%d" % (nthreads, seed))
-        return summary
+        summary, checkpoints = compute()
+        with self._lock:
+            _remember(self._goldens, key, (program, summary, checkpoints))
+        return summary, checkpoints
 
     def journal_path(self, label: str) -> str:
         """Conventional journal location inside the store."""

@@ -8,7 +8,8 @@ forced to step 0; every record field must match, the per-injection
 telemetry snapshot included (wall-clock timer totals excepted — only
 their sample counts are deterministic).  The resumed records must also
 hold under a worker pool (``jobs=2``), after a kill-then-resume from
-the journal, and on a golden-cache hit (which has no checkpoints).
+the journal, and on a golden-cache hit (which resumes from the
+checkpoints the miss recorded).
 The cases include a crash trial (radix, water_nsquared, fft) and a
 hang trial (ocean_noncontig).
 """
@@ -24,7 +25,9 @@ from repro.faults import CampaignSpec, run_campaign
 from repro.faults.outcomes import Outcome
 from repro.runtime.golden import CHECKPOINTS, GoldenRecorder, select_checkpoint
 from repro.runtime.machine import Machine
+from repro.runtime.program import ParallelProgram
 from repro.store.artifacts import ArtifactStore
+from repro.store.hashing import program_key_of
 
 #: (kernel, threads, fault model, seed, injections, outcome that must
 #: occur among the trials).
@@ -49,12 +52,12 @@ def spec_of(case, **changes):
 
 @contextlib.contextmanager
 def counting_restores():
-    """Count the trials that resume from a checkpoint."""
+    """Collect the checkpoints trials resume from (in this process)."""
     restores = []
     original = Machine.restore
 
     def restore(machine, checkpoint):
-        restores.append(checkpoint.steps)
+        restores.append(checkpoint)
         return original(machine, checkpoint)
 
     Machine.restore = restore
@@ -150,18 +153,52 @@ def test_journal_kill_then_resume(case, resumed, tmp_path):
     assert len(restores) <= case[4] - 2
 
 
-def test_golden_cache_hit_starts_at_step_zero(tmp_path):
-    # A golden-cache hit has no checkpoints: the same trials, from 0.
+def test_golden_cache_hit_restores_checkpoints(tmp_path):
+    # A hit resumes its trials from the miss's checkpoints, in this
+    # process and in forked workers: the same trials, the same rows.
     store = ArtifactStore(str(tmp_path / "store"))
     spec = spec_of(CASES[0], telemetry=False)
-    with counting_restores() as first_restores:
-        first = run_campaign(spec, keep_records=True, jobs=1, store=store)
+    with counting_restores() as miss_restores:
+        miss = run_campaign(spec, keep_records=True, jobs=1, store=store)
     with counting_restores() as hit_restores:
         hit = run_campaign(spec, keep_records=True, jobs=1, store=store)
-    assert store.counters["store.golden.hit"] == 1
-    assert first_restores and not hit_restores
-    assert rows(hit) == rows(first)
-    assert hit.thread_classes == first.thread_classes
+    assert (store.counters["store.golden.miss"],
+            store.counters["store.golden.hit"]) == (1, 1)
+    assert miss_restores and len(hit_restores) == len(miss_restores)
+    assert all(mine is theirs
+               for mine, theirs in zip(hit_restores, miss_restores))
+    assert hit.golden is None
+    assert rows(hit) == rows(miss)
+    assert hit.thread_classes == miss.thread_classes
+    pooled = run_campaign(spec, keep_records=True, jobs=2, store=store)
+    assert store.counters["store.golden.hit"] == 2
+    assert rows(pooled) == rows(miss)
+
+
+def test_equal_program_of_another_object_misses(tmp_path):
+    # Checkpoints point into the program that took them: a compile of
+    # the same source under the same key gets a golden run of its own.
+    store = ArtifactStore(str(tmp_path / "store"))
+    spec = spec_of(CASES[0], telemetry=False)
+    first = spec.resolve_program(None)
+    other = ParallelProgram(first.source, first.name, entry=first.entry,
+                            analysis_config=first.analysis_config,
+                            instrument_config=first.instrument_config,
+                            opt_level=first.opt_level)
+    assert program_key_of(other) == program_key_of(first)
+    theirs = run_campaign(spec, keep_records=True, jobs=1, store=store,
+                          program=first)
+    (entry,) = store._goldens.values()
+    foreign = {id(checkpoint) for checkpoint in entry[2]}
+    with counting_restores() as restores:
+        mine = run_campaign(spec, keep_records=True, jobs=1, store=store,
+                            program=other)
+    assert store.counters["store.golden.miss"] == 2
+    assert "store.golden.hit" not in store.counters
+    assert restores and not foreign & {id(c) for c in restores}
+    assert rows(mine) == rows(theirs)
+    (entry,) = store._goldens.values()
+    assert entry[0] is other
 
 
 def test_checkpoints_are_bounded_and_evenly_spaced(compiled_kernels):

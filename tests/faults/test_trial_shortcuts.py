@@ -171,9 +171,8 @@ def test_served_result_recounts_cuts(compiled_kernels):
     assert result_fingerprint(serial) == result_fingerprint(full)
 
 
-def test_golden_cache_hit_settles_but_never_rejoins(compiled_kernels,
-                                                   tmp_path):
-    # A hit has no checkpoints: the same records, nothing re-joined.
+def test_golden_cache_hit_cuts_as_the_miss_does(compiled_kernels, tmp_path):
+    # A hit resumes from the miss's checkpoints, so it re-joins too.
     from repro.store.artifacts import ArtifactStore
     serial, _ = campaigns(compiled_kernels, *RESUME_CASE)
     store = ArtifactStore(str(tmp_path / "store"))
@@ -181,10 +180,10 @@ def test_golden_cache_hit_settles_but_never_rejoins(compiled_kernels,
                         store=store)
     hit = run_campaign(spec_of(*RESUME_CASE), keep_records=True, jobs=1,
                        store=store)
-    assert cut_column(miss) == cut_column(serial)
-    assert hit.stats.rejoined == 0 < miss.stats.rejoined
+    assert store.counters["store.golden.hit"] == 1
+    assert cut_column(hit) == cut_column(miss) == cut_column(serial)
+    assert hit.stats.rejoined == miss.stats.rejoined > 0
     assert hit.stats.settled == miss.stats.settled
-    # The cut column is bookkeeping: records and stats still compare equal.
     assert hit.records == miss.records
     assert hit.stats == miss.stats
 

@@ -92,14 +92,38 @@ class TestBranchTable:
         assert monitor.stats.checks_by_kind == {"store_shared": 1}
         assert monitor.first_violation().rule == "store-shared"
 
-    def test_discard_checked(self):
+    def test_checked_instance_is_deleted_and_its_counters_pruned(self):
+        """A checked instance leaves the table; once no thread is ahead
+        on its key, the key's occurrence counters go too, and the next
+        report restarts at occurrence 0."""
         site = make_site()
-        monitor = make_monitor(nthreads=1)
-        file_all(monitor, condition(site, 0, ()), outcome(site, 0, True))
+        monitor = make_monitor(nthreads=2)
         table = monitor.table
-        assert len(table) == 1 and not table.pending_entries()
-        assert table.discard_checked() == 1
-        assert len(table) == 0
+        file_all(monitor, outcome(site, 0, True), outcome(site, 0, False),
+                 condition(site, 0, ()), condition(site, 0, ()),
+                 condition(site, 1, ()), outcome(site, 1, True))
+        # Instance 0 is checked and gone; thread 0 is ahead on instance 1.
+        assert monitor.stats.instances_checked == 1
+        (entry,) = table.pending_entries()
+        assert entry.outcomes == {0: False}
+        assert list(table._levels[((), 0)]) == [((), 1)]
+        assert len(table._occurrence) == 1
+        file_all(monitor, condition(site, 1, ()), outcome(site, 1, False))
+        assert monitor.stats.instances_checked == 2
+        assert table.pending_entries() == [] and table._occurrence == {}
+        # The level-1 dict stays (sweep order); numbering restarts at 0.
+        assert table._levels == {((), 0): {}}
+        file_all(monitor, outcome(site, 1, True))
+        assert list(table._levels[((), 0)]) == [((), 0)]
+        assert table._occurrence[((), 0), ()] == [0, 0, 0, 1]
+
+    def test_values_only_key_prunes_without_outcomes(self):
+        site = make_site(kind="store_shared")
+        monitor = make_monitor(nthreads=2)
+        file_all(monitor, condition(site, 0, (3,)), condition(site, 1, (3,)))
+        assert monitor.stats.checks_by_kind == {"store_shared": 1}
+        assert monitor.table._occurrence == {}
+        assert monitor.table.pending_entries() == []
 
 
 class TestMonitor:

@@ -2,8 +2,10 @@
 gauge and the table's pair filing.
 
 * Pair filing (a condition message immediately followed by its outcome
-  is filed with one table lookup) is compared against a one-message-at-
-  a-time reference filer on random batches.
+  is filed with one table lookup), deleting checked instances and
+  pruning occurrence counters are compared against a one-message-at-a-
+  time reference filer with the old numbering (every checked instance
+  and counter kept) on random batches.
 * The drain-time ``monitor.queue_hwm`` gauge is compared against a
   push-time reference.
 * The monitor counters and ``monitor.*`` telemetry of Figure-1 and radix
@@ -98,8 +100,26 @@ def record():
 # ---------------------------------------------------------------------------
 
 
-class ReferenceTable(BranchTable):
-    """The table filing one message at a time (no pairing)."""
+class ReferenceEntry:
+    """An instance of the reference table, checked or not."""
+
+    __slots__ = ("site", "values", "outcomes", "checked")
+
+    def __init__(self, site):
+        self.site = site
+        self.values = {}
+        self.outcomes = {}
+        self.checked = False
+
+
+class ReferenceTable:
+    """The table filing one message at a time (no pairing) with the old
+    numbering: checked instances stay and occurrence counters only
+    grow, one per (call path, branch, loop iterations, thread, kind)."""
+
+    def __init__(self):
+        self._levels = {}
+        self._occurrence = {}
 
     def file(self, messages, nthreads, on_complete):
         levels = self._levels
@@ -113,7 +133,7 @@ class ReferenceTable(BranchTable):
             level2 = levels.setdefault(level1_key, {})
             entry = level2.get((loop_iters, seen))
             if entry is None:
-                entry = level2[(loop_iters, seen)] = InstanceEntry(site)
+                entry = level2[(loop_iters, seen)] = ReferenceEntry(site)
             if is_outcome:
                 entry.outcomes[tid] = payload
             else:
@@ -121,7 +141,63 @@ class ReferenceTable(BranchTable):
             if (not entry.checked and len(entry.values) == nthreads
                     and (site.values_only
                          or len(entry.outcomes) == nthreads)):
+                entry.checked = True
                 on_complete(entry)
+
+    def pending_entries(self):
+        return [entry for level2 in self._levels.values()
+                for entry in level2.values() if not entry.checked]
+
+
+def open_state(table):
+    """``[(level-1 key, loop iterations, occurrence, values, outcomes)]``
+    of a table's open instances, in sweep order."""
+    return [(level1_key, loop_iters, seen, entry.values, entry.outcomes)
+            for level1_key, level2 in table._levels.items()
+            for (loop_iters, seen), entry in level2.items()
+            if not getattr(entry, "checked", False)]
+
+
+def assert_prunes_exactly(fast, ref, nthreads):
+    """The table against the reference's numbering.
+
+    * Each live counter equals the reference's minus its key's pruned
+      base: the occurrence count at which the key was last pruned (0
+      for the outcomes of a values-only site, which get none).
+    * A key whose counters are gone was prunable: every thread reported
+      equally many conditions and outcomes for it, none of its reference
+      instances is open, and no outcome reached a values-only site.
+    * The open instances equal the reference's unchecked ones, in sweep
+      order, with occurrences shifted by their key's base.
+    """
+    ref_counts = {}
+    for (level1_key, loop_iters, tid, is_outcome), count in \
+            ref._occurrence.items():
+        counts = ref_counts.setdefault((level1_key, loop_iters),
+                                       [0] * (2 * nthreads))
+        counts[nthreads * is_outcome + tid] = count
+    base = {}
+    for group, counts in fast._occurrence.items():
+        values_only = SITES[group[0][1]].values_only
+        expected = ref_counts[group]
+        base[group] = expected[0] - counts[0]
+        assert base[group] >= 0
+        assert counts == [count - (0 if values_only and slot >= nthreads
+                                   else base[group])
+                          for slot, count in enumerate(expected)]
+    open_groups = {(level1_key, loop_iters)
+                   for level1_key, loop_iters, *_ in open_state(ref)}
+    for group, counts in ref_counts.items():
+        if group in fast._occurrence:
+            continue
+        values_only = SITES[group[0][1]].values_only
+        closed = [counts[0]] * nthreads + [
+            0 if values_only else counts[0]] * nthreads
+        assert counts == closed and group not in open_groups
+    assert [(level1_key, loop_iters, seen + base[level1_key, loop_iters],
+             values, outcomes)
+            for level1_key, loop_iters, seen, values, outcomes
+            in open_state(fast)] == open_state(ref)
 
 
 SITES = [CheckSite(CheckedBranchInfo(
@@ -147,7 +223,9 @@ def traffic(rng, nthreads, events):
             shape = rng.random()
             if shape > 0.05:
                 stream.append((site, tid, key, values, False))
-            if shape < 0.92:
+            # Generated code sends no outcome for a store (values-only)
+            # site: it has no decision.
+            if shape < 0.92 and not site.values_only:
                 stream.append((site, tid, key, taken, True))
         streams.append(stream)
     return streams
@@ -175,10 +253,7 @@ def logged_monitor(table, nthreads, capacity, groups):
 
 def table_facts(monitor):
     stats = monitor.stats
-    return (monitor.table.save_state(),
-            [(e.site.info.static_id, dict(e.values), dict(e.outcomes))
-             for e in monitor.table.pending_entries()],
-            monitor.checked, monitor.violations, stats.instances_checked,
+    return (monitor.checked, monitor.violations, stats.instances_checked,
             stats.checks_by_kind, stats.violations_by_kind,
             monitor.messages_processed, monitor.messages_received)
 
@@ -209,10 +284,11 @@ def test_pair_filing_matches_one_at_a_time(nthreads, groups, seed):
         limit = rng.choice((1, 2, 3, 5, 64))
         assert fast.drain(limit) == ref.drain(limit)
         assert table_facts(fast) == table_facts(ref)
+        assert_prunes_exactly(fast.table, ref.table, nthreads)
     assert fast.finalize() == ref.finalize()
     assert fast.checked == ref.checked
     assert fast.stats.instances_checked > 0
-    assert table_facts(fast)[2:] == table_facts(ref)[2:]
+    assert table_facts(fast) == table_facts(ref)
 
 
 def test_pairing_compares_the_thread():
@@ -224,7 +300,7 @@ def test_pairing_compares_the_thread():
     fast, ref = BranchTable(), ReferenceTable()
     fast.file(batch, 3, lambda entry: None)
     ref.file(batch, 3, lambda entry: None)
-    assert fast.save_state() == ref.save_state()
+    assert_prunes_exactly(fast, ref, 3)
     (entry,) = fast.pending_entries()
     assert entry.values == {0: (5,), 1: (5,)}
     assert entry.outcomes == {0: True, 1: True}
@@ -238,7 +314,7 @@ def test_pairing_compares_the_site():
     fast, ref = BranchTable(), ReferenceTable()
     fast.file(batch, 2, lambda entry: None)
     ref.file(batch, 2, lambda entry: None)
-    assert fast.save_state() == ref.save_state()
+    assert_prunes_exactly(fast, ref, 2)
     assert [(e.site, e.values, e.outcomes) for e in fast.pending_entries()] \
         == [(first, {0: (5,)}, {}), (second, {}, {0: True})]
 
@@ -253,7 +329,7 @@ def test_pairing_needs_equal_occurrences():
     fast, ref = BranchTable(), ReferenceTable()
     fast.file(batch, 2, lambda entry: None)
     ref.file(batch, 2, lambda entry: None)
-    assert fast.save_state() == ref.save_state()
+    assert_prunes_exactly(fast, ref, 2)
     first, second = fast.pending_entries()
     assert (first.values, first.outcomes) == ({0: (1,)}, {0: True})
     assert (second.values, second.outcomes) == ({0: (2,)}, {0: False})
@@ -270,12 +346,44 @@ def test_store_kinds_complete_on_the_condition():
         seen = checked[cls] = []
 
         def check(entry, seen=seen):
-            entry.checked = True
             seen.append(dict(entry.outcomes))
 
         cls().file([(site, 0, key, (1,), False), (site, 0, key, True, True)],
                    1, check)
     assert checked[BranchTable] == checked[ReferenceTable] == [{}]
+
+
+def test_pruned_key_reported_again_matches_the_reference():
+    """A key whose counters were pruned restarts at occurrence 0 and
+    builds the instances the old numbering builds: same check order,
+    same violations."""
+    site, key = SITES[0], ((7,), (1,))
+
+    def pair(tid, values, taken):
+        return [(site, tid, key, values, False), (site, tid, key, taken, True)]
+
+    rounds = [pair(0, (1,), True) + pair(1, (1,), True),
+              pair(0, (2,), True) + pair(0, (3,), False),
+              pair(1, (2,), True) + pair(1, (4,), False)]
+    fast = logged_monitor(BranchTable(), 2, 64, 0)
+    ref = logged_monitor(ReferenceTable(), 2, 64, 0)
+    occurrences = []
+    for batch in rounds:
+        for monitor in (fast, ref):
+            for message in batch:
+                assert monitor.try_send(message[1], message)
+            monitor.drain(64)
+        assert table_facts(fast) == table_facts(ref)
+        assert_prunes_exactly(fast.table, ref.table, 2)
+        occurrences.append(([state[2] for state in open_state(fast.table)],
+                            [state[2] for state in open_state(ref.table)],
+                            len(fast.table._occurrence)))
+    # Pruned after the first instance; two open instances numbered from
+    # 0 (the reference: from 1); all checked and pruned again.
+    assert occurrences == [([], [], 0), ([0, 1], [1, 2], 1), ([], [], 0)]
+    assert [v.rule for v in fast.violations] == ["shared-values"]
+    assert fast.finalize() == ref.finalize()
+    assert fast.checked == ref.checked
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,24 @@ class TestBackpressureAndQuota:
 
         asyncio.run(scenario())
 
+    def test_jobs_of_one_spec_share_it(self, tmp_path):
+        """The job table keeps every job, so equal submissions share one
+        spec object instead of each holding its decoded inputs."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        scheduler = CampaignScheduler(
+            store, ServeConfig(store_root=store.root, queue_size=4))
+
+        async def scenario():
+            await scheduler.start(start_workers=False)
+            first = scheduler.submit(figure1_spec().to_dict(), None)
+            again = scheduler.submit(figure1_spec().to_dict(), None)
+            other = scheduler.submit(figure1_spec(seed=10).to_dict(), None)
+            assert again.spec is first.spec
+            assert other.spec is not first.spec
+            assert other.spec == figure1_spec(seed=10)
+
+        asyncio.run(scenario())
+
     def test_quota_evicts_lru_finished_job(self, tmp_path):
         thread = ServerThread(ServeConfig(
             store_root=str(tmp_path / "store"), quota_bytes=1))

@@ -98,10 +98,11 @@ class TestGoldenCache:
         cached = run_campaign(second, store=store, keep_records=True)
         assert store.counters["store.golden.miss"] == 2
         assert "store.golden.hit" not in store.counters
-        goldens = [store.load(e.key, "golden") for e in store.entries()
-                   if e.kind == "golden"]
-        assert len(goldens) == 2
-        assert goldens[0].signature != goldens[1].signature
+        first_summary, second_summary = (
+            summary for _, summary, _ in store._goldens.values())
+        assert first_summary.signature != second_summary.signature
+        # Golden runs stay in memory: nothing of theirs is on disk.
+        assert all(entry.kind != "golden" for entry in store.entries())
         # The cached golden is the one the spec's own inputs produce.
         fresh = run_campaign(second, store=None, keep_records=True)
         assert cached.stats.counts == fresh.stats.counts
@@ -109,6 +110,37 @@ class TestGoldenCache:
                 == [r.outcome for r in fresh.records])
         run_campaign(first, store=store)
         assert store.counters["store.golden.hit"] == 1
+
+    def test_in_process_goldens_are_bounded(self, store):
+        from repro.store.artifacts import PROGRAM_LRU_SIZE
+        program = store.get_program(FIGURE_1, "fig1")
+        computed = []
+
+        def get(seed):
+            def compute():
+                computed.append(seed)
+                return "summary %d" % seed, ()
+            return store.get_golden(program, 2, seed, 100, ("result",),
+                                    compute=compute)
+
+        for seed in range(PROGRAM_LRU_SIZE + 1):
+            assert get(seed) == ("summary %d" % seed, ())
+        assert len(store._goldens) == PROGRAM_LRU_SIZE
+        get(PROGRAM_LRU_SIZE)  # the freshest entry: a hit
+        get(0)  # evicted: computed again
+        assert computed == list(range(PROGRAM_LRU_SIZE + 1)) + [0]
+        assert store.counters["store.golden.hit"] == 1
+        assert store.counters["store.golden.miss"] == PROGRAM_LRU_SIZE + 2
+
+    def test_fresh_stores_on_one_root_each_miss_once(self, store):
+        from repro.faults import CampaignSpec, run_campaign
+        spec = CampaignSpec.for_kernel("radix", injections=2, nthreads=2,
+                                       seed=5)
+        for each in (store, ArtifactStore(store.root)):
+            run_campaign(spec, store=each)
+            run_campaign(spec, store=each)
+            assert (each.counters["store.golden.miss"],
+                    each.counters["store.golden.hit"]) == (1, 1)
 
 
 class TestConcurrentWrites:
@@ -169,7 +201,7 @@ class TestStrictLoad:
             store.load("b" * 64, "program")
 
     def test_kind_mismatch_raises(self, store):
-        store.put("c" * 64, "golden", {"x": 1})
+        store.put("c" * 64, "blob", {"x": 1})
         with pytest.raises(StoreCorruptError):
             store.load("c" * 64, "program")
 
@@ -177,7 +209,7 @@ class TestStrictLoad:
 class TestMaintenance:
     def fill(self, store, n):
         for i in range(n):
-            store.put(("%02x" % i) * 32, "golden", {"i": i}, name="g%d" % i)
+            store.put(("%02x" % i) * 32, "blob", {"i": i}, name="b%d" % i)
 
     def test_entries_and_total(self, store):
         self.fill(store, 3)
@@ -189,7 +221,7 @@ class TestMaintenance:
         self.fill(store, 4)
         # Touch entry 0 so it is the freshest; 1 is now the oldest.
         time.sleep(0.02)
-        store.load("00" * 32, "golden")
+        store.load("00" * 32, "blob")
         evicted = store.gc(max_entries=3)
         assert len(evicted) == 1
         assert evicted[0].key != "00" * 32
@@ -259,7 +291,7 @@ class TestVulnKind:
         assert store.load(key, "vuln")["fresh"] is True
 
     def test_kind_mismatch_rejected(self, store):
-        store.put("d" * 64, "golden", {"x": 1})
+        store.put("d" * 64, "blob", {"x": 1})
         with pytest.raises(StoreCorruptError):
             store.load("d" * 64, "vuln")
 
@@ -287,7 +319,7 @@ class TestVulnKind:
         assert store.entries() == []
 
     def test_mixed_kind_gc_is_lru_across_kinds(self, store):
-        store.put("e" * 64, "golden", {"x": 1}, name="g")
+        store.put("e" * 64, "blob", {"x": 1}, name="b")
         time.sleep(0.02)
         key, _ = self.summarize(store, "func f", {"function": "f"})
         evicted = store.gc(max_entries=1)
