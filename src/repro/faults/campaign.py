@@ -22,6 +22,7 @@ stays on the plain in-process loop.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import time
@@ -218,7 +219,10 @@ class _CampaignContext:
     artifacts every injection classifies against and resumes from.
     Built once in the parent (fork workers inherit it, checkpoints
     included); rebuilt once per worker from source under spawn, without
-    checkpoints (its injections start at step 0)."""
+    checkpoints (its injections start at step 0).  A
+    :class:`~repro.parallel.WorkerPool` worker gets every field but the
+    program, the setup and the checkpoints with each chunk, and
+    resolves those itself (:func:`_context_in_worker`)."""
 
     program: ParallelProgram
     fault_type: FaultType
@@ -231,6 +235,117 @@ class _CampaignContext:
     telemetry: bool = False
     #: The golden run's checkpoints, in run order (empty: step 0 only).
     checkpoints: Tuple[Checkpoint, ...] = ()
+    #: :func:`repro.store.hashing.golden_fingerprint` of the golden run.
+    golden_fingerprint: str = ""
+
+
+def _campaign_context(spec: CampaignSpec, store,
+                      program: Optional[ParallelProgram], setup,
+                      telemetry: Optional[Telemetry]
+                      ) -> Tuple[Optional[RunResult], object,
+                                 _CampaignContext]:
+    """Resolve what every injection of ``spec`` needs: the program and
+    setup (the spec's own when None) and the golden run, which comes
+    from ``store``'s golden LRU unless it records into ``telemetry`` or
+    its inputs have no canonical form.  Returns ``(golden run or None
+    on a cache hit, GoldenSummary, context)``."""
+    from repro.store.hashing import golden_fingerprint, setup_inputs
+    if program is None:
+        program = spec.resolve_program(store)
+    if setup is None:
+        setup = spec.default_setup()
+    config = spec.campaign_config()
+    golden: Optional[RunResult] = None
+    inputs = setup_inputs(setup)
+    if store is not None and telemetry is None and inputs is not None:
+        def compute():
+            recorder = GoldenRecorder()
+            run = golden_run(program, config, setup, recorder)
+            return (_golden_summary_of(run, recorder, config),
+                    tuple(recorder.checkpoints))
+
+        summary, checkpoints = store.get_golden(
+            program, config.nthreads, config.seed, config.quantum,
+            tuple(config.output_globals), compute=compute, inputs=inputs)
+    else:
+        recorder = GoldenRecorder()
+        golden = golden_run(program, config, setup, recorder,
+                            telemetry=telemetry)
+        summary = _golden_summary_of(golden, recorder, config)
+        checkpoints = tuple(recorder.checkpoints)
+    branch_counts = dict(summary.branch_counts)
+    ctx = _CampaignContext(
+        program=program, fault_type=spec.fault_type, config=config,
+        setup=setup,
+        golden_signature=quantize_signature(summary.signature,
+                                            config.quantize_bits),
+        branch_counts=branch_counts,
+        max_steps=max(summary.steps * config.hang_factor,
+                      summary.steps + 100_000),
+        telemetry=spec.telemetry, checkpoints=checkpoints,
+        golden_fingerprint=golden_fingerprint(
+            summary.signature, branch_counts, summary.steps))
+    return golden, summary, ctx
+
+
+def _context_in_worker(light: _CampaignContext, spec: CampaignSpec,
+                       store_root: Optional[str]) -> _CampaignContext:
+    """:class:`~repro.parallel.WorkerPool` factory: ``light`` (the
+    parent's context without program, setup and checkpoints) completed
+    in the worker by :func:`_campaign_context` through the worker's own
+    handle on the store, whose LRUs share programs and golden runs
+    between specs.  A telemetry spec's golden run records into a
+    private collector, so its checkpoints carry the prefix metrics the
+    parent's do.  A golden run that differs from the parent's refuses
+    the chunk."""
+    from repro.store.runtime import store_for
+    telemetry = None
+    if light.telemetry:
+        telemetry = Telemetry(context={"inj": -1, "seed": light.config.seed})
+    store = store_for(store_root) if store_root is not None else None
+    _golden, _summary, ctx = _campaign_context(spec, store, None, None,
+                                               telemetry)
+    if ctx.golden_fingerprint != light.golden_fingerprint:
+        raise RuntimeError(
+            "worker %d refuses the chunk: its golden run of %s differs "
+            "from the parent's (fingerprint %s... != %s...)"
+            % (os.getpid(), spec.name, ctx.golden_fingerprint[:12],
+               light.golden_fingerprint[:12]))
+    return dataclasses.replace(light, program=ctx.program, setup=ctx.setup,
+                               checkpoints=ctx.checkpoints)
+
+
+def _context_key(spec: CampaignSpec) -> str:
+    """The name a worker keeps ``spec``'s context under: the spec
+    without its journal and store knobs.  (The plan hash alone does not
+    cover the inputs or the plan kind.)"""
+    import hashlib
+    plain = spec.replace(journal=None, resume=False, store=None)
+    return hashlib.sha256(plain.to_json().encode("utf-8")).hexdigest()
+
+
+def _dispatch(task_fn, items, ctx: _CampaignContext, spec: CampaignSpec,
+              store, pool, **kwargs) -> List:
+    """``run_tasks`` over ``items`` with the worker-side factory the
+    pool lifetime needs: rebuild from source for a spawn worker, or
+    resolve from the spec for a warm ``pool`` worker."""
+    program = ctx.program
+    if pool is None:
+        factory = _campaign_context_from_source
+        args = (program.source, program.name, program.entry,
+                ctx.fault_type, ctx.config, ctx.setup, ctx.golden_signature,
+                ctx.branch_counts, ctx.max_steps, ctx.telemetry,
+                program.opt_level)
+        key = None
+    else:
+        light = dataclasses.replace(ctx, program=None, setup=None,
+                                    checkpoints=())
+        factory = _context_in_worker
+        args = (light, spec, store.root if store is not None else None)
+        key = _context_key(spec)
+    return run_tasks(task_fn, items, context=ctx, context_factory=factory,
+                     factory_args=args, pool=pool, context_key=key,
+                     **kwargs)
 
 
 def _campaign_context_from_source(source: str, name: str, entry: str,
@@ -410,8 +525,8 @@ def run_campaign(spec: CampaignSpec,
                  progress: Optional[Callable[[int, int, float], None]] = None,
                  store=None,
                  vuln_report=None,
-                 program: Optional[ParallelProgram] = None
-                 ) -> CampaignResult:
+                 program: Optional[ParallelProgram] = None,
+                 pool=None) -> CampaignResult:
     """Execute the campaign ``spec`` describes; returns a
     :class:`CampaignResult`.
 
@@ -450,14 +565,23 @@ def run_campaign(spec: CampaignSpec,
     identity holds.  A fresh campaign refuses to overwrite an existing
     journal unless ``resume`` is set.
 
-    ``store`` (an :class:`repro.store.ArtifactStore`; default: the
-    spec's ``store`` directory, else the process-wide store from
+    ``store`` (an :class:`repro.store.ArtifactStore`; default: this
+    process's handle on the spec's ``store`` directory
+    (:func:`repro.store.store_for`), else the process-wide store from
     :func:`repro.store.default_store`, usually ``$REPRO_STORE``) caches
     the golden run in memory: telemetry-off campaigns of this process on
     the same program object and (nthreads, seed, quantum, outputs,
     inputs) reuse one golden execution, checkpoints included, across
     fault types and figures.  On a golden-cache hit ``result.golden`` is
     ``None`` (stats and records are unaffected).
+
+    ``pool`` (a :class:`repro.parallel.WorkerPool`) runs the chunks of a
+    ``jobs > 1`` campaign on long-lived workers instead of a pool forked
+    for this call.  Each worker resolves the program, the setup and the
+    golden run from the spec through its own handle on ``store``'s root
+    and keeps them for later chunks and campaigns; the result is the
+    same as with any other ``jobs``.  Such a campaign takes neither
+    ``program=`` nor ``setup=``.
 
     ``spec.plan == "stratified"`` switches from index-planned uniform
     sampling to prediction-guided sampling: the static vulnerability
@@ -480,15 +604,16 @@ def run_campaign(spec: CampaignSpec,
         raise ValueError("stratified campaigns do not support telemetry")
 
     if store is None and spec.store is not None:
-        from repro.store.artifacts import ArtifactStore
-        store = ArtifactStore(spec.store)
+        from repro.store.runtime import store_for
+        store = store_for(spec.store)
     if store is None:
         from repro.store.runtime import default_store
         store = default_store()
+    if pool is not None and (program is not None or setup is not None):
+        raise ValueError("a WorkerPool campaign resolves its program and "
+                         "setup from the spec; pass neither")
     if program is None:
         program = spec.resolve_program(store)
-    if setup is None:
-        setup = spec.default_setup()
     fault_type = spec.fault_type
     config = spec.campaign_config()
     telemetry = spec.telemetry
@@ -504,36 +629,13 @@ def run_campaign(spec: CampaignSpec,
 
     # -- golden run (cached only when no events are being collected and
     # the inputs have a canonical form to key on) ------------------------
-    from repro.store.hashing import setup_inputs
-    golden: Optional[RunResult] = None
-    inputs = setup_inputs(setup)
-    if store is not None and parent_tel is None and inputs is not None:
-        def compute():
-            recorder = GoldenRecorder()
-            run = golden_run(program, config, setup, recorder)
-            return (_golden_summary_of(run, recorder, config),
-                    tuple(recorder.checkpoints))
-
-        summary, checkpoints = store.get_golden(
-            program, config.nthreads, config.seed, config.quantum,
-            tuple(config.output_globals), compute=compute, inputs=inputs)
-    else:
-        recorder = GoldenRecorder()
-        golden = golden_run(program, config, setup, recorder,
-                            telemetry=parent_tel)
-        summary = _golden_summary_of(golden, recorder, config)
-        checkpoints = tuple(recorder.checkpoints)
-    golden_signature = quantize_signature(summary.signature,
-                                          config.quantize_bits)
-    branch_counts = dict(summary.branch_counts)
-    max_steps = max(summary.steps * config.hang_factor,
-                    summary.steps + 100_000)
+    golden, summary, ctx = _campaign_context(spec, store, program, setup,
+                                             parent_tel)
 
     if spec.plan == "stratified":
-        return _run_stratified(
-            program, fault_type, config, setup, keep_records, jobs,
-            progress, store, vuln_report, golden, golden_signature,
-            max_steps, summary.thread_classes, checkpoints)
+        return _run_stratified(ctx, spec, keep_records, jobs, progress,
+                               store, pool, vuln_report, golden,
+                               summary.thread_classes)
 
     # -- journal replay / checkpoint setup ------------------------------
     pending = list(range(config.injections))
@@ -541,7 +643,6 @@ def run_campaign(spec: CampaignSpec,
     writer = None
     if journal is not None:
         from repro.errors import PlanMismatchError, StoreError
-        from repro.store.hashing import golden_fingerprint
         from repro.store.journal import JournalWriter, read_journal
         # The spec is the single source of the plan hash: the same
         # fingerprint a client computes before submitting over the wire,
@@ -550,8 +651,7 @@ def run_campaign(spec: CampaignSpec,
         # never share cache entries; divergence from the spec-described
         # program is caught by the golden fingerprint right here.)
         plan_hash, plan_dict = spec.plan_fingerprint()
-        golden_fp = golden_fingerprint(summary.signature, branch_counts,
-                                       summary.steps)
+        golden_fp = ctx.golden_fingerprint
         exists = os.path.exists(journal) and os.path.getsize(journal) > 0
         if exists and not resume:
             raise StoreError(
@@ -582,11 +682,6 @@ def run_campaign(spec: CampaignSpec,
                           nthreads=config.nthreads)
     result = CampaignResult(stats=stats, golden=golden,
                             thread_classes=list(summary.thread_classes))
-    ctx = _CampaignContext(
-        program=program, fault_type=fault_type, config=config, setup=setup,
-        golden_signature=golden_signature,
-        branch_counts=branch_counts, max_steps=max_steps,
-        telemetry=telemetry, checkpoints=checkpoints)
     timings: Optional[List[Tuple[int, int, float]]] = (
         [] if telemetry else None)
 
@@ -594,18 +689,15 @@ def run_campaign(spec: CampaignSpec,
     if writer is not None:
         def checkpoint(pairs):
             # Parent-side, per completed chunk: positions are into
-            # ``pending``, the journal records original indices.
+            # ``pending``, the journal records original indices.  One
+            # commit per chunk: a crash loses at most unsynced chunks.
             for position, record in pairs:
                 writer.append(pending[position], record)
+            writer.sync()
 
     try:
-        new_records = run_tasks(
-            _injection_task, pending, jobs=jobs, context=ctx,
-            context_factory=_campaign_context_from_source,
-            factory_args=(program.source, program.name, program.entry,
-                          fault_type, config, setup, golden_signature,
-                          branch_counts, max_steps, telemetry,
-                          program.opt_level),
+        new_records = _dispatch(
+            _injection_task, pending, ctx, spec, store, pool, jobs=jobs,
             progress=progress, timings=timings, on_results=checkpoint)
     finally:
         if writer is not None:
@@ -636,40 +728,30 @@ def run_campaign(spec: CampaignSpec,
     return result
 
 
-def _run_stratified(program: ParallelProgram, fault_type: FaultType,
-                    config: CampaignConfig, setup, keep_records: bool,
-                    jobs: Optional[int], progress, store, vuln_report,
-                    golden: Optional[RunResult], golden_signature,
-                    max_steps: int, thread_classes: List[List[int]],
-                    checkpoints: Tuple[Checkpoint, ...]) -> CampaignResult:
+def _run_stratified(ctx: _CampaignContext, spec: CampaignSpec,
+                    keep_records: bool, jobs: Optional[int], progress,
+                    store, pool, vuln_report, golden: Optional[RunResult],
+                    thread_classes: List[List[int]]) -> CampaignResult:
     """Plan + execute a stratified campaign (the ``plan="stratified"``
     arm of :func:`run_campaign`; golden artifacts already resolved)."""
     from repro.faults.recording import record_site_streams
     from repro.lint.vuln import analyze_program
 
+    program, config, fault_type = ctx.program, ctx.config, ctx.fault_type
     if vuln_report is None:
         vuln_report = analyze_program(
             program, output_globals=config.output_globals, store=store)
-    streams = record_site_streams(program, config, setup=setup,
+    streams = record_site_streams(program, config, setup=ctx.setup,
                                   report=vuln_report)
     specs, meta = plan_stratified(vuln_report, streams, fault_type,
                                   config.injections, config.seed)
 
     stats = CampaignStats(program=program.name, fault_type=fault_type.value,
                           nthreads=config.nthreads)
-    ctx = _CampaignContext(
-        program=program, fault_type=fault_type, config=config, setup=setup,
-        golden_signature=golden_signature,
-        branch_counts={tid: len(s) for tid, s in streams.items()},
-        max_steps=max_steps, checkpoints=checkpoints)
-    records = run_tasks(
-        _spec_injection_task, specs, jobs=jobs, context=ctx,
-        context_factory=_campaign_context_from_source,
-        factory_args=(program.source, program.name, program.entry,
-                      fault_type, config, setup, golden_signature,
-                      ctx.branch_counts, max_steps, False,
-                      program.opt_level),
-        progress=progress)
+    ctx = dataclasses.replace(
+        ctx, branch_counts={tid: len(s) for tid, s in streams.items()})
+    records = _dispatch(_spec_injection_task, specs, ctx, spec, store, pool,
+                        jobs=jobs, progress=progress)
 
     # Per-class outcome census + the re-weighted coverage estimates.
     # Every planned spec activates (its branch index comes from the

@@ -8,6 +8,8 @@ execution:
 
 * :func:`run_tasks` — the generic pool runner (fork-first, spawn
   fallback, serial last resort; ``jobs=1`` never touches a pool);
+* :class:`WorkerPool` — a fork pool that outlives the calls it serves,
+  whose workers keep the contexts they built, by key;
 * :func:`derive_seed` / :func:`stable_hash` — hash-stable seed
   derivation, so any partitioning of the work reproduces the same
   per-item RNG streams across processes and interpreter invocations;
@@ -16,6 +18,7 @@ execution:
 """
 
 from repro.parallel.engine import (
+    WorkerPool,
     available_cpus,
     resolve_jobs,
     run_tasks,
@@ -23,6 +26,7 @@ from repro.parallel.engine import (
 from repro.parallel.seeds import derive_seed, stable_hash
 
 __all__ = [
+    "WorkerPool",
     "available_cpus",
     "derive_seed",
     "resolve_jobs",

@@ -27,9 +27,17 @@ serial
     stay on the plain in-process loop — today's code path, no pool, no
     pickling.
 
-Dispatch is chunked: items are grouped into contiguous chunks that are
-consumed by an unordered ``imap``, and an optional ``progress`` callback
-fires once per completed chunk with ``(done, total, chunk_seconds)``.
+Those pools live for one call.  A :class:`WorkerPool` instead outlives
+the calls that use it (the campaign server forks one per server): its
+workers keep the contexts they built, and a call names its context by a
+key.  Each chunk carries the key with a picklable ``context_factory``
+and its arguments; a worker that has no context under the key builds
+one with them and keeps it for later chunks and later calls.
+
+Both lifetimes share one worker loop, :func:`_run_chunk`.  Dispatch is
+chunked: items are grouped into contiguous chunks that are consumed by
+an unordered ``imap``, and an optional ``progress`` callback fires once
+per completed chunk with ``(done, total, chunk_seconds)``.
 """
 
 from __future__ import annotations
@@ -37,9 +45,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 import warnings
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Callable, Iterable, List, Optional, Tuple
 
 
 def available_cpus() -> int:
@@ -79,8 +89,16 @@ def default_chunk_size(nitems: int, jobs: int) -> int:
 
 # -- worker-side state -------------------------------------------------------
 
-#: Per-worker cache, populated exactly once by :func:`_init_worker`.
+#: Per-worker cache of a per-call pool, populated exactly once by
+#: :func:`_init_worker`.
 _WORKER = {"fn": None, "ctx": None}
+
+#: Contexts a :class:`WorkerPool` worker built, by key, least recently
+#: used first.
+_WARM: "OrderedDict[str, object]" = OrderedDict()
+
+#: Contexts a :class:`WorkerPool` worker keeps.
+WARM_CONTEXTS = 8
 
 
 def _init_worker(task_fn, context, context_factory, factory_args) -> None:
@@ -90,12 +108,68 @@ def _init_worker(task_fn, context, context_factory, factory_args) -> None:
     _WORKER["ctx"] = context
 
 
-def _run_chunk(payload: Tuple[int, Sequence[Tuple[int, object]]]):
-    chunk_id, chunk = payload
-    fn, ctx = _WORKER["fn"], _WORKER["ctx"]
+def _warm_context(key: str, context_factory: Callable, factory_args: Tuple):
+    ctx = _WARM.get(key)
+    if ctx is None:
+        ctx = context_factory(*factory_args)
+    _WARM[key] = ctx
+    _WARM.move_to_end(key)
+    while len(_WARM) > WARM_CONTEXTS:
+        _WARM.popitem(last=False)
+    return ctx
+
+
+def _run_chunk(payload):
+    """Run one chunk: ``(chunk_id, [(index, item), ...], warm)``, where
+    ``warm`` is None in a per-call pool (task and context came with the
+    fork) and ``(task_fn, key, context_factory, factory_args)`` in a
+    :class:`WorkerPool`."""
+    chunk_id, chunk, warm = payload
+    if warm is None:
+        fn, ctx = _WORKER["fn"], _WORKER["ctx"]
+    else:
+        fn, key, context_factory, factory_args = warm
+        ctx = _warm_context(key, context_factory, factory_args)
     started = time.perf_counter()
     out = [(index, fn(ctx, item)) for index, item in chunk]
     return chunk_id, out, time.perf_counter() - started
+
+
+class WorkerPool:
+    """A fork pool that outlives the :func:`run_tasks` calls it serves.
+
+    The pool forks its ``processes`` workers at its first use, not at
+    construction, and keeps them until :meth:`close`.  A call that fails
+    or stops early abandons its chunks still in flight: they run to
+    their end and their results are dropped, and the pool stays usable.
+    Needs the ``fork`` start method (see :attr:`available`).
+    """
+
+    #: Whether this platform can fork a pool at all.
+    available = "fork" in multiprocessing.get_all_start_methods()
+
+    def __init__(self, processes: int):
+        self.processes = max(1, int(processes))
+        self._pool = None
+        self._lock = threading.Lock()
+
+    def _started(self):
+        with self._lock:
+            if self._pool is None:
+                self._pool = multiprocessing.get_context("fork").Pool(
+                    processes=self.processes)
+            return self._pool
+
+    def imap_unordered(self, payloads):
+        return self._started().imap_unordered(_run_chunk, payloads)
+
+    def close(self) -> None:
+        """Terminate and join the workers (a later use forks anew)."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
 # -- driver ------------------------------------------------------------------
@@ -144,15 +218,20 @@ def run_tasks(task_fn: Callable,
               progress: Optional[Callable[[int, int, float], None]] = None,
               timings: Optional[List[Tuple[int, int, float]]] = None,
               on_results: Optional[
-                  Callable[[List[Tuple[int, object]]], None]] = None
+                  Callable[[List[Tuple[int, object]]], None]] = None,
+              pool: Optional[WorkerPool] = None,
+              context_key: Optional[str] = None
               ) -> List:
     """Map ``task_fn(context, item)`` over ``items``; results in item order.
 
     ``task_fn`` must be a module-level function (it crosses the pool's
     task queue by reference).  ``context`` is the shared heavy state —
-    delivered for free under fork; under spawn it is rebuilt per worker
-    via ``context_factory(*factory_args)`` (or pickled directly when no
-    factory is given).  Exceptions raised by any task propagate.
+    delivered for free under fork; a worker that cannot inherit it
+    builds it with ``context_factory(*factory_args)``: once per spawn
+    worker (``context`` is pickled directly when no factory is given),
+    or once per :class:`WorkerPool` worker and ``context_key`` when
+    ``pool`` is given.  The serial loop (``jobs=1``) uses ``context``.
+    Exceptions raised by any task propagate.
 
     ``timings``, when given a list, receives one ``(chunk_id, items,
     seconds)`` tuple per completed dispatch unit — the per-worker
@@ -169,6 +248,19 @@ def run_tasks(task_fn: Callable,
         return _run_serial(task_fn, items, context, context_factory,
                            factory_args, progress, timings, on_results)
 
+    size = chunk_size if chunk_size else default_chunk_size(len(items), jobs)
+    indexed = list(enumerate(items))
+    chunks = [indexed[start:start + size]
+              for start in range(0, len(indexed), size)]
+    if pool is not None:
+        if context_key is None or context_factory is None:
+            raise ValueError("a WorkerPool call needs a context_key and "
+                             "the context_factory its workers build from")
+        warm = (task_fn, context_key, context_factory, factory_args)
+        return _collect(pool.imap_unordered(
+            [(cid, chunk, warm) for cid, chunk in enumerate(chunks)]),
+            len(items), progress, timings, on_results)
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         mp = multiprocessing.get_context("fork")
@@ -184,25 +276,27 @@ def run_tasks(task_fn: Callable,
                 RuntimeWarning, stacklevel=2)
             return _run_serial(task_fn, items, context, context_factory,
                                factory_args, progress, timings, on_results)
-
-    size = chunk_size if chunk_size else default_chunk_size(len(items), jobs)
-    indexed = list(enumerate(items))
-    chunks = [(cid, indexed[start:start + size])
-              for cid, start in enumerate(range(0, len(indexed), size))]
-
-    results: List = [None] * len(items)
-    done = 0
     with mp.Pool(processes=min(jobs, len(chunks)),
-                 initializer=_init_worker, initargs=initargs) as pool:
-        for chunk_id, chunk_results, elapsed in pool.imap_unordered(
-                _run_chunk, chunks):
-            for index, value in chunk_results:
-                results[index] = value
-            done += len(chunk_results)
-            if timings is not None:
-                timings.append((chunk_id, len(chunk_results), elapsed))
-            if on_results is not None:
-                on_results(list(chunk_results))
-            if progress is not None:
-                progress(done, len(items), elapsed)
+                 initializer=_init_worker, initargs=initargs) as per_call:
+        return _collect(per_call.imap_unordered(
+            _run_chunk, [(cid, chunk, None)
+                         for cid, chunk in enumerate(chunks)]),
+            len(items), progress, timings, on_results)
+
+
+def _collect(completed, total: int, progress, timings, on_results) -> List:
+    """Re-assemble chunk results in item order, firing the per-chunk
+    hooks as chunks complete."""
+    results: List = [None] * total
+    done = 0
+    for chunk_id, chunk_results, elapsed in completed:
+        for index, value in chunk_results:
+            results[index] = value
+        done += len(chunk_results)
+        if timings is not None:
+            timings.append((chunk_id, len(chunk_results), elapsed))
+        if on_results is not None:
+            on_results(list(chunk_results))
+        if progress is not None:
+            progress(done, total, elapsed)
     return results

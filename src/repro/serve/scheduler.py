@@ -3,12 +3,15 @@
 The scheduler owns everything about a job except the sockets: admission
 (bounded queue → backpressure), execution (each campaign runs in a
 worker thread via the one spec-driven :func:`repro.run_campaign` path,
-journaled to the store), durability (every state transition is an
+journaled to the store; a sharded one on the server's one
+:class:`~repro.parallel.WorkerPool`, forked at the first sharded job
+and kept until drain), durability (every state transition is an
 atomic JSON write under ``<store>/serve/jobs/``, so a killed server
 rescans the directory and re-enqueues every unfinished job with
-``resume=True`` — the journal machinery makes the re-run bit-identical
-to an uninterrupted one), and retention (per-tenant byte quotas evict
-the least-recently-used finished jobs' results and journals).
+``resume=True`` — the journal, synced once per chunk, makes the re-run
+bit-identical to an uninterrupted one), and retention (per-tenant byte
+quotas evict the least-recently-used finished jobs' results and
+journals).
 
 Determinism is inherited, not re-implemented: the campaign engine's
 counter-mode seeds make any sharding of the injection range — including
@@ -32,6 +35,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ServeError, StoreError
 from repro.faults.spec import CampaignSpec
+from repro.parallel import WorkerPool, available_cpus
 from repro.serve import protocol
 from repro.store.artifacts import ArtifactStore, write_atomic
 from repro.store.hashing import canonical_json
@@ -55,12 +59,15 @@ class ServeConfig:
     #: Bounded admission queue; a full queue rejects ``submit`` with a
     #: retryable error instead of buffering without limit.
     queue_size: int = 8
-    #: Concurrent campaigns.  Each one fans its injections across
-    #: ``shards`` worker *processes*, so one slot already saturates the
-    #: machine; more slots trade per-job latency for fairness.
+    #: Concurrent campaigns.  Sharded ones share the server's worker
+    #: processes, so one slot already saturates the machine; more slots
+    #: trade per-job latency for fairness.
     max_running: int = 1
-    #: Default worker processes per campaign (``None`` = honor each
-    #: job's requested shard count, else ``$REPRO_JOBS``/serial).
+    #: Worker processes of the server's pool (``None`` = every available
+    #: CPU), and the shard count of a job that requests none (``None`` =
+    #: ``$REPRO_JOBS``, else serial).  A job's shard count sets how its
+    #: injections are chunked; a job of one shard runs in the server
+    #: process and never starts the pool.
     shards: Optional[int] = None
     #: Per-tenant byte budget for finished jobs (journal + stored
     #: result).  ``None`` disables eviction.
@@ -165,6 +172,11 @@ class CampaignScheduler:
         self._draining = False
         self._seq = 0
         self.jobs_dir = os.path.join(store.root, "serve", "jobs")
+        #: The worker processes every sharded job runs on; forked at the
+        #: first one, terminated by :meth:`drain`.
+        self.pool: Optional[WorkerPool] = None
+        if WorkerPool.available:
+            self.pool = WorkerPool(config.shards or available_cpus())
 
     # -- durability -------------------------------------------------------
 
@@ -182,7 +194,9 @@ class CampaignScheduler:
         """Apply a state change durably: the new state file is written
         *before* the in-memory job — which ``status``, ``watch`` and
         ``fetch`` read — changes, so no client acts on a state that is
-        not on disk yet."""
+        not on disk yet.  Only state transitions come here; progress and
+        use are kept in memory (the journal is the durable progress
+        record)."""
         if state is not None:
             changes["state"] = state
         changes["updated"] = time.time()
@@ -259,6 +273,9 @@ class CampaignScheduler:
             self._executor = None
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: executor.shutdown(wait=True))
+        if self.pool is not None:
+            # No campaign is left on the pool; its abandoned chunks die.
+            self.pool.close()
 
     # -- admission --------------------------------------------------------
 
@@ -326,14 +343,12 @@ class CampaignScheduler:
         spec = job.spec.replace(journal=journal, resume=resume,
                                 store=self.store.root)
         self._touch(job, state=protocol.RUNNING)
-        replayed_base = [0]
 
         def progress(done: int, total: int, _elapsed: float) -> None:
             # ``total`` counts only this run's pending injections; the
-            # journal already holds the rest.
-            replayed_base[0] = job.spec.injections - total
-            job.done = replayed_base[0] + done
-            self._touch(job)
+            # journal, already synced, holds the rest.
+            job.done = job.spec.injections - total + done
+            job.updated = time.time()
             if self._drain_event.is_set():
                 raise _DrainInterrupt()
 
@@ -342,7 +357,7 @@ class CampaignScheduler:
             result = run_campaign(spec, jobs=job.shards or
                                   self.config.shards,
                                   store=self.store, keep_records=True,
-                                  progress=progress)
+                                  progress=progress, pool=self.pool)
         except _DrainInterrupt:
             self._touch(job, state=protocol.INTERRUPTED)
             self.telemetry.count("serve.interrupted")
@@ -428,7 +443,7 @@ class CampaignScheduler:
             raise ServeError("job %s is %s, not done" % (job_id, job.state))
         payload = self.store.load(job.result_key, RESULT_KIND)
         # Fetching counts as use: LRU eviction spares hot results.
-        self._touch(job)
+        job.updated = time.time()
         return payload
 
     def golden(self, job_id: str) -> dict:

@@ -25,7 +25,7 @@ from typing import Optional
 from repro.errors import ServeError
 from repro.serve import protocol
 from repro.serve.scheduler import CampaignScheduler, ServeConfig
-from repro.store.artifacts import ArtifactStore
+from repro.store.runtime import store_for
 
 
 class CampaignServer:
@@ -39,7 +39,7 @@ class CampaignServer:
         self.port: Optional[int] = None
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        store = ArtifactStore(self.config.store_root)
+        store = store_for(self.config.store_root)
         self.scheduler = CampaignScheduler(store, self.config)
         await self.scheduler.start()
         self._server = await asyncio.start_server(

@@ -45,7 +45,12 @@ from repro.store.hashing import (
     vuln_key,
 )
 from repro.store.journal import JournalReplay, JournalWriter, read_journal
-from repro.store.runtime import default_store, open_store, set_default_store
+from repro.store.runtime import (
+    default_store,
+    open_store,
+    set_default_store,
+    store_for,
+)
 from repro.store.serialize import (
     RECORD_SCHEMA,
     RESULT_SCHEMA,
@@ -66,7 +71,7 @@ __all__ = [
     "JournalReplay", "JournalWriter", "read_journal",
     "PlanMismatchError", "StoreCorruptError", "StoreError",
     "StoreSchemaError",
-    "default_store", "open_store", "set_default_store",
+    "default_store", "open_store", "set_default_store", "store_for",
     "golden_fingerprint", "golden_key", "lint_key", "plan_fingerprint",
     "program_key", "program_key_of", "setup_inputs", "vuln_key",
     "record_from_dict", "record_to_dict", "result_from_dict",

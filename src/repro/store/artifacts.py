@@ -4,7 +4,7 @@ lint, vulnerability and triage reports on disk, golden runs in memory.
 On-disk layout (everything under one *store root*)::
 
     <root>/store.json                    # {"schema": 1}
-    <root>/objects/<k[:2]>/<k>/meta.json # kind, sizes, created/last_used
+    <root>/objects/<k[:2]>/<k>/meta.json # kind, sizes, created; mtime = last use
     <root>/objects/<k[:2]>/<k>/data.pkl  # versioned pickle payload
     <root>/journals/                     # suggested campaign-journal home
 
@@ -141,6 +141,9 @@ class ArtifactStore:
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
+        #: The process that opened this handle (see
+        #: :func:`repro.store.runtime.store_for`).
+        self.pid = os.getpid()
         self.objects = os.path.join(self.root, "objects")
         self.journals_dir = os.path.join(self.root, "journals")
         #: Process-local hit/miss bookkeeping, mirrored into any
@@ -160,6 +163,20 @@ class ArtifactStore:
         if not os.path.exists(marker):
             write_atomic(marker, json.dumps(
                 {"schema": ARTIFACT_SCHEMA}).encode("utf-8"))
+
+    def forked_copy(self) -> "ArtifactStore":
+        """A forked child's own handle on this root: the in-memory
+        programs and golden runs inherited through the fork, with a new
+        lock and zeroed counters.  (Another parent thread may have held
+        the inherited lock at the fork.)"""
+        copy = object.__new__(ArtifactStore)
+        copy.__dict__.update(self.__dict__)
+        copy.pid = os.getpid()
+        copy.counters = {}
+        copy._programs = OrderedDict(self._programs)
+        copy._goldens = OrderedDict(self._goldens)
+        copy._lock = threading.Lock()
+        return copy
 
     # -- low-level object access ---------------------------------------
 
@@ -212,15 +229,13 @@ class ArtifactStore:
         return wrapper["payload"]
 
     def _touch(self, directory: str) -> None:
-        meta_path = os.path.join(directory, "meta.json")
+        """Mark a use: bump ``meta.json``'s mtime, which :meth:`entries`
+        reads as ``last_used`` when it is later than the recorded one.
+        Recency is advisory, so it is neither rewritten nor fsynced."""
         try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-            meta["last_used"] = time.time()
-            write_atomic(meta_path,
-                         json.dumps(meta, sort_keys=True).encode("utf-8"))
-        except (OSError, ValueError):
-            pass  # LRU freshness is advisory; never fail a hit over it
+            os.utime(os.path.join(directory, "meta.json"))
+        except OSError:
+            pass  # never fail a hit over LRU freshness
 
     def delete(self, key: str) -> bool:
         directory = self._entry_dir(key)
@@ -409,9 +424,11 @@ class ArtifactStore:
                 directory = os.path.join(prefix_dir, key)
                 meta_path = os.path.join(directory, "meta.json")
                 meta = {}
+                used = 0.0
                 try:
                     with open(meta_path, "r", encoding="utf-8") as handle:
                         meta = json.load(handle)
+                        used = os.fstat(handle.fileno()).st_mtime
                 except (OSError, ValueError):
                     pass
                 size = meta.get("size")
@@ -425,7 +442,8 @@ class ArtifactStore:
                     key=key, kind=meta.get("kind", "?"),
                     name=meta.get("name", ""), size=int(size),
                     created=float(meta.get("created", 0.0)),
-                    last_used=float(meta.get("last_used", 0.0)),
+                    last_used=max(float(meta.get("last_used", 0.0)),
+                                  used),
                     path=directory))
         return found
 

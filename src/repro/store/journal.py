@@ -8,10 +8,13 @@ Layout of one journal file::
     {"kind": "injection", "schema": 1, "index": 1, ...}
     ...
 
-Writes are *crash-safe by construction*: each line is written whole,
-flushed, and fsync'd before the writer reports it durable, so after a
-SIGKILL the file contains every acknowledged record plus at most one
-torn final line.  The reader's contract mirrors that:
+Writes are *crash-safe by construction*: the header is flushed and
+fsync'd as soon as it is written; records are buffered and become
+durable together at :meth:`JournalWriter.sync` (a campaign syncs once
+per completed chunk).  A crash loses at most the chunks not yet synced,
+and the file holds every synced record plus possibly some of the next
+ones, of which only the final line can be torn.  The reader's contract
+mirrors that:
 
 * a torn **final** line is an expected crash artifact — dropped (and
   counted) when ``allow_partial_tail=True``, the resume path's setting;
@@ -45,7 +48,8 @@ from repro.store.serialize import record_from_dict, record_to_dict
 
 
 class JournalWriter:
-    """Append-only writer; one :meth:`append` = one durable JSONL line.
+    """Append-only writer: :meth:`append` buffers one JSONL line,
+    :meth:`sync` makes every line appended so far durable.
 
     ``fsync=False`` trades crash-safety for speed (tests, tmpfs); the
     default matches the durability story above.
@@ -60,6 +64,9 @@ class JournalWriter:
 
     def _write_line(self, payload: dict) -> None:
         self._handle.write(canonical_json(payload) + "\n")
+
+    def sync(self) -> None:
+        """Flush the buffered lines and (with ``fsync``) commit them."""
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
@@ -73,6 +80,7 @@ class JournalWriter:
             "plan": plan,
             "golden_fingerprint": golden_fingerprint,
         })
+        self.sync()
 
     def append(self, index: int, record) -> None:
         self._write_line(record_to_dict(index, record))

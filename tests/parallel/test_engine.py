@@ -1,8 +1,10 @@
 """The pool engine: ordering, chunking, context delivery, fallbacks."""
 
+import multiprocessing
+
 import pytest
 
-from repro.parallel import available_cpus, resolve_jobs, run_tasks
+from repro.parallel import WorkerPool, available_cpus, resolve_jobs, run_tasks
 from repro.parallel.engine import default_chunk_size
 
 
@@ -110,3 +112,73 @@ class TestPool:
 
     def test_empty_items(self):
         assert run_tasks(_square, [], jobs=4) == []
+
+
+def _labelled(base):
+    """A context that names the worker process that built it."""
+    import os
+    return {"base": base, "built_by": os.getpid(), "token": os.urandom(8)}
+
+
+def _labelled_add(ctx, item):
+    return ctx["token"], ctx["base"] + item
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pool(self):
+        pool = WorkerPool(2)
+        yield pool
+        pool.close()
+
+    def call(self, pool, key, base, items, **kwargs):
+        return run_tasks(_labelled_add, items, jobs=2, chunk_size=1,
+                         context_factory=_labelled, factory_args=(base,),
+                         pool=pool, context_key=key, **kwargs)
+
+    def test_results_in_item_order(self, pool):
+        out = self.call(pool, "a", 100, range(9))
+        assert [value for _token, value in out] == [100 + i for i in range(9)]
+
+    def test_workers_keep_contexts_across_calls(self, pool):
+        first = {token for token, _ in self.call(pool, "a", 0, range(8))}
+        again = {token for token, _ in self.call(pool, "a", 0, range(8))}
+        # At most one build per worker and key, reused by later calls.
+        assert 1 <= len(first | again) <= 2
+        other = self.call(pool, "b", 50, range(8))
+        assert {token for token, _ in other}.isdisjoint(first)
+        assert [value for _token, value in other] == [50 + i
+                                                      for i in range(8)]
+
+    def test_one_process_set_for_every_call(self, pool):
+        self.call(pool, "a", 0, range(4))
+        workers = {p.pid for p in multiprocessing.active_children()}
+        self.call(pool, "b", 0, range(4))
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+        assert len(workers) == 2
+
+    def test_failed_call_leaves_pool_usable(self, pool):
+        with pytest.raises(ValueError, match="cursed"):
+            run_tasks(_explode, range(5), jobs=2, chunk_size=1,
+                      context_factory=_make_offset, factory_args=(1,),
+                      pool=pool, context_key="x")
+        out = self.call(pool, "a", 7, range(6))
+        assert [value for _token, value in out] == [7 + i for i in range(6)]
+
+    def test_serial_calls_use_the_callers_context(self, pool):
+        assert run_tasks(_add_context, [1, 2], jobs=1, context=10,
+                         context_factory=_make_offset, factory_args=(0,),
+                         pool=pool, context_key="k") == [11, 12]
+        assert multiprocessing.active_children() == []
+
+    def test_needs_a_key_and_a_factory(self, pool):
+        with pytest.raises(ValueError, match="context_key"):
+            run_tasks(_square, range(4), jobs=2, pool=pool)
+
+    def test_close_joins_every_worker(self, pool):
+        self.call(pool, "a", 0, range(4))
+        assert len(multiprocessing.active_children()) == 2
+        pool.close()
+        assert multiprocessing.active_children() == []
+        # A later call forks anew.
+        assert [v for _t, v in self.call(pool, "a", 1, range(3))] == [1, 2, 3]

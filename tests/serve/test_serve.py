@@ -191,8 +191,8 @@ class TestBackpressureAndQuota:
 class TestJobStateDurability:
     def test_fetch_right_after_watch_ends(self, server):
         """``watch`` reports the end only once the final state is on
-        disk, so an immediate ``fetch`` (which rewrites the job's state
-        file) never races the worker's final write."""
+        disk, so an immediate ``fetch`` never finds a job that is done
+        in memory but not on disk."""
         client = ServeClient(port=server.port)
         for seed in range(30):
             job_id = client.submit(figure1_spec(seed=100 + seed,

@@ -143,6 +143,58 @@ class TestGoldenCache:
                     each.counters["store.golden.hit"]) == (1, 1)
 
 
+class TestOneHandlePerRoot:
+    def test_store_for_returns_one_object_per_root(self, tmp_path):
+        from repro.store import open_store, store_for
+        root = str(tmp_path / "shared")
+        store = store_for(root)
+        assert store_for(root + "/") is store
+        assert open_store(root) is store
+        assert store_for(str(tmp_path / "other")) is not store
+
+    def test_spec_store_campaigns_share_one_golden(self, tmp_path):
+        from repro.faults import CampaignSpec, run_campaign
+        from repro.store import store_for
+        root = str(tmp_path / "spec-store")
+        spec = CampaignSpec.for_kernel("radix", injections=2, nthreads=2,
+                                       seed=5)
+        run_campaign(spec.replace(store=root))
+        run_campaign(spec.replace(store=root))
+        counters = store_for(root).counters
+        assert (counters["store.golden.miss"],
+                counters["store.golden.hit"]) == (1, 1)
+
+    def test_forked_child_gets_its_own_warm_handle(self, tmp_path):
+        import multiprocessing
+        from repro.store import default_store, set_default_store, store_for
+        root = str(tmp_path / "forked")
+        parent = store_for(root)
+        program = parent.get_program(FIGURE_1, "figure1")
+        set_default_store(parent)
+        try:
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                child_pid, handles, warm = pool.apply(_handles_in_child,
+                                                      (root,))
+        finally:
+            set_default_store(None)
+        assert child_pid != os.getpid()
+        # store_for and default_store agree on one object of the child's.
+        assert handles == (child_pid, child_pid, True)
+        # It serves the program the parent had in memory, and counts
+        # only the child's own lookups.
+        assert warm == (id(program), {"store.cache.hit": 1})
+        assert default_store() is None and store_for(root) is parent
+
+
+def _handles_in_child(root):
+    from repro.store import default_store, store_for
+    store = store_for(root)
+    program = store.get_program(FIGURE_1, "figure1")
+    return os.getpid(), (store.pid, default_store().pid,
+                         default_store() is store), (id(program),
+                                                     store.counters)
+
+
 class TestConcurrentWrites:
     def test_threads_put_one_key_at_once(self, store):
         """Each writer has its own temp file, so racing writers of one
@@ -226,6 +278,18 @@ class TestMaintenance:
         assert len(evicted) == 1
         assert evicted[0].key != "00" * 32
         assert len(store.entries()) == 3
+
+    def test_gc_keeps_the_most_recently_loaded_entry(self, store):
+        self.fill(store, 2)
+        meta = os.path.join(store._entry_dir("00" * 32), "meta.json")
+        before = (os.stat(meta).st_ino, open(meta, "rb").read())
+        time.sleep(0.02)
+        store.load("00" * 32, "blob")
+        # Use bumps the mtime only; meta.json is not rewritten.
+        assert (os.stat(meta).st_ino, open(meta, "rb").read()) == before
+        evicted = store.gc(max_entries=1)
+        assert [entry.key for entry in evicted] == ["01" * 32]
+        assert [entry.key for entry in store.entries()] == ["00" * 32]
 
     def test_gc_max_bytes(self, store):
         self.fill(store, 4)

@@ -8,6 +8,7 @@ wrong silent resume.
 """
 
 import json
+import os
 
 import pytest
 
@@ -68,6 +69,33 @@ class TestRoundTrip:
         replay = read_journal(path)
         assert replay.duplicates_dropped == 1
         assert replay.records[1].spec.branch_index == 6  # not 104
+
+
+class TestSync:
+    def test_appends_become_durable_at_sync(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        plan = {"schema": JOURNAL_SCHEMA, "injections": 10}
+        writer = JournalWriter(path)
+        writer.write_header("h" * 64, plan, "g" * 64)
+        header_size = os.path.getsize(path)
+        writer.append(0, make_record(0))
+        writer.append(1, make_record(1))
+        # Buffered until the chunk's commit.
+        assert os.path.getsize(path) == header_size
+        writer.sync()
+        writer.append(2, make_record(2))
+        writer.sync()
+        assert sorted(read_journal(path).records) == [0, 1, 2]
+        # A crash mid-write of the next chunk leaves a torn tail.
+        writer.append(3, make_record(3))
+        writer.close()
+        raw = open(path).read()
+        with open(path, "w") as handle:
+            handle.write(raw[:-20])
+        replay = read_journal(path)
+        assert sorted(replay.records) == [0, 1, 2]
+        assert replay.records[2] == make_record(2)
+        assert replay.partial_tail_dropped == 1
 
 
 class TestCrashArtifacts:

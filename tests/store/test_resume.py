@@ -93,6 +93,22 @@ class TestResumeIdentity:
         assert hits["store.journal.partial_tail_dropped"] == 1
         assert hits["store.journal.appended"] == 7
 
+    def test_every_reported_chunk_is_on_disk(self, tmp_path):
+        """The journal commits a chunk before the progress callback
+        reports it, at one line per injection after the header."""
+        path = str(tmp_path / "journal.jsonl")
+        spec = CampaignSpec.for_kernel("radix", injections=8, nthreads=2,
+                                       seed=3, journal=path)
+        seen = []
+
+        def progress(done, total, _seconds):
+            with open(path) as handle:
+                seen.append((done, sum(1 for _ in handle) - 1))
+
+        run_campaign(spec, jobs=2, progress=progress)
+        assert len(seen) > 1
+        assert all(done == lines for done, lines in seen), seen
+
     def test_header_only_resume_matches(self, program, full, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         run(program, journal=path)
