@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the campaign server's command line and its warm worker
-# pool: start `repro-serve serve -j 2`, submit three radix campaigns
+# pool: start `repro serve start -j 2`, submit three radix campaigns
 # (flip, condition, and the flip spec again) sharded over the pool,
-# check every fetched census against `repro-minic inject -j 1`, drain,
+# check every fetched census against `repro inject -j 1`, drain,
 # and check that the server exited and left no worker process behind.
 #
 # Run from the repository root.  With the package installed:
@@ -11,19 +11,19 @@
 #
 # From a source checkout:
 #
-#     SERVE="python -m repro.serve" MINIC="python -m repro.cli" \
+#     SERVE="python -m repro serve" MINIC="python -m repro" \
 #         PYTHONPATH=src bash scripts/serve_cli_smoke.sh
 set -euo pipefail
 
-SERVE=${SERVE:-repro-serve}
-MINIC=${MINIC:-repro-minic}
+SERVE=${SERVE:-repro serve}
+MINIC=${MINIC:-repro}
 PORT=${PORT:-7231}
 STORE=${STORE:-.serve-store}
 OUT=${OUT:-.serve-smoke}
 
 rm -rf "$STORE" "$OUT"
 mkdir -p "$OUT"
-$SERVE serve --store "$STORE" -j 2 --port "$PORT" > "$OUT/server.log" 2>&1 &
+$SERVE start --store "$STORE" -j 2 --port "$PORT" > "$OUT/server.log" 2>&1 &
 server=$!
 trap 'kill "$server" 2> /dev/null || true' EXIT
 
@@ -33,7 +33,7 @@ for _ in $(seq 100); do
     sleep 0.1
 done
 
-# The census `repro-minic inject` prints, rendered from a fetched result.
+# The census `repro inject` prints, rendered from a fetched result.
 render() {
     python - "$1" "$2" <<'EOF'
 import json, sys

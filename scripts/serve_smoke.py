@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI smoke: kill a campaign server mid-run; the result must not care.
 
-Starts a real ``repro-serve`` server process, submits a sharded radix
+Starts a real ``repro serve`` server process, submits a sharded radix
 campaign, SIGKILLs the server once a few injections are journaled,
 restarts it on the same store, and asserts the finished
 ``CampaignResult`` — stats, per-injection records — equals the serial
@@ -36,7 +36,7 @@ def start_server(root):
     env.pop("REPRO_JOBS", None)
     env.pop("REPRO_STORE", None)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "serve",
+        [sys.executable, "-m", "repro", "serve", "start",
          "--store", root, "--port", "0"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)

@@ -22,7 +22,7 @@ This is the API a downstream user starts with::
     campaign.write_trace("campaign.jsonl")
 
 A campaign is always described by a :class:`repro.CampaignSpec`: the
-same frozen, canonical-JSON value the CLIs and the ``repro-serve`` wire
+same frozen, canonical-JSON value the CLIs and the ``repro serve`` wire
 protocol consume, and the single source of the campaign's journal plan
 hash.
 
@@ -142,7 +142,7 @@ class BlockWatch:
         same source, name, entry point, and optimization level.
         Accepts every spec field (``fault=``, ``injections=``,
         ``nthreads=``, ``output_globals=``, ``telemetry=``, ...); the
-        result is what :meth:`inject` runs, what ``repro-serve``
+        result is what :meth:`inject` runs, what ``repro serve``
         submits, and where the campaign's plan hash comes from.
         """
         kwargs.setdefault("name", self.program.name)
@@ -162,7 +162,7 @@ class BlockWatch:
         :class:`repro.CampaignSpec` carries the fault model and every
         campaign knob (``telemetry``, ``journal``/``resume``, ``plan``),
         serializes to canonical JSON, and is the single source of the
-        journal plan hash (the same fingerprint ``repro-serve``
+        journal plan hash (the same fingerprint ``repro serve``
         validates on submission).  The spec must describe this program.
         ``setup`` (default: the spec's inputs), ``jobs``,
         ``keep_records`` and ``store`` are the execution-side knobs of

@@ -125,6 +125,12 @@ class SpecError(ReproError, ValueError):
     that caught ``ValueError`` on bad campaign parameters keep working."""
 
 
+class UsageError(ReproError):
+    """A command-line operand or option the ``repro`` command cannot
+    use: an unreadable file, an unknown kernel, a malformed ``--set``.
+    The command prints it as one ``error:`` line and exits 2."""
+
+
 class ServeError(ReproError):
     """Base class for campaign-fabric failures (:mod:`repro.serve`):
     protocol violations, rejected submissions (full queue, tenant over

@@ -14,7 +14,7 @@ vuln_validation   static vulnerability predictions vs measured outcomes
 ========  ==================================================================
 
 Each module exposes ``compute()`` returning structured results and
-``render()`` returning the printable table; the ``repro-blockwatch`` CLI
+``render()`` returning the printable table; the ``repro figures`` command
 (:mod:`repro.experiments.runner`) drives them.
 """
 

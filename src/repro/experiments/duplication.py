@@ -96,11 +96,3 @@ def render(result: DuplicationResult = None) -> str:
         title="Section VI: BLOCKWATCH vs software duplication overhead "
               "(paper: comparable at 4 threads, ~order of magnitude apart "
               "at 32)")
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

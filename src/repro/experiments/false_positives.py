@@ -63,11 +63,3 @@ def render(result: FalsePositiveResult = None) -> str:
         title="False-positive experiment: %d error-free runs per program "
               "at %d threads, distinct schedules"
               % (result.runs_per_program, result.nthreads))
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

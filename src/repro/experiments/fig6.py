@@ -91,11 +91,3 @@ def render(result: Fig6Result = None) -> str:
         rows,
         title="Figure 6: normalized execution time with BLOCKWATCH "
               "(protected/baseline; lower is better)")
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

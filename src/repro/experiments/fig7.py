@@ -84,11 +84,3 @@ def render(result: Fig7Result = None) -> str:
         rows,
         title="Figure 7: geomean BLOCKWATCH overhead vs thread count "
               "[%s]" % "; ".join(shape))
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

@@ -39,11 +39,3 @@ def render(result: CoverageResult = None) -> str:
     if result is None:
         result = compute()
     return render_coverage(result, "Figure 8", PAPER_FIG_8, PAPER_AVERAGES)
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

@@ -1,15 +1,15 @@
 """Command-line entry point: regenerate any table/figure of the paper.
 
-Installed as ``repro-blockwatch``::
+The ``repro figures`` subcommand::
 
-    repro-blockwatch list
-    repro-blockwatch table3 table4 table5
-    repro-blockwatch fig6 fig7
-    REPRO_FAULTS=200 repro-blockwatch fig8 fig9
-    repro-blockwatch --jobs 8 fig8          # 8 worker processes
-    REPRO_FAULTS=1000 REPRO_JOBS=0 repro-blockwatch fig8 fig9  # paper scale
-    repro-blockwatch --store ~/.cache/repro-store fig8 fig9
-    repro-blockwatch all
+    repro figures list
+    repro figures table3 table4 table5
+    repro figures fig6 fig7
+    REPRO_FAULTS=200 repro figures fig8 fig9
+    repro figures --jobs 8 fig8          # 8 worker processes
+    REPRO_FAULTS=1000 REPRO_JOBS=0 repro figures fig8 fig9  # paper scale
+    repro figures --store ~/.cache/repro fig8 fig9
+    repro figures all
 
 ``--jobs`` (or the ``REPRO_JOBS`` environment variable) fans every
 campaign-shaped workload out across worker processes; results are
@@ -25,12 +25,12 @@ in memory with their checkpoints).
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 import time
 from typing import Callable, Dict
 
+from repro.cliutil import add_shared_options
+from repro.errors import UsageError
 from repro.experiments import (
     duplication,
     false_positives,
@@ -72,17 +72,14 @@ DESCRIPTIONS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-blockwatch",
-        description="Regenerate the tables and figures of BLOCKWATCH "
-                    "(Wei & Pattabiraman, DSN 2012) on the simulated "
-                    "32-core substrate.")
-    parser.add_argument("experiments", nargs="+",
-                        help="experiment names, 'list', or 'all'")
-    from repro.cliutil import add_shared_options
-    add_shared_options(parser, "jobs", "store", "opt")
-    args = parser.parse_args(argv)
+def cmd_figures(args) -> int:
+    requested = list(args.experiments)
+    if requested == ["all"]:
+        requested = list(EXPERIMENTS)
+    unknown = [name for name in requested if name not in EXPERIMENTS]
+    if unknown and requested != ["list"]:
+        raise UsageError("unknown experiment(s): %s (available: %s)"
+                         % (", ".join(unknown), ", ".join(EXPERIMENTS)))
     if args.jobs is not None:
         # The experiment thunks take no arguments; the jobs policy flows
         # through the environment (read by repro.parallel.resolve_jobs).
@@ -99,21 +96,10 @@ def main(argv=None) -> int:
         os.environ.setdefault("REPRO_STORE", store.root)
         print("artifact store: %s" % store.root)
 
-    requested = list(args.experiments)
     if requested == ["list"]:
         for name in EXPERIMENTS:
             print("%-16s %s" % (name, DESCRIPTIONS[name]))
         return 0
-    if requested == ["all"]:
-        requested = list(EXPERIMENTS)
-
-    unknown = [name for name in requested if name not in EXPERIMENTS]
-    if unknown:
-        print("unknown experiment(s): %s" % ", ".join(unknown),
-              file=sys.stderr)
-        print("available: %s" % ", ".join(EXPERIMENTS), file=sys.stderr)
-        return 2
-
     for name in requested:
         started = time.time()
         print(EXPERIMENTS[name]())
@@ -122,5 +108,14 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def register(sub) -> None:
+    """The ``figures`` subcommand."""
+    parser = sub.add_parser(
+        "figures", help="regenerate the paper's tables and figures",
+        description="Regenerate the tables and figures of BLOCKWATCH "
+                    "(Wei & Pattabiraman, DSN 2012) on the simulated "
+                    "32-core substrate.")
+    parser.add_argument("experiments", nargs="+",
+                        help="experiment names, 'list', or 'all'")
+    add_shared_options(parser, "jobs", "store", "opt")
+    parser.set_defaults(func=cmd_figures)

@@ -94,11 +94,3 @@ def render(result: Table3Result = None) -> str:
         title="Table III: category propagation on the Figure 2 example "
               "(converged in %d iterations; final categories %s the paper)"
               % (result.iterations, status))
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

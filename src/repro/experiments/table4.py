@@ -64,11 +64,3 @@ def render(rows: List[Table4Row] = None) -> str:
         table,
         title="Table IV: characteristics of benchmark programs "
               "(ours vs paper)")
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

@@ -66,11 +66,3 @@ def render(rows: List[Table5Row] = None) -> str:
         table,
         title="Table V: similarity category statistics of parallel-section "
               "branches (ours vs paper)")
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,7 @@ the configuration where flip faults can actually escape monitoring):
    recall, and the stratified estimator's coverage error at a quarter of
    the full sweep's budget.
 
-The acceptance bar (enforced by ``repro-lint vuln --validate --check``
+The acceptance bar (enforced by ``repro vuln --validate --check``
 and mirrored here): predicted-monitored sites must show a strictly
 higher measured detection rate than predicted-SDC-prone sites, and the
 stratified estimate must land within ±5 percentage points of the full

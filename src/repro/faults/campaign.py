@@ -315,15 +315,6 @@ def _context_in_worker(light: _CampaignContext, spec: CampaignSpec,
                                checkpoints=ctx.checkpoints)
 
 
-def _context_key(spec: CampaignSpec) -> str:
-    """The name a worker keeps ``spec``'s context under: the spec
-    without its journal and store knobs.  (The plan hash alone does not
-    cover the inputs or the plan kind.)"""
-    import hashlib
-    plain = spec.replace(journal=None, resume=False, store=None)
-    return hashlib.sha256(plain.to_json().encode("utf-8")).hexdigest()
-
-
 def _dispatch(task_fn, items, ctx: _CampaignContext, spec: CampaignSpec,
               store, pool, **kwargs) -> List:
     """``run_tasks`` over ``items`` with the worker-side factory the
@@ -342,7 +333,7 @@ def _dispatch(task_fn, items, ctx: _CampaignContext, spec: CampaignSpec,
                                     checkpoints=())
         factory = _context_in_worker
         args = (light, spec, store.root if store is not None else None)
-        key = _context_key(spec)
+        key = spec.plan_hash
     return run_tasks(task_fn, items, context=ctx, context_factory=factory,
                      factory_args=args, pool=pool, context_key=key,
                      **kwargs)

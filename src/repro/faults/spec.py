@@ -8,7 +8,7 @@ byte-identically.  It is the single input type shared by
 
 * the Python API (:func:`repro.faults.run_campaign`,
   :meth:`repro.api.BlockWatch.inject`),
-* the CLIs (``repro-minic inject``, ``repro-serve submit``), and
+* the CLIs (``repro inject``, ``repro serve submit``), and
 * the :mod:`repro.serve` wire protocol,
 
 and it is the single source of the PR 3 journal *plan hash*: client and
@@ -18,7 +18,7 @@ journal written by any of the three entry points resumes under any
 other.
 
 Programs are referenced two ways through one ``program`` field, the
-``repro-minic`` convention:
+``repro`` command's convention:
 
 ``kernel:NAME``
     a built-in SPLASH-2-style kernel; its canonical entry point, name,
@@ -47,7 +47,7 @@ from repro.faults.models import FaultType
 #: Version of the serialized spec; bump on incompatible field changes.
 SPEC_SCHEMA = 1
 
-#: The ``repro-minic`` kernel-reference prefix, reused verbatim.
+#: The ``repro`` command's kernel-reference prefix.
 KERNEL_PREFIX = "kernel:"
 
 #: Loose fault-model spellings accepted by :meth:`CampaignSpec.build`
@@ -265,9 +265,14 @@ class CampaignSpec:
         a submission against the journal a resumed campaign will replay.
         """
         from repro.store.hashing import plan_fingerprint
+        # Inputs and the plan kind join only where they differ from the
+        # defaults, so the hashes of every earlier build still name the
+        # same plans (journals and served jobs on disk stay valid).
+        extra = {name: getattr(self, name) for name in _PLAN_EXTRAS
+                 if getattr(self, name) != _DEFAULTS[name]}
         return plan_fingerprint(self.program_key(), self.fault_type,
                                 self.campaign_config(),
-                                telemetry=self.telemetry)
+                                telemetry=self.telemetry, extra=extra)
 
     @property
     def plan_hash(self) -> str:
@@ -368,6 +373,12 @@ class CampaignSpec:
 
     def replace(self, **changes) -> "CampaignSpec":
         return dataclasses.replace(self, **changes)
+
+
+#: Spec fields beyond the campaign config that name a different plan.
+_PLAN_EXTRAS = ("scalars", "arrays", "input_seed", "plan")
+_DEFAULTS = {field.name: field.default
+             for field in dataclasses.fields(CampaignSpec)}
 
 
 @dataclass(frozen=True)

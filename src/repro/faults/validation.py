@@ -7,7 +7,7 @@ branch streams of :mod:`repro.faults.recording` — to a static site and
 therefore to a predicted class, giving per-class *measured* detection
 rates, a precision/recall summary for the ``monitored`` prediction, and
 a stratified-vs-full coverage comparison.  This is the harness behind
-``repro-lint vuln --validate``.
+``repro vuln --validate``.
 
 Everything returned is a plain JSON-safe dict (sorted keys, no object
 identities), deterministic in the campaign spec.

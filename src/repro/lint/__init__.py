@@ -7,7 +7,7 @@ Public surface:
   :class:`~repro.lint.diagnostics.LintReport`;
 * :mod:`repro.lint.dataflow` — the reusable worklist engine other
   analyses build on;
-* the `repro-lint` CLI (:mod:`repro.lint.cli`).
+* the `repro lint` command (:mod:`repro.lint.cli`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from repro.lint.diagnostics import (
     AccessSite,
     Diagnostic,
     LintReport,
-    baseline_fingerprints,
-    new_diagnostics,
 )
 from repro.lint.races import RaceDetector, detect_races
 from repro.lint.sync import lockset_analysis, phase_analysis
@@ -89,13 +87,11 @@ __all__ = [
     "VulnSite",
     "analyze_program",
     "analyze_vulnerability",
-    "baseline_fingerprints",
     "branch_site_map",
     "detect_races",
     "function_fingerprint",
     "lint_module",
     "lockset_analysis",
-    "new_diagnostics",
     "phase_analysis",
     "run_dataflow",
     "summarize_function",

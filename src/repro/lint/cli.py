@@ -1,21 +1,22 @@
-"""The ``repro-lint`` command: static analyses for MiniC programs.
+"""The ``repro lint`` and ``repro vuln`` subcommands: static analyses
+for MiniC programs.
 
-Race reports (the default mode)::
+Race reports::
 
-    repro-lint kernel:radix                      # text report
-    repro-lint --all-kernels --format json       # canonical JSON
-    repro-lint --all-kernels --jobs 0            # parallel, same bytes
-    repro-lint prog.mc --entry worker
-    repro-lint --all-kernels --format json --baseline .github/lint-baseline.json
-    repro-lint --all-kernels --update-baseline   # regenerate the baseline
+    repro lint kernel:radix                      # text report
+    repro lint --all-kernels --format json       # canonical JSON
+    repro lint --all-kernels --jobs 0            # parallel, same bytes
+    repro lint prog.mc --entry worker
+    repro lint --all-kernels --format json --baseline .github/lint-baseline.json
+    repro lint --all-kernels --update-baseline   # regenerate the baseline
 
-Fault-vulnerability predictions (``repro-lint vuln``)::
+Fault-vulnerability predictions::
 
-    repro-lint vuln kernel:radix                 # per-site predictions
-    repro-lint vuln --all-kernels --format json
-    repro-lint vuln --all-kernels --baseline .github/vuln-baseline.json
-    repro-lint vuln --all-kernels --update-baseline
-    repro-lint vuln kernel:radix kernel:fft --validate --check
+    repro vuln kernel:radix                      # per-site predictions
+    repro vuln --all-kernels --format json
+    repro vuln --all-kernels --baseline .github/vuln-baseline.json
+    repro vuln --all-kernels --update-baseline
+    repro vuln kernel:radix kernel:fft --validate --check
 
 Exit status: 0 — clean (no errors; with ``--baseline``, no drift beyond
 it; with ``--check``, all acceptance checks pass), 1 — findings, 2 —
@@ -26,48 +27,43 @@ diagnostics by program position, JSON by key — byte-identical under any
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.cliutil import (
+    DriftGate,
     add_shared_options,
     emit,
-    load_json,
-    write_text_atomic,
+    resolve_programs,
 )
-from repro.lint.diagnostics import (
-    LINT_SCHEMA,
-    SEVERITY_ERROR,
-    baseline_fingerprints,
-)
+from repro.errors import UsageError
 
-KERNEL_PREFIX = "kernel:"
 DEFAULT_LINT_BASELINE = ".github/lint-baseline.json"
 DEFAULT_VULN_BASELINE = ".github/vuln-baseline.json"
 
+Target = Tuple[str, str, str, Tuple[str, ...]]
 
-def _program_args(args) -> List[Tuple[str, str, str]]:
-    """Resolve CLI operands to ``(name, source, entry)`` triples."""
-    from repro.cli import _kernel_spec, _load_source
-    triples: List[Tuple[str, str, str]] = []
-    paths = list(args.programs)
-    if args.all_kernels:
-        from repro.splash2 import all_kernels
-        for spec in all_kernels():
-            triples.append((spec.name, spec.source, spec.entry))
-    for path in paths:
-        if path.startswith(KERNEL_PREFIX):
-            spec = _kernel_spec(path)
-            triples.append((spec.name, spec.source, spec.entry))
-        else:
-            name = path.rsplit("/", 1)[-1]
-            if name.endswith(".mc"):
-                name = name[:-3]
-            triples.append((name or "program", _load_source(path),
-                            args.entry))
-    return triples
+
+def _targets(args) -> List[Target]:
+    """The operands as sorted ``(name, source, entry, output_globals)``
+    targets.  Kernels carry their declared output globals; plain
+    programs have none, so vuln treats *every* store as observable."""
+    targets = resolve_programs(args.programs, args.entry, args.all_kernels)
+    if not targets:
+        raise UsageError("no programs given (pass paths, kernel:NAME, "
+                         "or --all-kernels)")
+    return sorted(targets)
+
+
+def _add_operands(parser, what: str) -> None:
+    parser.add_argument("programs", nargs="*",
+                        help="program paths, '-' for stdin, or kernel:NAME")
+    parser.add_argument("--all-kernels", action="store_true",
+                        help="%s every bundled SPLASH-2 kernel" % what)
+    parser.add_argument("--entry", default="slave",
+                        help="SPMD entry function for plain programs "
+                             "(default: slave)")
 
 
 def _lint_one(name: str, source: str, entry: str, store=None) -> Dict:
@@ -82,25 +78,33 @@ def _lint_one(name: str, source: str, entry: str, store=None) -> Dict:
     return compute()
 
 
-def _open_store(root: Optional[str]):
-    if not root:
-        return None
-    from repro.store import open_store
-    return open_store(root)
-
-
-def _lint_task(store_root: Optional[str],
-               triple: Tuple[str, str, str]) -> Dict:
+def _lint_task(store_root: Optional[str], target: Target) -> Dict:
     """``run_tasks`` unit: lint one program.  The context is the store
     *root* (a picklable string), opened per worker invocation — cheap,
     and the cache stays shared across workers through the filesystem."""
-    name, source, entry = triple
-    return _lint_one(name, source, entry, store=_open_store(store_root))
+    from repro.store import open_store
+    name, source, entry, _ = target
+    return _lint_one(name, source, entry, store=open_store(store_root))
 
 
 def _store_ctx_factory(store_root: Optional[str]) -> Optional[str]:
     """Spawn-pool context factory: the context *is* the store root."""
     return store_root
+
+
+def _run(task, items, args, what: str) -> List[Dict]:
+    """``task`` over ``items`` on ``--jobs`` workers sharing the
+    ``--store``/``$REPRO_STORE`` store; a failure is a usage error."""
+    from repro.parallel import run_tasks
+    from repro.store import open_store
+    store = open_store(args.store)
+    root = store.root if store is not None else None
+    try:
+        return run_tasks(task, items, jobs=args.jobs, context=root,
+                         context_factory=_store_ctx_factory,
+                         factory_args=(root,))
+    except Exception as exc:
+        raise UsageError("%s failed: %s" % (what, exc)) from None
 
 
 def _render_site(site: Dict) -> str:
@@ -125,150 +129,46 @@ def _render_text(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def _load_baseline(path: str) -> Dict[str, int]:
-    data = load_json(path, "baseline")
-    reports = data.get("reports", [data]) if isinstance(data, dict) else data
-    return baseline_fingerprints(reports)
+def _reports(payload) -> List[Dict]:
+    """The reports of one payload (single report, multi, or a list)."""
+    if isinstance(payload, dict):
+        return payload.get("reports", [payload])
+    return payload
 
 
-def _new_beyond_baseline(reports: List[Dict],
-                         baseline: Dict[str, int]) -> List[Tuple[str, Dict]]:
-    remaining = dict(baseline)
-    fresh: List[Tuple[str, Dict]] = []
-    for report in reports:
+def _lint_keys(payload) -> Dict[Tuple[str, int], Tuple[str, Dict]]:
+    """Diagnostics by ``(fingerprint, occurrence)``: a baseline holding a
+    fingerprint k times absorbs a report's first k copies of it."""
+    keys: Dict[Tuple[str, int], Tuple[str, Dict]] = {}
+    seen: Dict[str, int] = {}
+    for report in _reports(payload):
         for diag in report.get("diagnostics", ()):
             fp = diag.get("fingerprint", "")
-            if remaining.get(fp, 0) > 0:
-                remaining[fp] -= 1
-            else:
-                fresh.append((report["name"], diag))
-    return fresh
+            keys[(fp, seen.get(fp, 0))] = (report["name"], diag)
+            seen[fp] = seen.get(fp, 0) + 1
+    return keys
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "vuln":
-        return vuln_main(argv[1:])
-    return lint_main(argv)
+LINT_GATE = DriftGate(
+    what="baseline", default=DEFAULT_LINT_BASELINE,
+    baseline_help="previous JSON report; fail only on diagnostics "
+                  "beyond it",
+    keys=_lint_keys,
+    describe=lambda key, old, new: "[%s] %s" % (new[0], _render_diag(new[1])),
+    header="%d new diagnostic(s) beyond baseline:")
 
 
-def lint_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="Static race detection (lockset + barrier phases) "
-                    "for MiniC parallel programs.  The 'vuln' subcommand "
-                    "(repro-lint vuln --help) predicts fault-injection "
-                    "coverage instead.")
-    parser.add_argument("programs", nargs="*",
-                        help="program paths, '-' for stdin, or kernel:NAME")
-    parser.add_argument("--all-kernels", action="store_true",
-                        help="lint every bundled SPLASH-2 kernel")
-    parser.add_argument("--entry", default="slave",
-                        help="SPMD entry function for plain programs "
-                             "(default: slave)")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="previous JSON report; fail only on "
-                             "diagnostics beyond it")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="regenerate the baseline file atomically "
-                             "(default target: %s)" % DEFAULT_LINT_BASELINE)
-    parser.add_argument("-o", "--output", metavar="FILE",
-                        help="write the report here instead of stdout")
-    add_shared_options(parser, "jobs", "store")
-    args = parser.parse_args(argv)
-
-    try:
-        triples = _program_args(args)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if not triples:
-        parser.error("no programs given (pass paths, kernel:NAME, "
-                     "or --all-kernels)")
-
-    try:
-        from repro.parallel import run_tasks
-        reports = run_tasks(
-            _lint_task, sorted(triples), jobs=args.jobs,
-            context=args.store, context_factory=_store_ctx_factory,
-            factory_args=(args.store,))
-    except SystemExit:
-        raise
-    except Exception as exc:
-        print("error: linting failed: %s" % exc, file=sys.stderr)
-        return 2
-
-    if args.format == "json" or args.update_baseline:
-        payload = reports[0] if len(reports) == 1 else {
-            "schema": LINT_SCHEMA, "reports": reports}
-        json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.format == "json":
-        text = json_text
-    else:
-        text = "\n".join(_render_text(r) for r in reports) + "\n"
-
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_LINT_BASELINE
-        try:
-            write_text_atomic(target, json_text)
-        except SystemExit as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print("baseline updated: %s (%d report(s))" % (target, len(reports)))
-        return 0
-
-    status = emit(text, args.output)
-    if status:
-        return status
-
-    if args.baseline:
-        try:
-            baseline = _load_baseline(args.baseline)
-        except SystemExit as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        fresh = _new_beyond_baseline(reports, baseline)
-        if fresh:
-            print("%d new diagnostic(s) beyond baseline:" % len(fresh),
-                  file=sys.stderr)
-            for name, diag in fresh:
-                print("  [%s] %s" % (name, _render_diag(diag)),
-                      file=sys.stderr)
-            return 1
-        return 0
+def cmd_lint(args) -> int:
+    from repro.lint.diagnostics import LINT_SCHEMA
+    targets = _targets(args)
+    reports = _run(_lint_task, targets, args, "linting")
+    payload = reports[0] if len(reports) == 1 else {
+        "schema": LINT_SCHEMA, "reports": reports}
     errors = sum(r["summary"]["errors"] for r in reports)
-    return 1 if errors else 0
-
-
-# ---------------------------------------------------------------------------
-# repro-lint vuln
-# ---------------------------------------------------------------------------
-
-
-def _vuln_targets(args) -> List[Tuple[str, str, str, Tuple[str, ...]]]:
-    """CLI operands to ``(name, source, entry, output_globals)``.
-    Kernels carry their declared output globals; plain programs default
-    to none — the analyzer then treats *every* store as observable."""
-    from repro.cli import _kernel_spec, _load_source
-    targets: List[Tuple[str, str, str, Tuple[str, ...]]] = []
-    if args.all_kernels:
-        from repro.splash2 import all_kernels
-        for spec in all_kernels():
-            targets.append((spec.name, spec.source, spec.entry,
-                            tuple(spec.output_globals)))
-    for path in args.programs:
-        if path.startswith(KERNEL_PREFIX):
-            spec = _kernel_spec(path)
-            targets.append((spec.name, spec.source, spec.entry,
-                            tuple(spec.output_globals)))
-        else:
-            name = path.rsplit("/", 1)[-1]
-            if name.endswith(".mc"):
-                name = name[:-3]
-            targets.append((name or "program", _load_source(path),
-                            args.entry, ()))
-    return targets
+    return LINT_GATE.finish(
+        args, payload,
+        lambda: "\n".join(_render_text(r) for r in reports) + "\n",
+        "%d report(s)" % len(reports), status=1 if errors else 0)
 
 
 def _analysis_config(sparse: bool):
@@ -289,10 +189,11 @@ def _vuln_task(store_root: Optional[str],
     name, source, entry, output_globals, sparse = item
     from repro.lint.vuln import analyze_program
     from repro.runtime.program import ParallelProgram
+    from repro.store import open_store
     program = ParallelProgram(source, name, entry=entry,
                               analysis_config=_analysis_config(sparse))
     return analyze_program(program, output_globals=output_globals,
-                           store=_open_store(store_root)).as_dict()
+                           store=open_store(store_root)).as_dict()
 
 
 def _render_vuln_text(report: Dict) -> str:
@@ -315,18 +216,22 @@ def _render_counts(counts: Dict[str, int]) -> str:
                     for cls in ("monitored", "masked", "sdc-prone"))
 
 
-def _vuln_fingerprints(payload: Dict) -> Dict[Tuple, Dict]:
-    """Site-prediction map of one vuln payload (single or multi)."""
-    reports = payload.get("reports")
-    if reports is None:
-        reports = [payload]
-    out: Dict[Tuple, Dict] = {}
-    for report in reports:
-        for site in report.get("sites", ()):
-            key = (report["name"], site["function"], site["block"],
-                   site["index"])
-            out[key] = site["predictions"]
-    return out
+def _vuln_keys(payload) -> Dict[Tuple, Dict]:
+    """Site predictions by ``(name, function, index, block)``."""
+    return {(report["name"], site["function"], site["index"], site["block"]):
+            site["predictions"]
+            for report in _reports(payload)
+            for site in report.get("sites", ())}
+
+
+VULN_GATE = DriftGate(
+    what="vuln baseline", default=DEFAULT_VULN_BASELINE,
+    baseline_help="pinned prediction baseline; fail on any prediction "
+                  "drift against it",
+    keys=_vuln_keys,
+    describe=lambda key, old, new: "[%s] %s:%s site %d: %s -> %s"
+    % (key[0], key[1], key[3], key[2], old, new),
+    header="%d prediction(s) drifted from baseline:", pinned=True)
 
 
 def _render_validation(result: Dict) -> str:
@@ -351,126 +256,19 @@ def _fmt_rate(rate) -> str:
     return "n/a" if rate is None else "%.3f" % rate
 
 
-def vuln_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint vuln",
-        description="Static fault-vulnerability prediction: classify "
-                    "every branch fault site as monitored / masked / "
-                    "sdc-prone, per fault model.")
-    parser.add_argument("programs", nargs="*",
-                        help="program paths, '-' for stdin, or kernel:NAME")
-    parser.add_argument("--all-kernels", action="store_true",
-                        help="analyze every bundled SPLASH-2 kernel")
-    parser.add_argument("--entry", default="slave",
-                        help="SPMD entry function for plain programs")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="pinned prediction baseline; fail on any "
-                             "prediction drift against it")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="regenerate the prediction baseline "
-                             "atomically (default target: %s)"
-                             % DEFAULT_VULN_BASELINE)
-    add_shared_options(parser, "jobs")
-    parser.add_argument("--sparse-checks", action="store_true",
-                        help="analyze under the sparse-check profile "
-                             "(elide redundant checks, no none->partial "
-                             "promotion) so unchecked branches exist")
-    parser.add_argument("-o", "--output", metavar="FILE",
-                        help="write the report here instead of stdout")
-    add_shared_options(parser, "store")
-    parser.add_argument("--validate", action="store_true",
-                        help="run fault-injection campaigns and join "
-                             "measured outcomes against the predictions")
-    parser.add_argument("--check", action="store_true",
-                        help="with --validate: enforce the acceptance "
-                             "checks (monitored rate > sdc-prone rate; "
-                             "stratified estimate within tolerance)")
-    parser.add_argument("--fault", choices=("flip", "condition"),
-                        default="flip",
-                        help="fault model for --validate (default: flip)")
-    parser.add_argument("--threads", type=int, default=4,
-                        help="campaign thread count for --validate")
-    parser.add_argument("--injections", type=int, default=120,
-                        help="full-sweep injections for --validate")
-    parser.add_argument("--budget-fraction", type=float, default=0.25,
-                        help="stratified budget as a fraction of the "
-                             "full sweep (default: 0.25)")
-    parser.add_argument("--seed", type=int, default=12345,
-                        help="campaign base seed for --validate")
-    args = parser.parse_args(argv)
-
-    try:
-        targets = _vuln_targets(args)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if not targets:
-        parser.error("no programs given (pass paths, kernel:NAME, "
-                     "or --all-kernels)")
-    targets = sorted(targets)
-
+def cmd_vuln(args) -> int:
+    targets = _targets(args)
     if args.validate:
         return _vuln_validate(args, targets)
-
-    items = [(name, source, entry, outputs, args.sparse_checks)
-             for name, source, entry, outputs in targets]
-    try:
-        from repro.parallel import run_tasks
-        reports = run_tasks(
-            _vuln_task, items, jobs=args.jobs,
-            context=args.store, context_factory=_store_ctx_factory,
-            factory_args=(args.store,))
-    except SystemExit:
-        raise
-    except Exception as exc:
-        print("error: vulnerability analysis failed: %s" % exc,
-              file=sys.stderr)
-        return 2
-
     from repro.lint.vuln import VULN_SCHEMA
+    items = [target + (args.sparse_checks,) for target in targets]
+    reports = _run(_vuln_task, items, args, "vulnerability analysis")
     payload = reports[0] if len(reports) == 1 else {
         "schema": VULN_SCHEMA, "reports": reports}
-    json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_VULN_BASELINE
-        try:
-            write_text_atomic(target, json_text)
-        except SystemExit as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print("vuln baseline updated: %s (%d report(s))"
-              % (target, len(reports)))
-        return 0
-
-    text = (json_text if args.format == "json"
-            else "\n".join(_render_vuln_text(r) for r in reports) + "\n")
-    status = emit(text, args.output)
-    if status:
-        return status
-
-    if args.baseline:
-        try:
-            baseline = _vuln_fingerprints(
-                load_json(args.baseline, "vuln baseline"))
-        except SystemExit as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        current = _vuln_fingerprints(payload)
-        drift = [(key, baseline.get(key), current.get(key))
-                 for key in sorted(set(baseline) | set(current),
-                                   key=lambda k: (k[0], k[1], k[3]))
-                 if baseline.get(key) != current.get(key)]
-        if drift:
-            print("%d prediction(s) drifted from baseline:" % len(drift),
-                  file=sys.stderr)
-            for (name, function, block, index), old, new in drift:
-                print("  [%s] %s:%s site %d: %s -> %s"
-                      % (name, function, block, index, old, new),
-                      file=sys.stderr)
-            return 1
-    return 0
+    return VULN_GATE.finish(
+        args, payload,
+        lambda: "\n".join(_render_vuln_text(r) for r in reports) + "\n",
+        "%d report(s)" % len(reports))
 
 
 def _vuln_validate(args, targets) -> int:
@@ -480,8 +278,9 @@ def _vuln_validate(args, targets) -> int:
     from repro.lint.vuln import analyze_program
     from repro.runtime.program import ParallelProgram
     from repro.splash2 import kernel as kernel_spec
+    from repro.store import open_store
 
-    store = _open_store(args.store)
+    store = open_store(args.store)
     results = []
     failures: List[str] = []
     for name, source, entry, outputs in targets:
@@ -509,9 +308,8 @@ def _vuln_validate(args, targets) -> int:
                 store=store, budget_fraction=args.budget_fraction,
                 jobs=args.jobs)
         except Exception as exc:
-            print("error: validating %s failed: %s" % (name, exc),
-                  file=sys.stderr)
-            return 2
+            raise UsageError("validating %s failed: %s" % (name, exc)) \
+                from None
         results.append(result)
         if args.check:
             failures.extend("[%s] %s" % (name, failure)
@@ -523,9 +321,7 @@ def _vuln_validate(args, targets) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(_render_validation(r) for r in results) + "\n"
-    status = emit(text, args.output)
-    if status:
-        return status
+    emit(text, args.output)
     if failures:
         print("%d validation check(s) failed:" % len(failures),
               file=sys.stderr)
@@ -535,5 +331,47 @@ def _vuln_validate(args, targets) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def register(sub) -> None:
+    """The ``lint`` and ``vuln`` subcommands."""
+    parser = sub.add_parser(
+        "lint", help="static race detection",
+        description="Static race detection (lockset + barrier phases) "
+                    "for MiniC parallel programs.  'repro vuln' predicts "
+                    "fault-injection coverage instead.")
+    _add_operands(parser, "lint")
+    LINT_GATE.add_options(parser)
+    add_shared_options(parser, "jobs", "store")
+    parser.set_defaults(func=cmd_lint)
+
+    parser = sub.add_parser(
+        "vuln", help="static fault-vulnerability prediction",
+        description="Static fault-vulnerability prediction: classify "
+                    "every branch fault site as monitored / masked / "
+                    "sdc-prone, per fault model.")
+    _add_operands(parser, "analyze")
+    VULN_GATE.add_options(parser)
+    add_shared_options(parser, "jobs", "store")
+    parser.add_argument("--sparse-checks", action="store_true",
+                        help="analyze under the sparse-check profile "
+                             "(elide redundant checks, no none->partial "
+                             "promotion) so unchecked branches exist")
+    parser.add_argument("--validate", action="store_true",
+                        help="run fault-injection campaigns and join "
+                             "measured outcomes against the predictions")
+    parser.add_argument("--check", action="store_true",
+                        help="with --validate: enforce the acceptance "
+                             "checks (monitored rate > sdc-prone rate; "
+                             "stratified estimate within tolerance)")
+    parser.add_argument("--fault", choices=("flip", "condition"),
+                        default="flip",
+                        help="fault model for --validate (default: flip)")
+    parser.add_argument("--threads", type=int, default=4,
+                        help="campaign thread count for --validate")
+    parser.add_argument("--injections", type=int, default=120,
+                        help="full-sweep injections for --validate")
+    parser.add_argument("--budget-fraction", type=float, default=0.25,
+                        help="stratified budget as a fraction of the "
+                             "full sweep (default: 0.25)")
+    parser.add_argument("--seed", type=int, default=12345,
+                        help="campaign base seed for --validate")
+    parser.set_defaults(func=cmd_vuln)

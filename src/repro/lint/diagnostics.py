@@ -159,29 +159,3 @@ class LintReport:
         for diag in self.diagnostics:
             lines.append("  " + diag.render())
         return "\n".join(lines)
-
-
-def baseline_fingerprints(report_dicts: List[Dict]) -> Dict[str, int]:
-    """Fingerprint multiset of one or more serialized reports."""
-    counts: Dict[str, int] = {}
-    for report in report_dicts:
-        for diag in report.get("diagnostics", ()):
-            fp = diag.get("fingerprint", "")
-            counts[fp] = counts.get(fp, 0) + 1
-    return counts
-
-
-def new_diagnostics(reports: List[LintReport],
-                    baseline: Dict[str, int]) -> List[Diagnostic]:
-    """Diagnostics beyond the baseline's fingerprint budget, in
-    deterministic report order."""
-    remaining = dict(baseline)
-    fresh: List[Diagnostic] = []
-    for report in reports:
-        for diag in report.diagnostics:
-            fp = diag.fingerprint()
-            if remaining.get(fp, 0) > 0:
-                remaining[fp] -= 1
-            else:
-                fresh.append(diag)
-    return fresh

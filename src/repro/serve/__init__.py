@@ -1,6 +1,6 @@
 """Distributed campaign fabric: serve fault-injection campaigns over TCP.
 
-A ``repro-serve`` server accepts :class:`repro.CampaignSpec` jobs over
+A ``repro serve`` server accepts :class:`repro.CampaignSpec` jobs over
 a newline-delimited-JSON protocol, shards each campaign's injection
 range across local worker processes, checkpoints every completed
 injection to a crash-safe journal in its artifact store, and serves

@@ -1,18 +1,20 @@
-"""``repro-serve``: run and talk to a campaign-fabric server.
+"""``repro serve``: run and talk to a campaign-fabric server.
 
-    repro-serve serve --store /tmp/store --port 7212
-    repro-serve submit kernel:radix --fault flip -n 100 -j 4 --wait
-    repro-serve status [JOB]
-    repro-serve jobs
-    repro-serve fetch JOB
-    repro-serve triage JOB
-    repro-serve drain
+    repro serve start --store /tmp/store --port 7212
+    repro serve submit kernel:radix --fault flip -n 100 -j 4 --wait
+    repro serve status [JOB]
+    repro serve jobs
+    repro serve fetch JOB
+    repro serve triage JOB
+    repro serve drain
 
-``submit`` accepts exactly the campaign arguments ``repro-minic
-inject`` does — both translate through the same
-:func:`repro.cli.campaign_spec_from_args` into one canonical
+``submit`` accepts exactly the campaign arguments ``repro inject``
+does — both translate through the same
+:func:`repro.cliutil.campaign_spec_from_args` into one canonical
 :class:`repro.CampaignSpec`, so a spec printed by one tool is
-submittable by the other and hashes identically on both ends.
+submittable by the other and hashes identically on both ends.  A
+refused connection or a request the server rejects is one ``error:``
+line and exit status 2.
 """
 
 from __future__ import annotations
@@ -21,9 +23,14 @@ import argparse
 import json
 import sys
 
-from repro.cliutil import add_shared_options
-from repro.errors import ServeError
+from repro.cliutil import add_shared_options, campaign_spec_from_args
+from repro.errors import UsageError
 from repro.serve.protocol import DEFAULT_PORT
+
+
+def _client(args):
+    from repro.serve.client import ServeClient
+    return ServeClient(host=args.host, port=args.port)
 
 
 def _endpoint_options(parser: argparse.ArgumentParser) -> None:
@@ -33,15 +40,15 @@ def _endpoint_options(parser: argparse.ArgumentParser) -> None:
                         help="server port (default: %d)" % DEFAULT_PORT)
 
 
-def cmd_serve(args) -> int:
+def cmd_start(args) -> int:
     from repro.serve.scheduler import ServeConfig
     from repro.serve.server import run_server
     from repro.store import open_store
 
     store = open_store(args.store)
     if store is None:
-        raise SystemExit("error: serve needs a store root "
-                         "(--store or $REPRO_STORE)")
+        raise UsageError("serve needs a store root (--store or "
+                         "$REPRO_STORE)")
     config = ServeConfig(store_root=store.root,
                          queue_size=args.queue_size,
                          max_running=args.max_running,
@@ -51,17 +58,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    from repro.cli import campaign_spec_from_args
-    from repro.serve.client import ServeClient
-
     spec = campaign_spec_from_args(args)
     if args.telemetry:
         spec = spec.replace(telemetry=True)
-    client = ServeClient(host=args.host, port=args.port)
-    try:
-        job_id = client.submit(spec, tenant=args.tenant, shards=args.jobs)
-    except (ServeError, OSError) as exc:
-        raise SystemExit("error: %s" % exc)
+    client = _client(args)
+    job_id = client.submit(spec, tenant=args.tenant, shards=args.jobs)
     print("submitted %s (plan %s...)" % (job_id, spec.plan_hash[:12]))
     if not args.wait:
         return 0
@@ -84,25 +85,13 @@ def _render_stats(stats) -> str:
 
 
 def cmd_status(args) -> int:
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(host=args.host, port=args.port)
-    try:
-        print(json.dumps(client.status(args.job_id), indent=2,
-                         sort_keys=True))
-    except (ServeError, OSError) as exc:
-        raise SystemExit("error: %s" % exc)
+    print(json.dumps(_client(args).status(args.job_id), indent=2,
+                     sort_keys=True))
     return 0
 
 
 def cmd_jobs(args) -> int:
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(host=args.host, port=args.port)
-    try:
-        jobs = client.jobs()
-    except (ServeError, OSError) as exc:
-        raise SystemExit("error: %s" % exc)
+    jobs = _client(args).jobs()
     if not jobs:
         print("no jobs")
         return 0
@@ -113,113 +102,73 @@ def cmd_jobs(args) -> int:
     return 0
 
 
-def cmd_fetch(args) -> int:
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(host=args.host, port=args.port)
-    try:
-        payload = client.fetch_raw(args.job_id)
-    except (ServeError, OSError) as exc:
-        raise SystemExit("error: %s" % exc)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
+def _write(text: str, out: str) -> None:
+    """``text`` to the file ``out``, or to stdout for ``-``."""
+    if out and out != "-":
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        print("wrote %s" % args.out)
+        print("wrote %s" % out)
     else:
         print(text)
+
+
+def cmd_fetch(args) -> int:
+    payload = _client(args).fetch_raw(args.job_id)
+    _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return 0
 
 
 def cmd_triage(args) -> int:
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(host=args.host, port=args.port)
-    try:
-        payload = client.triage(args.job_id)
-    except (ServeError, OSError) as exc:
-        raise SystemExit("error: %s" % exc)
+    payload = _client(args).triage(args.job_id)
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         from repro.triage import TriageReport
         text = TriageReport.from_dict(payload).render_text()
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print("wrote %s" % args.out)
-    else:
-        print(text)
+    _write(text, args.out)
     return 0
 
 
 def cmd_drain(args) -> int:
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(host=args.host, port=args.port)
-    try:
-        client.drain()
-    except (ServeError, OSError) as exc:
-        raise SystemExit("error: %s" % exc)
+    _client(args).drain()
     print("draining; unfinished jobs resume when the server restarts")
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
+def register(sub) -> None:
+    """The ``serve`` subcommand and its own subcommands."""
+    serve = sub.add_parser(
+        "serve", help="serve and submit campaigns over TCP",
         description="Serve and submit BLOCKWATCH fault-injection "
                     "campaigns over TCP (newline-delimited JSON).")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = serve.add_subparsers(dest="serve_command", required=True,
+                               metavar="COMMAND")
 
-    p_serve = sub.add_parser("serve", help="run a campaign server")
-    _endpoint_options(p_serve)
-    add_shared_options(p_serve, "jobs", "store",
+    p_start = sub.add_parser("start", help="run a campaign server")
+    _endpoint_options(p_start)
+    add_shared_options(p_start, "jobs", "store",
                        jobs_help="default worker processes per campaign "
                                  "(clients may request their own)")
-    p_serve.add_argument("--queue-size", type=int, default=8,
+    p_start.add_argument("--queue-size", type=int, default=8,
                          metavar="N",
                          help="bounded admission queue; a full queue "
                               "rejects submits (default: 8)")
-    p_serve.add_argument("--max-running", type=int, default=1,
+    p_start.add_argument("--max-running", type=int, default=1,
                          metavar="N",
                          help="concurrent campaigns (default: 1; each "
                               "already fans across processes)")
-    p_serve.add_argument("--quota-bytes", type=int, default=None,
+    p_start.add_argument("--quota-bytes", type=int, default=None,
                          metavar="BYTES",
                          help="per-tenant store budget for finished "
                               "jobs; LRU results+journals are evicted "
                               "past it (default: unlimited)")
-    p_serve.set_defaults(func=cmd_serve)
+    p_start.set_defaults(func=cmd_start)
 
     p_submit = sub.add_parser(
         "submit", help="submit a campaign (same arguments as "
-                       "repro-minic inject)")
+                       "repro inject)")
     _endpoint_options(p_submit)
-    p_submit.add_argument("program",
-                          help="MiniC source file or kernel:NAME")
-    p_submit.add_argument("--entry", default="slave",
-                          help="SPMD worker function (default: slave)")
-    p_submit.add_argument("-t", "--threads", type=int, default=4)
-    p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--set", action="append", default=[],
-                          metavar="NAME=VALUE",
-                          help="set a scalar global before the run")
-    p_submit.add_argument("--fill", action="append", default=[],
-                          metavar="ARRAY=V0,V1,...",
-                          help="fill an array global before the run")
-    p_submit.add_argument("-n", "--injections", type=int, default=100)
-    p_submit.add_argument("--fault", choices=("flip", "condition"),
-                          default="flip")
-    p_submit.add_argument("--outputs", default="",
-                          help="comma-separated result globals for SDC "
-                               "comparison")
-    p_submit.add_argument("--quantize", type=int, default=0,
-                          help="low-order result bits ignored in "
-                               "comparison")
-    p_submit.add_argument("--plan", choices=("full", "stratified"),
-                          default="full",
-                          help="injection plan (see repro-minic inject)")
+    add_shared_options(p_submit, "program", "inputs", "campaign")
     p_submit.add_argument("--telemetry", action="store_true",
                           help="collect and merge campaign telemetry "
                                "into the stored result")
@@ -268,10 +217,3 @@ def main(argv=None) -> int:
                       "resume on restart)")
     _endpoint_options(p_drain)
     p_drain.set_defaults(func=cmd_drain)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

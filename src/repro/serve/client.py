@@ -26,7 +26,7 @@ from repro.store.serialize import result_from_dict
 
 
 class ServeClient:
-    """Talk to one ``repro-serve`` endpoint."""
+    """Talk to one ``repro serve`` endpoint."""
 
     def __init__(self, host: str = "127.0.0.1",
                  port: int = protocol.DEFAULT_PORT,

@@ -244,7 +244,7 @@ class CampaignScheduler:
             self.telemetry.count("serve.resumed", resumed)
         slots = max(1, self.config.max_running)
         self._executor = ThreadPoolExecutor(
-            max_workers=slots, thread_name_prefix="repro-serve")
+            max_workers=slots, thread_name_prefix="repro serve")
         if start_workers:
             for _ in range(slots):
                 self._workers.append(asyncio.create_task(self._worker()))

@@ -9,7 +9,7 @@ while injections grind.
 Three ways to run it:
 
 * :func:`run_server` — blocking, with SIGTERM/SIGINT wired to a
-  graceful drain (the ``repro-serve serve`` command).
+  graceful drain (the ``repro serve start`` command).
 * :class:`CampaignServer` — the async object, for embedding.
 * :class:`ServerThread` — an in-process server on a background thread
   (binds port 0 by default), for tests and notebooks.
@@ -87,7 +87,7 @@ class CampaignServer:
         scheduler = self.scheduler
         if op == "ping":
             writer.write(protocol.encode(protocol.ok(
-                v=protocol.PROTOCOL_VERSION, server="repro-serve")))
+                v=protocol.PROTOCOL_VERSION, server="repro serve")))
         elif op == "submit":
             spec_dict = request.get("spec")
             if not isinstance(spec_dict, dict):
@@ -173,10 +173,10 @@ def run_server(config: ServeConfig, host: str = "127.0.0.1",
                     lambda: loop.create_task(server.stop(drain=True)))
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
-        print("repro-serve: listening on %s:%d (store %s)"
+        print("repro serve: listening on %s:%d (store %s)"
               % (host, server.port, config.store_root))
         await server.wait_stopped()
-        print("repro-serve: drained; unfinished jobs resume on restart")
+        print("repro serve: drained; unfinished jobs resume on restart")
 
     asyncio.run(main())
     return 0
@@ -201,7 +201,7 @@ class ServerThread:
 
     def start(self) -> int:
         self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-serve")
+                                        name="repro serve")
         self._thread.start()
         if not self._ready.wait(timeout=30):
             raise ServeError("server thread failed to start")

@@ -9,7 +9,7 @@ frontend → IR → analysis → instrument pipeline is memoized on disk
 under SHA-256 keys of its inputs, so repeated campaigns, experiments,
 and CLI invocations skip compilation entirely on a warm cache; golden
 runs are memoized in the store's memory, with their checkpoints, for
-the campaigns of one process.  ``repro-store ls/gc/verify`` manage a
+the campaigns of one process.  ``repro store ls/gc/verify`` manage a
 store root.
 
 **Durable campaign journal** (:mod:`repro.store.journal`) —

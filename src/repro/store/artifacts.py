@@ -412,7 +412,7 @@ class ArtifactStore:
         """Conventional journal location inside the store."""
         return os.path.join(self.journals_dir, label + ".jsonl")
 
-    # -- maintenance (repro-store ls/gc/verify) -------------------------
+    # -- maintenance (repro store ls/gc/verify) -------------------------
 
     def entries(self) -> List[StoreEntry]:
         found = []

@@ -1,10 +1,10 @@
-"""``repro-store`` — inspect and maintain a durable artifact store.
+"""``repro store`` — inspect and maintain a durable artifact store.
 
 Subcommands::
 
-    repro-store ls     [--store PATH]            # list cached objects
-    repro-store gc     [--max-entries N] [--max-bytes B] [--dry-run]
-    repro-store verify [--delete]                # strict integrity check
+    repro store [--store PATH] ls                # list cached objects
+    repro store gc     [--max-entries N] [--max-bytes B] [--dry-run]
+    repro store verify [--delete]                # strict integrity check
 
 The store root comes from ``--store`` or the ``REPRO_STORE`` environment
 variable.  ``gc`` evicts least-recently-used objects first; ``verify``
@@ -14,11 +14,10 @@ corrupt or written under an incompatible schema version.
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 
 from repro.analysis import format_table
+from repro.errors import UsageError
 from repro.store.artifacts import ArtifactStore
 from repro.store.runtime import open_store
 
@@ -26,7 +25,7 @@ from repro.store.runtime import open_store
 def _require_store(args) -> ArtifactStore:
     store = open_store(args.store)
     if store is None:
-        raise SystemExit(
+        raise UsageError(
             "no store configured: pass --store PATH or set REPRO_STORE")
     return store
 
@@ -65,7 +64,7 @@ def cmd_ls(args) -> int:
 def cmd_gc(args) -> int:
     store = _require_store(args)
     if args.max_entries is None and args.max_bytes is None:
-        raise SystemExit("gc needs --max-entries and/or --max-bytes")
+        raise UsageError("gc needs --max-entries and/or --max-bytes")
     evicted = store.gc(max_entries=args.max_entries,
                        max_bytes=args.max_bytes, dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"
@@ -92,13 +91,15 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-store",
+def register(sub) -> None:
+    """The ``store`` subcommand and its own subcommands."""
+    parser = sub.add_parser(
+        "store", help="inspect and maintain an artifact store",
         description="Inspect and maintain a repro artifact store.")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="store root (default: $REPRO_STORE)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="store_command", required=True,
+                                metavar="COMMAND")
 
     p_ls = sub.add_parser("ls", help="list cached objects (LRU order)")
     p_ls.set_defaults(func=cmd_ls)
@@ -113,10 +114,3 @@ def main(argv=None) -> int:
     p_verify.add_argument("--delete", action="store_true",
                           help="delete objects that fail verification")
     p_verify.set_defaults(func=cmd_verify)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,9 +11,10 @@ computation?", answered by hashing the computation's *inputs*:
     runs at most once per distinct input.
 
 ``plan_fingerprint``
-    the identity of one campaign *plan*: program key, fault model, and
-    every :class:`~repro.faults.campaign.CampaignConfig` knob (plus
-    whether telemetry was recorded).  A journal stamped with this hash
+    the identity of one campaign *plan*: program key, fault model,
+    every :class:`~repro.faults.campaign.CampaignConfig` knob, whether
+    telemetry was recorded, and a spec's inputs and plan kind where
+    they differ from the defaults.  A journal stamped with this hash
     can only resume a campaign that would redo the exact same work.
 
 ``golden_key`` / ``golden_fingerprint``
@@ -125,12 +126,15 @@ def closure_key(module_text: str, cost_key, nthreads: int,
 
 
 def plan_fingerprint(prog_key: str, fault_type, config,
-                     telemetry: bool = False) -> Tuple[str, dict]:
+                     telemetry: bool = False,
+                     extra: Optional[dict] = None) -> Tuple[str, dict]:
     """``(hash, plan dict)`` identifying one campaign plan.
 
-    The plan dict is stored alongside the hash in journal headers so a
-    mismatch can be reported field-by-field instead of as an opaque
-    digest difference.
+    ``extra`` holds further plan fields (a spec's inputs and plan kind)
+    that join the plan only when given, so a plan without them hashes
+    as it always has.  The plan dict is stored alongside the hash in
+    journal headers so a mismatch can be reported field-by-field instead
+    of as an opaque digest difference.
     """
     plan = {
         "schema": JOURNAL_SCHEMA,
@@ -145,6 +149,7 @@ def plan_fingerprint(prog_key: str, fault_type, config,
         "quantum": config.quantum,
         "telemetry": bool(telemetry),
     }
+    plan.update(extra or {})
     return _digest(plan), plan
 
 

@@ -7,7 +7,7 @@ regardless of how the work was partitioned across processes, and the
 event stream serializes to a validated JSONL trace
 (:mod:`repro.telemetry.trace`).
 
-``python -m repro.telemetry trace.jsonl`` validates a trace file.
+``repro check-trace trace.jsonl`` validates a trace file.
 """
 
 from repro.telemetry.core import (

@@ -131,3 +131,26 @@ def validate_trace_file(path: str) -> int:
             raise TraceSchemaError("%s: event %d: %s" % (path, index, exc))
         count += 1
     return count
+
+
+def _check_trace(args) -> int:
+    """``repro check-trace``: validate each file, one line per file."""
+    import sys
+    status = 0
+    for path in args.traces:
+        try:
+            count = validate_trace_file(path)
+        except TraceSchemaError as exc:
+            print("%s: INVALID: %s" % (path, exc), file=sys.stderr)
+            status = 1
+        else:
+            print("%s: %d events, schema OK" % (path, count))
+    return status
+
+
+def register(sub) -> None:
+    """The ``check-trace`` subcommand: exit 1 if any trace violates the
+    schema (its first violation printed), 2 if one cannot be read."""
+    parser = sub.add_parser("check-trace", help="validate JSONL traces")
+    parser.add_argument("traces", nargs="+", metavar="TRACE.JSONL")
+    parser.set_defaults(func=_check_trace)

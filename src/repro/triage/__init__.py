@@ -24,7 +24,7 @@ Reports are deterministic: built only from seed-deterministic records
 and events (never wall-clock timers) and rendered through canonical
 JSON, so the same campaign produces byte-identical reports under any
 ``jobs=N`` partitioning.  Entry points: ``CampaignResult.triage()``,
-:func:`triage_campaign`, the ``repro-triage`` CLI, and the ``triage``
+:func:`triage_campaign`, the ``repro triage`` command, and the ``triage``
 op of :mod:`repro.serve`.
 """
 

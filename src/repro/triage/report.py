@@ -187,7 +187,7 @@ def build_report(result, classes=None, merge_distance: int = 1,
     if not records:
         raise ValueError(
             "campaign result carries no records; run the campaign with "
-            "keep_records=True (the default for repro-minic inject and "
+            "keep_records=True (the default for repro inject and "
             "repro.serve) to triage it")
     if classes is None:
         classes = observe_thread_classes(result)

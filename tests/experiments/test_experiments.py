@@ -17,7 +17,8 @@ from repro.experiments import (
     table5,
 )
 from repro.experiments.coverage import compute_coverage
-from repro.experiments.runner import EXPERIMENTS, main as runner_main
+from repro.cli import main as repro_main
+from repro.experiments.runner import EXPERIMENTS
 from repro.faults import FaultType
 
 
@@ -110,6 +111,10 @@ class TestDuplication:
         assert "duplication" in duplication.render(result)
 
 
+def runner_main(argv):
+    return repro_main(["figures"] + argv)
+
+
 class TestRunner:
     def test_list(self, capsys):
         assert runner_main(["list"]) == 0
@@ -119,6 +124,8 @@ class TestRunner:
 
     def test_unknown_rejected(self, capsys):
         assert runner_main(["nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_runs_cheap_experiment(self, capsys):
         assert runner_main(["table3"]) == 0

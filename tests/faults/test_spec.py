@@ -56,6 +56,18 @@ class TestRoundTrip:
         assert spec.replace(journal="x.jsonl").plan_hash == spec.plan_hash
         assert spec.replace(resume=True).plan_hash == spec.plan_hash
         assert spec.replace(store="/tmp/s").plan_hash == spec.plan_hash
+        # Inputs and the plan kind name other plans.
+        radix = CampaignSpec.build("kernel:radix", injections=30, seed=7)
+        others = [radix.replace(scalars=(("nprocs", 4),)),
+                  radix.replace(plan="stratified"),
+                  radix.replace(input_seed=7),
+                  spec.replace(arrays=(("gp", (40, 5, 10, 40)),))]
+        hashes = {radix.plan_hash, spec.plan_hash}
+        hashes.update(other.plan_hash for other in others)
+        assert len(hashes) == 2 + len(others)
+        # Default inputs and plan leave the hash as it always was.
+        assert radix.replace(plan="full", input_seed=2012,
+                             scalars=()).plan_hash == radix.plan_hash
 
     def test_plan_hash_is_pinned(self):
         # The values every earlier build computed for this spec: a change

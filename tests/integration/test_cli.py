@@ -1,6 +1,10 @@
-"""Tests for the ``repro-minic`` command-line tool."""
+"""Tests for the ``repro`` command: the program subcommands, and the
+one usage-error contract every subcommand keeps."""
 
 import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +36,18 @@ def demo_file(tmp_path):
     path = tmp_path / "demo.mc"
     path.write_text(DEMO)
     return str(path)
+
+
+class TestStartup:
+    def test_program_subcommand_imports_no_other_subcommand(self, demo_file):
+        # A fresh interpreter: this test process has imported them all.
+        probe = ("import sys; from repro.cli import main, SUBCOMMAND_MODULES;"
+                 " before = set(sys.modules); main(['dump', sys.argv[1]]);"
+                 " print(sorted(set(SUBCOMMAND_MODULES.values())"
+                 " & (set(sys.modules) - before)), file=sys.stderr)")
+        done = subprocess.run([sys.executable, "-c", probe, demo_file],
+                              capture_output=True, text=True, check=True)
+        assert done.stderr.strip() == "[]"
 
 
 class TestDumpAndReport:
@@ -77,9 +93,9 @@ class TestRun:
         out = capsys.readouterr().out
         assert "status: crash" in out
 
-    def test_bad_set_syntax_rejected(self, demo_file):
-        with pytest.raises(SystemExit):
-            main(["run", demo_file, "--set", "oops"])
+    def test_bad_set_syntax_rejected(self, demo_file, capsys):
+        assert main(["run", demo_file, "--set", "oops"]) == 2
+        assert capsys.readouterr().err.startswith("error: --set")
 
 
 class TestInject:
@@ -96,22 +112,25 @@ class TestInject:
         assert "branch-condition" in capsys.readouterr().out
 
 
+def one_error_line(capsys) -> str:
+    """The captured stderr, checked to be one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
 class TestArgumentErrors:
     """Bad operands exit with a one-line message, never a traceback."""
 
-    def test_unknown_kernel_message(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["dump", "kernel:nope"])
-        message = str(excinfo.value.code)
-        assert message.startswith("error:")
+    def test_unknown_kernel_message(self, capsys):
+        assert main(["dump", "kernel:nope"]) == 2
+        message = one_error_line(capsys)
         assert "nope" in message and "radix" in message
 
-    def test_missing_program_path_message(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["dump", "/no/such/program.mc"])
-        message = str(excinfo.value.code)
-        assert message.startswith("error:")
-        assert "/no/such/program.mc" in message
+    def test_missing_program_path_message(self, capsys):
+        assert main(["dump", "/no/such/program.mc"]) == 2
+        assert "/no/such/program.mc" in one_error_line(capsys)
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_nonpositive_thread_count_exits_2(self, demo_file, threads,
@@ -122,10 +141,9 @@ class TestArgumentErrors:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
-    def test_run_subcommand_shares_the_handling(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "kernel:nope", "-t", "2"])
-        assert str(excinfo.value.code).startswith("error:")
+    def test_run_subcommand_shares_the_handling(self, capsys):
+        assert main(["run", "kernel:nope", "-t", "2"]) == 2
+        one_error_line(capsys)
 
 
 class TestBadPrograms:
@@ -148,29 +166,62 @@ class TestBadPrograms:
             path = str(tmp_path / ("%s.mc" % kind))
             with open(path, "w") as handle:
                 handle.write(source)
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, path])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert main([command, path]) == 2
+        assert message in one_error_line(capsys)
 
-    @pytest.mark.parametrize("tool", ["repro-lint", "repro-lint vuln",
-                                      "repro-triage"])
+    @pytest.mark.parametrize("tool", ["lint", "vuln", "triage"])
     def test_empty_file_exits_2_in_every_tool(self, tmp_path, capsys, tool):
-        from repro.lint.cli import main as lint_main
-        from repro.triage.cli import main as triage_main
         path = str(tmp_path / "empty.mc")
         open(path, "w").close()
-        argv = [path] if tool != "repro-lint vuln" else ["vuln", path]
-        entry = triage_main if tool == "repro-triage" else lint_main
-        try:
-            status = entry(argv)
-        except SystemExit as exc:
-            status = exc.code
-        assert status == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert main([tool, path]) == 2
+        one_error_line(capsys)
+
+
+#: Subcommands that take a program operand, and those that also take
+#: run inputs (``--set``/``--fill``).
+PROGRAM_COMMANDS = ["dump", "report", "run", "trace", "inject", "lint",
+                    "vuln", "triage", "serve submit"]
+INPUT_COMMANDS = ["run", "trace", "inject", "triage", "serve submit"]
+
+
+def _bad_inputs():
+    cases = []
+    for command in PROGRAM_COMMANDS:
+        cases.append((command, "unreadable-file", ["/no/such/program.mc"]))
+        cases.append((command, "unknown-kernel", ["kernel:nope"]))
+    for command in INPUT_COMMANDS:
+        cases.append((command, "malformed-set",
+                      ["kernel:radix", "--set", "nprocs=1.2.3"]))
+        cases.append((command, "malformed-fill",
+                      ["kernel:radix", "--fill", "gp=1,x"]))
+    for command in ("store ls", "store gc", "store verify", "serve start"):
+        cases.append((command, "missing-store", []))
+    for command in ("serve status", "serve jobs", "serve fetch job",
+                    "serve triage job", "serve drain",
+                    "serve submit kernel:radix"):
+        cases.append((command, "refused-connection", ["--port", "{port}"]))
+    return [pytest.param(command.split() + args, id="%s-%s" % (
+        "-".join(command.split()[:2]), case))
+        for command, case, args in cases]
+
+
+@pytest.fixture
+def closed_port():
+    """A local port nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestUsageErrorContract:
+    """Every usage or I/O error on every subcommand is one ``error:``
+    line on stderr and exit status 2."""
+
+    @pytest.mark.parametrize("argv", _bad_inputs())
+    def test_one_error_line_exit_2(self, argv, closed_port, tmp_path,
+                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setattr("repro.store.runtime._DEFAULT", [None])
+        assert main([arg.format(port=closed_port) for arg in argv]) == 2
+        one_error_line(capsys)

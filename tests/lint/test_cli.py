@@ -1,11 +1,16 @@
-"""Tests for the ``repro-lint`` command-line tool."""
+"""Tests for the ``repro lint`` and ``repro vuln`` subcommands."""
 
 import json
 
 import pytest
 
-from repro.lint.cli import main
+from repro.cli import main as repro_main
 from repro.store import open_store
+
+
+def main(argv):
+    """``repro lint ARGV``, or ``repro vuln ...`` for a ``vuln`` ARGV."""
+    return repro_main(argv if argv[:1] == ["vuln"] else ["lint"] + argv)
 
 RACY = """
 global int nprocs;
@@ -71,8 +76,8 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_no_programs_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main([])
+        assert main([]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestJsonFormat:
@@ -140,6 +145,18 @@ class TestStoreCache:
         store = open_store(root)
         entries = [e for e in store.entries() if e.kind == "lint"]
         assert len(entries) == 1
+
+    def test_repro_store_environment_is_the_default(self, racy_file,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        root = str(tmp_path / "env-store")
+        monkeypatch.setenv("REPRO_STORE", root)
+        monkeypatch.setattr("repro.store.runtime._DEFAULT", [None])
+        assert main([racy_file]) == 1
+        store = open_store(root)
+        assert store.counters.get("store.lint.hit", 0) == 0
+        assert main([racy_file]) == 1
+        assert store.counters.get("store.lint.hit", 0) == 1
 
     def test_get_lint_counts_hits(self, tmp_path):
         store = open_store(str(tmp_path / "store"))
@@ -222,8 +239,8 @@ class TestVulnCli:
         assert main(["vuln", racy_file]) == 0
 
     def test_no_programs_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["vuln"])
+        assert main(["vuln"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_baseline_round_trip_is_clean(self, tmp_path, capsys):
         base = tmp_path / "vuln.json"

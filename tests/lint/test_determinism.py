@@ -22,7 +22,7 @@ def lint_bytes(args, hashseed):
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = os.path.abspath(SRC)
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint.cli", "--format", "json"] + args,
+        [sys.executable, "-m", "repro", "lint", "--format", "json"] + args,
         capture_output=True, env=env,
         cwd=os.path.join(os.path.dirname(__file__), "..", ".."))
     assert proc.returncode in (0, 1), proc.stderr.decode()

@@ -3,7 +3,7 @@
 The generator in :mod:`tests.integration.test_fuzzed_programs` emits
 arbitrary (but race-free by construction) SPMD programs: every shared
 write lands in ``out[procid * 16 + k]`` chunks or under the tid-counter
-lock.  Pushing the corpus through ``repro-lint`` checks three promises
+lock.  Pushing the corpus through ``repro lint`` checks three promises
 at once: the detector never crashes on generator output, it proves the
 chunked writes disjoint (zero errors), and its reports are identical
 across repeated runs.

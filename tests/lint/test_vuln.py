@@ -195,7 +195,7 @@ class TestDeterminismAndTable:
             env = dict(os.environ, PYTHONHASHSEED=hashseed,
                        PYTHONPATH=SRC)
             proc = subprocess.run(
-                [sys.executable, "-m", "repro.lint.cli", "vuln",
+                [sys.executable, "-m", "repro", "vuln",
                  "kernel:radix", "--sparse-checks", "--format", "json"],
                 capture_output=True, env=env)
             assert proc.returncode == 0, proc.stderr.decode()

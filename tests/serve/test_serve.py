@@ -3,7 +3,7 @@ serial ``run_campaign``, across shard counts, concurrent clients,
 graceful drain/restart, and a real server SIGKILL.
 
 The in-process tests run a :class:`ServerThread` against a tmp store;
-the SIGKILL test (slow) runs ``python -m repro.serve serve`` as a real
+the SIGKILL test (slow) runs ``python -m repro serve start`` as a real
 subprocess, kills it mid-campaign, restarts it on the same store, and
 compares the final result with the uninterrupted serial baseline.
 """
@@ -265,6 +265,50 @@ def client_free_state(root, job_id):
         return json.load(handle)["state"]
 
 
+def start_server(root):
+    """``python -m repro serve start`` on the store ``root``, as a
+    subprocess; returns ``(process, port)``."""
+    env = dict(os.environ, PYTHONPATH=SRC_ROOT)
+    env.pop("REPRO_JOBS", None)
+    env.pop("REPRO_STORE", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "start",
+         "--store", root, "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+    line = proc.stdout.readline()
+    match = re.search(r"listening on [\d.]+:(\d+)", line)
+    assert match, "server did not report its port: %r" % line
+    return proc, int(match.group(1))
+
+
+class TestCommandRoundTrip:
+    """``repro serve start`` -> ``submit --wait`` -> ``drain`` through
+    the ``repro`` command."""
+
+    def test_start_submit_wait_drain(self, tmp_path, capsys):
+        from repro.cli import main
+        args = ["kernel:radix", "-t", "2", "-n", "6", "--seed", "3"]
+        proc, port = start_server(str(tmp_path / "store"))
+        try:
+            assert main(["serve", "submit"] + args
+                        + ["--port", str(port), "--wait"]) == 0
+            out = capsys.readouterr().out
+            assert re.search(r"^job \S+: done$", out, re.M), out
+            census = {outcome: int(count) for outcome, count
+                      in re.findall(r"^  (\S+) +(\d+)$", out, re.M)}
+            serial = run_campaign(CampaignSpec.build(
+                "kernel:radix", nthreads=2, injections=6, seed=3))
+            assert census == {outcome.value: count for outcome, count
+                              in serial.stats.counts.items()}
+            assert main(["serve", "drain", "--port", str(port)]) == 0
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+
+
 @pytest.mark.slow
 class TestServerSigkillResume:
     """The acceptance scenario: SIGKILL the server mid-campaign,
@@ -280,20 +324,6 @@ class TestServerSigkillResume:
             "radix", fault="flip", injections=self.INJECTIONS,
             nthreads=self.NTHREADS, seed=self.SEED)
 
-    def start_server(self, root):
-        env = dict(os.environ, PYTHONPATH=SRC_ROOT)
-        env.pop("REPRO_JOBS", None)
-        env.pop("REPRO_STORE", None)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve", "serve",
-             "--store", root, "--port", "0"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True)
-        line = proc.stdout.readline()
-        match = re.search(r"listening on [\d.]+:(\d+)", line)
-        assert match, "server did not report its port: %r" % line
-        return proc, int(match.group(1))
-
     def journal_lines(self, path):
         if not os.path.exists(path):
             return 0
@@ -306,7 +336,7 @@ class TestServerSigkillResume:
         baseline = run_campaign(spec, store=ArtifactStore(
             str(tmp_path / "baseline-store")), keep_records=True)
 
-        proc, port = self.start_server(root)
+        proc, port = start_server(root)
         killed = False
         try:
             client = ServeClient(port=port)
@@ -328,7 +358,7 @@ class TestServerSigkillResume:
                 proc.kill()
                 proc.wait(timeout=30)
 
-        proc, port = self.start_server(root)
+        proc, port = start_server(root)
         try:
             client = ServeClient(port=port)
             final = client.wait(job_id, timeout=300)

@@ -7,7 +7,7 @@ excluded — identical to the same-seed uninterrupted run):
 
 * a journal truncated in-process, including a torn final line, the
   deterministic stand-in for any crash point; and
-* a real ``SIGKILL`` delivered to a ``repro-minic inject`` subprocess
+* a real ``SIGKILL`` delivered to a ``repro inject`` subprocess
   mid-campaign (the radix kernel), resumed with ``--resume``.
 """
 
@@ -159,7 +159,7 @@ class TestSigkillResume:
     SEED = 2026
 
     def cli(self, journal, resume=False):
-        argv = [sys.executable, "-m", "repro.cli", "inject",
+        argv = [sys.executable, "-m", "repro", "inject",
                 "kernel:radix", "-t", str(self.NTHREADS),
                 "-n", str(self.INJECTIONS), "--seed", str(self.SEED),
                 "--journal", journal]
@@ -177,7 +177,7 @@ class TestSigkillResume:
             return sum(1 for _ in handle)
 
     def spec(self):
-        # What ``repro-minic inject kernel:radix`` builds: the kernel's
+        # What ``repro inject kernel:radix`` builds: the kernel's
         # output globals, no SDC quantization.
         return CampaignSpec.build(
             "kernel:radix", fault="flip", nthreads=self.NTHREADS,

@@ -114,7 +114,7 @@ def test_module_cli_validator(tmp_path):
     good = str(tmp_path / "good.jsonl")
     write_trace(good, _events())
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.telemetry", good],
+        [sys.executable, "-m", "repro", "check-trace", good],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "3 events, schema OK" in proc.stdout
@@ -122,7 +122,7 @@ def test_module_cli_validator(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"seq": 0}\n')
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.telemetry", str(bad)],
+        [sys.executable, "-m", "repro", "check-trace", str(bad)],
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "INVALID" in proc.stderr

@@ -1,4 +1,4 @@
-"""repro-triage CLI: formats, output files, and the baseline gate."""
+"""``repro triage``: formats, output files, and the baseline gate."""
 
 from __future__ import annotations
 
@@ -6,10 +6,14 @@ import json
 
 import pytest
 
-from repro.triage.cli import main
+from repro.cli import main as repro_main
 
 ARGS = ["kernel:radix", "--fault", "flip", "-n", "30", "-t", "4",
         "--seed", "7", "--no-telemetry"]
+
+
+def main(argv):
+    return repro_main(["triage"] + argv)
 
 
 def run_cli(extra, capsys):
@@ -68,11 +72,13 @@ def test_missing_baseline_is_usage_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
-def test_unknown_kernel_is_reported():
-    # Spec translation rejects bad kernel refs with the shared
-    # SystemExit path (same surface as repro-minic inject).
-    with pytest.raises(SystemExit, match="unknown kernel"):
-        main(["kernel:nonexistent", "-n", "5"])
+def test_unknown_kernel_is_reported(capsys):
+    # Spec translation rejects bad kernel refs as a usage error (same
+    # surface as repro inject): one line, exit 2.
+    assert main(["kernel:nonexistent", "-n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown kernel" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory-target"])
