@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test of the campaign server's command line and its warm worker
-# pool: start `repro serve start -j 2`, submit three radix campaigns
-# (flip, condition, and the flip spec again) sharded over the pool,
-# check every fetched census against `repro inject -j 1`, drain,
-# and check that the server exited and left no worker process behind.
+# pool: start `repro serve start -j 2`, submit four radix campaigns
+# (flip, condition, the flip spec again, and a stratified flip plan)
+# sharded over the pool, check every fetched census against
+# `repro inject -j 1`, drain, and check that the server exited and left
+# no worker process behind.
 #
 # Run from the repository root.  With the package installed:
 #
@@ -47,9 +48,11 @@ EOF
 }
 
 n=0
-for fault in flip condition flip; do
+for campaign in "--fault flip" "--fault condition" "--fault flip" \
+        "--fault flip --plan stratified"; do
     n=$((n + 1))
-    args=(kernel:radix -t 4 -n 12 --fault "$fault" --seed 2012)
+    # shellcheck disable=SC2206  # one word per flag and value
+    args=(kernel:radix -t 4 -n 12 --seed 2012 $campaign)
     $SERVE submit "${args[@]}" --port "$PORT" --wait -j 2 \
         | tee "$OUT/submit-$n.out"
     job=$(awk '/^submitted/ {print $2}' "$OUT/submit-$n.out")
@@ -82,4 +85,4 @@ for pid in $workers; do
         exit 1
     fi
 done
-echo "serve CLI smoke: 3 campaigns match -j 1, server and pool gone"
+echo "serve CLI smoke: 4 campaigns match -j 1, server and pool gone"

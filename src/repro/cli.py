@@ -57,6 +57,7 @@ from repro.ir import print_module
 from repro.monitor import MonitorMode
 from repro.runtime.memory import SharedMemory
 from repro.store import open_store
+from repro.store.runtime import default_store_scope
 from repro.telemetry import Telemetry, write_trace
 
 
@@ -279,8 +280,9 @@ def main(argv=None) -> int:
     for name in modules:
         importlib.import_module(name).register(sub)
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ReproError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    with default_store_scope():
+        try:
+            return args.func(args)
+        except (ReproError, OSError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2

@@ -208,6 +208,11 @@ def campaign_spec_from_args(args):
     from repro.faults import CampaignSpec
     program_ref = (args.program if args.program.startswith(KERNEL_PREFIX)
                    else load_source(args.program))
+    if not program_ref.strip():
+        # An empty program defines no functions: say what compiling it
+        # says in every other subcommand.
+        raise UsageError("entry function %r not found in module"
+                         % args.entry)
     try:
         return CampaignSpec.build(
             program_ref, entry=args.entry, fault=args.fault,
@@ -222,7 +227,6 @@ def campaign_spec_from_args(args):
             journal=getattr(args, "journal", None),
             resume=getattr(args, "resume", False))
     except ValueError as exc:
-        # An empty program file lands here.
         raise UsageError(str(exc)) from None
 
 

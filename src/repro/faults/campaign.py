@@ -12,12 +12,15 @@ The golden run also leaves a few machine checkpoints behind
 (:mod:`repro.runtime.golden`); each fault run resumes from the latest
 one before its fault site, so only the suffix after it executes.
 
-Campaigns run through :mod:`repro.parallel`: every injection's
-:class:`FaultSpec` is derived up-front from ``(base_seed,
-injection_index)`` via a stable hash, so any partitioning of the work
-across worker processes yields exactly the plans — and the aggregated
-:class:`CampaignStats` — of a serial run.  ``jobs=1`` (the default)
-stays on the plain in-process loop.
+A campaign's plan is one list of :class:`PlannedFault` entries, built
+in the parent before dispatch: a full sweep derives each injection's
+:class:`FaultSpec` from ``(base_seed, injection_index)`` via a stable
+hash (:func:`plan_injection`), a stratified campaign draws them per
+predicted class (:func:`plan_stratified`).  Campaigns run through
+:mod:`repro.parallel`, where one task executes any entry, so any
+partitioning of the work across worker processes yields exactly the
+records — and the aggregated :class:`CampaignStats` — of a serial run.
+``jobs=1`` (the default) stays on the plain in-process loop.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import dataclasses
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -213,6 +217,18 @@ def plan_injection(fault_type: FaultType, branch_counts: Dict[int, int],
     return plan_fault(fault_type, branch_counts, rng)
 
 
+@dataclass(frozen=True)
+class PlannedFault:
+    """One entry of a campaign's plan."""
+
+    #: The seed the fault was planned from: the ``seed`` tag of the
+    #: injection's trace events.
+    seed: int
+    spec: FaultSpec
+    #: The predicted class a stratified plan drew the fault for.
+    stratum: str = ""
+
+
 @dataclass
 class _CampaignContext:
     """Per-worker campaign state: the compiled program plus the golden
@@ -225,11 +241,9 @@ class _CampaignContext:
     resolves those itself (:func:`_context_in_worker`)."""
 
     program: ParallelProgram
-    fault_type: FaultType
     config: CampaignConfig
     setup: Optional[Callable[[SharedMemory], None]]
     golden_signature: Tuple
-    branch_counts: Dict[int, int]
     max_steps: int
     #: Collect per-injection telemetry snapshots + trace events.
     telemetry: bool = False
@@ -273,18 +287,15 @@ def _campaign_context(spec: CampaignSpec, store,
                             telemetry=telemetry)
         summary = _golden_summary_of(golden, recorder, config)
         checkpoints = tuple(recorder.checkpoints)
-    branch_counts = dict(summary.branch_counts)
     ctx = _CampaignContext(
-        program=program, fault_type=spec.fault_type, config=config,
-        setup=setup,
+        program=program, config=config, setup=setup,
         golden_signature=quantize_signature(summary.signature,
                                             config.quantize_bits),
-        branch_counts=branch_counts,
         max_steps=max(summary.steps * config.hang_factor,
                       summary.steps + 100_000),
         telemetry=spec.telemetry, checkpoints=checkpoints,
         golden_fingerprint=golden_fingerprint(
-            summary.signature, branch_counts, summary.steps))
+            summary.signature, summary.branch_counts, summary.steps))
     return golden, summary, ctx
 
 
@@ -315,18 +326,18 @@ def _context_in_worker(light: _CampaignContext, spec: CampaignSpec,
                                checkpoints=ctx.checkpoints)
 
 
-def _dispatch(task_fn, items, ctx: _CampaignContext, spec: CampaignSpec,
-              store, pool, **kwargs) -> List:
-    """``run_tasks`` over ``items`` with the worker-side factory the
-    pool lifetime needs: rebuild from source for a spawn worker, or
-    resolve from the spec for a warm ``pool`` worker."""
+def _dispatch(items: List[Tuple[int, PlannedFault]], ctx: _CampaignContext,
+              spec: CampaignSpec, store, pool, **kwargs) -> List:
+    """``run_tasks`` of :func:`_injection_task` over ``items`` with the
+    worker-side factory the pool lifetime needs: rebuild from source
+    for a spawn worker, or resolve from the spec for a warm ``pool``
+    worker."""
     program = ctx.program
     if pool is None:
         factory = _campaign_context_from_source
-        args = (program.source, program.name, program.entry,
-                ctx.fault_type, ctx.config, ctx.setup, ctx.golden_signature,
-                ctx.branch_counts, ctx.max_steps, ctx.telemetry,
-                program.opt_level)
+        args = (program.source, program.name, program.entry, ctx.config,
+                ctx.setup, ctx.golden_signature, ctx.max_steps,
+                ctx.telemetry, program.opt_level)
         key = None
     else:
         light = dataclasses.replace(ctx, program=None, setup=None,
@@ -334,47 +345,42 @@ def _dispatch(task_fn, items, ctx: _CampaignContext, spec: CampaignSpec,
         factory = _context_in_worker
         args = (light, spec, store.root if store is not None else None)
         key = spec.plan_hash
-    return run_tasks(task_fn, items, context=ctx, context_factory=factory,
-                     factory_args=args, pool=pool, context_key=key,
-                     **kwargs)
+    return run_tasks(_injection_task, items, context=ctx,
+                     context_factory=factory, factory_args=args, pool=pool,
+                     context_key=key, **kwargs)
 
 
 def _campaign_context_from_source(source: str, name: str, entry: str,
-                                  fault_type: FaultType,
                                   config: CampaignConfig, setup,
-                                  golden_signature, branch_counts,
-                                  max_steps, telemetry=False,
+                                  golden_signature, max_steps,
+                                  telemetry=False,
                                   opt_level=0) -> _CampaignContext:
     """Spawn-pool factory: compile + analyze + instrument once per worker
     process and reuse it for every injection the worker executes."""
     program = ParallelProgram(source, name, entry=entry, opt_level=opt_level)
-    return _CampaignContext(program=program, fault_type=fault_type,
-                            config=config, setup=setup,
+    return _CampaignContext(program=program, config=config, setup=setup,
                             golden_signature=golden_signature,
-                            branch_counts=branch_counts, max_steps=max_steps,
-                            telemetry=telemetry)
+                            max_steps=max_steps, telemetry=telemetry)
 
 
-def _injection_task(ctx: _CampaignContext, index: int) -> InjectionRecord:
-    """Plan and execute one injection; returns a picklable record.
+def _injection_task(ctx: _CampaignContext,
+                    item: Tuple[int, PlannedFault]) -> InjectionRecord:
+    """Execute injection ``index`` of the plan; returns a picklable
+    record.
 
     With telemetry on, the injection gets its own collector whose events
-    are stamped with ``(inj=index, seed=derived seed)`` — the tags that
+    are stamped with ``(inj=index, seed=planning seed)`` — the tags that
     make traces from any worker partitioning merge into the same stream.
     Wall-clock goes into the ``campaign.injection_ns`` timer only, never
     into events, so the event stream stays deterministic.
     """
-    spec = plan_injection(ctx.fault_type, ctx.branch_counts,
-                          ctx.config.seed, index)
-    if spec is None:
-        raise RuntimeError("program executed no branches; nothing to inject")
+    index, planned = item
+    spec = planned.spec
     tel = None
     started = 0
     if ctx.telemetry:
-        tel = Telemetry(context={
-            "inj": index,
-            "seed": injection_seed(ctx.config.seed, ctx.fault_type, index)})
-        tel.event("injection_start", fault=ctx.fault_type.value,
+        tel = Telemetry(context={"inj": index, "seed": planned.seed})
+        tel.event("injection_start", fault=spec.fault_type.value,
                   target_thread=spec.thread_id,
                   target_branch=spec.branch_index)
         started = time.perf_counter_ns()
@@ -396,19 +402,6 @@ def _injection_task(ctx: _CampaignContext, index: int) -> InjectionRecord:
                   flipped=hook.flipped_branch)
         record.telemetry = tel.snapshot()
     return record
-
-
-def _spec_injection_task(ctx: _CampaignContext,
-                         item: Tuple[str, FaultSpec]) -> InjectionRecord:
-    """Execute one *pre-planned* injection (stratified campaigns plan
-    every spec in the parent; workers only execute)."""
-    _cls, spec = item
-    outcome, baseline_outcome, hook, cut = run_one_injection(
-        ctx.program, spec, ctx.config, ctx.setup, ctx.golden_signature,
-        ctx.max_steps, checkpoints=ctx.checkpoints)
-    return InjectionRecord(
-        spec=spec, outcome=outcome, baseline_outcome=baseline_outcome,
-        flipped_branch=hook.flipped_branch, detail=hook.detail, cut=cut)
 
 
 def allocate_stratified(budget: int, weights: Dict[str, float]
@@ -443,7 +436,7 @@ def allocate_stratified(budget: int, weights: Dict[str, float]
 
 def plan_stratified(report, streams: Dict[int, List[int]],
                     fault_type: FaultType, budget: int, base_seed: int
-                    ) -> Tuple[List[Tuple[str, FaultSpec]], dict]:
+                    ) -> Tuple[List[PlannedFault], dict]:
     """Plan a stratified campaign: partition the dynamic fault-site
     population by predicted class and allocate ``budget`` draws.
 
@@ -479,7 +472,7 @@ def plan_stratified(report, streams: Dict[int, List[int]],
                for cls, instances in strata.items()}
     planned = allocate_stratified(budget, weights)
 
-    specs: List[Tuple[str, FaultSpec]] = []
+    plan: List[PlannedFault] = []
     for cls in sorted(planned):
         instances = sorted(strata[cls])
         cumulative: List[float] = []
@@ -488,14 +481,14 @@ def plan_stratified(report, streams: Dict[int, List[int]],
             acc += weight_of[inst]
             cumulative.append(acc)
         for draw in range(planned[cls]):
-            rng = random.Random(derive_seed(
-                base_seed, "stratified", model, cls, draw))
+            seed = derive_seed(base_seed, "stratified", model, cls, draw)
+            rng = random.Random(seed)
             position = bisect.bisect_left(cumulative, rng.random() * acc)
             position = min(position, len(instances) - 1)
             tid, k = instances[position]
-            specs.append((cls, FaultSpec(
+            plan.append(PlannedFault(seed, FaultSpec(
                 fault_type=fault_type, thread_id=tid, branch_index=k,
-                rng_seed=rng.randrange(2 ** 31))))
+                rng_seed=rng.randrange(2 ** 31)), cls))
     meta = {
         "model": model,
         "budget": int(budget),
@@ -506,7 +499,70 @@ def plan_stratified(report, streams: Dict[int, List[int]],
                           "planned": planned.get(cls, 0)}
                     for cls in sorted(strata)},
     }
-    return specs, meta
+    return plan, meta
+
+
+def _plan_campaign(spec: CampaignSpec, ctx: _CampaignContext, summary,
+                   store, vuln_report
+                   ) -> Tuple[List[PlannedFault], Optional[dict]]:
+    """The campaign's plan, one entry per injection, and the stratified
+    planner's summary (None for a full sweep)."""
+    config, fault_type = ctx.config, spec.fault_type
+    if spec.plan == "stratified":
+        from repro.faults.recording import record_site_streams
+        from repro.lint.vuln import analyze_program
+        if vuln_report is None:
+            vuln_report = analyze_program(
+                ctx.program, output_globals=config.output_globals,
+                store=store)
+        streams = record_site_streams(ctx.program, config, setup=ctx.setup,
+                                      report=vuln_report)
+        return plan_stratified(vuln_report, streams, fault_type,
+                               config.injections, config.seed)
+    plan = []
+    for index in range(config.injections):
+        fault = plan_injection(fault_type, summary.branch_counts,
+                               config.seed, index)
+        if fault is None:
+            raise RuntimeError(
+                "program executed no branches; nothing to inject")
+        plan.append(PlannedFault(
+            injection_seed(config.seed, fault_type, index), fault))
+    return plan, None
+
+
+def _stratified_estimate(meta: dict, plan: List[PlannedFault],
+                         records: List[InjectionRecord]) -> dict:
+    """``meta`` completed with the per-class outcome census and the
+    re-weighted coverage estimates.  Every planned spec activates (its
+    branch index comes from the golden stream and the pre-injection
+    prefix is deterministic), so the estimate targets the same activated
+    population a full sweep measures coverage over."""
+    by_class: Dict[str, Tuple[Counter, Counter]] = {}
+    for planned, record in zip(plan, records):
+        outcomes, baselines = by_class.setdefault(planned.stratum,
+                                                  (Counter(), Counter()))
+        outcomes[record.outcome.value] += 1
+        baselines[record.baseline_outcome.value] += 1
+    sdc_protected = 0.0
+    sdc_original = 0.0
+    for cls, info in meta["classes"].items():
+        drawn = info["planned"]
+        if not drawn:
+            continue
+        outcomes, baselines = by_class[cls]
+        sdc_protected += info["weight"] * (outcomes[Outcome.SDC.value]
+                                           / drawn)
+        sdc_original += info["weight"] * (baselines[Outcome.SDC.value]
+                                          / drawn)
+        info["outcomes"] = dict(sorted(outcomes.items()))
+        info["baseline_outcomes"] = dict(sorted(baselines.items()))
+    meta["estimate"] = {
+        "coverage_protected": 1.0 - sdc_protected,
+        "coverage_original": 1.0 - sdc_original,
+        "injections": len(plan),
+    }
+    return meta
 
 
 def run_campaign(spec: CampaignSpec,
@@ -531,13 +587,23 @@ def run_campaign(spec: CampaignSpec,
     the spec (kernel registry / inline source, and
     :meth:`~repro.faults.spec.CampaignSpec.default_setup`).
 
+    ``spec.plan`` picks how the parent plans the campaign, one
+    :class:`PlannedFault` per injection, before anything runs:
+    ``"full"`` plans index ``i`` with :func:`plan_injection`;
+    ``"stratified"`` partitions the dynamic fault-site population by the
+    class the static vulnerability report (``vuln_report``, or one
+    computed via :func:`repro.lint.vuln.analyze_program`) predicts,
+    spends ``spec.injections`` as a draw *budget* across the strata
+    (:func:`plan_stratified`) and sets ``result.stratified`` to the
+    re-weighted full-sweep coverage estimates.  Everything below holds
+    for both plans.
+
     ``jobs`` fans the independent injections out across a process pool
     (``None`` reads ``REPRO_JOBS``; ``1`` runs the serial loop; ``0``
     uses every core).  The result is identical for every ``jobs`` value:
-    faults are planned per-index (:func:`plan_injection`), records are
-    re-assembled in index order, and :class:`CampaignStats` aggregation
-    is order-independent.  ``progress(done, total, chunk_seconds)`` fires
-    after every completed chunk.
+    records are re-assembled in plan order, and :class:`CampaignStats`
+    aggregation is order-independent.  ``progress(done, total,
+    chunk_seconds)`` fires after every completed chunk.
 
     ``spec.telemetry`` additionally collects metrics and a structured
     event trace: the golden run and every injection get a collector, the
@@ -548,10 +614,11 @@ def run_campaign(spec: CampaignSpec,
     completed injection is appended (with its telemetry snapshot) as
     soon as its chunk finishes, so a killed campaign loses at most
     in-flight work.  ``spec.resume`` replays an existing journal — after
-    validating its plan hash and golden fingerprint — and schedules
-    **only the missing injection indices**; the merged result (stats,
-    records, event trace) is identical to an uninterrupted run with the
-    same seed.  Journal bookkeeping is reported through
+    validating its plan hash, its golden fingerprint and, per replayed
+    record, that its fault is the one the plan holds at its index — and
+    schedules **only the missing injection indices**; the merged result
+    (stats, records, event trace) is identical to an uninterrupted run
+    with the same seed.  Journal bookkeeping is reported through
     ``store.journal.*`` *counters* only, never events, precisely so that
     identity holds.  A fresh campaign refuses to overwrite an existing
     journal unless ``resume`` is set.
@@ -573,27 +640,10 @@ def run_campaign(spec: CampaignSpec,
     and keeps them for later chunks and campaigns; the result is the
     same as with any other ``jobs``.  Such a campaign takes neither
     ``program=`` nor ``setup=``.
-
-    ``spec.plan == "stratified"`` switches from index-planned uniform
-    sampling to prediction-guided sampling: the static vulnerability
-    report (``vuln_report``, or one computed on the fly via
-    :func:`repro.lint.vuln.analyze_program`) partitions the dynamic
-    fault-site population by predicted class, ``spec.injections``
-    becomes the total draw *budget* allocated across strata, and
-    ``result.stratified`` carries the re-weighted full-sweep coverage
-    estimates.  Stratified campaigns are incompatible with telemetry,
-    journal, and resume (the journal format checkpoints index-planned
-    sweeps).
     """
     if not isinstance(spec, CampaignSpec):
         raise TypeError("run_campaign() takes a CampaignSpec, got %s"
                         % type(spec).__name__)
-    if spec.plan == "stratified" and (spec.journal is not None or spec.resume):
-        raise ValueError("stratified campaigns do not support journal/"
-                         "resume; checkpoint the full sweep instead")
-    if spec.plan == "stratified" and spec.telemetry:
-        raise ValueError("stratified campaigns do not support telemetry")
-
     if store is None and spec.store is not None:
         from repro.store.runtime import store_for
         store = store_for(spec.store)
@@ -605,36 +655,32 @@ def run_campaign(spec: CampaignSpec,
                          "setup from the spec; pass neither")
     if program is None:
         program = spec.resolve_program(store)
-    fault_type = spec.fault_type
     config = spec.campaign_config()
-    telemetry = spec.telemetry
     journal = spec.journal
-    resume = spec.resume
 
     parent_tel = None
-    if telemetry:
+    if spec.telemetry:
         parent_tel = Telemetry(context={"inj": -1, "seed": config.seed})
-        parent_tel.event("campaign_start", fault=fault_type.value,
+        parent_tel.event("campaign_start", fault=spec.fault,
                          injections=config.injections,
                          nthreads=config.nthreads, program=program.name)
 
     # -- golden run (cached only when no events are being collected and
-    # the inputs have a canonical form to key on) ------------------------
+    # the inputs have a canonical form to key on), then the plan --------
     golden, summary, ctx = _campaign_context(spec, store, program, setup,
                                              parent_tel)
-
-    if spec.plan == "stratified":
-        return _run_stratified(ctx, spec, keep_records, jobs, progress,
-                               store, pool, vuln_report, golden,
-                               summary.thread_classes)
+    plan, stratified = _plan_campaign(spec, ctx, summary, store,
+                                      vuln_report)
 
     # -- journal replay / checkpoint setup ------------------------------
-    pending = list(range(config.injections))
+    pending = list(range(len(plan)))
     replayed: Dict[int, InjectionRecord] = {}
     writer = None
     if journal is not None:
         from repro.errors import PlanMismatchError, StoreError
+        from repro.store.hashing import describe_plan_mismatch
         from repro.store.journal import JournalWriter, read_journal
+        from repro.store.serialize import spec_to_dict
         # The spec is the single source of the plan hash: the same
         # fingerprint a client computes before submitting over the wire,
         # and the same one any CLI prints.  (Golden *caching* above still
@@ -644,7 +690,7 @@ def run_campaign(spec: CampaignSpec,
         plan_hash, plan_dict = spec.plan_fingerprint()
         golden_fp = ctx.golden_fingerprint
         exists = os.path.exists(journal) and os.path.getsize(journal) > 0
-        if exists and not resume:
+        if exists and not spec.resume:
             raise StoreError(
                 "journal %s already exists; pass resume=True (--resume) "
                 "to continue it, or delete it to start over" % journal)
@@ -658,8 +704,16 @@ def run_campaign(spec: CampaignSpec,
                     "is not reproducing the original execution"
                     % (journal, replay.golden_fingerprint[:12],
                        golden_fp[:12]))
+            for index, record in sorted(replay.records.items()):
+                if record.spec != plan[index].spec:
+                    raise PlanMismatchError(
+                        "journal %s records injection %d with a fault "
+                        "this campaign does not plan: %s"
+                        % (journal, index, describe_plan_mismatch(
+                            spec_to_dict(record.spec),
+                            spec_to_dict(plan[index].spec))))
             replayed = replay.records
-            pending = replay.missing_indices(config.injections)
+            pending = replay.missing_indices(len(plan))
             writer = JournalWriter(journal)
             if parent_tel is not None:
                 parent_tel.count("store.journal.replayed", len(replayed))
@@ -669,12 +723,12 @@ def run_campaign(spec: CampaignSpec,
             writer = JournalWriter(journal)
             writer.write_header(plan_hash, plan_dict, golden_fp)
 
-    stats = CampaignStats(program=program.name, fault_type=fault_type.value,
+    stats = CampaignStats(program=program.name, fault_type=spec.fault,
                           nthreads=config.nthreads)
     result = CampaignResult(stats=stats, golden=golden,
                             thread_classes=list(summary.thread_classes))
     timings: Optional[List[Tuple[int, int, float]]] = (
-        [] if telemetry else None)
+        [] if parent_tel is not None else None)
 
     checkpoint = None
     if writer is not None:
@@ -688,21 +742,24 @@ def run_campaign(spec: CampaignSpec,
 
     try:
         new_records = _dispatch(
-            _injection_task, pending, ctx, spec, store, pool, jobs=jobs,
-            progress=progress, timings=timings, on_results=checkpoint)
+            [(index, plan[index]) for index in pending], ctx, spec, store,
+            pool, jobs=jobs, progress=progress, timings=timings,
+            on_results=checkpoint)
     finally:
         if writer is not None:
             writer.close()
     if parent_tel is not None and writer is not None:
         parent_tel.count("store.journal.appended", len(pending))
 
-    records: List[InjectionRecord] = [None] * config.injections
+    records: List[InjectionRecord] = [None] * len(plan)
     for index, record in replayed.items():
         records[index] = record
     for position, index in enumerate(pending):
         records[index] = new_records[position]
     for record in records:
         stats.note(record.outcome, record.baseline_outcome, record.cut)
+    if stratified is not None:
+        result.stratified = _stratified_estimate(stratified, plan, records)
     if keep_records:
         result.records = list(records)
     if parent_tel is not None:
@@ -716,75 +773,6 @@ def run_campaign(spec: CampaignSpec,
                                          key=lambda kv: kv[0].value)})
         result.telemetry = TelemetrySnapshot.merge_all(
             [parent_tel.snapshot()] + [r.telemetry for r in records])
-    return result
-
-
-def _run_stratified(ctx: _CampaignContext, spec: CampaignSpec,
-                    keep_records: bool, jobs: Optional[int], progress,
-                    store, pool, vuln_report, golden: Optional[RunResult],
-                    thread_classes: List[List[int]]) -> CampaignResult:
-    """Plan + execute a stratified campaign (the ``plan="stratified"``
-    arm of :func:`run_campaign`; golden artifacts already resolved)."""
-    from repro.faults.recording import record_site_streams
-    from repro.lint.vuln import analyze_program
-
-    program, config, fault_type = ctx.program, ctx.config, ctx.fault_type
-    if vuln_report is None:
-        vuln_report = analyze_program(
-            program, output_globals=config.output_globals, store=store)
-    streams = record_site_streams(program, config, setup=ctx.setup,
-                                  report=vuln_report)
-    specs, meta = plan_stratified(vuln_report, streams, fault_type,
-                                  config.injections, config.seed)
-
-    stats = CampaignStats(program=program.name, fault_type=fault_type.value,
-                          nthreads=config.nthreads)
-    ctx = dataclasses.replace(
-        ctx, branch_counts={tid: len(s) for tid, s in streams.items()})
-    records = _dispatch(_spec_injection_task, specs, ctx, spec, store, pool,
-                        jobs=jobs, progress=progress)
-
-    # Per-class outcome census + the re-weighted coverage estimates.
-    # Every planned spec activates (its branch index comes from the
-    # golden stream and the pre-injection prefix is deterministic), so
-    # the estimate targets the same activated population a full sweep
-    # measures coverage over.
-    by_class: Dict[str, Dict[str, int]] = {}
-    baseline_by_class: Dict[str, Dict[str, int]] = {}
-    for (cls, _spec), record in zip(specs, records):
-        stats.note(record.outcome, record.baseline_outcome, record.cut)
-        census = by_class.setdefault(cls, {})
-        census[record.outcome.value] = census.get(record.outcome.value,
-                                                  0) + 1
-        baseline = baseline_by_class.setdefault(cls, {})
-        baseline[record.baseline_outcome.value] = baseline.get(
-            record.baseline_outcome.value, 0) + 1
-
-    sdc_protected = 0.0
-    sdc_original = 0.0
-    for cls, info in meta["classes"].items():
-        drawn = info["planned"]
-        if not drawn:
-            continue
-        weight = info["weight"]
-        sdc_protected += weight * (
-            by_class.get(cls, {}).get(Outcome.SDC.value, 0) / drawn)
-        sdc_original += weight * (
-            baseline_by_class.get(cls, {}).get(Outcome.SDC.value, 0)
-            / drawn)
-        info["outcomes"] = dict(sorted(by_class.get(cls, {}).items()))
-        info["baseline_outcomes"] = dict(
-            sorted(baseline_by_class.get(cls, {}).items()))
-    meta["estimate"] = {
-        "coverage_protected": 1.0 - sdc_protected,
-        "coverage_original": 1.0 - sdc_original,
-        "injections": len(specs),
-    }
-
-    result = CampaignResult(stats=stats, golden=golden, stratified=meta,
-                            thread_classes=list(thread_classes))
-    if keep_records:
-        result.records = list(records)
     return result
 
 

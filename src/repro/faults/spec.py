@@ -263,16 +263,27 @@ class CampaignSpec:
         spec alone.  A client and a server holding equal specs derive
         equal fingerprints, which is what lets the wire protocol validate
         a submission against the journal a resumed campaign will replay.
+
+        Computed once per spec object (the program key hashes the whole
+        source): the pair is kept on the instance, outside the fields, so
+        it joins neither equality nor :meth:`to_dict`, and a spec made
+        by :meth:`replace` computes its own.
         """
-        from repro.store.hashing import plan_fingerprint
-        # Inputs and the plan kind join only where they differ from the
-        # defaults, so the hashes of every earlier build still name the
-        # same plans (journals and served jobs on disk stay valid).
-        extra = {name: getattr(self, name) for name in _PLAN_EXTRAS
-                 if getattr(self, name) != _DEFAULTS[name]}
-        return plan_fingerprint(self.program_key(), self.fault_type,
-                                self.campaign_config(),
-                                telemetry=self.telemetry, extra=extra)
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            from repro.store.hashing import plan_fingerprint
+            # Inputs and the plan kind join only where they differ from
+            # the defaults, so the hashes of every earlier build still
+            # name the same plans (journals and served jobs on disk stay
+            # valid).
+            extra = {name: getattr(self, name) for name in _PLAN_EXTRAS
+                     if getattr(self, name) != _DEFAULTS[name]}
+            cached = plan_fingerprint(self.program_key(), self.fault_type,
+                                      self.campaign_config(),
+                                      telemetry=self.telemetry, extra=extra)
+            object.__setattr__(self, "_fingerprint", cached)
+        plan_hash, plan = cached
+        return plan_hash, dict(plan)
 
     @property
     def plan_hash(self) -> str:

@@ -19,9 +19,10 @@ golden runs happen inline, nothing touches disk.
 Resolution order for :func:`default_store`:
 
 1. a store installed with :func:`set_default_store` (CLIs do this for
-   their ``--store`` flag);
-2. the ``REPRO_STORE`` environment variable (also how worker processes
-   of a spawn pool inherit the setting);
+   their ``--store`` flag, for the length of the command:
+   :func:`default_store_scope`);
+2. the ``REPRO_STORE`` environment variable, read afresh on every call
+   (also how worker processes of a spawn pool inherit the setting);
 3. nothing — caching off.
 """
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Optional
 
 from repro.store.artifacts import STORE_ENV, ArtifactStore
@@ -90,10 +92,18 @@ def default_store() -> Optional[ArtifactStore]:
             store = _DEFAULT[0] = store_for(store.root)
         return store
     root = os.environ.get(STORE_ENV, "").strip()
-    if root:
-        store = _DEFAULT[0] = store_for(root)
-        return store
-    return None
+    return store_for(root) if root else None
+
+
+@contextmanager
+def default_store_scope():
+    """Restore the installed default store on exit, so a store installed
+    inside (a command's ``--store``) does not outlive it."""
+    installed = _DEFAULT[0]
+    try:
+        yield
+    finally:
+        _DEFAULT[0] = installed
 
 
 def open_store(path: Optional[str] = None,

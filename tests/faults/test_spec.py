@@ -69,6 +69,28 @@ class TestRoundTrip:
         assert radix.replace(plan="full", input_seed=2012,
                              scalars=()).plan_hash == radix.plan_hash
 
+    def test_plan_hash_is_computed_once_per_spec(self, monkeypatch):
+        import repro.store.hashing as hashing
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        original = hashing.plan_fingerprint
+        monkeypatch.setattr(hashing, "plan_fingerprint", counting)
+        spec = figure1_spec()
+        first = spec.plan_hash
+        assert spec.plan_hash == spec.plan_fingerprint()[0] == first
+        assert len(calls) == 1
+        # The cached pair joins neither equality nor the wire form ...
+        again = CampaignSpec.from_dict(spec.to_dict())
+        assert again == spec and "_fingerprint" not in spec.to_dict()
+        # ... and a replaced spec hashes afresh.
+        assert spec.replace(seed=10).plan_hash != first
+        assert spec.replace(journal="x.jsonl").plan_hash == first
+        assert len(calls) == 3
+
     def test_plan_hash_is_pinned(self):
         # The values every earlier build computed for this spec: a change
         # here orphans every journal and serve job already on disk.  The

@@ -1,9 +1,12 @@
 """Tests for stratified (prediction-guided) campaign planning."""
 
+import json
+
 import pytest
 
 from repro import BlockWatch
 from repro.analysis import AnalysisConfig
+from repro.errors import PlanMismatchError
 from repro.faults import (
     FaultType,
     allocate_stratified,
@@ -14,6 +17,7 @@ from repro.faults import (
 from repro.lint.vuln import analyze_program
 from repro.runtime import ParallelProgram
 from tests.conftest import FIGURE_1, figure1_setup
+from tests.store.test_resume import assert_identical, truncate_journal
 
 NTHREADS = 4
 BUDGET = 12
@@ -88,17 +92,18 @@ class TestPlanning:
         streams = record_site_streams(program, config,
                                       setup=figure1_setup(NTHREADS),
                                       report=report)
-        specs, meta = plan_stratified(report, streams,
-                                      FaultType.BRANCH_FLIP, BUDGET, 77)
-        assert len(specs) == BUDGET
+        plan, meta = plan_stratified(report, streams,
+                                     FaultType.BRANCH_FLIP, BUDGET, 77)
+        assert len(plan) == BUDGET
         assert meta["budget"] == BUDGET
         assert sum(c["planned"] for c in meta["classes"].values()) == BUDGET
         assert sum(c["weight"] for c in meta["classes"].values()) \
             == pytest.approx(1.0)
         # every drawn site belongs to the stratum it was drawn for
-        for cls, spec in specs:
-            site = streams[spec.thread_id][spec.branch_index - 1]
-            assert report.class_of(site, meta["model"]) == cls
+        for planned in plan:
+            site = streams[planned.spec.thread_id][
+                planned.spec.branch_index - 1]
+            assert report.class_of(site, meta["model"]) == planned.stratum
 
     def test_plan_is_deterministic(self, program, config, report):
         streams = record_site_streams(program, config,
@@ -160,18 +165,68 @@ class TestRejections:
         with pytest.raises(ValueError, match="plan"):
             spec.replace(plan="quota")
 
-    def test_stratified_rejects_journal(self, program, spec, tmp_path):
-        with pytest.raises(ValueError):
-            run_campaign(spec.replace(plan="stratified",
-                                      journal=str(tmp_path / "j.jsonl")),
-                         program=program)
 
-    def test_stratified_rejects_resume(self, program, spec):
-        with pytest.raises(ValueError):
-            run_campaign(spec.replace(plan="stratified", resume=True),
-                         program=program)
+class TestStratifiedLikeFullSweep:
+    """A stratified plan journals, resumes and traces like a full
+    sweep: the same loop runs both."""
 
-    def test_stratified_rejects_telemetry(self, program, spec):
-        with pytest.raises(ValueError):
-            run_campaign(spec.replace(plan="stratified", telemetry=True),
-                         program=program)
+    @pytest.fixture(scope="class")
+    def traced(self, program, spec, report):
+        return self.run(program, spec, report, jobs=1, telemetry=True)
+
+    def run(self, program, spec, report, jobs=None, **changes):
+        return run_campaign(spec.replace(plan="stratified", **changes),
+                            program=program, setup=figure1_setup(NTHREADS),
+                            vuln_report=report, keep_records=True,
+                            jobs=jobs)
+
+    def test_cut_journal_resumes_to_the_uninterrupted_run(
+            self, program, spec, report, traced, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        self.run(program, spec, report, telemetry=True, journal=path)
+        truncate_journal(path, keep_records=5)
+        resumed = self.run(program, spec, report, telemetry=True,
+                           journal=path, resume=True)
+        assert_identical(resumed, traced)
+        assert resumed.stratified == traced.stratified
+        counters = resumed.telemetry.counters
+        assert counters["store.journal.replayed"] == 5
+        assert counters["store.journal.appended"] == BUDGET - 5
+
+    def test_traced_campaign_is_partition_independent(
+            self, program, spec, report, traced, tmp_path):
+        from repro.cli import main
+        fanned = self.run(program, spec, report, jobs=2, telemetry=True)
+        assert_identical(fanned, traced)
+        assert fanned.stratified == traced.stratified
+        starts = [e for e in traced.trace_events
+                  if e["kind"] == "injection_start"]
+        assert [e["inj"] for e in starts] == list(range(BUDGET))
+        path = str(tmp_path / "trace.jsonl")
+        assert fanned.write_trace(path) == len(traced.trace_events)
+        assert main(["check-trace", path]) == 0
+
+    def test_untraced_run_matches_traced_census(self, program, spec,
+                                                report, traced):
+        plain = self.run(program, spec, report)
+        assert plain.stats == traced.stats
+        assert plain.stratified == traced.stratified
+
+    def test_edited_journal_record_is_refused(self, program, spec, report,
+                                              tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        self.run(program, spec, report, journal=path)
+        lines = open(path).read().splitlines()
+        record = json.loads(lines[3])
+        record["spec"]["rng_seed"] += 1
+        lines[3] = json.dumps(record, sort_keys=True)
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines[:5]) + "\n")
+        with pytest.raises(PlanMismatchError, match="rng_seed"):
+            self.run(program, spec, report, journal=path, resume=True)
+
+    def test_triage_command_takes_the_stratified_plan(self, capsys):
+        from repro.cli import main
+        assert main(["triage", "kernel:radix", "-t", "2", "-n", "4",
+                     "--plan", "stratified"]) == 0
+        assert "error" not in capsys.readouterr().err

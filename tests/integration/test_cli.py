@@ -120,6 +120,36 @@ def one_error_line(capsys) -> str:
     return err
 
 
+class TestStoreScope:
+    """A store one in-process call installs ends with the call, and
+    ``$REPRO_STORE`` is read afresh every time."""
+
+    def test_installed_store_does_not_shadow_the_environment(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.store import store_for
+        first, second = str(tmp_path / "a"), str(tmp_path / "b")
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        assert main(["run", "kernel:radix", "-t", "2", "--store",
+                     first]) == 0
+        monkeypatch.setenv("REPRO_STORE", second)
+        assert main(["lint", "kernel:radix"]) == 0
+
+        def kinds(root):
+            return {entry.kind for entry in store_for(root).entries()}
+
+        assert "lint" in kinds(second)
+        assert "lint" not in kinds(first)
+
+    def test_environment_store_is_not_pinned(self, tmp_path, monkeypatch):
+        from repro.store import default_store
+        for name in ("a", "b"):
+            root = str(tmp_path / name)
+            monkeypatch.setenv("REPRO_STORE", root)
+            assert default_store().root == root
+        monkeypatch.delenv("REPRO_STORE")
+        assert default_store() is None
+
+
 class TestArgumentErrors:
     """Bad operands exit with a one-line message, never a traceback."""
 
@@ -150,14 +180,18 @@ class TestBadPrograms:
     """A program that fails to compile or has no entry function is one
     ``error:`` line and exit status 2 on every subcommand."""
 
-    @pytest.mark.parametrize("command",
-                             ["dump", "report", "run", "trace", "inject"])
-    @pytest.mark.parametrize("kind, source, message", [
-        ("parse", None, "expected an expression"),
-        ("codegen", "func slave() { nosuch(); }\n",
-         "call to unknown function 'nosuch'"),
-        ("no-entry", "", "entry function 'slave' not found"),
-    ])
+    @pytest.mark.parametrize("kind, source, message, command", [
+        (kind, source, message, command)
+        for kind, source, message in [
+            ("parse", None, "expected an expression"),
+            ("codegen", "func slave() { nosuch(); }\n",
+             "call to unknown function 'nosuch'"),
+            ("no-entry", "", "entry function 'slave' not found"),
+        ]
+        # The campaign submitters reject an empty file before compiling
+        # (or connecting) with the message the compilers give.
+        for command in ["dump", "report", "run", "trace", "inject"]
+        + (["triage", "serve submit"] if kind == "no-entry" else [])])
     def test_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                          command, kind, source, message):
         monkeypatch.chdir(tmp_path)
@@ -166,7 +200,7 @@ class TestBadPrograms:
             path = str(tmp_path / ("%s.mc" % kind))
             with open(path, "w") as handle:
                 handle.write(source)
-        assert main([command, path]) == 2
+        assert main(command.split() + [path]) == 2
         assert message in one_error_line(capsys)
 
     @pytest.mark.parametrize("tool", ["lint", "vuln", "triage"])
@@ -222,6 +256,5 @@ class TestUsageErrorContract:
                                    monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setattr("repro.store.runtime._DEFAULT", [None])
         assert main([arg.format(port=closed_port) for arg in argv]) == 2
         one_error_line(capsys)

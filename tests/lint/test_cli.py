@@ -151,7 +151,6 @@ class TestStoreCache:
                                                     capsys):
         root = str(tmp_path / "env-store")
         monkeypatch.setenv("REPRO_STORE", root)
-        monkeypatch.setattr("repro.store.runtime._DEFAULT", [None])
         assert main([racy_file]) == 1
         store = open_store(root)
         assert store.counters.get("store.lint.hit", 0) == 0

@@ -73,6 +73,19 @@ class TestServeIdentity:
         client.wait(job_id, timeout=300)
         assert_result_identical(client.fetch(job_id), baseline)
 
+    def test_served_stratified_campaign_matches_serial(self, server):
+        """The server journals every job; a stratified one journals
+        like a full sweep."""
+        spec = figure1_spec(seed=17, plan="stratified")
+        baseline = run_campaign(spec, keep_records=True)
+        client = ServeClient(port=server.port)
+        job_id = client.submit(spec, shards=2)
+        final = client.wait(job_id, timeout=300)
+        assert final["state"] == "done", final
+        served = client.fetch(job_id)
+        assert_result_identical(served, baseline)
+        assert served.stratified == baseline.stratified
+
     def test_submit_validates_spec_hash(self, server):
         spec = figure1_spec()
         client = ServeClient(port=server.port)
