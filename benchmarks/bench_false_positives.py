@@ -9,8 +9,9 @@ different legal thread interleaving.  Scale with REPRO_FP_RUNS
 from repro.experiments import false_positives
 
 
-def test_false_positives(benchmark, save_result):
+def test_false_positives(benchmark, save_result, sizes):
     result = benchmark.pedantic(false_positives.compute,
+                                kwargs=sizes["false_positives"],
                                 rounds=1, iterations=1)
     assert result.total == 0, result.false_positives
     save_result("false_positives", false_positives.render(result))

@@ -11,8 +11,9 @@ paper's signature result.
 from repro.experiments import fig8
 
 
-def test_fig8(benchmark, save_result):
-    result = benchmark.pedantic(fig8.compute, rounds=1, iterations=1)
+def test_fig8(benchmark, save_result, sizes):
+    result = benchmark.pedantic(fig8.compute, kwargs=sizes["coverage"],
+                                rounds=1, iterations=1)
     nthreads = result.thread_counts[0]
     for (name, n), stats in result.stats.items():
         assert stats.coverage_protected >= stats.coverage_original - 1e-9, name

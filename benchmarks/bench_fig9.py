@@ -8,8 +8,9 @@ adds coverage, raytrace stays flat.
 from repro.experiments import fig8, fig9
 
 
-def test_fig9(benchmark, save_result):
-    result = benchmark.pedantic(fig9.compute, rounds=1, iterations=1)
+def test_fig9(benchmark, save_result, sizes):
+    result = benchmark.pedantic(fig9.compute, kwargs=sizes["coverage"],
+                                rounds=1, iterations=1)
     nthreads = result.thread_counts[0]
     for (name, n), stats in result.stats.items():
         assert stats.coverage_protected >= stats.coverage_original - 1e-9, name

@@ -5,16 +5,19 @@ happens once via ``benchmark.pedantic(rounds=1)``), prints it, and saves
 the rendered text under ``benchmarks/results/`` so EXPERIMENTS.md can
 reference the latest regeneration.
 
-Scaling knobs (environment):
+Scaling knobs (environment), read as ``repro figures`` reads them
+(:func:`repro.experiments.runner.size_settings`) and passed to
+``compute`` by the :func:`sizes` fixture:
 
 ``REPRO_FAULTS``    injections per campaign cell for Figures 8/9
                     (default 60; the paper used 1000)
 ``REPRO_THREADS``   thread counts for the coverage figures (default 4,32)
 ``REPRO_FP_RUNS``   error-free runs per program (default 100, as in the
                     paper)
-``REPRO_JOBS``      worker processes for campaign-shaped workloads
-                    (0 = all cores; default serial); results are
-                    bit-identical to serial runs, only faster
+
+``REPRO_JOBS`` (worker processes, 0 = all cores; default serial) is the
+library's own default for ``jobs``; results are bit-identical to serial
+runs, only faster.
 """
 
 from __future__ import annotations
@@ -53,6 +56,20 @@ def multicore_jobs() -> int:
             % (MIN_SPEEDUP_CORES, MIN_SPEEDUP_CORES, available_cpus(),
                jobs))
     return jobs
+
+
+@pytest.fixture
+def sizes():
+    """``compute`` keyword arguments from the environment, per
+    experiment; an unset variable passes nothing, so ``compute`` keeps
+    its own default."""
+    from repro.experiments.runner import size_settings
+    env = size_settings()
+    given = lambda **kwargs: {k: v for k, v in kwargs.items()
+                              if v is not None}
+    return {"coverage": given(injections=env["injections"],
+                              thread_counts=env["threads"]),
+            "false_positives": given(runs=env["runs"])}
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Paper-figure wall-clock trajectory: Figures 8 and 9, serial, storeless.
 
 Runs the Figure 8 (branch-flip) and Figure 9 (branch-condition) coverage
-matrices one after the other in this process, at ``REPRO_FAULTS=60``
-injections per campaign, ``REPRO_JOBS=1`` and without an artifact store
-(so every campaign records its own golden run and its trials resume from
-that run's checkpoints).  Appends one JSON line to ``BENCH_figures.json``
-at the repository root:
+matrices one after the other in this process, at 60 injections per
+campaign, serially (``jobs=1``) and without an artifact store (so every
+campaign records its own golden run and its trials resume from that
+run's checkpoints).  The settings are arguments of ``compute``;
+``$REPRO_STORE`` would still install a default store, so the script
+refuses to run with it set.  Appends one JSON line to
+``BENCH_figures.json`` at the repository root:
 
 * per figure: wall-clock and process CPU seconds, injections, the
   protected and unprotected outcome census, the trials cut short, and
@@ -46,7 +48,7 @@ def run_figure(module) -> dict:
     """Compute and render one coverage figure; its line entry."""
     wall = time.perf_counter()
     cpu = time.process_time()
-    result = module.compute()
+    result = module.compute(injections=FAULTS, jobs=1, store=None)
     table = module.render(result)
     cpu = time.process_time() - cpu
     wall = time.perf_counter() - wall
@@ -77,10 +79,8 @@ def main(argv=None) -> int:
                                                       "BENCH_figures.json"),
                         help="JSONL file to append the line to")
     args = parser.parse_args(argv)
-    os.environ["REPRO_FAULTS"] = str(FAULTS)
-    os.environ["REPRO_JOBS"] = "1"
-    os.environ.pop("REPRO_STORE", None)
-    os.environ.pop("REPRO_THREADS", None)
+    if os.environ.get("REPRO_STORE", "").strip():
+        parser.error("unset REPRO_STORE: the trajectory is storeless")
     from repro.experiments import fig8, fig9
     line = {
         "benchmark": "figures",

@@ -6,41 +6,19 @@ paired bars — ``coverage_original`` (the unprotected program's natural
 coverage from crashes, hangs and masking) and ``coverage_BLOCKWATCH``
 (detections included).
 
-Knobs (environment variables, so the pytest-benchmark harnesses can be
-scaled without editing code):
-
-``REPRO_FAULTS``   injections per (program, fault type, thread count);
-                   default 60 (the paper uses 1000 — feasible with a
-                   few cores, see ``REPRO_JOBS``).
-``REPRO_THREADS``  comma-separated thread counts; default ``4,32``.
-``REPRO_JOBS``     worker processes per campaign (0 = all cores);
-                   results are bit-identical to serial execution.
-``REPRO_STORE``    artifact-store root: kernel compiles are cached
-                   there, and golden runs in the store's memory, so
-                   Figures 8 and 9 run in one process (same kernels,
-                   same seeds, different fault type) share one golden
-                   run per configuration instead of recomputing it.
+Campaign sizes and process settings are arguments of
+:func:`compute_coverage`; ``repro figures`` passes its flags on.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import format_table
 from repro.faults import CampaignSpec, CampaignStats, FaultType, run_campaign
 from repro.splash2 import PAPER_NAMES, all_kernels
-
-
-def env_injections(default: int = 60) -> int:
-    return int(os.environ.get("REPRO_FAULTS", default))
-
-
-def env_threads(default: str = "4,32") -> Tuple[int, ...]:
-    raw = os.environ.get("REPRO_THREADS", default)
-    return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
 @dataclass
@@ -58,15 +36,15 @@ class CoverageResult:
 
 
 def compute_coverage(fault_type: FaultType,
-                     thread_counts: Tuple[int, ...] = None,
-                     injections: int = None,
+                     thread_counts: Tuple[int, ...] = (4, 32),
+                     injections: int = 60,
                      seed: int = 2012,
-                     jobs: int = None) -> CoverageResult:
-    """The campaign matrix.  ``jobs`` fans each campaign's injections
-    across worker processes (``None`` reads ``REPRO_JOBS``); every
-    campaign's statistics are identical to a serial run."""
-    thread_counts = thread_counts if thread_counts is not None else env_threads()
-    injections = injections if injections is not None else env_injections()
+                     jobs: Optional[int] = None,
+                     opt_level: Optional[int] = None,
+                     store=None) -> CoverageResult:
+    """The campaign matrix (the paper injects 1000 faults per cell).
+    ``jobs`` fans each campaign's injections across worker processes;
+    every campaign's statistics are identical to a serial run."""
     result = CoverageResult(fault_type=fault_type,
                             thread_counts=thread_counts,
                             injections=injections)
@@ -75,8 +53,8 @@ def compute_coverage(fault_type: FaultType,
             campaign = run_campaign(
                 CampaignSpec.for_kernel(
                     spec.name, fault=fault_type, injections=injections,
-                    nthreads=nthreads, seed=seed),
-                jobs=jobs)
+                    nthreads=nthreads, seed=seed, opt_level=opt_level),
+                jobs=jobs, store=store)
             result.stats[(spec.name, nthreads)] = campaign.stats
     return result
 

@@ -27,7 +27,7 @@ against it on two axes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import format_table
 from repro.splash2 import PAPER_NAMES, all_kernels
@@ -58,11 +58,11 @@ def modeled_duplication_overhead(base_time: float, locks: int, barriers: int,
     return (base_time * DUP_FACTOR + enforcement) / base_time
 
 
-def compute(thread_counts: Tuple[int, ...] = (4, 32),
-            seed: int = 0) -> DuplicationResult:
+def compute(thread_counts: Tuple[int, ...] = (4, 32), seed: int = 0,
+            opt_level: Optional[int] = None) -> DuplicationResult:
     result = DuplicationResult(thread_counts=thread_counts)
     for spec in all_kernels():
-        prog = spec.program()
+        prog = spec.program(opt_level=opt_level)
         row = []
         for nthreads in thread_counts:
             setup = spec.setup(nthreads)
@@ -76,9 +76,7 @@ def compute(thread_counts: Tuple[int, ...] = (4, 32),
     return result
 
 
-def render(result: DuplicationResult = None) -> str:
-    if result is None:
-        result = compute()
+def render(result: DuplicationResult) -> str:
     rows = []
     for name, values in result.rows.items():
         cells = [PAPER_NAMES[name]]

@@ -5,7 +5,7 @@ for each program instrumented by BLOCKWATCH and check if there are
 errors reported by it.  The results show that BLOCKWATCH does not report
 any errors."
 
-We run each program under ``REPRO_FP_RUNS`` (default 100) different
+We run each program under ``runs`` (default 100) different
 seeds — every seed is a different legal interleaving, which is a
 *stronger* setup than re-running one schedule — and count monitor
 reports.  The expected total is zero, by construction: every check is a
@@ -14,17 +14,12 @@ static superset of correct behaviour.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.analysis import format_table
 from repro.faults import run_false_positive_trial
 from repro.splash2 import PAPER_NAMES, all_kernels
-
-
-def env_runs(default: int = 100) -> int:
-    return int(os.environ.get("REPRO_FP_RUNS", default))
 
 
 @dataclass
@@ -39,21 +34,19 @@ class FalsePositiveResult:
         return sum(self.false_positives.values())
 
 
-def compute(runs: int = None, nthreads: int = 4,
-            base_seed: int = 555, jobs: int = None) -> FalsePositiveResult:
-    runs = runs if runs is not None else env_runs()
+def compute(runs: int = 100, nthreads: int = 4, base_seed: int = 555,
+            jobs: Optional[int] = None,
+            opt_level: Optional[int] = None) -> FalsePositiveResult:
     result = FalsePositiveResult(runs_per_program=runs, nthreads=nthreads)
     for spec in all_kernels():
-        prog = spec.program()
+        prog = spec.program(opt_level=opt_level)
         result.false_positives[spec.name] = run_false_positive_trial(
             prog, nthreads, runs, base_seed, setup=spec.setup(nthreads),
             output_globals=spec.output_globals, jobs=jobs)
     return result
 
 
-def render(result: FalsePositiveResult = None) -> str:
-    if result is None:
-        result = compute()
+def render(result: FalsePositiveResult) -> str:
     rows = [[PAPER_NAMES[name], result.runs_per_program, count]
             for name, count in result.false_positives.items()]
     rows.append(["TOTAL (paper: 0)", "", result.total])

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from repro.analysis import format_table
 from repro.parallel import run_tasks
 from repro.runtime import CostModel
+from repro.runtime.program import resolve_opt_level
 from repro.splash2 import PAPER_NAMES, all_kernels, kernel
 
 #: Approximate per-program normalized times read off the paper's Figure 6.
@@ -44,32 +45,42 @@ class Fig6Result:
         return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _overhead_task(seed: int, task) -> float:
-    """One independent timing run: (kernel name, thread count)."""
+def _overhead_task(context, task) -> float:
+    """One independent timing run: (kernel name, thread count), under
+    the context's (seed, opt level)."""
+    seed, opt_level = context
     name, nthreads = task
     spec = kernel(name)
-    return spec.program().overhead(nthreads, seed=seed,
-                                   setup=spec.setup(nthreads))
+    return spec.program(opt_level=opt_level).overhead(
+        nthreads, seed=seed, setup=spec.setup(nthreads))
+
+
+def overheads(thread_counts, seed: int, jobs: Optional[int],
+              opt_level: Optional[int]) -> Dict[str, List[float]]:
+    """Every kernel's overhead at each thread count: kernel -> list."""
+    opt_level = resolve_opt_level(opt_level)
+    tasks = []
+    for spec in all_kernels():
+        spec.program(opt_level=opt_level)  # compiled here; forks inherit it
+        tasks += [(spec.name, nthreads) for nthreads in thread_counts]
+    values = run_tasks(_overhead_task, tasks, jobs=jobs,
+                       context=(seed, opt_level))
+    result: Dict[str, List[float]] = {}
+    for (name, _), value in zip(tasks, values):
+        result.setdefault(name, []).append(value)
+    return result
 
 
 def compute(thread_counts=(4, 32), seed: int = 0,
             cost_model: Optional[CostModel] = None,
-            jobs: Optional[int] = None) -> Fig6Result:
-    result = Fig6Result(thread_counts=list(thread_counts))
-    specs = all_kernels()
-    for spec in specs:
-        spec.program()  # precompile in the parent; fork workers inherit
-    tasks = [(spec.name, nthreads)
-             for spec in specs for nthreads in thread_counts]
-    values = run_tasks(_overhead_task, tasks, jobs=jobs, context=seed)
-    for (name, _), value in zip(tasks, values):
-        result.overheads.setdefault(name, []).append(value)
-    return result
+            jobs: Optional[int] = None,
+            opt_level: Optional[int] = None) -> Fig6Result:
+    return Fig6Result(thread_counts=list(thread_counts),
+                      overheads=overheads(thread_counts, seed, jobs,
+                                          opt_level))
 
 
-def render(result: Fig6Result = None) -> str:
-    if result is None:
-        result = compute()
+def render(result: Fig6Result) -> str:
     rows = []
     for name, values in result.overheads.items():
         cells = [PAPER_NAMES[name]]

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.analysis import format_table
-from repro.experiments.fig6 import _overhead_task
-from repro.parallel import run_tasks
-from repro.splash2 import all_kernels
+from repro.experiments.fig6 import overheads
 
 DEFAULT_THREADS = (1, 2, 4, 8, 16, 32)
 
@@ -47,16 +45,11 @@ class Fig7Result:
 
 
 def compute(thread_counts=DEFAULT_THREADS, seed: int = 0,
-            jobs: int = None) -> Fig7Result:
-    result = Fig7Result(thread_counts=list(thread_counts))
-    specs = all_kernels()
-    for spec in specs:
-        spec.program()  # precompile in the parent; fork workers inherit
-    tasks = [(spec.name, nthreads)
-             for spec in specs for nthreads in thread_counts]
-    values = run_tasks(_overhead_task, tasks, jobs=jobs, context=seed)
-    for (name, _), value in zip(tasks, values):
-        result.per_program.setdefault(name, []).append(value)
+            jobs: Optional[int] = None,
+            opt_level: Optional[int] = None) -> Fig7Result:
+    result = Fig7Result(thread_counts=list(thread_counts),
+                        per_program=overheads(thread_counts, seed, jobs,
+                                              opt_level))
     for index in range(len(thread_counts)):
         values = [row[index] for row in result.per_program.values()]
         result.geomean.append(
@@ -64,9 +57,7 @@ def compute(thread_counts=DEFAULT_THREADS, seed: int = 0,
     return result
 
 
-def render(result: Fig7Result = None) -> str:
-    if result is None:
-        result = compute()
+def render(result: Fig7Result) -> str:
     rows = []
     for index, nthreads in enumerate(result.thread_counts):
         paper = PAPER_FIG_7.get(nthreads)

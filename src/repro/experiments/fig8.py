@@ -35,7 +35,5 @@ def compute(**kwargs) -> CoverageResult:
     return compute_coverage(FaultType.BRANCH_FLIP, **kwargs)
 
 
-def render(result: CoverageResult = None) -> str:
-    if result is None:
-        result = compute()
+def render(result: CoverageResult) -> str:
     return render_coverage(result, "Figure 8", PAPER_FIG_8, PAPER_AVERAGES)

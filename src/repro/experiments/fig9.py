@@ -34,7 +34,5 @@ def compute(**kwargs) -> CoverageResult:
     return compute_coverage(FaultType.BRANCH_CONDITION, **kwargs)
 
 
-def render(result: CoverageResult = None) -> str:
-    if result is None:
-        result = compute()
+def render(result: CoverageResult) -> str:
     return render_coverage(result, "Figure 9", PAPER_FIG_9, PAPER_AVERAGES)

@@ -5,29 +5,25 @@ The ``repro figures`` subcommand::
     repro figures list
     repro figures table3 table4 table5
     repro figures fig6 fig7
-    REPRO_FAULTS=200 repro figures fig8 fig9
-    repro figures --jobs 8 fig8          # 8 worker processes
-    REPRO_FAULTS=1000 REPRO_JOBS=0 repro figures fig8 fig9  # paper scale
+    repro figures -n 4 -t 4 fig8               # 4 injections, 4 threads
+    repro figures -n 1000 -j 0 fig8 fig9       # paper scale, all cores
     repro figures --store ~/.cache/repro fig8 fig9
     repro figures all
 
-``--jobs`` (or the ``REPRO_JOBS`` environment variable) fans every
-campaign-shaped workload out across worker processes; results are
-bit-identical to serial runs.
-
-``--store`` (or ``REPRO_STORE``) routes every kernel compile and every
-campaign golden run through a :mod:`repro.store` artifact cache, so
-fig6/fig7/fig8/fig9 on the same kernels share one compiled program per
-configuration across figures and invocations, and one golden run per
-configuration across the figures of one invocation (golden runs stay
-in memory with their checkpoints).
+Every setting reaches an experiment as an argument of its ``compute``
+(:data:`EXPERIMENTS`); an unset flag passes nothing, so the experiment
+keeps its own default.  Results are bit-identical for every ``--jobs``.
+``--store`` routes kernel compiles and campaign golden runs through a
+:mod:`repro.store` cache, so the figures of one invocation share one
+compiled program and one golden run per configuration.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.cliutil import add_shared_options
 from repro.errors import UsageError
@@ -44,17 +40,72 @@ from repro.experiments import (
     vuln_validation,
 )
 
-EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "table3": table3.render,
-    "table4": table4.render,
-    "table5": table5.render,
-    "fig6": fig6.render,
-    "fig7": fig7.render,
-    "fig8": fig8.render,
-    "fig9": fig9.render,
-    "false-positives": false_positives.render,
-    "duplication": duplication.render,
-    "vuln-validation": vuln_validation.render,
+
+def thread_list(text: str) -> Tuple[int, ...]:
+    """A comma-separated list of thread counts (``4,32``)."""
+    counts = tuple(int(part) for part in text.split(",") if part.strip())
+    if not counts or min(counts) < 1:
+        raise ValueError("no positive thread counts in %r" % text)
+    return counts
+
+
+#: Size flag -> (its environment variable, parser).
+SIZE_ENV = {"injections": ("REPRO_FAULTS", int),
+            "threads": ("REPRO_THREADS", thread_list),
+            "runs": ("REPRO_FP_RUNS", int)}
+
+
+def size_settings(args: Optional[argparse.Namespace] = None) -> Dict:
+    """The campaign sizes of a run: each size flag set in ``args``, else
+    its environment variable (:data:`SIZE_ENV`), else ``None`` (the
+    experiment's own default).  The one place where an experiment
+    setting is read from the environment."""
+    sizes = {}
+    for name, (variable, parse) in SIZE_ENV.items():
+        sizes[name] = getattr(args, name, None)
+        raw = os.environ.get(variable, "").strip()
+        if sizes[name] is None and raw:
+            try:
+                sizes[name] = parse(raw)
+            except ValueError:
+                raise UsageError("$%s: invalid value %r"
+                                 % (variable, raw)) from None
+    return sizes
+
+
+def _given(**kwargs) -> Dict:
+    """``kwargs`` without the ``None`` values: an unset flag passes
+    nothing."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
+def _coverage(module) -> Callable[[argparse.Namespace], str]:
+    return lambda a: module.render(module.compute(
+        jobs=a.jobs, opt_level=a.opt_level, store=a.store,
+        **_given(injections=a.injections, thread_counts=a.threads)))
+
+
+#: Experiment name -> a callable of the parsed ``repro figures`` args
+#: that computes and renders it, passing the settings it uses.
+EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
+    "table3": lambda a: table3.render(table3.compute()),
+    "table4": lambda a: table4.render(table4.compute(opt_level=a.opt_level)),
+    "table5": lambda a: table5.render(table5.compute(opt_level=a.opt_level)),
+    "fig6": lambda a: fig6.render(fig6.compute(
+        jobs=a.jobs, opt_level=a.opt_level)),
+    "fig7": lambda a: fig7.render(fig7.compute(
+        jobs=a.jobs, opt_level=a.opt_level)),
+    "fig8": _coverage(fig8),
+    "fig9": _coverage(fig9),
+    "false-positives": lambda a: false_positives.render(
+        false_positives.compute(jobs=a.jobs, opt_level=a.opt_level,
+                                **_given(runs=a.runs))),
+    "duplication": lambda a: duplication.render(
+        duplication.compute(opt_level=a.opt_level)),
+    "vuln-validation": lambda a: vuln_validation.render(
+        vuln_validation.compute(jobs=a.jobs, opt_level=a.opt_level,
+                                store=a.store,
+                                **_given(injections=a.injections))),
 }
 
 DESCRIPTIONS = {
@@ -80,21 +131,11 @@ def cmd_figures(args) -> int:
     if unknown and requested != ["list"]:
         raise UsageError("unknown experiment(s): %s (available: %s)"
                          % (", ".join(unknown), ", ".join(EXPERIMENTS)))
-    if args.jobs is not None:
-        # The experiment thunks take no arguments; the jobs policy flows
-        # through the environment (read by repro.parallel.resolve_jobs).
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.opt_level is not None:
-        # Same channel: ParallelProgram resolves this env knob at
-        # construction, and spawn-pool workers inherit them.
-        os.environ["REPRO_OPT_LEVEL"] = str(args.opt_level)
+    vars(args).update(size_settings(args))
     from repro.store import open_store
-    store = open_store(args.store, install=True)
-    if store is not None:
-        # Spawn-pool workers rebuild contexts from scratch; the env var
-        # lets them hit the same store instead of recompiling.
-        os.environ.setdefault("REPRO_STORE", store.root)
-        print("artifact store: %s" % store.root)
+    args.store = open_store(args.store, install=True)
+    if args.store is not None:
+        print("artifact store: %s" % args.store.root)
 
     if requested == ["list"]:
         for name in EXPERIMENTS:
@@ -102,7 +143,7 @@ def cmd_figures(args) -> int:
         return 0
     for name in requested:
         started = time.time()
-        print(EXPERIMENTS[name]())
+        print(EXPERIMENTS[name](args))
         print("[%s took %.1fs]" % (name, time.time() - started))
         print()
     return 0
@@ -117,5 +158,14 @@ def register(sub) -> None:
                     "32-core substrate.")
     parser.add_argument("experiments", nargs="+",
                         help="experiment names, 'list', or 'all'")
+    parser.add_argument("-n", "--injections", type=int, help=(
+        "injections per campaign of fig8/fig9/vuln-validation "
+        "(default: $REPRO_FAULTS, else 60/60/120)"))
+    parser.add_argument("-t", "--threads", type=thread_list, metavar="N,..",
+                        help="fig8/fig9 thread counts (default: "
+                             "$REPRO_THREADS, else 4,32)")
+    parser.add_argument("--runs", type=int, help=(
+        "false-positives runs per program (default: $REPRO_FP_RUNS, "
+        "else 100)"))
     add_shared_options(parser, "jobs", "store", "opt")
     parser.set_defaults(func=cmd_figures)

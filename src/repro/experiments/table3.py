@@ -75,9 +75,7 @@ def compute() -> Table3Result:
                         final=final)
 
 
-def render(result: Table3Result = None) -> str:
-    if result is None:
-        result = compute()
+def render(result: Table3Result) -> str:
     headers = ["variable/branch"] + [
         "iter %d" % (index + 1) for index in range(len(result.trace))
     ] + ["paper final"]

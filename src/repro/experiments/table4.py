@@ -11,7 +11,7 @@ numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.analysis import ProgramCharacteristics, format_table, program_characteristics
 from repro.splash2 import PAPER_NAMES, all_kernels
@@ -35,19 +35,17 @@ class Table4Row:
     paper: tuple
 
 
-def compute() -> List[Table4Row]:
+def compute(opt_level: Optional[int] = None) -> List[Table4Row]:
     rows = []
     for spec in all_kernels():
-        prog = spec.program()
+        prog = spec.program(opt_level=opt_level)
         ours = program_characteristics(spec.name, spec.source, prog.baseline,
                                        spec.entry)
         rows.append(Table4Row(ours=ours, paper=PAPER_TABLE_IV[spec.name]))
     return rows
 
 
-def render(rows: List[Table4Row] = None) -> str:
-    if rows is None:
-        rows = compute()
+def render(rows: List[Table4Row]) -> str:
     table = []
     for row in rows:
         o, p = row.ours, row.paper

@@ -10,7 +10,7 @@ are dominated by thread-local data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.analysis import (
     Category,
@@ -38,18 +38,16 @@ class Table5Row:
     paper: tuple
 
 
-def compute() -> List[Table5Row]:
+def compute(opt_level: Optional[int] = None) -> List[Table5Row]:
     rows = []
     for spec in all_kernels():
-        prog = spec.program()
+        prog = spec.program(opt_level=opt_level)
         stats = category_statistics(spec.name, prog.analysis)
         rows.append(Table5Row(ours=stats, paper=PAPER_TABLE_V[spec.name]))
     return rows
 
 
-def render(rows: List[Table5Row] = None) -> str:
-    if rows is None:
-        rows = compute()
+def render(rows: List[Table5Row]) -> str:
     table = []
     for row in rows:
         o, p = row.ours, row.paper

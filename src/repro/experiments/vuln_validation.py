@@ -16,16 +16,11 @@ and mirrored here): predicted-monitored sites must show a strictly
 higher measured detection rate than predicted-SDC-prone sites, and the
 stratified estimate must land within ±5 percentage points of the full
 sweep.
-
-Knobs: ``REPRO_FAULTS`` (full-sweep injections per kernel, default
-120), ``REPRO_JOBS`` (worker processes), ``REPRO_STORE`` (cache for
-kernel compiles, goldens, and per-function vulnerability summaries).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import AnalysisConfig, format_table
 from repro.faults import CampaignSpec, check_validation, validate_predictions
@@ -46,21 +41,19 @@ SEED = 99
 BUDGET_FRACTION = 0.25
 
 
-def env_injections(default: int = 120) -> int:
-    return int(os.environ.get("REPRO_FAULTS", default))
-
-
-def compute(kernels: Tuple[str, ...] = KERNELS,
-            injections: int = None,
-            jobs: int = None) -> List[Dict]:
+def compute(kernels: Tuple[str, ...] = KERNELS, injections: int = 120,
+            jobs: Optional[int] = None, opt_level: Optional[int] = None,
+            store=None) -> List[Dict]:
     """One validation result dict per kernel (see
     :func:`repro.faults.validate_predictions` for the schema),
-    plus a ``"failures"`` key listing violated acceptance checks."""
-    injections = injections if injections is not None else env_injections()
-    store = default_store()
+    plus a ``"failures"`` key listing violated acceptance checks.
+    ``store`` (default: the process default store) caches goldens and
+    per-function vulnerability summaries."""
+    store = store if store is not None else default_store()
     results = []
     for name in kernels:
-        program = kernel(name).program(analysis_config=SPARSE)
+        program = kernel(name).program(analysis_config=SPARSE,
+                                       opt_level=opt_level)
         spec = CampaignSpec.for_kernel(
             name, fault="flip", injections=injections, nthreads=NTHREADS,
             seed=SEED, opt_level=program.opt_level)
@@ -75,8 +68,7 @@ def compute(kernels: Tuple[str, ...] = KERNELS,
     return results
 
 
-def render() -> str:
-    results = compute()
+def render(results: List[Dict]) -> str:
     rows = []
     for result in results:
         for cls in ("monitored", "masked", "sdc-prone"):

@@ -21,7 +21,7 @@ import random
 from typing import Optional
 
 from repro.faults.models import FaultSpec, FaultType
-from repro.ir import Cmp, Constant, GlobalVariable
+from repro.ir import Cmp, Constant, GlobalVariable, Instruction
 from repro.runtime.closures import Frame
 from repro.runtime.machine import FaultHook, Machine, ThreadContext
 from repro.runtime.values import evaluate_cmp, flip_value_bit
@@ -80,7 +80,7 @@ class InjectingHook(FaultHook):
                 new_taken = evaluate_cmp(cond.op, lhs, rhs)
                 self.flipped_branch = new_taken != taken
                 self.detail = ("flipped bit %d of %s: %r -> %r"
-                               % (bit, victim.short(), old, new))
+                               % (bit, _register_name(victim), old, new))
                 return new_taken
         # The condition is a lone boolean register (or the compare reads
         # only immediates): the condition *is* the data; flip its bit 0.
@@ -96,6 +96,19 @@ class InjectingHook(FaultHook):
         if isinstance(value, bool):
             return 0
         return rng.randrange(64)
+
+
+def _register_name(value) -> str:
+    """``value.short()``, except that an instruction with neither name
+    nor vid is named by its index in its function (``%<N>``), where
+    ``short()`` would print a process-local ``id()``."""
+    if isinstance(value, Instruction) and not value.name and value.vid < 0:
+        function = value.function
+        if function is not None:
+            for index, inst in enumerate(function.instructions()):
+                if inst is value:
+                    return "%%<%d>" % index
+    return value.short()
 
 
 def plan_fault(fault_type: FaultType, branch_counts: dict,

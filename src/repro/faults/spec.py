@@ -208,26 +208,19 @@ class CampaignSpec:
     def resolve_program(self, store=None):
         """Compile (or fetch) the program this spec describes.
 
-        Kernel references reuse the registry's in-process compile cache;
-        a ``store`` (or the process default) serves warm artifacts for
-        default-configured programs.
+        Kernel references reuse the registry's in-process compile cache
+        at the spec's opt level; for inline programs a ``store`` (or the
+        process default) serves warm artifacts.
         """
         from repro.runtime.program import ParallelProgram
-        source, name, entry = self.resolved_source()
         if self.is_kernel:
-            cached = self._kernel().program()
-            # The registry cache compiles at the *environment's* opt
-            # level; reuse it only when that matches the spec.
-            if cached.opt_level == self.opt_level:
-                return cached
+            return self._kernel().program(opt_level=self.opt_level)
         if store is None:
             from repro.store.runtime import default_store
             store = default_store()
-        if store is not None:
-            return store.get_program(source, name, entry=entry,
-                                     opt_level=self.opt_level)
-        return ParallelProgram(source, name, entry=entry,
-                               opt_level=self.opt_level)
+        build = store.get_program if store is not None else ParallelProgram
+        return build(self.program, self.name, entry=self.entry,
+                     opt_level=self.opt_level)
 
     def default_setup(self) -> "SpecSetup":
         """The picklable input generator the spec describes (kernel

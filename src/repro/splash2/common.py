@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.analysis import AnalysisConfig
 from repro.runtime.memory import SharedMemory
-from repro.runtime.program import ParallelProgram
+from repro.runtime.program import ParallelProgram, resolve_opt_level
 
 
 @dataclass
@@ -45,30 +45,32 @@ class KernelSpec:
     #: limited precision of the benchmark's printed output; see
     #: CampaignConfig.quantize_bits).  0 = bit-exact comparison.
     sdc_quantize_bits: int = 0
-    _program: Optional[ParallelProgram] = None
+    #: Compiled programs, one per optimization level.
+    _programs: Dict[int, ParallelProgram] = field(default_factory=dict)
 
-    def program(self, analysis_config: Optional[AnalysisConfig] = None) -> ParallelProgram:
-        """Compile (and cache) the kernel.  A custom analysis config
-        bypasses the cache.
+    def program(self, analysis_config: Optional[AnalysisConfig] = None,
+                opt_level: Optional[int] = None) -> ParallelProgram:
+        """Compile (and cache, one program per optimization level) the
+        kernel.  ``opt_level`` ``None`` means ``$REPRO_OPT_LEVEL`` or 0.
+        A custom analysis config bypasses the cache.
 
         When a default :class:`repro.store.ArtifactStore` is configured
         (``--store`` / ``$REPRO_STORE``), the compile goes through it, so
         every harness touching the same kernel — figures, campaigns,
         CLIs, other processes — shares one compiled artifact.
         """
+        opt_level = resolve_opt_level(opt_level)
         if analysis_config is not None:
             return ParallelProgram(self.source, self.name, entry=self.entry,
-                                   analysis_config=analysis_config)
-        if self._program is None:
+                                   analysis_config=analysis_config,
+                                   opt_level=opt_level)
+        if opt_level not in self._programs:
             from repro.store.runtime import default_store
             store = default_store()
-            if store is not None:
-                self._program = store.get_program(self.source, self.name,
-                                                  entry=self.entry)
-            else:
-                self._program = ParallelProgram(self.source, self.name,
-                                                entry=self.entry)
-        return self._program
+            build = store.get_program if store is not None else ParallelProgram
+            self._programs[opt_level] = build(
+                self.source, self.name, entry=self.entry, opt_level=opt_level)
+        return self._programs[opt_level]
 
     def setup(self, nthreads: int, seed: int = 2012) -> "KernelSetup":
         """A setup callable bound to (nthreads, seed) — pass to run().

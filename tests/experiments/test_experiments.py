@@ -4,6 +4,8 @@ The expensive figures (6-9) are exercised with reduced parameters — the
 full-size regeneration lives in benchmarks/.
 """
 
+import os
+
 import pytest
 
 from repro.experiments import (
@@ -20,6 +22,7 @@ from repro.experiments.coverage import compute_coverage
 from repro.cli import main as repro_main
 from repro.experiments.runner import EXPERIMENTS
 from repro.faults import FaultType
+from repro.store import default_store
 
 
 class TestTable3:
@@ -130,3 +133,63 @@ class TestRunner:
     def test_runs_cheap_experiment(self, capsys):
         assert runner_main(["table3"]) == 0
         assert "Table III" in capsys.readouterr().out
+
+    def test_leaves_the_environment_and_store_as_it_found_them(
+            self, tmp_path, capsys):
+        """``--store``, ``-j`` and ``-O`` reach the experiments as
+        arguments: nothing is written to ``os.environ``, and the store
+        is uninstalled when the command returns."""
+        store = str(tmp_path / "store")
+        before = {k: v for k, v in os.environ.items()
+                  if k.startswith("REPRO_")}
+        assert runner_main(["list", "--store", store, "-j", "1",
+                            "-O", "2"]) == 0
+        assert "artifact store: %s" % store in capsys.readouterr().out
+        after = {k: v for k, v in os.environ.items()
+                 if k.startswith("REPRO_")}
+        assert after == before
+        current = default_store()
+        assert current is None or current.root != store
+
+
+class TestRunnerSettings:
+    """Which settings each experiment receives: the flag, else the
+    size's environment variable, else nothing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def compute(**kwargs):
+            calls.append(kwargs)
+            return kwargs
+
+        monkeypatch.setattr(fig8, "compute", compute)
+        monkeypatch.setattr(fig8, "render", lambda result: "rendered")
+        for name in ("REPRO_FAULTS", "REPRO_THREADS", "REPRO_STORE"):
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    def test_injections_flag_over_environment(self, calls, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("REPRO_FAULTS", "7")
+        assert runner_main(["fig8", "-n", "3", "-t", "4", "-j", "1",
+                            "-O", "2"]) == 0
+        assert runner_main(["fig8"]) == 0
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert runner_main(["fig8"]) == 0
+        flagged, from_env, unset = calls
+        assert flagged == {"jobs": 1, "opt_level": 2, "store": None,
+                           "injections": 3, "thread_counts": (4,)}
+        assert from_env["injections"] == 7
+        # Unset everywhere: the module's own defaults apply.
+        assert unset == {"jobs": None, "opt_level": None, "store": None}
+        assert "rendered" in capsys.readouterr().out
+
+    def test_bad_environment_size_is_one_error(self, calls, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("REPRO_FAULTS", "many")
+        assert runner_main(["fig8"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: $REPRO_FAULTS: invalid value 'many'\n"
+        assert calls == []

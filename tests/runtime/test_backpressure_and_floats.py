@@ -127,13 +127,22 @@ class TestFloatKernel:
 
 
 class TestEnvKnobs:
-    def test_coverage_env_parsing(self, monkeypatch):
-        from repro.experiments.coverage import env_injections, env_threads
+    def test_figures_size_settings(self, monkeypatch):
+        from repro.experiments.runner import size_settings
         monkeypatch.setenv("REPRO_FAULTS", "123")
         monkeypatch.setenv("REPRO_THREADS", "2, 8")
-        assert env_injections() == 123
-        assert env_threads() == (2, 8)
-        monkeypatch.delenv("REPRO_FAULTS")
-        monkeypatch.delenv("REPRO_THREADS")
-        assert env_injections(55) == 55
-        assert env_threads() == (4, 32)
+        monkeypatch.setenv("REPRO_FP_RUNS", "7")
+        assert size_settings() == {"injections": 123, "threads": (2, 8),
+                                   "runs": 7}
+        for name in ("REPRO_FAULTS", "REPRO_THREADS", "REPRO_FP_RUNS"):
+            monkeypatch.delenv(name)
+        # Unset: nothing, so each experiment keeps its own default.
+        assert size_settings() == {"injections": None, "threads": None,
+                                   "runs": None}
+
+    def test_figures_thread_list_rejects_empty_and_nonpositive(self):
+        from repro.experiments.runner import thread_list
+        assert thread_list("4, 32,") == (4, 32)
+        for text in (",", "", "0,4", "four"):
+            with pytest.raises(ValueError):
+                thread_list(text)

@@ -16,7 +16,6 @@ from repro.faults import campaign as campaign_module
 from repro.parallel import WorkerPool
 from repro.serve import ServeClient, ServeConfig, ServerThread, protocol
 from repro.store import store_for
-from repro.triage.witness import normalize_detail
 from tests.serve.test_serve import client_free_state, figure1_spec
 
 #: The real worker-side factory, for the patched ones below.
@@ -33,9 +32,8 @@ def _failing_for_broken_seed(light, spec, store_root):
 
 
 def rows(result):
-    # Details name unnamed registers by a process-local id().
     return [(r.spec, r.outcome, r.baseline_outcome, r.flipped_branch,
-             normalize_detail(r.detail)) for r in result.records]
+             r.detail) for r in result.records]
 
 
 def assert_same_result(got, want):

@@ -19,6 +19,29 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown kernel"):
             kernel("nope")
 
+    def test_program_per_opt_level(self):
+        """The registry caches one program per opt level: an ``-O2``
+        request after an ``-O0`` compile gets an ``-O2`` program."""
+        spec = kernel("radix")
+        plain = spec.program(opt_level=0)
+        optimized = spec.program(opt_level=2)
+        assert (plain.opt_level, optimized.opt_level) == (0, 2)
+        assert spec.program(opt_level=2) is optimized
+        assert spec.program(opt_level=0) is plain
+
+    def test_program_default_opt_level_is_the_environment(self,
+                                                          monkeypatch):
+        spec = kernel("radix")
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
+        assert spec.program() is spec.program(opt_level=2)
+        monkeypatch.delenv("REPRO_OPT_LEVEL")
+        assert spec.program() is spec.program(opt_level=0)
+
+    def test_campaign_spec_asks_the_registry_at_its_opt_level(self):
+        from repro.faults import CampaignSpec
+        spec = CampaignSpec.for_kernel("radix", opt_level=2)
+        assert spec.resolve_program() is kernel("radix").program(opt_level=2)
+
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 class TestEveryKernel:
