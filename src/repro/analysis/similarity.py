@@ -255,6 +255,27 @@ class SimilarityResult:
         #: per-thread disjoint-index proofs.
         self.tid_slopes: Dict[int, object] = {}
 
+    # -- pickling (the artifact store) --------------------------------------
+
+    def __getstate__(self):
+        # Ids do not survive pickling: carry the two id-keyed maps keyed
+        # by the values themselves (dropping values no longer in the
+        # module) and re-key them on load.  Symbolic slopes keep their
+        # factors' old ids, which stay consistent with one another.
+        values = {id(value): value for function in self.module.function_table
+                  for value in (*function.params, *function.instructions())}
+        state = dict(self.__dict__)
+        for attr in ("categories", "tid_slopes"):
+            state[attr] = [(values[key], item)
+                           for key, item in state[attr].items()
+                           if key in values]
+        return state
+
+    def __setstate__(self, state):
+        for attr in ("categories", "tid_slopes"):
+            state[attr] = {id(value): item for value, item in state[attr]}
+        self.__dict__.update(state)
+
     # -- queries -----------------------------------------------------------
 
     def category_of(self, value: Value) -> Category:

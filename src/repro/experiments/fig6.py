@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis import format_table
 from repro.parallel import run_tasks
-from repro.runtime import CostModel
 from repro.runtime.program import resolve_opt_level
 from repro.splash2 import PAPER_NAMES, all_kernels, kernel
 
@@ -72,7 +71,6 @@ def overheads(thread_counts, seed: int, jobs: Optional[int],
 
 
 def compute(thread_counts=(4, 32), seed: int = 0,
-            cost_model: Optional[CostModel] = None,
             jobs: Optional[int] = None,
             opt_level: Optional[int] = None) -> Fig6Result:
     return Fig6Result(thread_counts=list(thread_counts),

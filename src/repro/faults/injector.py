@@ -99,10 +99,13 @@ class InjectingHook(FaultHook):
 
 
 def _register_name(value) -> str:
-    """``value.short()``, except that an instruction with neither name
-    nor vid is named by its index in its function (``%<N>``), where
-    ``short()`` would print a process-local ``id()``."""
-    if isinstance(value, Instruction) and not value.name and value.vid < 0:
+    """A register's name in fault details: ``%name`` for a named
+    instruction and ``%<N>`` (its index in its function) for an unnamed
+    one, whatever vid printing the module left on it; ``value.short()``
+    for anything else."""
+    if isinstance(value, Instruction):
+        if value.name:
+            return "%" + value.name
         function = value.function
         if function is not None:
             for index, inst in enumerate(function.instructions()):

@@ -112,7 +112,8 @@ class _FunctionCodegen:
         self.builder = IRBuilder()
         # Braun SSA state -----------------------------------------------
         self._current_defs: Dict[str, Dict[int, Value]] = {}
-        self._sealed: set = set()
+        # sealed block id -> its predecessors, final once sealed
+        self._sealed_preds: Dict[int, List[BasicBlock]] = {}
         self._incomplete: Dict[int, Dict[str, Phi]] = {}
         self._block_by_id: Dict[int, BasicBlock] = {}
         # declared locals and parameters: name -> type
@@ -160,31 +161,31 @@ class _FunctionCodegen:
         return self._read_recursive(var, block)
 
     def _read_recursive(self, var: str, block: BasicBlock) -> Value:
-        if id(block) not in self._sealed:
+        preds = self._sealed_preds.get(id(block))
+        if preds is None:
             phi = Phi(self._local_types[var], var)
             block.insert_after_phis(phi)
             phi.parent = block
             self._incomplete.setdefault(id(block), {})[var] = phi
             value: Value = phi
+        elif len(preds) == 1:
+            value = self._read(var, preds[0])
+        elif not preds:
+            # Read of an uninitialized variable in an unreachable block
+            # (e.g. after 'break'); any value will do.
+            value = Constant(0 if self._local_types[var] is INT else 0.0)
         else:
-            preds = block.predecessors()
-            if len(preds) == 1:
-                value = self._read(var, preds[0])
-            elif not preds:
-                # Read of an uninitialized variable in an unreachable block
-                # (e.g. after 'break'); any value will do.
-                value = Constant(0 if self._local_types[var] is INT else 0.0)
-            else:
-                phi = Phi(self._local_types[var], var)
-                block.insert_after_phis(phi)
-                phi.parent = block
-                self._write(var, block, phi)
-                value = self._add_phi_operands(var, phi, block)
+            phi = Phi(self._local_types[var], var)
+            block.insert_after_phis(phi)
+            phi.parent = block
+            self._write(var, block, phi)
+            value = self._add_phi_operands(var, phi, preds)
         self._write(var, block, value)
         return value
 
-    def _add_phi_operands(self, var: str, phi: Phi, block: BasicBlock) -> Value:
-        for pred in block.predecessors():
+    def _add_phi_operands(self, var: str, phi: Phi,
+                          preds: List[BasicBlock]) -> Value:
+        for pred in preds:
             phi.add_incoming(self._read(var, pred), pred)
         return self._try_remove_trivial(phi)
 
@@ -216,9 +217,10 @@ class _FunctionCodegen:
         return same
 
     def _seal(self, block: BasicBlock) -> None:
+        preds = block.predecessors()
         for var, phi in self._incomplete.pop(id(block), {}).items():
-            self._add_phi_operands(var, phi, block)
-        self._sealed.add(id(block))
+            self._add_phi_operands(var, phi, preds)
+        self._sealed_preds[id(block)] = preds
 
     # -- statements ----------------------------------------------------------
 

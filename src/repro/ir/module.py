@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from typing import Dict, List, Optional
 
 from repro.errors import IRError
@@ -37,6 +38,14 @@ class Module:
         state = dict(self.__dict__)
         state["closure_cache"] = {}
         return state
+
+    def copy(self, name: str) -> "Module":
+        """An independent copy of this module named ``name``, made by the
+        pickle round trip the artifact store stores modules with (faster
+        than ``copy.deepcopy`` on the IR's object graph)."""
+        clone = pickle.loads(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
+        clone.name = name
+        return clone
 
     # -- globals ---------------------------------------------------------
 

@@ -5,6 +5,12 @@ program — the plain baseline and the BLOCKWATCH-instrumented version —
 plus its analysis artifacts, and knows how to execute either on the
 simulated machine.  This is the object the examples, the fault-injection
 campaigns, and the benchmark harnesses all drive.
+
+The static half runs once per program: the source is lowered once, the
+baseline image is a copy of that module taken before anything numbers
+or instruments it, and one similarity analysis serves both the race
+lint and the instrumentation (a second one only when the lint finds
+racy locations to demote).
 """
 
 from __future__ import annotations
@@ -91,10 +97,11 @@ class ParallelProgram:
         self.source = source
         self.name = name
         self.entry = entry
-        #: Uninstrumented image (the paper's baseline measurements).
-        self.baseline = compile_source(source, name)
-        #: Instrumented image plus its analysis.
+        #: Instrumented image plus its analysis, lowered once; the
+        #: uninstrumented baseline (the paper's baseline measurements) is
+        #: a copy taken before anything numbers or instruments it.
         self.protected = compile_source(source, name + ".bw")
+        self.baseline = self.protected.copy(name)
         aconfig = analysis_config if analysis_config is not None else AnalysisConfig(
             entry=entry)
         if aconfig.entry != entry:
@@ -107,31 +114,24 @@ class ParallelProgram:
         #: changes the program's content address.
         self.analysis_config = aconfig
         self.instrument_config = instrument_config
-        #: Static race report over the baseline image (None when the
-        #: refinement is disabled).  Error-severity findings feed the
-        #: race-aware refinement: branches whose conditions load racy
-        #: locations are demoted and never checked.
+        #: Static race report over the not yet instrumented image (None
+        #: when the refinement is disabled).  Error-severity findings
+        #: feed the race-aware refinement: branches whose conditions
+        #: load racy locations are demoted and never checked.
         self.lint_report = None
-        effective = aconfig
-        pre_analysis: Optional[SimilarityResult] = None
+        analysis = analyze_module(self.protected, aconfig)
         if aconfig.race_refinement:
             from repro.lint import lint_module
-            pre_analysis = analyze_module(self.baseline, aconfig)
-            self.lint_report = lint_module(self.baseline, entry=entry,
-                                           analysis=pre_analysis, name=name)
+            self.lint_report = lint_module(self.protected, entry=entry,
+                                           analysis=analysis, name=name)
             racy = set(aconfig.racy_locations)
             racy.update(self.lint_report.racy_locations)
             if racy != set(aconfig.racy_locations):
-                effective = dataclasses.replace(
-                    aconfig, racy_locations=tuple(sorted(racy)))
-        self.analysis: SimilarityResult = analyze_module(
-            self.protected, effective)
+                analysis = analyze_module(self.protected, dataclasses.replace(
+                    aconfig, racy_locations=tuple(sorted(racy))))
+        self.analysis: SimilarityResult = analysis
         self.metadata = instrument_module(self.protected, self.analysis,
                                           instrument_config)
-        #: Analysis of the baseline image (identical IR), for reporting.
-        self.baseline_analysis: SimilarityResult = (
-            pre_analysis if effective is aconfig and pre_analysis is not None
-            else analyze_module(self.baseline, effective))
         #: Optimization level, resolved from the argument or the
         #: environment at construction time.
         self.opt_level = resolve_opt_level(opt_level)

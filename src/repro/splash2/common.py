@@ -45,7 +45,7 @@ class KernelSpec:
     #: limited precision of the benchmark's printed output; see
     #: CampaignConfig.quantize_bits).  0 = bit-exact comparison.
     sdc_quantize_bits: int = 0
-    #: Compiled programs, one per optimization level.
+    #: Storeless compiled programs, one per optimization level.
     _programs: Dict[int, ParallelProgram] = field(default_factory=dict)
 
     def program(self, analysis_config: Optional[AnalysisConfig] = None,
@@ -55,20 +55,23 @@ class KernelSpec:
         A custom analysis config bypasses the cache.
 
         When a default :class:`repro.store.ArtifactStore` is configured
-        (``--store`` / ``$REPRO_STORE``), the compile goes through it, so
-        every harness touching the same kernel — figures, campaigns,
-        CLIs, other processes — shares one compiled artifact.
+        (``--store`` / ``$REPRO_STORE``), the compile goes through that
+        store (which keeps its own in-process copy), so every harness
+        touching the same kernel — figures, campaigns, CLIs, other
+        processes — shares one compiled artifact.
         """
         opt_level = resolve_opt_level(opt_level)
         if analysis_config is not None:
             return ParallelProgram(self.source, self.name, entry=self.entry,
                                    analysis_config=analysis_config,
                                    opt_level=opt_level)
+        from repro.store.runtime import default_store
+        store = default_store()
+        if store is not None:
+            return store.get_program(self.source, self.name,
+                                     entry=self.entry, opt_level=opt_level)
         if opt_level not in self._programs:
-            from repro.store.runtime import default_store
-            store = default_store()
-            build = store.get_program if store is not None else ParallelProgram
-            self._programs[opt_level] = build(
+            self._programs[opt_level] = ParallelProgram(
                 self.source, self.name, entry=self.entry, opt_level=opt_level)
         return self._programs[opt_level]
 

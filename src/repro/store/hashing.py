@@ -44,7 +44,9 @@ from typing import Dict, Optional, Tuple
 #: 3: one execution engine — programs carry no backend, and modules
 #: pickle without their process-local closure cache.
 #: 4: golden summaries carry the thread similarity classes.
-ARTIFACT_SCHEMA = 4
+#: 5: programs carry no baseline analysis, and a similarity result
+#: pickles its id-keyed maps keyed by the IR values themselves.
+ARTIFACT_SCHEMA = 5
 
 #: Version of the compiled-program content address.  Program keys are
 #: also part of every campaign plan hash (journals, served jobs), so

@@ -65,7 +65,9 @@ class TestProgramWiring:
                    if r.skip_reason == "racy_condition"]
         assert demoted
         # the baseline analysis agrees, so golden comparisons stay aligned
-        baseline = [r for r in program.baseline_analysis.all_branches()
+        baseline_analysis = analyze_module(program.baseline,
+                                           program.analysis.config)
+        baseline = [r for r in baseline_analysis.all_branches()
                     if r.skip_reason == "racy_condition"]
         assert len(baseline) == len(demoted)
 

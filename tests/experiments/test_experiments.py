@@ -152,6 +152,22 @@ class TestRunner:
         assert current is None or current.root != store
 
 
+    def test_each_store_gets_the_programs_it_is_asked_for(
+            self, tmp_path, capsys):
+        """The kernel registry's in-process cache does not stand in for
+        a second store: both stores end up holding the compiled
+        kernels."""
+        roots = [str(tmp_path / "a"), str(tmp_path / "b")]
+        for root in roots:
+            assert runner_main(["table4", "--store", root]) == 0
+        capsys.readouterr()
+        for root in roots:
+            objects = [name for _, _, names in
+                       os.walk(os.path.join(root, "objects"))
+                       for name in names if name == "data.pkl"]
+            assert len(objects) >= 7, root
+
+
 class TestRunnerSettings:
     """Which settings each experiment receives: the flag, else the
     size's environment variable, else nothing."""

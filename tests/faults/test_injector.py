@@ -192,3 +192,38 @@ class TestHookTrigger:
             else:
                 assert hook.activated
                 assert calls == {fault.thread_id: [fault.branch_index]}
+
+
+def condition_details(program, store=None):
+    """The detail of every injection of a small condition-fault campaign
+    on water_nsquared (whose victims include unnamed registers)."""
+    from repro.faults import CampaignSpec, run_campaign
+    spec = CampaignSpec.for_kernel("water_nsquared", fault="condition",
+                                   injections=12, nthreads=4)
+    result = run_campaign(spec, keep_records=True, jobs=1, store=store,
+                          program=program)
+    return [record.detail for record in result.records]
+
+
+def test_condition_details_do_not_depend_on_printing(tmp_path):
+    """Printing a module numbers its values; a default store prints the
+    protected image to key its closures.  Neither may rename victims."""
+    from repro.ir import print_module
+    from repro.store import ArtifactStore
+    from repro.store.runtime import set_default_store
+    spec = kernel("water_nsquared")
+
+    def fresh():
+        return ParallelProgram(spec.source, spec.name)
+
+    plain = condition_details(fresh())
+    assert any("%<" in detail for detail in plain)
+    printed = fresh()
+    print_module(printed.protected)
+    assert condition_details(printed) == plain
+    store = ArtifactStore(str(tmp_path / "store"))
+    set_default_store(store)
+    try:
+        assert condition_details(fresh(), store=store) == plain
+    finally:
+        set_default_store(None)

@@ -71,6 +71,27 @@ class TestProgramCache:
         result = program.run_protected(2, setup=setup)
         assert result.status == "ok"
 
+    def test_loaded_program_answers_analysis_queries_like_a_fresh_one(
+            self, store):
+        """The analysis keys categories and slopes by ``id(value)``; a
+        program loaded from disk must still find every value's."""
+        from repro.splash2 import kernel
+        spec = kernel("radix")
+        fresh = store.get_program(spec.source, spec.name)
+        loaded = ArtifactStore(store.root).get_program(spec.source,
+                                                       spec.name)
+        assert loaded is not fresh
+
+        def answers(program):
+            analysis = program.analysis
+            return [(analysis.category_of(inst),
+                     analysis.slope_of(inst) is None)
+                    for function in program.protected.function_table
+                    for inst in function.instructions()]
+
+        assert answers(loaded) == answers(fresh)
+        assert sum(not none for _, none in answers(fresh)) > 0
+
     def test_corrupt_entry_is_a_miss_and_self_heals(self, store):
         store.get_program(FIGURE_1, "fig1")
         # Resolve the env knob exactly as get_program does, so the test
