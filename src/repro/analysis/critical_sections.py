@@ -19,6 +19,7 @@ from typing import Dict, Set
 
 from repro.ir import (
     CFG,
+    BasicBlock,
     Function,
     Instruction,
     LockAcquire,
@@ -33,8 +34,8 @@ class CriticalSections:
     def __init__(self, function: Function, cfg: CFG = None):
         self.function = function
         cfg = cfg if cfg is not None else CFG(function)
-        self._entry_depth: Dict[int, int] = {id(b): 0 for b in function.blocks}
-        self._inst_depth: Dict[int, int] = {}
+        self._entry_depth: Dict[BasicBlock, int] = {b: 0 for b in function.blocks}
+        self._inst_depth: Dict[Instruction, int] = {}
         self._compute(cfg)
 
     def _compute(self, cfg: CFG) -> None:
@@ -48,22 +49,22 @@ class CriticalSections:
                     depth = max(self._exit_depth(p) for p in preds)
                 else:
                     depth = 0
-                if depth != self._entry_depth[id(block)]:
-                    self._entry_depth[id(block)] = depth
+                if depth != self._entry_depth[block]:
+                    self._entry_depth[block] = depth
                     changed = True
         for block in self.function.blocks:
-            depth = self._entry_depth[id(block)]
+            depth = self._entry_depth[block]
             for inst in block.instructions:
                 # The depth *at* the instruction: a branch right after
                 # unlock is outside the critical section.
                 if isinstance(inst, LockRelease):
                     depth = max(0, depth - 1)
-                self._inst_depth[id(inst)] = depth
+                self._inst_depth[inst] = depth
                 if isinstance(inst, LockAcquire):
                     depth += 1
 
     def _exit_depth(self, block) -> int:
-        depth = self._entry_depth[id(block)]
+        depth = self._entry_depth[block]
         for inst in block.instructions:
             if isinstance(inst, LockAcquire):
                 depth += 1
@@ -72,7 +73,7 @@ class CriticalSections:
         return depth
 
     def depth_at(self, inst: Instruction) -> int:
-        return self._inst_depth.get(id(inst), 0)
+        return self._inst_depth.get(inst, 0)
 
     def in_critical_section(self, inst: Instruction) -> bool:
         return self.depth_at(inst) > 0

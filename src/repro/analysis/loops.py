@@ -25,7 +25,7 @@ class Loop:
     def __init__(self, header: BasicBlock, loop_id: int):
         self.header = header
         self.loop_id = loop_id
-        self.blocks: Set[int] = {id(header)}
+        self.blocks: Set[BasicBlock] = {header}
         self.block_list: List[BasicBlock] = [header]
         #: latch blocks: sources of back edges into the header
         self.latches: List[BasicBlock] = []
@@ -34,11 +34,11 @@ class Loop:
         self.preheader: Optional[BasicBlock] = None
 
     def contains_block(self, block: BasicBlock) -> bool:
-        return id(block) in self.blocks
+        return block in self.blocks
 
     def _add_block(self, block: BasicBlock) -> None:
-        if id(block) not in self.blocks:
-            self.blocks.add(id(block))
+        if block not in self.blocks:
+            self.blocks.add(block)
             self.block_list.append(block)
 
     @property
@@ -71,15 +71,15 @@ class LoopInfo:
     def __init__(self, function: Function, loops: List[Loop]):
         self.function = function
         self.loops = loops
-        self._innermost: Dict[int, Loop] = {}
+        self._innermost: Dict[BasicBlock, Loop] = {}
         # Assign blocks to their innermost loop: process outer loops first
         # so inner assignments overwrite.
         for loop in sorted(loops, key=lambda l: l.depth):
             for block in loop.block_list:
-                self._innermost[id(block)] = loop
+                self._innermost[block] = loop
 
     def innermost_loop(self, block: BasicBlock) -> Optional[Loop]:
-        return self._innermost.get(id(block))
+        return self._innermost.get(block)
 
     def loop_chain(self, block: BasicBlock) -> List[Loop]:
         """Enclosing loops of ``block``, outermost first ([] if none)."""
@@ -100,23 +100,23 @@ def find_loops(function: Function, first_loop_id: int = 0,
         cfg = CFG(function)
     if domtree is None:
         domtree = DominatorTree(function, cfg)
-    reachable = {id(b) for b in cfg.reachable()}
+    reachable = set(cfg.reachable())
 
     # 1. Find back edges (tail -> header where header dominates tail),
     #    grouping by header: one natural loop per header.
-    loops_by_header: Dict[int, Loop] = {}
+    loops_by_header: Dict[BasicBlock, Loop] = {}
     loops: List[Loop] = []
     next_id = first_loop_id
     for block in function.blocks:
-        if id(block) not in reachable:
+        if block not in reachable:
             continue
         for succ in cfg.successors[block]:
             if domtree.dominates(succ, block):
-                loop = loops_by_header.get(id(succ))
+                loop = loops_by_header.get(succ)
                 if loop is None:
                     loop = Loop(succ, next_id)
                     next_id += 1
-                    loops_by_header[id(succ)] = loop
+                    loops_by_header[succ] = loop
                     loops.append(loop)
                 loop.latches.append(block)
 

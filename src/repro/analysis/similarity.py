@@ -241,7 +241,7 @@ class SimilarityResult:
     def __init__(self, module: Module, config: AnalysisConfig):
         self.module = module
         self.config = config
-        self.categories: Dict[int, Category] = {}
+        self.categories: Dict[Value, Category] = {}
         self.parallel_functions: Set[str] = set()
         self.per_function: Dict[str, FunctionAnalysis] = {}
         self.iterations: int = 0
@@ -250,31 +250,10 @@ class SimilarityResult:
         self.tid_counters: Set[str] = set()
         self.serialized_functions: Set[str] = set()
         #: Affine-in-tid coefficients proven by the slope fixpoint, keyed
-        #: by ``id(value)``: an int/float, or a canonical symbolic tuple
-        #: (see the slope algebra above).  Consumed by ``repro.lint``'s
+        #: by the value: an int/float, or a canonical symbolic tuple (see
+        #: the slope algebra above).  Consumed by ``repro.lint``'s
         #: per-thread disjoint-index proofs.
-        self.tid_slopes: Dict[int, object] = {}
-
-    # -- pickling (the artifact store) --------------------------------------
-
-    def __getstate__(self):
-        # Ids do not survive pickling: carry the two id-keyed maps keyed
-        # by the values themselves (dropping values no longer in the
-        # module) and re-key them on load.  Symbolic slopes keep their
-        # factors' old ids, which stay consistent with one another.
-        values = {id(value): value for function in self.module.function_table
-                  for value in (*function.params, *function.instructions())}
-        state = dict(self.__dict__)
-        for attr in ("categories", "tid_slopes"):
-            state[attr] = [(values[key], item)
-                           for key, item in state[attr].items()
-                           if key in values]
-        return state
-
-    def __setstate__(self, state):
-        for attr in ("categories", "tid_slopes"):
-            state[attr] = {id(value): item for value, item in state[attr]}
-        self.__dict__.update(state)
+        self.tid_slopes: Dict[Value, object] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -284,7 +263,7 @@ class SimilarityResult:
             return Category.SHARED
         if isinstance(value, GlobalVariable):
             return Category.SHARED
-        return self.categories.get(id(value), Category.NA)
+        return self.categories.get(value, Category.NA)
 
     def all_branches(self) -> List[BranchRecord]:
         records: List[BranchRecord] = []
@@ -299,7 +278,7 @@ class SimilarityResult:
         """Affine-in-tid coefficient of ``value``: an int/float, a
         symbolic tuple for shared-scaled coefficients, 0 for statically
         shared values, or None when unknown/not affine."""
-        slope = self.tid_slopes.get(id(value))
+        slope = self.tid_slopes.get(value)
         if slope is not None:
             return slope
         if self.category_of(value) is Category.SHARED:
@@ -345,9 +324,9 @@ class _Analysis:
         self.trace_enabled = trace
         self.result = SimilarityResult(module, config)
         self.categories = self.result.categories
-        # Affine-tid tracking: id(value) -> slope sign (+1 / -1) for
+        # Affine-tid tracking: value -> slope sign (+1 / -1) for
         # threadID values provably affine in tid with known slope sign.
-        self._tid_slope: Dict[int, int] = {}
+        self._tid_slope: Dict[Value, int] = {}
 
     # -- main driver -------------------------------------------------------
 
@@ -441,13 +420,13 @@ class _Analysis:
     def _operand_category(self, value: Value) -> Category:
         if isinstance(value, (Constant, GlobalVariable, FunctionRef)):
             return Category.SHARED
-        return self.categories.get(id(value), Category.NA)
+        return self.categories.get(value, Category.NA)
 
     def _update(self, value: Value, category: Category) -> bool:
-        old = self.categories.get(id(value), Category.NA)
+        old = self.categories.get(value, Category.NA)
         if old is category:
             return False
-        self.categories[id(value)] = category
+        self.categories[value] = category
         return True
 
     def _visit_param(self, function: Function, param: Argument) -> bool:
@@ -531,11 +510,11 @@ class _Analysis:
     def _visit_phi(self, phi: Phi) -> bool:
         """Optimistic fold + the paper's if-else-join demotion rule."""
         cats = []
-        distinct_values: Set[int] = set()
+        distinct_values: Set[Value] = set()
         for value in phi.operands:
             if value is phi:
                 continue
-            distinct_values.add(id(value))
+            distinct_values.add(value)
             cat = self._operand_category(value)
             if cat is Category.NA:
                 continue  # optimistic: skip, revisit next iteration
@@ -570,11 +549,11 @@ class _Analysis:
         rets = [t for block in callee.blocks
                 for t in [block.terminator] if isinstance(t, Ret)]
         cats = []
-        distinct: Set[int] = set()
+        distinct: Set[Value] = set()
         for ret in rets:
             if ret.value is None:
                 continue
-            distinct.add(id(ret.value))
+            distinct.add(ret.value)
             cat = self._operand_category(ret.value)
             if cat is Category.NA:
                 continue
@@ -606,7 +585,7 @@ class _Analysis:
     def _slope_of(self, value: Value) -> Optional[int]:
         """Affine-in-tid coefficient of ``value``; 0 for shared values,
         None when unknown/not affine."""
-        slope = self._tid_slope.get(id(value))
+        slope = self._tid_slope.get(value)
         if slope is not None:
             return slope
         if self._operand_category(value) is Category.SHARED:
@@ -633,22 +612,22 @@ class _Analysis:
                 if isinstance(inst, GetTid) or (
                         isinstance(inst, LoadGlobal)
                         and inst.global_.name in self.result.tid_counters):
-                    self._tid_slope[id(inst)] = 1
-                    seeds.add(id(inst))
+                    self._tid_slope[inst] = 1
+                    seeds.add(inst)
         for _ in range(100):  # growth
             changed = False
             for function in functions:
                 for param in function.params:
                     slope = self._param_slope(function, param, strict=False)
-                    if slope is not None and self._tid_slope.get(id(param)) != slope:
-                        self._tid_slope[id(param)] = slope
+                    if slope is not None and self._tid_slope.get(param) != slope:
+                        self._tid_slope[param] = slope
                         changed = True
                 for inst in function.instructions():
-                    if id(inst) in seeds:
+                    if inst in seeds:
                         continue
                     slope = self._compute_slope(inst, strict=False)
-                    if slope is not None and self._tid_slope.get(id(inst)) != slope:
-                        self._tid_slope[id(inst)] = slope
+                    if slope is not None and self._tid_slope.get(inst) != slope:
+                        self._tid_slope[inst] = slope
                         changed = True
             if not changed:
                 break
@@ -656,17 +635,15 @@ class _Analysis:
             changed = False
             for function in functions:
                 for param in function.params:
-                    key = id(param)
-                    if key in self._tid_slope and self._param_slope(
-                            function, param, strict=True) != self._tid_slope[key]:
-                        del self._tid_slope[key]
+                    if param in self._tid_slope and self._param_slope(
+                            function, param, strict=True) != self._tid_slope[param]:
+                        del self._tid_slope[param]
                         changed = True
                 for inst in function.instructions():
-                    key = id(inst)
-                    if key not in self._tid_slope or key in seeds:
+                    if inst not in self._tid_slope or inst in seeds:
                         continue
-                    if self._compute_slope(inst, strict=True) != self._tid_slope[key]:
-                        del self._tid_slope[key]
+                    if self._compute_slope(inst, strict=True) != self._tid_slope[inst]:
+                        del self._tid_slope[inst]
                         changed = True
             if not changed:
                 return
@@ -694,7 +671,7 @@ class _Analysis:
 
     def _compute_slope(self, inst: Instruction, strict: bool):
         """Coefficient of one instruction from its operands (one step)."""
-        if self.categories.get(id(inst)) is not Category.THREADID:
+        if self.categories.get(inst) is not Category.THREADID:
             return None
         if isinstance(inst, Phi):
             slopes = set()
@@ -821,16 +798,16 @@ class _Analysis:
             else:
                 seen[key] = record
 
-    def _loads_racy(self, value: Value, _seen: Optional[Set[int]] = None) -> bool:
+    def _loads_racy(self, value: Value, _seen: Optional[Set[Value]] = None) -> bool:
         """Does ``value`` transitively read a location named in
         ``config.racy_locations``?  Walks pure arithmetic and phis (with
         a visited set — phi webs are cyclic); calls are opaque and not
         followed — interprocedural refinement comes from lint reporting
         the callee's own branches."""
         seen = _seen if _seen is not None else set()
-        if id(value) in seen:
+        if value in seen:
             return False
-        seen.add(id(value))
+        seen.add(value)
         racy = self.config.racy_locations
         if isinstance(value, LoadGlobal):
             return value.global_.name in racy
@@ -842,18 +819,18 @@ class _Analysis:
             return any(self._loads_racy(op, seen) for op in value.operands)
         return False
 
-    def _leaf_variables(self, value: Value, _depth: int = 0) -> Set[int]:
+    def _leaf_variables(self, value: Value, _depth: int = 0) -> Set[Value]:
         """Underlying variable identities of an expression: expand pure
         arithmetic, stop at phis/loads/params/tid sources (the registers
         a data fault would actually corrupt)."""
         if isinstance(value, Constant) or _depth > 16:
             return set()
         if isinstance(value, (BinOp, UnaryOp, Cast, Cmp)):
-            leaves: Set[int] = set()
+            leaves: Set[Value] = set()
             for operand in value.operands:
                 leaves |= self._leaf_variables(operand, _depth + 1)
             return leaves
-        return {id(value)}
+        return {value}
 
     def _classify_branch(self, fa: FunctionAnalysis, branch: Branch,
                          serialized_function: bool) -> BranchRecord:
@@ -968,7 +945,7 @@ class _Analysis:
         for function in functions:
             for param in function.params:
                 label = "%s.%s" % (function.name, param.name)
-                snap[label] = self.categories.get(id(param), Category.NA).value
+                snap[label] = self.categories.get(param, Category.NA).value
             counters: Dict[str, int] = {}
             for inst in function.instructions():
                 if isinstance(inst, Branch):
@@ -982,5 +959,5 @@ class _Analysis:
                     # the first (the paper uses variables as proxies).
                     if label not in snap:
                         snap[label] = self.categories.get(
-                            id(inst), Category.NA).value
+                            inst, Category.NA).value
         return snap

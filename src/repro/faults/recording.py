@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.ir import Branch
 from repro.runtime.machine import FaultHook
 
 #: Site id recorded for a branch the site table does not know (cannot
@@ -34,13 +35,13 @@ class RecordingHook(FaultHook):
     coordinates :class:`~repro.faults.models.FaultSpec` uses.
     """
 
-    def __init__(self, site_map: Dict[int, int]):
+    def __init__(self, site_map: Dict[Branch, int]):
         self._site_map = dict(site_map)
         self.streams: Dict[int, List[int]] = {}
 
     def before_branch(self, machine, thread, branch, frame, taken):
         self.streams.setdefault(thread.tid, []).append(
-            self._site_map.get(id(branch), UNKNOWN_SITE))
+            self._site_map.get(branch, UNKNOWN_SITE))
         return taken
 
 

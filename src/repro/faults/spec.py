@@ -87,15 +87,6 @@ def _freeze_arrays(arrays) -> Tuple[Tuple[str, Tuple[object, ...]], ...]:
         for name, values in arrays))
 
 
-def _check_backend(backend: Optional[str]) -> None:
-    """A ``backend`` given to a spec surface may only name the engine."""
-    from repro.runtime.program import resolve_backend
-    try:
-        resolve_backend(backend)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything one campaign is, as one canonical-JSON-serializable
@@ -324,7 +315,13 @@ class CampaignSpec:
             raise SpecError("campaign spec must be a JSON object, got %r"
                             % type(data).__name__)
         data = dict(data)
-        _check_backend(data.pop("backend", None))
+        # Schema-1 specs written before the one engine may still name
+        # it; they may name no other.
+        from repro.runtime.program import resolve_backend
+        try:
+            resolve_backend(data.pop("backend", None))
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         schema = data.pop("schema", SPEC_SCHEMA)
         if schema != SPEC_SCHEMA:
             raise SpecError("campaign spec uses schema %r; this build "
@@ -359,7 +356,6 @@ class CampaignSpec:
         ``scalars``/``arrays``."""
         from repro.runtime.program import resolve_opt_level
         kwargs["opt_level"] = resolve_opt_level(kwargs.get("opt_level"))
-        _check_backend(kwargs.pop("backend", None))
         fault = kwargs.get("fault")
         if isinstance(fault, FaultType):
             kwargs["fault"] = fault.value

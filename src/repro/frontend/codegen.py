@@ -111,11 +111,10 @@ class _FunctionCodegen:
         self.decl = decl
         self.builder = IRBuilder()
         # Braun SSA state -----------------------------------------------
-        self._current_defs: Dict[str, Dict[int, Value]] = {}
-        # sealed block id -> its predecessors, final once sealed
-        self._sealed_preds: Dict[int, List[BasicBlock]] = {}
-        self._incomplete: Dict[int, Dict[str, Phi]] = {}
-        self._block_by_id: Dict[int, BasicBlock] = {}
+        self._current_defs: Dict[str, Dict[BasicBlock, Value]] = {}
+        # sealed block -> its predecessors, final once sealed
+        self._sealed_preds: Dict[BasicBlock, List[BasicBlock]] = {}
+        self._incomplete: Dict[BasicBlock, Dict[str, Phi]] = {}
         # declared locals and parameters: name -> type
         self._local_types: Dict[str, Type] = {}
         # (break_target, continue_target) stack
@@ -125,7 +124,6 @@ class _FunctionCodegen:
 
     def run(self) -> None:
         entry = self.function.add_block("entry")
-        self._register(entry)
         self._seal(entry)
         self.builder.position_at_end(entry)
         for param in self.function.params:
@@ -147,26 +145,22 @@ class _FunctionCodegen:
 
     # -- SSA bookkeeping (Braun et al.) --------------------------------------
 
-    def _register(self, block: BasicBlock) -> BasicBlock:
-        self._block_by_id[id(block)] = block
-        return block
-
     def _write(self, var: str, block: BasicBlock, value: Value) -> None:
-        self._current_defs.setdefault(var, {})[id(block)] = value
+        self._current_defs.setdefault(var, {})[block] = value
 
     def _read(self, var: str, block: BasicBlock) -> Value:
         defs = self._current_defs.get(var)
-        if defs is not None and id(block) in defs:
-            return defs[id(block)]
+        if defs is not None and block in defs:
+            return defs[block]
         return self._read_recursive(var, block)
 
     def _read_recursive(self, var: str, block: BasicBlock) -> Value:
-        preds = self._sealed_preds.get(id(block))
+        preds = self._sealed_preds.get(block)
         if preds is None:
             phi = Phi(self._local_types[var], var)
             block.insert_after_phis(phi)
             phi.parent = block
-            self._incomplete.setdefault(id(block), {})[var] = phi
+            self._incomplete.setdefault(block, {})[var] = phi
             value: Value = phi
         elif len(preds) == 1:
             value = self._read(var, preds[0])
@@ -218,9 +212,9 @@ class _FunctionCodegen:
 
     def _seal(self, block: BasicBlock) -> None:
         preds = block.predecessors()
-        for var, phi in self._incomplete.pop(id(block), {}).items():
+        for var, phi in self._incomplete.pop(block, {}).items():
             self._add_phi_operands(var, phi, preds)
-        self._sealed_preds[id(block)] = preds
+        self._sealed_preds[block] = preds
 
     # -- statements ----------------------------------------------------------
 
@@ -229,7 +223,7 @@ class _FunctionCodegen:
             if self.builder.block is not None and self.builder.block.is_terminated:
                 # Dead code after break/continue/return: emit into a fresh
                 # unreachable block so SSA stays well-formed, prune later.
-                dead = self._register(self.function.add_block("dead"))
+                dead = self.function.add_block("dead")
                 self._seal(dead)
                 self.builder.position_at_end(dead)
             self._gen_stmt(stmt)
@@ -278,10 +272,10 @@ class _FunctionCodegen:
 
     def _gen_if(self, stmt: ast.If) -> None:
         cond = self._bool(self._gen_expr(stmt.cond), stmt.line)
-        then_block = self._register(self.function.add_block("if.then"))
-        merge_block = self._register(self.function.add_block("if.end"))
+        then_block = self.function.add_block("if.then")
+        merge_block = self.function.add_block("if.end")
         if stmt.else_body:
-            else_block = self._register(self.function.add_block("if.else"))
+            else_block = self.function.add_block("if.else")
         else:
             else_block = merge_block
         self.builder.br(cond, then_block, else_block)
@@ -313,12 +307,12 @@ class _FunctionCodegen:
         if init is not None:
             self._gen_stmt(init)
         # Dedicated preheader: the instrumentation pass inserts EnterLoop here.
-        preheader = self._register(self.function.add_block("loop.preheader"))
-        header = self._register(self.function.add_block("loop.header"))
-        body_block = self._register(self.function.add_block("loop.body"))
-        exit_block = self._register(self.function.add_block("loop.exit"))
+        preheader = self.function.add_block("loop.preheader")
+        header = self.function.add_block("loop.header")
+        body_block = self.function.add_block("loop.body")
+        exit_block = self.function.add_block("loop.exit")
         if update is not None:
-            latch = self._register(self.function.add_block("loop.latch"))
+            latch = self.function.add_block("loop.latch")
             continue_target = latch
         else:
             latch = None
@@ -556,14 +550,14 @@ class _FunctionCodegen:
 
     def _prune_unreachable(self) -> None:
         """Drop blocks unreachable from the entry and fix phi edges."""
-        reachable = {id(b) for b in CFG(self.function).reachable()}
-        dead = [b for b in self.function.blocks if id(b) not in reachable]
+        reachable = set(CFG(self.function).reachable())
+        dead = [b for b in self.function.blocks if b not in reachable]
         for block in self.function.blocks:
-            if id(block) not in reachable:
+            if block not in reachable:
                 continue
             for phi in block.phis():
                 for index in reversed(range(len(phi.blocks))):
-                    if id(phi.blocks[index]) not in reachable:
+                    if phi.blocks[index] not in reachable:
                         phi.remove_incoming(index)
             # a phi left with one incoming collapses to that value
             for phi in list(block.phis()):

@@ -51,8 +51,8 @@ class CFG:
         """Blocks in reverse postorder from the entry (forward dataflow
         order); unreachable blocks are appended at the end."""
         order = _reverse_postorder([self.function.entry], self.successors)
-        seen = {id(block) for block in order}
-        order.extend(b for b in self.function.blocks if id(b) not in seen)
+        seen = set(order)
+        order.extend(b for b in self.function.blocks if b not in seen)
         return order
 
     def reachable(self) -> List[BasicBlock]:
@@ -62,9 +62,9 @@ class CFG:
         stack = [self.function.entry]
         while stack:
             block = stack.pop()
-            if id(block) in seen:
+            if block in seen:
                 continue
-            seen.add(id(block))
+            seen.add(block)
             result.append(block)
             stack.extend(self.successors[block])
         return result
@@ -77,15 +77,15 @@ def _reverse_postorder(roots: Sequence[BasicBlock],
     seen = set()
     postorder: List[BasicBlock] = []
     for root in roots:
-        if id(root) in seen:
+        if root in seen:
             continue
-        seen.add(id(root))
+        seen.add(root)
         stack = [(root, iter(successors[root]))]
         while stack:
             block, succs = stack[-1]
             for succ in succs:
-                if id(succ) not in seen:
-                    seen.add(id(succ))
+                if succ not in seen:
+                    seen.add(succ)
                     stack.append((succ, iter(successors[succ])))
                     break
             else:
@@ -159,17 +159,17 @@ def _immediate_dominators(roots: Sequence[BasicBlock], successors: Edges,
     ``roots``.  Blocks whose immediate dominator is the virtual root map
     to themselves; blocks the roots do not reach are absent."""
     order = _reverse_postorder(roots, successors)
-    index = {id(block): position
+    index = {block: position
              for position, block in enumerate(order, start=1)}
-    index[id(_ROOT)] = 0
+    index[_ROOT] = 0
     idom: Dict[object, object] = {root: _ROOT for root in roots}
-    root_ids = {id(root) for root in roots}
+    root_set = set(roots)
 
     def intersect(a, b):
         while a is not b:
-            while index[id(a)] > index[id(b)]:
+            while index[a] > index[b]:
                 a = idom[a]
-            while index[id(b)] > index[id(a)]:
+            while index[b] > index[a]:
                 b = idom[b]
         return a
 
@@ -177,7 +177,7 @@ def _immediate_dominators(roots: Sequence[BasicBlock], successors: Edges,
     while changed:
         changed = False
         for block in order:
-            if id(block) in root_ids:
+            if block in root_set:
                 continue
             new_idom = None
             for pred in predecessors[block]:

@@ -115,8 +115,7 @@ def _check_phi_edges(function: Function, cfg: CFG) -> None:
         expected = cfg.predecessors[block]
         for phi in block.phis():
             got = list(phi.blocks)
-            if len(got) != len(expected) or set(id(b) for b in got) != set(
-                    id(b) for b in expected):
+            if len(got) != len(expected) or set(got) != set(expected):
                 raise VerificationError(
                     "%s: phi %r in %s has incoming blocks {%s}, expected {%s}"
                     % (function.name, phi, block.name,
@@ -132,26 +131,26 @@ def _check_phi_edges(function: Function, cfg: CFG) -> None:
 
 def _check_dominance(function: Function, cfg: CFG) -> None:
     tree = DominatorTree(function, cfg)
-    block_index = {id(b): b for b in function.blocks}
+    blocks = set(function.blocks)
 
     def dominates(a: BasicBlock, b: BasicBlock) -> bool:
         if b not in tree.idom:
             # Unreachable: every block of the function dominates it.
-            return id(a) in block_index
+            return a in blocks
         return tree.dominates(a, b)
 
-    positions: Dict[int, int] = {}
+    positions: Dict[Instruction, int] = {}
     for block in function.blocks:
         for pos, inst in enumerate(block.instructions):
-            positions[id(inst)] = pos
+            positions[inst] = pos
 
     def defined_before(def_inst: Instruction, use_inst: Instruction,
                        use_block: BasicBlock) -> bool:
         def_block = def_inst.parent
-        if def_block is None or id(def_block) not in block_index:
+        if def_block is None or def_block not in blocks:
             return False
         if def_block is use_block:
-            return positions[id(def_inst)] < positions[id(use_inst)]
+            return positions[def_inst] < positions[use_inst]
         return dominates(def_block, use_block)
 
     for block in function.blocks:
@@ -241,7 +240,7 @@ def _check_sync_protocol(function: Function, cfg: CFG) -> None:
     preds = cfg.predecessors
     entry = function.entry
     order = cfg.reachable()
-    reachable = {id(block) for block in order}
+    reachable = set(order)
 
     universe = frozenset(
         inst.lock.name for inst in function.instructions()
@@ -256,34 +255,34 @@ def _check_sync_protocol(function: Function, cfg: CFG) -> None:
                 may.discard(inst.lock.name)
                 must.discard(inst.lock.name)
 
-    may_out: Dict[int, Set[str]] = {id(b): set() for b in function.blocks}
-    must_out: Dict[int, Set[str]] = {id(b): set(universe)
-                                     for b in function.blocks}
+    may_out: Dict[BasicBlock, Set[str]] = {b: set() for b in function.blocks}
+    must_out: Dict[BasicBlock, Set[str]] = {b: set(universe)
+                                            for b in function.blocks}
     changed = True
     while changed:
         changed = False
         for block in order:
-            ins = [p for p in preds[block] if id(p) in reachable]
+            ins = [p for p in preds[block] if p in reachable]
             if block is entry:
                 may, must = set(), set()
             else:
-                may = set().union(*(may_out[id(p)] for p in ins)) \
+                may = set().union(*(may_out[p] for p in ins)) \
                     if ins else set()
-                must = set.intersection(*(set(must_out[id(p)]) for p in ins)) \
+                must = set.intersection(*(set(must_out[p]) for p in ins)) \
                     if ins else set()
             transfer(may, must, block)
-            if may != may_out[id(block)] or must != must_out[id(block)]:
-                may_out[id(block)] = may
-                must_out[id(block)] = must
+            if may != may_out[block] or must != must_out[block]:
+                may_out[block] = may
+                must_out[block] = must
                 changed = True
 
     for block in order:
-        ins = [p for p in preds[block] if id(p) in reachable]
+        ins = [p for p in preds[block] if p in reachable]
         if block is entry:
             may, must = set(), set()
         else:
-            may = set().union(*(may_out[id(p)] for p in ins)) if ins else set()
-            must = set.intersection(*(set(must_out[id(p)]) for p in ins)) \
+            may = set().union(*(may_out[p] for p in ins)) if ins else set()
+            must = set.intersection(*(set(must_out[p]) for p in ins)) \
                 if ins else set()
         for inst in block.instructions:
             if isinstance(inst, LockAcquire):

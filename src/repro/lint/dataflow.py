@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from repro.ir import CFG, Function, Instruction
+from repro.ir import CFG, BasicBlock, Function, Instruction
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -76,18 +76,18 @@ class DataflowResult:
     def __init__(self, function: Function, direction: str):
         self.function = function
         self.direction = direction
-        #: Fact on entry to each block, keyed by ``id(block)``
+        #: Fact on entry to each block, keyed by the block
         #: (program-order entry for forward, program-order exit for
         #: backward — i.e. always the side facing the join).
-        self.block_fact: Dict[int, object] = {}
-        self._before: Dict[int, object] = {}
-        self._after: Dict[int, object] = {}
+        self.block_fact: Dict[BasicBlock, object] = {}
+        self._before: Dict[Instruction, object] = {}
+        self._after: Dict[Instruction, object] = {}
 
     def before(self, inst: Instruction):
-        return self._before[id(inst)]
+        return self._before[inst]
 
     def after(self, inst: Instruction):
-        return self._after[id(inst)]
+        return self._after[inst]
 
 
 def run_dataflow(function: Function, lattice: Semilattice,
@@ -107,21 +107,19 @@ def run_dataflow(function: Function, lattice: Semilattice,
         order = cfg.reverse_postorder()
         inputs = cfg.predecessors
         outputs = cfg.successors
-        is_boundary = {id(function.entry)}
+        is_boundary = {function.entry}
     else:
         order = list(reversed(cfg.reverse_postorder()))
         inputs = cfg.successors
         outputs = cfg.predecessors
-        is_boundary = {id(b) for b in function.blocks
-                       if not cfg.successors[b]}
+        is_boundary = {b for b in function.blocks if not cfg.successors[b]}
 
     result = DataflowResult(function, direction)
-    out_fact: Dict[int, object] = {id(b): lattice.initial()
-                                   for b in function.blocks}
-    position = {id(b): i for i, b in enumerate(order)}
+    out_fact: Dict[BasicBlock, object] = {b: lattice.initial()
+                                          for b in function.blocks}
 
     worklist = deque(order)
-    queued = {id(b) for b in order}
+    queued = set(order)
     passes = 0
     while worklist:
         passes += 1
@@ -130,45 +128,45 @@ def run_dataflow(function: Function, lattice: Semilattice,
                 "dataflow on %s did not converge in %d passes (non-monotone "
                 "transfer?)" % (function.name, max_passes))
         block = worklist.popleft()
-        queued.discard(id(block))
+        queued.discard(block)
         ins = inputs[block]
-        if id(block) in is_boundary:
+        if block in is_boundary:
             fact = lattice.boundary()
             for pred in ins:
-                fact = lattice.join(fact, out_fact[id(pred)])
+                fact = lattice.join(fact, out_fact[pred])
         elif ins:
-            fact = out_fact[id(ins[0])]
+            fact = out_fact[ins[0]]
             for pred in ins[1:]:
-                fact = lattice.join(fact, out_fact[id(pred)])
+                fact = lattice.join(fact, out_fact[pred])
         else:
             # Unreachable block: keep the optimistic fact.
             fact = lattice.initial()
-        result.block_fact[id(block)] = fact
+        result.block_fact[block] = fact
         insts = (block.instructions if direction == FORWARD
                  else list(reversed(block.instructions)))
         for inst in insts:
             fact = transfer(fact, inst)
-        if not lattice.equals(fact, out_fact[id(block)]):
-            out_fact[id(block)] = fact
+        if not lattice.equals(fact, out_fact[block]):
+            out_fact[block] = fact
             for succ in outputs[block]:
-                if id(succ) not in queued:
-                    queued.add(id(succ))
+                if succ not in queued:
+                    queued.add(succ)
                     worklist.append(succ)
 
     # Converged: record per-instruction facts in one replay pass.
     for block in function.blocks:
-        fact = result.block_fact.get(id(block), lattice.initial())
+        fact = result.block_fact.get(block, lattice.initial())
         insts = (block.instructions if direction == FORWARD
                  else list(reversed(block.instructions)))
         for inst in insts:
             if direction == FORWARD:
-                result._before[id(inst)] = fact
+                result._before[inst] = fact
                 fact = transfer(fact, inst)
-                result._after[id(inst)] = fact
+                result._after[inst] = fact
             else:
-                result._after[id(inst)] = fact
+                result._after[inst] = fact
                 fact = transfer(fact, inst)
-                result._before[id(inst)] = fact
+                result._before[inst] = fact
     return result
 
 

@@ -30,9 +30,9 @@ pointer get the conservative universal phase.  Calls to functions that
 callee's exit tokens.
 
 Everything here iterates containers in deterministic order (sorted
-names, program order, ordered worklists); no diagnostic ever depends on
-``id()`` ordering or set iteration, so reports are byte-identical under
-any ``PYTHONHASHSEED``.
+names, program order, ordered worklists); IR objects are only map keys,
+so no diagnostic ever depends on object addresses or set iteration, and
+reports are byte-identical under any ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class RaceDetector:
         self.analysis = analysis if analysis is not None else analyze_module(
             module, AnalysisConfig(entry=entry))
         self.report = LintReport(name=name, entry=entry)
-        self._value_ids: Dict[int, str] = {}
-        self._canon_memo: Dict[int, Tuple] = {}
+        self._value_ids: Dict[Value, str] = {}
+        self._canon_memo: Dict[Value, Tuple] = {}
 
     # -- driver ----------------------------------------------------------
 
@@ -446,16 +446,16 @@ class RaceDetector:
 
     def _vkey(self, value: Value) -> str:
         """Deterministic per-run identity label (never serialized)."""
-        key = self._value_ids.get(id(value))
+        key = self._value_ids.get(value)
         if key is None:
             key = "v%d" % len(self._value_ids)
-            self._value_ids[id(value)] = key
+            self._value_ids[value] = key
         return key
 
     def _canon(self, value: Value, _depth: int = 0) -> Tuple:
         """Structural key: two occurrences of the same expression over
         the same SSA leaves compare equal."""
-        memo = self._canon_memo.get(id(value))
+        memo = self._canon_memo.get(value)
         if memo is not None:
             return memo
         if isinstance(value, Constant):
@@ -483,7 +483,7 @@ class RaceDetector:
             out = ("ldro", value.global_.name)
         else:
             out = ("v", self._vkey(value))
-        self._canon_memo[id(value)] = out
+        self._canon_memo[value] = out
         return out
 
     # -- the pair scan ---------------------------------------------------

@@ -75,7 +75,7 @@ from repro.ir import (
 )
 from repro.ir.printer import print_function
 from repro.ir.types import VOID
-from repro.ir.values import FunctionRef
+from repro.ir.values import FunctionRef, Value
 
 #: Version of the vulnerability summary/report shape.  Participates in
 #: every per-function store key, so bumping it invalidates cached
@@ -168,13 +168,13 @@ def _divergence_region(branch: Branch, postdom: DominatorTree) -> Set[str]:
     goes the other way: everything reachable from either successor
     before the arms rejoin (their common postdominators; none when an
     arm has no path to an exit)."""
-    common = ({id(b) for b in postdom.dominators(branch.then_block)}
-              & {id(b) for b in postdom.dominators(branch.else_block)})
+    common = (set(postdom.dominators(branch.then_block))
+              & set(postdom.dominators(branch.else_block)))
     region: Set[str] = set()
     work = [branch.then_block, branch.else_block]
     while work:
         block = work.pop()
-        if id(block) in common or block.name in region:
+        if block in common or block.name in region:
             continue
         region.add(block.name)
         work.extend(block.successors())
@@ -202,21 +202,21 @@ def summarize_function(function: Function) -> dict:
                 callsites.append(inst)
         if isinstance(block.terminator, Branch):
             sites.append(block.terminator)
-    site_of = {id(branch): index for index, branch in enumerate(sites)}
-    call_of = {id(inst): index for index, inst in enumerate(callsites)}
+    site_of = {branch: index for index, branch in enumerate(sites)}
+    call_of = {inst: index for index, inst in enumerate(callsites)}
 
-    # ``direct[id(v)]``: out-port tokens value v feeds as an operand.
-    # ``own[id(i)]``: tokens instruction i embodies by *executing* (used
+    # ``direct[v]``: out-port tokens value v feeds as an operand.
+    # ``own[i]``: tokens instruction i embodies by *executing* (used
     # for divergence: a store in a conditional arm is an effect even if
     # its operands are constants).
-    direct: Dict[int, Set[str]] = {}
-    own: Dict[int, Set[str]] = {}
-    in_port: Dict[int, str] = {}
+    direct: Dict[Value, Set[str]] = {}
+    own: Dict[Instruction, Set[str]] = {}
+    in_port: Dict[Instruction, str] = {}
 
     def contribute(inst, value, token: str) -> None:
-        own.setdefault(id(inst), set()).add(token)
+        own.setdefault(inst, set()).add(token)
         if not _is_opaque(value):
-            direct.setdefault(id(value), set()).add(token)
+            direct.setdefault(value, set()).add(token)
 
     for block in function.blocks:
         for inst in block.instructions:
@@ -237,33 +237,33 @@ def summarize_function(function: Function) -> dict:
                 if inst.value is not None:
                     contribute(inst, inst.value, "ret")
             elif isinstance(inst, Call):
-                c = call_of[id(inst)]
+                c = call_of[inst]
                 for j, arg in enumerate(inst.operands):
                     contribute(inst, arg, "callarg:%d:%d" % (c, j))
             elif isinstance(inst, CallIndirect):
-                c = call_of[id(inst)]
+                c = call_of[inst]
                 for j, arg in enumerate(inst.args):
                     contribute(inst, arg, "callarg:%d:%d" % (c, j))
             elif isinstance(inst, SendBranchCondition):
                 for value in inst.operands:
                     contribute(inst, value, "send")
             elif isinstance(inst, Branch):
-                contribute(inst, inst.cond, "cond:%d" % site_of[id(inst)])
+                contribute(inst, inst.cond, "cond:%d" % site_of[inst])
 
             if isinstance(inst, LoadGlobal):
-                in_port[id(inst)] = "load:%s:%s" % (inst.global_.name,
+                in_port[inst] = "load:%s:%s" % (inst.global_.name,
                                                     ANY_INDEX)
             elif isinstance(inst, LoadElem):
-                in_port[id(inst)] = "load:%s:%s" % (inst.array.name,
+                in_port[inst] = "load:%s:%s" % (inst.array.name,
                                                     _index_key(inst.index))
             elif isinstance(inst, ReadLocal):
-                in_port[id(inst)] = "load:%s:%s" % (
+                in_port[inst] = "load:%s:%s" % (
                     _slot_location(fname, inst.slot), ANY_INDEX)
             elif isinstance(inst, (Call, CallIndirect)):
                 if inst.type is not VOID:
-                    in_port[id(inst)] = "callret:%d" % call_of[id(inst)]
+                    in_port[inst] = "callret:%d" % call_of[inst]
             elif inst.opcode == "gettid":
-                in_port[id(inst)] = "tid"
+                in_port[inst] = "tid"
 
     # Forward reach: value -> out-port tokens a corruption of the value
     # can touch, closed over local def-use chains.  Reach propagates
@@ -275,29 +275,29 @@ def summarize_function(function: Function) -> dict:
     values: List = list(function.params)
     for block in cfg.reverse_postorder():
         values.extend(i for i in block.instructions if i.type is not VOID)
-    reach: Dict[int, FrozenSet[str]] = {}
+    reach: Dict[Value, FrozenSet[str]] = {}
 
     def reach_of(value) -> FrozenSet[str]:
-        return reach.get(id(value), frozenset())
+        return reach.get(value, frozenset())
 
     changed = True
     while changed:
         changed = False
         for value in values:
-            acc: Set[str] = set(direct.get(id(value), ()))
+            acc: Set[str] = set(direct.get(value, ()))
             for user in value.uses:
                 if (user.type is not VOID
                         and not isinstance(user, (Call, CallIndirect))):
                     acc.update(reach_of(user))
             if acc != set(reach_of(value)):
-                reach[id(value)] = frozenset(acc)
+                reach[value] = frozenset(acc)
                 changed = True
 
     # Flow relation: in-port token -> out-port tokens it can feed.
     flow: Dict[str, Set[str]] = {}
     for block in function.blocks:
         for inst in block.instructions:
-            token = in_port.get(id(inst))
+            token = in_port.get(inst)
             if token is not None:
                 flow.setdefault(token, set()).update(reach_of(inst))
     for arg in function.params:
@@ -325,11 +325,11 @@ def summarize_function(function: Function) -> dict:
             in_region = block.name in region
             for inst in block.instructions:
                 if in_region:
-                    div.update(own.get(id(inst), ()))
+                    div.update(own.get(inst, ()))
                     if inst.type is not VOID:
                         div.update(reach_of(inst))
                     if isinstance(inst, (Call, CallIndirect)):
-                        div_calls.add(call_of[id(inst)])
+                        div_calls.add(call_of[inst])
                     if isinstance(inst, (SendBranchCondition, Branch)):
                         if (isinstance(inst, SendBranchCondition)
                                 or getattr(inst, "bw_info", None) is not None):
@@ -337,7 +337,7 @@ def summarize_function(function: Function) -> dict:
                 elif isinstance(inst, Phi):
                     incoming = {b.name for b in inst.blocks}
                     if (incoming & (region | {branch.parent.name})
-                            and len({id(v) for v in inst.operands}) > 1):
+                            and len(set(inst.operands)) > 1):
                         div.update(reach_of(inst))
         site_div.append(sorted(div))
         site_div_calls.append(sorted(div_calls))
@@ -694,10 +694,10 @@ def analyze_program(program, output_globals: Sequence[str] = (),
         telemetry=telemetry)
 
 
-def branch_site_map(module: Module, report: VulnReport) -> Dict[int, int]:
-    """``id(branch) -> site_id`` for the runtime (hooks receive the
-    live :class:`Branch` objects of exactly this module)."""
-    mapping: Dict[int, int] = {}
+def branch_site_map(module: Module, report: VulnReport) -> Dict[Branch, int]:
+    """``branch -> site_id`` for the runtime (hooks receive the live
+    :class:`Branch` objects of exactly this module)."""
+    mapping: Dict[Branch, int] = {}
     by_function: Dict[str, List[int]] = {}
     for site in report.sites:
         by_function.setdefault(site.function, []).append(site.site_id)
@@ -713,5 +713,5 @@ def branch_site_map(module: Module, report: VulnReport) -> Dict[int, int]:
                 "%d — report and module are out of sync"
                 % (fname, len(site_ids), len(branches)))
         for branch, site_id in zip(branches, site_ids):
-            mapping[id(branch)] = site_id
+            mapping[branch] = site_id
     return mapping

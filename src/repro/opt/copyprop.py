@@ -43,19 +43,19 @@ def _unique_source(phi) -> Optional[Value]:
     return distinct[0] if len(distinct) == 1 else None
 
 
-def run(function: Function, frozen: Set[int]) -> Dict[str, int]:
+def run(function: Function, frozen: Set[Value]) -> Dict[str, int]:
     removed = 0
     changed = True
     while changed:
         changed = False
         for block in function.blocks:
             for phi in list(block.phis()):
-                if id(phi) in frozen:
+                if phi in frozen:
                     continue
                 source = _unique_source(phi)
                 if source is None:
                     continue
-                if not isinstance(source, Constant) and id(source) in frozen:
+                if not isinstance(source, Constant) and source in frozen:
                     continue  # no new uses of injector-visible registers
                 replace_all_uses(phi, source)
                 if phi.uses:

@@ -15,18 +15,18 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.ir import Function, Phi
+from repro.ir import Function, Phi, Value
 from repro.opt.ghosts import ghost_kind_of, remove_phi, remove_with_ghost
 
 
-def run(function: Function, frozen: Set[int]) -> Dict[str, int]:
+def run(function: Function, frozen: Set[Value]) -> Dict[str, int]:
     removed = 0
     changed = True
     while changed:
         changed = False
         for block in function.blocks:
             for inst in reversed(list(block.instructions)):
-                if inst.uses or id(inst) in frozen:
+                if inst.uses or inst in frozen:
                     continue
                 if isinstance(inst, Phi):
                     remove_phi(inst)

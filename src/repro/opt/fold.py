@@ -138,11 +138,11 @@ def _identity(inst: BinOp) -> Optional[Value]:
 
 
 def _try_rewrite(inst: Instruction, replacement: Value,
-                 frozen: Set[int]) -> bool:
+                 frozen: Set[Value]) -> bool:
     """RAUW + ghost-remove ``inst`` if legality and removability allow."""
-    if id(inst) in frozen:
+    if inst in frozen:
         return False
-    if not isinstance(replacement, Constant) and id(replacement) in frozen:
+    if not isinstance(replacement, Constant) and replacement in frozen:
         return False  # never create new uses of an injector-visible register
     kind = ghost_kind_of(inst)
     if kind is None:
@@ -154,7 +154,7 @@ def _try_rewrite(inst: Instruction, replacement: Value,
     return True
 
 
-def run(function: Function, frozen: Set[int]) -> Dict[str, int]:
+def run(function: Function, frozen: Set[Value]) -> Dict[str, int]:
     """Fold every constant expression and integer identity to fixpoint."""
     removed = 0
     changed = True

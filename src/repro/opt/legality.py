@@ -45,26 +45,25 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.ir import Branch, Cmp, Function, SendBranchCondition
+from repro.ir import Branch, Cmp, Function, SendBranchCondition, Value
 
 
-def compute_frozen(function: Function) -> Set[int]:
-    """The ``id()`` set of frozen values in ``function``.
+def compute_frozen(function: Function) -> Set[Value]:
+    """The set of frozen values in ``function``.
 
-    Identity (not equality) is the right key: freezing is a property of
-    one SSA register, i.e. one value object.  The function keeps every
-    member alive, so the ids are stable for the pass pipeline's lifetime.
+    IR values hash by identity, which is the right key: freezing is a
+    property of one SSA register, i.e. one value object.
     """
-    frozen: Set[int] = set()
+    frozen: Set[Value] = set()
     for block in function.blocks:
         for inst in block.instructions:
             if isinstance(inst, Branch):
                 cond = inst.cond
-                frozen.add(id(cond))
+                frozen.add(cond)
                 if isinstance(cond, Cmp):
                     for op in cond.operands:
-                        frozen.add(id(op))
+                        frozen.add(op)
             elif isinstance(inst, SendBranchCondition):
                 for op in inst.operands:
-                    frozen.add(id(op))
+                    frozen.add(op)
     return frozen

@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Set, Tuple
 
 from repro.errors import OptimizationError, VerificationError
-from repro.ir import Function, Module
+from repro.ir import Function, Module, Value
 from repro.ir.verifier import verify_module
 from repro.opt import copyprop, dce, fold, sccp, ssa
 from repro.opt.legality import compute_frozen
 
-PassFunc = Callable[[Function, Set[int]], Dict[str, int]]
+PassFunc = Callable[[Function, Set[Value]], Dict[str, int]]
 
 PASS_FUNCS: Dict[str, PassFunc] = {
     "to-ssa": ssa.run_to_ssa,
@@ -111,7 +111,7 @@ def optimize_module(module: Module, level: int,
     if level == 0:
         report.instructions_after = report.instructions_before
         return report
-    frozen_of: Dict[str, Set[int]] = {
+    frozen_of: Dict[str, Set[Value]] = {
         function.name: compute_frozen(function)
         for function in module.function_table}
     for pass_name in PIPELINES[level]:

@@ -33,6 +33,7 @@ from repro.ir import (
     Instruction,
     Phi,
     UnaryOp,
+    Value,
 )
 from repro.opt.fold import _NoFold, eval_instruction
 from repro.opt.ghosts import ghost_kind_of, remove_with_ghost, replace_all_uses
@@ -57,8 +58,8 @@ def _meet(a, b):
     return _BOTTOM
 
 
-def run(function: Function, frozen: Set[int]) -> Dict[str, int]:
-    lattice: Dict[int, object] = {}
+def run(function: Function, frozen: Set[Value]) -> Dict[str, int]:
+    lattice: Dict[Instruction, object] = {}
     order: List[Instruction] = [inst for block in function.blocks
                                 for inst in block.instructions]
 
@@ -66,13 +67,13 @@ def run(function: Function, frozen: Set[int]) -> Dict[str, int]:
         if isinstance(operand, Constant):
             return operand.value
         if isinstance(operand, Instruction):
-            return lattice.get(id(operand), _TOP)
+            return lattice.get(operand, _TOP)
         if isinstance(operand, Argument):
             return _BOTTOM
         return _BOTTOM  # globals, function refs, slots: runtime state
 
     def transfer(inst: Instruction):
-        if id(inst) in frozen:
+        if inst in frozen:
             return _BOTTOM
         if isinstance(inst, Phi):
             result = _TOP
@@ -106,13 +107,13 @@ def run(function: Function, frozen: Set[int]) -> Dict[str, int]:
         return not (type(old) is type(new) and repr(old) == repr(new))
 
     for inst in order:
-        lattice[id(inst)] = _TOP
+        lattice[inst] = _TOP
     worklist = list(order)
     while worklist:
         inst = worklist.pop(0)
         new = transfer(inst)
-        if differs(lattice[id(inst)], new):
-            lattice[id(inst)] = new
+        if differs(lattice[inst], new):
+            lattice[inst] = new
             for user in inst.uses:
                 if isinstance(user, Instruction) and user.parent is not None:
                     worklist.append(user)
@@ -120,10 +121,10 @@ def run(function: Function, frozen: Set[int]) -> Dict[str, int]:
     removed = 0
     for block in function.blocks:
         for inst in list(block.instructions):
-            abstract = lattice.get(id(inst), _BOTTOM)
+            abstract = lattice.get(inst, _BOTTOM)
             if abstract is _TOP or abstract is _BOTTOM:
                 continue
-            if id(inst) in frozen or not inst.uses:
+            if inst in frozen or not inst.uses:
                 continue
             replacement = Constant(abstract, inst.type)
             kind = None if isinstance(inst, Phi) else ghost_kind_of(inst)

@@ -36,6 +36,7 @@ from repro.ir import (
     LocalSlot,
     Phi,
     ReadLocal,
+    Value,
     WriteLocal,
 )
 from repro.opt import copyprop
@@ -76,13 +77,12 @@ def from_ssa(function: Function) -> int:
             pred.insert_before_terminator(WriteLocal(slot, value))
     # Remove the phis, then plant the reads where they stood (block top,
     # original phi order — the parallel-copy read point).
-    by_block: Dict[int, List[ReadLocal]] = {}
+    by_block: Dict[BasicBlock, List[ReadLocal]] = {}
     for phi, _slot, read in lowered:
-        block = phi.parent
-        by_block.setdefault(id(block), []).append(read)
+        by_block.setdefault(phi.parent, []).append(read)
         remove_phi(phi)
     for block in function.blocks:
-        reads = by_block.get(id(block))
+        reads = by_block.get(block)
         if reads:
             for position, read in enumerate(reads):
                 block.insert(position, read)
@@ -105,7 +105,7 @@ def _collect_slots(function: Function) -> List[LocalSlot]:
     return slots
 
 
-def to_ssa(function: Function, frozen: Optional[Set[int]] = None) -> int:
+def to_ssa(function: Function, frozen: Optional[Set[Value]] = None) -> int:
     """Promote local slots back to SSA values; returns the number of
     read/write instructions eliminated.
 
@@ -121,58 +121,58 @@ def to_ssa(function: Function, frozen: Optional[Set[int]] = None) -> int:
     if frozen is None:
         frozen = set()
     cfg = CFG(function)
-    reached = {id(block) for block in cfg.reachable()}
-    order = [b for b in cfg.reverse_postorder() if id(b) in reached]
-    processed: Set[int] = set()
+    reached = set(cfg.reachable())
+    order = [b for b in cfg.reverse_postorder() if b in reached]
+    processed: Set[BasicBlock] = set()
     # Placeholder phis for every (join block, slot).
-    entry_values: Dict[int, Dict[int, object]] = {}  # id(block) -> id(slot) -> value
-    exit_values: Dict[int, Dict[int, object]] = {}
-    join_phis: Dict[int, Dict[int, Phi]] = {}
-    preds_of: Dict[int, List[BasicBlock]] = {
-        id(block): block.predecessors() for block in order}
+    entry_values: Dict[BasicBlock, Dict[LocalSlot, object]] = {}
+    exit_values: Dict[BasicBlock, Dict[LocalSlot, object]] = {}
+    join_phis: Dict[BasicBlock, Dict[LocalSlot, Phi]] = {}
+    preds_of: Dict[BasicBlock, List[BasicBlock]] = {
+        block: block.predecessors() for block in order}
     removed = 0
     for block in order:
-        preds = preds_of[id(block)]
+        preds = preds_of[block]
         if len(preds) >= 2:
             phis = {}
             for slot in slots:
-                phis[id(slot)] = Phi(slot.type, slot.name)
-            join_phis[id(block)] = phis
-            entry_values[id(block)] = dict(phis)
+                phis[slot] = Phi(slot.type, slot.name)
+            join_phis[block] = phis
+            entry_values[block] = dict(phis)
         elif len(preds) == 1:
             pred = preds[0]
-            if id(pred) not in processed:
+            if pred not in processed:
                 raise OptimizationError(
                     "to_ssa: single predecessor %s of %s not yet renamed "
                     "(irreducible control flow?)" % (pred.name, block.name))
-            entry_values[id(block)] = dict(exit_values[id(pred)])
+            entry_values[block] = dict(exit_values[pred])
         else:
-            entry_values[id(block)] = {}
-        current = dict(entry_values[id(block)])
+            entry_values[block] = {}
+        current = dict(entry_values[block])
         for inst in list(block.instructions):
             if isinstance(inst, WriteLocal):
-                current[id(inst.slot)] = inst.value
+                current[inst.slot] = inst.value
                 remove_with_ghost(inst, KIND_ALU)
                 removed += 1
             elif isinstance(inst, ReadLocal):
-                value = current.get(id(inst.slot))
+                value = current.get(inst.slot)
                 if value is None:
                     value = _default_constant(inst.slot.type)
                 replace_all_uses(inst, value)
                 if not inst.uses:
                     remove_with_ghost(inst, KIND_ALU)
                     removed += 1
-        exit_values[id(block)] = current
-        processed.add(id(block))
+        exit_values[block] = current
+        processed.add(block)
     # Fill phi incoming edges and insert the survivors.
     for block in order:
-        phis = join_phis.get(id(block))
+        phis = join_phis.get(block)
         if not phis:
             continue
         for position, slot in enumerate(slots):
-            phi = phis[id(slot)]
-            for pred in preds_of[id(block)]:
-                value = exit_values.get(id(pred), {}).get(id(slot))
+            phi = phis[slot]
+            for pred in preds_of[block]:
+                value = exit_values.get(pred, {}).get(slot)
                 if value is None:
                     value = _default_constant(slot.type)
                 phi.add_incoming(value, pred)
@@ -184,7 +184,7 @@ def to_ssa(function: Function, frozen: Optional[Set[int]] = None) -> int:
         changed = False
         for block in function.blocks:
             for phi in list(block.phis()):
-                if not phi.uses and id(phi) not in frozen:
+                if not phi.uses and phi not in frozen:
                     remove_phi(phi)
                     changed = True
     return removed
@@ -195,9 +195,9 @@ def to_ssa(function: Function, frozen: Optional[Set[int]] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_to_ssa(function: Function, frozen: Set[int]) -> Dict[str, int]:
+def run_to_ssa(function: Function, frozen: Set[Value]) -> Dict[str, int]:
     return {"removed": to_ssa(function, frozen), "replaced": 0}
 
 
-def run_from_ssa(function: Function, frozen: Set[int]) -> Dict[str, int]:
+def run_from_ssa(function: Function, frozen: Set[Value]) -> Dict[str, int]:
     return {"removed": 0, "replaced": from_ssa(function)}

@@ -18,10 +18,8 @@ from repro.runtime.closures import (
 )
 from repro.runtime.memory import SharedMemory
 from repro.runtime.program import (
-    ENGINE,
     ParallelProgram,
     RunConfig,
-    resolve_backend,
     resolve_opt_level,
 )
 from repro.runtime.sync import SimBarrier, SimMutex
@@ -41,7 +39,7 @@ __all__ = [
     "CostModel", "default_cost_model",
     "FaultHook", "Frame", "Machine", "RunResult", "ThreadContext",
     "ThreadStatus", "SharedMemory", "ParallelProgram", "RunConfig",
-    "ENGINE", "resolve_backend", "resolve_opt_level",
+    "resolve_opt_level",
     "CODEGEN_VERSION", "compile_module", "get_compiled",
     "SimBarrier", "SimMutex",
     "INT_MAX", "INT_MIN", "flip_float_bit", "flip_int_bit", "flip_value_bit",

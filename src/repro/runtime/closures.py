@@ -183,7 +183,7 @@ class CompiledBlock:
         self.dispatch: List[Tuple[Tuple[Tuple[int, Callable], ...],
                                   Tuple[float, ...]]] = []
         self.singles: List[Callable] = []
-        self.edge_copy: Dict[int, Callable] = {}
+        self.edge_copy: Dict[BasicBlock, Callable] = {}
 
 
 class CompiledFunction:
@@ -192,13 +192,13 @@ class CompiledFunction:
 
     def __init__(self, function: Function):
         self.function = function
-        self.slot_of: Dict[int, int] = {}
+        self.slot_of: Dict[Value, int] = {}
         self.nslots = 0
         self.param_slots: Tuple[int, ...] = ()
         #: (slot, default) pairs for LocalSlots — unwritten locals read
         #: as typed zeros, so each new frame prefills them.
         self.slot_defaults: Tuple[Tuple[int, Any], ...] = ()
-        self.blocks: Dict[int, CompiledBlock] = {}
+        self.blocks: Dict[BasicBlock, CompiledBlock] = {}
 
     def make_frame(self, args: Tuple, call_inst=None) -> Frame:
         regs: List[Any] = [None] * self.nslots
@@ -207,18 +207,18 @@ class CompiledFunction:
         for slot, value in zip(self.param_slots, args):
             regs[slot] = value
         entry = self.function.entry
-        return Frame(self.function, self, entry, self.blocks[id(entry)],
+        return Frame(self.function, self, entry, self.blocks[entry],
                      regs, call_inst)
 
 
 class CompiledProgram:
     """One module compiled for one (cost model, thread count)."""
 
-    __slots__ = ("by_name", "by_id", "chunks", "units", "sites")
+    __slots__ = ("by_name", "by_function", "chunks", "units", "sites")
 
     def __init__(self):
         self.by_name: Dict[str, CompiledFunction] = {}
-        self.by_id: Dict[int, CompiledFunction] = {}
+        self.by_function: Dict[Function, CompiledFunction] = {}
         #: Per-function generated source, one chunk per unit.
         self.chunks: Dict[str, List[str]] = {}
         #: static branch id -> the monitor's check site for that branch
@@ -274,14 +274,13 @@ class _Plan:
     def __init__(self, function: Function, frozen):
         self.function = function
         self.frozen = frozen
-        slot_of: Dict[int, int] = {}
+        slot_of: Dict[Value, int] = {}
 
         def alloc(value) -> int:
-            key = id(value)
-            slot = slot_of.get(key)
+            slot = slot_of.get(value)
             if slot is None:
                 slot = len(slot_of)
-                slot_of[key] = slot
+                slot_of[value] = slot
             return slot
 
         self.param_slots = tuple(alloc(p) for p in function.params)
@@ -290,7 +289,7 @@ class _Plan:
             for inst in block.instructions:
                 if isinstance(inst, (ReadLocal, WriteLocal)):
                     slot = inst.slot
-                    if id(slot) not in slot_of:
+                    if slot not in slot_of:
                         defaults.append((alloc(slot),
                                          _slot_default(slot.type)))
                 if inst.type is not VOID:
@@ -298,26 +297,25 @@ class _Plan:
         self.slot_of = slot_of
         self.slot_defaults = tuple(defaults)
         self.nslots = len(slot_of)
-        self.units = {id(b): _partition(b) for b in function.blocks}
-        #: id(inst) -> (id(block), position) for escape analysis.
-        self.pos_of: Dict[int, Tuple[int, int]] = {}
+        self.units = {b: _partition(b) for b in function.blocks}
+        #: inst -> (block, position) for escape analysis.
+        self.pos_of: Dict[Instruction, Tuple[BasicBlock, int]] = {}
         for block in function.blocks:
             for pos, inst in enumerate(block.instructions):
-                self.pos_of[id(inst)] = (id(block), pos)
+                self.pos_of[inst] = (block, pos)
 
     def escapes(self, inst: Instruction, block: BasicBlock,
                 start: int, end: int) -> bool:
         """True when ``inst``'s value is observable outside its fused
         unit: used by another unit/block, by a phi, or frozen (the
         injector may read or corrupt its register at a branch)."""
-        if id(inst) in self.frozen:
+        if inst in self.frozen:
             return True
-        bid = id(block)
         for user in inst.uses:
             if isinstance(user, Phi):
                 return True
-            where = self.pos_of.get(id(user))
-            if where is None or where[0] != bid:
+            where = self.pos_of.get(user)
+            if where is None or where[0] is not block:
                 return True
             if not (start <= where[1] < end):
                 return True
@@ -357,24 +355,24 @@ class _FunctionCodegen:
         self.func_index = func_index
         self.mem_cost = cost.memory_cost(nthreads)
         self.send_cost = cost.send_cost(nthreads)
-        self.block_index = {id(b): i for i, b in enumerate(function.blocks)}
-        #: (id(target), id(predecessor)) -> that edge's phi-copy name.
-        self.edge_names = {(id(target), id(pred)): name
+        self.block_index = {b: i for i, b in enumerate(function.blocks)}
+        #: (target, predecessor) -> that edge's phi-copy name.
+        self.edge_names = {(target, pred): name
                            for target, pred, name in _edges(fi, function)}
         #: Generated source, one chunk per unit.
         self.chunks: List[str] = []
 
     # -- value references --------------------------------------------------
 
-    def _ref(self, value: Value, local_names: Dict[int, str]) -> str:
+    def _ref(self, value: Value, local_names: Dict[Value, str]) -> str:
         if isinstance(value, Constant):
             return "(%r)" % (value.value,)
         if isinstance(value, FunctionRef):
             return "%d" % self.func_index[value.function_name]
-        name = local_names.get(id(value))
+        name = local_names.get(value)
         if name is not None:
             return name
-        return "regs[%d]" % self.plan.slot_of[id(value)]
+        return "regs[%d]" % self.plan.slot_of[value]
 
     def _inst_cost(self, inst: Instruction) -> float:
         cost = self.cost
@@ -396,7 +394,7 @@ class _FunctionCodegen:
             return cost.alu
         raise SimulationError("no cost for %r" % inst)  # pragma: no cover
 
-    def _expr(self, inst: Instruction, local_names: Dict[int, str],
+    def _expr(self, inst: Instruction, local_names: Dict[Value, str],
               needs) -> str:
         """The value expression for one fusible, result-producing
         instruction."""
@@ -457,10 +455,10 @@ class _FunctionCodegen:
             needs.add("tid")
             return "tid"
         if isinstance(inst, ReadLocal):
-            return "regs[%d]" % self.plan.slot_of[id(inst.slot)]
+            return "regs[%d]" % self.plan.slot_of[inst.slot]
         raise SimulationError("no expr for %r" % inst)  # pragma: no cover
 
-    def _stmt(self, inst: Instruction, local_names: Dict[int, str],
+    def _stmt(self, inst: Instruction, local_names: Dict[Value, str],
               needs) -> List[str]:
         """Statement lines for a void fusible instruction."""
         ref = lambda v: self._ref(v, local_names)
@@ -481,7 +479,7 @@ class _FunctionCodegen:
             return ["_li = thread.loop_iters",
                     "_li[%d] = _li.get(%d, -1) + 1" % (lid, lid)]
         if isinstance(inst, WriteLocal):
-            return ["regs[%d] = %s" % (self.plan.slot_of[id(inst.slot)],
+            return ["regs[%d] = %s" % (self.plan.slot_of[inst.slot],
                                        ref(inst.value))]
         raise SimulationError("no stmt for %r" % inst)  # pragma: no cover
 
@@ -504,7 +502,7 @@ class _FunctionCodegen:
         insts = block.instructions
         body: List[str] = []
         needs: set = set()
-        local_names: Dict[int, str] = {}
+        local_names: Dict[Value, str] = {}
         ref = lambda v: self._ref(v, local_names)
         cycles = 0.0
         steps = 0
@@ -558,30 +556,30 @@ class _FunctionCodegen:
                 for n, phi in enumerate(phis):
                     body.append("t%d = %s" % (n, ref(phi.incoming_for(block))))
                 for n, phi in enumerate(phis):
-                    body.append("regs[%d] = t%d" % (plan.slot_of[id(phi)], n))
+                    body.append("regs[%d] = t%d" % (plan.slot_of[phi], n))
                 body += self._retarget(target)
                 continue
             if inst.type is VOID:
                 body.extend(self._stmt(inst, local_names, needs))
             else:
                 expr = self._expr(inst, local_names, needs)
-                slot = plan.slot_of[id(inst)]
+                slot = plan.slot_of[inst]
                 if force_slots:
                     body.append("regs[%d] = %s" % (slot, expr))
-                elif not inst.uses and id(inst) not in plan.frozen:
+                elif not inst.uses and inst not in plan.frozen:
                     # Dead value: evaluate for crash parity, discard.
                     body.append(expr)
                 else:
                     escapes = self.plan.escapes(inst, block, start, end)
                     used_in_run = any(
-                        plan.pos_of.get(id(user), (None, -1))[0] == id(block)
-                        and start <= plan.pos_of[id(user)][1] < end
+                        plan.pos_of.get(user, (None, -1))[0] is block
+                        and start <= plan.pos_of[user][1] < end
                         and not isinstance(user, Phi)
                         for user in inst.uses)
                     if used_in_run:
                         local = "v%d" % slot
                         body.append("%s = %s" % (local, expr))
-                        local_names[id(inst)] = local
+                        local_names[inst] = local
                         if escapes:
                             body.append("regs[%d] = %s" % (slot, local))
                     else:
@@ -632,12 +630,12 @@ class _FunctionCodegen:
                  "if at == bc or at < 0:",
                  "    taken = machine.hook.before_branch(machine, thread, "
                  "I_%d_%d, frame, %s)"
-                 % (self.fi, self.block_index[id(block)], cond),
+                 % (self.fi, self.block_index[block], cond),
                  "else:",
                  "    taken = %s" % cond]
         if info is not None:
-            then_b, else_b = (self.block_index[id(branch.then_block)],
-                              self.block_index[id(branch.else_block)])
+            then_b, else_b = (self.block_index[branch.then_block],
+                              self.block_index[branch.else_block])
             cycles += self.send_cost
             lines += self._send(
                 "(S_%d, tid, key, taken, True)" % info.static_id, pos,
@@ -647,7 +645,7 @@ class _FunctionCodegen:
         for test, target in (("if taken:", branch.then_block),
                              ("else:", branch.else_block)):
             lines.append(test)
-            copy = self.edge_names.get((id(target), id(block)))
+            copy = self.edge_names.get((target, block))
             if copy is not None:
                 lines.append("    %s(regs)" % copy)
             lines += ["    " + line for line in self._retarget(target)]
@@ -655,7 +653,7 @@ class _FunctionCodegen:
 
     def _retarget(self, target: BasicBlock) -> List[str]:
         """Lines moving the frame to ``target``, past its phis."""
-        ti = self.block_index[id(target)]
+        ti = self.block_index[target]
         return ["frame.block = B_%d_%d" % (self.fi, ti),
                 "frame.cblock = C_%d_%d" % (self.fi, ti),
                 "frame.index = %d" % len(target.phis())]
@@ -716,7 +714,7 @@ class _FunctionCodegen:
             for n, phi in enumerate(target.phis()):
                 source = phi.incoming_for(pred)
                 reads.append("t%d = %s" % (n, self._ref(source, {})))
-                writes.append("regs[%d] = t%d" % (plan.slot_of[id(phi)], n))
+                writes.append("regs[%d] = t%d" % (plan.slot_of[phi], n))
             self.chunks.append("def %s(regs):\n" % name
                                + "\n".join("    " + line
                                            for line in reads + writes)
@@ -729,7 +727,7 @@ class _FunctionCodegen:
 # ---------------------------------------------------------------------------
 
 
-def _reader(value: Value, slot_of: Dict[int, int],
+def _reader(value: Value, slot_of: Dict[Value, int],
             func_index: Dict[str, int]):
     """A regs -> value callable for one operand of a generic unit."""
     if isinstance(value, Constant):
@@ -738,7 +736,7 @@ def _reader(value: Value, slot_of: Dict[int, int],
     if isinstance(value, FunctionRef):
         index = func_index[value.function_name]
         return lambda regs: index
-    slot = slot_of[id(value)]
+    slot = slot_of[value]
     return lambda regs: regs[slot]
 
 
@@ -765,7 +763,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
             if call_inst is not None:
                 if thread.callsite_key:
                     thread.callsite_key = thread.callsite_key[:-1]
-                slot = caller.cfunc.slot_of.get(id(call_inst))
+                slot = caller.cfunc.slot_of.get(call_inst)
                 if value is not None:
                     if slot is not None:
                         caller.regs[slot] = value
@@ -778,7 +776,7 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
 
     if isinstance(inst, Call):
         readers = [_reader(a, slot_of, func_index) for a in inst.operands]
-        callee_cf = program.by_id[id(inst.callee)]
+        callee_cf = program.by_function[inst.callee]
 
         def call_unit(machine, thread, frame, _inst=inst):
             regs = frame.regs
@@ -824,8 +822,8 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
             if len(thread.frames) >= 200:
                 raise GuestCrash("call stack overflow", thread.tid)
             thread.frames.append(
-                program.by_id[id(callee)].make_frame(tuple(coerced),
-                                                     call_inst=_inst))
+                program.by_function[callee].make_frame(tuple(coerced),
+                                                       call_inst=_inst))
             thread.cycles += machine.cost.call
             return 1
 
@@ -981,9 +979,9 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
         cfunc.slot_defaults = plan.slot_defaults
         for block in function.blocks:
             nphis = sum(1 for _ in block.phis())
-            cfunc.blocks[id(block)] = CompiledBlock(block, nphis)
+            cfunc.blocks[block] = CompiledBlock(block, nphis)
         program.by_name[function.name] = cfunc
-        program.by_id[id(function)] = cfunc
+        program.by_function[function] = cfunc
 
     # Phase 2, per function: generate (or take from the bundle) and exec
     # the units, then assemble the dispatch and singles tables.
@@ -997,7 +995,7 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
             chunks = warm.get("chunks")
             fresh_units = [(bi, start, end, kind)
                            for bi, block in enumerate(function.blocks)
-                           for start, end, kind in plan.units[id(block)]]
+                           for start, end, kind in plan.units[block]]
             if [entry[:4] for entry in stored] == fresh_units and chunks:
                 try:
                     namespace = _exec_units(chunks, filename)
@@ -1012,7 +1010,7 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
                                    func_index)
             unit_meta = []
             for bi, block in enumerate(function.blocks):
-                for start, end, kind in plan.units[id(block)]:
+                for start, end, kind in plan.units[block]:
                     if kind == "fused":
                         seg_map = gen.emit_segments(fi, bi, block, start, end)
                     else:
@@ -1036,22 +1034,22 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
         cfunc = program.by_name[function.name]
         for ti, tblock in enumerate(function.blocks):
             namespace["B_%d_%d" % (fi, ti)] = tblock
-            namespace["C_%d_%d" % (fi, ti)] = cfunc.blocks[id(tblock)]
+            namespace["C_%d_%d" % (fi, ti)] = cfunc.blocks[tblock]
             if isinstance(tblock.terminator, Branch):
                 namespace["I_%d_%d" % (fi, ti)] = tblock.terminator
         namespace.update(site_names)
         for target, pred, name in _edges(fi, function):
-            cfunc.blocks[id(target)].edge_copy[id(pred)] = namespace[name]
+            cfunc.blocks[target].edge_copy[pred] = namespace[name]
 
         blocks = function.blocks
         for block in blocks:
-            cblock = cfunc.blocks[id(block)]
+            cblock = cfunc.blocks[block]
             n = len(block.instructions)
             cblock.dispatch = [None] * n
             cblock.singles = [None] * n
         for bi, start, end, kind, seg_map in unit_meta:
             block = blocks[bi]
-            cblock = cfunc.blocks[id(block)]
+            cblock = cfunc.blocks[block]
             insts = block.instructions
             for pos in range(start, end):
                 ghost = getattr(insts[pos], "ghost", None)

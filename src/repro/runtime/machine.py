@@ -673,7 +673,7 @@ class Machine:
         """Read ``value`` as ``frame`` sees it."""
         if isinstance(value, Constant):
             return value.value
-        slot = frame.cfunc.slot_of.get(id(value))
+        slot = frame.cfunc.slot_of.get(value)
         if slot is not None:
             held = frame.regs[slot]
             if held is None:
@@ -686,7 +686,7 @@ class Machine:
     def write_reg(self, frame: "Frame", value: Value, new) -> None:
         """Overwrite the register holding ``value`` in ``frame`` (the
         fault injector's corruption primitive)."""
-        frame.regs[frame.cfunc.slot_of[id(value)]] = new
+        frame.regs[frame.cfunc.slot_of[value]] = new
 
     # ------------------------------------------------------------------
     # The queue-stall retry path
@@ -696,8 +696,8 @@ class Machine:
         """Jump ``frame`` to block ``target``, running its phi copies
         (the hot paths use prebound copies; this serves the retry of a
         branch deferred by a full monitor queue)."""
-        cblock = frame.cfunc.blocks[id(target)]
-        copy = cblock.edge_copy.get(id(frame.block))
+        cblock = frame.cfunc.blocks[target]
+        copy = cblock.edge_copy.get(frame.block)
         if copy is not None:
             copy(frame.regs)
         frame.block = target

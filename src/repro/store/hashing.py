@@ -46,7 +46,9 @@ from typing import Dict, Optional, Tuple
 #: 4: golden summaries carry the thread similarity classes.
 #: 5: programs carry no baseline analysis, and a similarity result
 #: pickles its id-keyed maps keyed by the IR values themselves.
-ARTIFACT_SCHEMA = 5
+#: 6: every analysis keys its maps by the IR objects, so a stored
+#: program's loop and lock-region queries answer like a fresh one's.
+ARTIFACT_SCHEMA = 6
 
 #: Version of the compiled-program content address.  Program keys are
 #: also part of every campaign plan hash (journals, served jobs), so

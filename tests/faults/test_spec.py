@@ -122,6 +122,15 @@ class TestValidation:
         with pytest.raises(SpecError):
             CampaignSpec.from_dict(wire)
 
+    def test_stored_backend_may_only_name_the_engine(self):
+        wire = json.loads(figure1_spec().to_json())
+        assert CampaignSpec.from_dict(dict(wire, backend="closure")) \
+            == CampaignSpec.from_dict(wire)
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(dict(wire, backend="interpreter"))
+        assert "interpreter" in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
+
     def test_fault_aliases_normalize(self):
         flip = CampaignSpec.build(FIGURE_1, fault="branch_flip")
         assert flip.fault_type is FaultType.BRANCH_FLIP

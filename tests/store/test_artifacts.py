@@ -73,8 +73,10 @@ class TestProgramCache:
 
     def test_loaded_program_answers_analysis_queries_like_a_fresh_one(
             self, store):
-        """The analysis keys categories and slopes by ``id(value)``; a
-        program loaded from disk must still find every value's."""
+        """The analysis keys categories, slopes, loops and lock depths
+        by the IR objects themselves, which pickle with the module; a
+        program loaded from disk must answer every query for every
+        value, block and instruction as the fresh program does."""
         from repro.splash2 import kernel
         spec = kernel("radix")
         fresh = store.get_program(spec.source, spec.name)
@@ -89,8 +91,24 @@ class TestProgramCache:
                     for function in program.protected.function_table
                     for inst in function.instructions()]
 
+        def structure(program):
+            blocks, insts = [], []
+            for name in sorted(program.analysis.per_function):
+                fa = program.analysis.per_function[name]
+                for block in fa.function.blocks:
+                    loop = fa.loops.innermost_loop(block)
+                    blocks.append((loop.loop_id if loop is not None else None,
+                                   fa.loops.nesting_depth(block)))
+                    insts.extend(fa.critical.depth_at(inst)
+                                 for inst in block.instructions)
+            return blocks, insts
+
         assert answers(loaded) == answers(fresh)
         assert sum(not none for _, none in answers(fresh)) > 0
+        blocks, insts = structure(fresh)
+        assert structure(loaded) == (blocks, insts)
+        assert sum(depth for _, depth in blocks) > 0
+        assert sum(insts) > 0
 
     def test_corrupt_entry_is_a_miss_and_self_heals(self, store):
         store.get_program(FIGURE_1, "fig1")
