@@ -36,7 +36,6 @@ from repro.analysis.similarity import (
     FunctionAnalysis,
     SimilarityResult,
     analyze_module,
-    parallel_function_names,
 )
 from repro.analysis.threadid_patterns import find_tid_counters
 
@@ -49,5 +48,5 @@ __all__ = [
     "CHECK_PARTIAL", "CHECK_SHARED", "CHECK_TID_EQ", "CHECK_TID_MONOTONE",
     "CHECK_UNIFORM",
     "AnalysisConfig", "BranchRecord", "FunctionAnalysis", "SimilarityResult",
-    "analyze_module", "parallel_function_names", "find_tid_counters",
+    "analyze_module", "find_tid_counters",
 ]

@@ -5,12 +5,12 @@ executed by at most one thread at a time — branches inside critical
 sections — since BLOCKWATCH needs at least two concurrent threads to
 compare (Section III-A, *Optimizations*).
 
-The analysis is a forward dataflow over the CFG computing, per block, the
-lock nesting depth on entry.  The meet is conservative: if predecessors
-disagree, the larger depth wins, so a branch is only ever *excluded* from
-checking (a coverage loss), never checked while actually serialized
-(which could, with the shared check, be a soundness problem for data
-guarded by the lock).
+The analysis is a forward dataflow on :mod:`repro.ir.dataflow` whose
+fact is the lock nesting depth.  The join is conservative: if
+predecessors disagree, the larger depth wins, so a branch is only ever
+*excluded* from checking (a coverage loss), never checked while actually
+serialized (which could, with the shared check, be a soundness problem
+for data guarded by the lock).
 """
 
 from __future__ import annotations
@@ -19,13 +19,32 @@ from typing import Dict, Set
 
 from repro.ir import (
     CFG,
-    BasicBlock,
+    CallGraph,
     Function,
     Instruction,
     LockAcquire,
     LockRelease,
-    Module,
 )
+from repro.ir.dataflow import Semilattice, run_dataflow
+
+
+class _MaxDepth(Semilattice):
+    def initial(self):
+        return 0
+
+    def boundary(self):
+        return 0
+
+    def join(self, a, b):
+        return max(a, b)
+
+
+def _lock_transfer(depth: int, inst: Instruction) -> int:
+    if isinstance(inst, LockAcquire):
+        return depth + 1
+    if isinstance(inst, LockRelease):
+        return max(0, depth - 1)
+    return depth
 
 
 class CriticalSections:
@@ -33,44 +52,13 @@ class CriticalSections:
 
     def __init__(self, function: Function, cfg: CFG = None):
         self.function = function
-        cfg = cfg if cfg is not None else CFG(function)
-        self._entry_depth: Dict[BasicBlock, int] = {b: 0 for b in function.blocks}
-        self._inst_depth: Dict[Instruction, int] = {}
-        self._compute(cfg)
-
-    def _compute(self, cfg: CFG) -> None:
-        order = cfg.reverse_postorder()
-        changed = True
-        while changed:
-            changed = False
-            for block in order:
-                preds = cfg.predecessors[block]
-                if preds:
-                    depth = max(self._exit_depth(p) for p in preds)
-                else:
-                    depth = 0
-                if depth != self._entry_depth[block]:
-                    self._entry_depth[block] = depth
-                    changed = True
-        for block in self.function.blocks:
-            depth = self._entry_depth[block]
-            for inst in block.instructions:
-                # The depth *at* the instruction: a branch right after
-                # unlock is outside the critical section.
-                if isinstance(inst, LockRelease):
-                    depth = max(0, depth - 1)
-                self._inst_depth[inst] = depth
-                if isinstance(inst, LockAcquire):
-                    depth += 1
-
-    def _exit_depth(self, block) -> int:
-        depth = self._entry_depth[block]
-        for inst in block.instructions:
-            if isinstance(inst, LockAcquire):
-                depth += 1
-            elif isinstance(inst, LockRelease):
-                depth = max(0, depth - 1)
-        return depth
+        depths = run_dataflow(function, _MaxDepth(), _lock_transfer, cfg=cfg)
+        # The depth *at* the instruction is the lower side: a branch
+        # right after unlock is outside the critical section, and so is
+        # the lock acquire itself.
+        self._inst_depth: Dict[Instruction, int] = {
+            inst: min(depths.before(inst), depths.after(inst))
+            for inst in function.instructions()}
 
     def depth_at(self, inst: Instruction) -> int:
         return self._inst_depth.get(inst, 0)
@@ -79,8 +67,8 @@ class CriticalSections:
         return self.depth_at(inst) > 0
 
 
-def functions_only_called_under_lock(module: Module, parallel: Set[str],
-                                     sections: Dict[str, CriticalSections]) -> Set[str]:
+def functions_only_called_under_lock(
+        graph: CallGraph, sections: Dict[str, CriticalSections]) -> Set[str]:
     """Functions all of whose (direct) parallel call sites are inside
     critical sections — their branches are serialized too.
 
@@ -88,24 +76,16 @@ def functions_only_called_under_lock(module: Module, parallel: Set[str],
     reachable through a function pointer) is *not* included: we cannot
     prove serialization.
     """
-    from repro.ir import Call
-
-    call_sites: Dict[str, list] = {}
-    for fname in parallel:
-        function = module.functions.get(fname)
-        if function is None:
-            continue
-        cs = sections[fname]
-        for inst in function.instructions():
-            if isinstance(inst, Call) and inst.callee.name in parallel:
-                call_sites.setdefault(inst.callee.name, []).append(
-                    (fname, cs.depth_at(inst)))
+    callers = {callee: [(site.parent.parent.name,
+                         sections[site.parent.parent.name].depth_at(site))
+                        for site in sites]
+               for callee, sites in graph.call_sites.items()}
     result: Set[str] = set()
     changed = True
     while changed:
         changed = False
-        for fname, sites in call_sites.items():
-            if fname in result or not sites:
+        for fname, sites in callers.items():
+            if fname in result:
                 continue
             # Serialized if every call site is under a lock, or inside a
             # caller that is itself serialized (transitive case).

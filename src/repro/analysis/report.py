@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.categories import Category
-from repro.analysis.similarity import SimilarityResult, parallel_function_names
+from repro.analysis.similarity import SimilarityResult
 from repro.frontend.parser import parse
-from repro.ir import Branch, Module
+from repro.ir import Branch, CallGraph, Module
 
 
 @dataclass
@@ -102,7 +102,7 @@ def source_loc(source: str) -> int:
 
 def parallel_section_loc(source: str, module: Module, entry: str) -> int:
     """Source lines inside functions reachable from the worker entry."""
-    names = parallel_function_names(module, entry)
+    names = CallGraph(module, entry).parallel
     program = parse(source)
     lines = source.splitlines()
     total = 0
@@ -117,7 +117,7 @@ def parallel_section_loc(source: str, module: Module, entry: str) -> int:
 def program_characteristics(name: str, source: str, module: Module,
                             entry: str = "slave") -> ProgramCharacteristics:
     """Compute one Table IV row from source + compiled module."""
-    names = parallel_function_names(module, entry)
+    names = CallGraph(module, entry).parallel
     return ProgramCharacteristics(
         name=name,
         total_loc=source_loc(source),

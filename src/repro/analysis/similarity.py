@@ -69,6 +69,7 @@ from repro.ir import (
     BinOp,
     Branch,
     Call,
+    CallGraph,
     CallIndirect,
     Cast,
     Cmp,
@@ -242,7 +243,11 @@ class SimilarityResult:
         self.module = module
         self.config = config
         self.categories: Dict[Value, Category] = {}
-        self.parallel_functions: Set[str] = set()
+        #: The parallel region below ``config.entry`` and its calls.
+        self.call_graph: Optional[CallGraph] = None
+        #: Scalar globals / arrays stored to inside the parallel region.
+        self.mutable_scalars: Set[str] = set()
+        self.written_arrays: Set[str] = set()
         self.per_function: Dict[str, FunctionAnalysis] = {}
         self.iterations: int = 0
         #: Per-iteration snapshots of named-value categories (trace mode).
@@ -256,6 +261,10 @@ class SimilarityResult:
         self.tid_slopes: Dict[Value, object] = {}
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def parallel_functions(self) -> Set[str]:
+        return self.call_graph.parallel
 
     def category_of(self, value: Value) -> Category:
         """The similarity category of any IR value."""
@@ -286,29 +295,6 @@ class SimilarityResult:
         return None
 
 
-def parallel_function_names(module: Module, entry: str) -> Set[str]:
-    """Functions reachable from ``entry`` through direct calls, plus any
-    function whose address is taken inside that region (conservatively
-    callable through a pointer)."""
-    if entry not in module.functions:
-        raise AnalysisError("entry function %r not found in module" % entry)
-    names: Set[str] = set()
-    worklist = [entry]
-    while worklist:
-        name = worklist.pop()
-        if name in names:
-            continue
-        names.add(name)
-        function = module.functions[name]
-        for inst in function.instructions():
-            if isinstance(inst, Call):
-                worklist.append(inst.callee.name)
-            for op in inst.operands:
-                if isinstance(op, FunctionRef):
-                    worklist.append(op.function_name)
-    return names
-
-
 def analyze_module(module: Module, config: Optional[AnalysisConfig] = None,
                    trace: bool = False) -> SimilarityResult:
     """Run the full similarity analysis on ``module``."""
@@ -332,9 +318,8 @@ class _Analysis:
 
     def run(self) -> SimilarityResult:
         result = self.result
-        result.parallel_functions = parallel_function_names(
-            self.module, self.config.entry)
-        parallel = result.parallel_functions
+        graph = result.call_graph = CallGraph(self.module, self.config.entry)
+        parallel = graph.parallel
         functions = [self.module.functions[n] for n in sorted(parallel)]
 
         # Per-function structural analyses.
@@ -352,13 +337,11 @@ class _Analysis:
         sections = {n: result.per_function[n].critical for n in parallel}
         result.tid_counters = find_tid_counters(self.module, parallel, sections)
         result.serialized_functions = functions_only_called_under_lock(
-            self.module, parallel, sections)
+            graph, sections)
 
         # Memory mutability pre-pass: globals written in the parallel
         # section cannot be treated as shared when read there.
-        self._mutable_scalars, self._written_arrays = self._find_mutations(functions)
-        self._address_taken = self._find_address_taken(functions)
-        self._call_sites = self._collect_call_sites(functions)
+        self._find_mutations(functions)
 
         self._fixpoint(functions)
         self._slope_fixpoint(functions)
@@ -370,33 +353,13 @@ class _Analysis:
 
     # -- pre-passes --------------------------------------------------------
 
-    def _find_mutations(self, functions: Sequence[Function]) -> Tuple[Set[str], Set[str]]:
-        mutable_scalars: Set[str] = set()
-        written_arrays: Set[str] = set()
+    def _find_mutations(self, functions: Sequence[Function]) -> None:
         for function in functions:
             for inst in function.instructions():
                 if isinstance(inst, StoreGlobal):
-                    mutable_scalars.add(inst.global_.name)
+                    self.result.mutable_scalars.add(inst.global_.name)
                 elif isinstance(inst, StoreElem):
-                    written_arrays.add(inst.array.name)
-        return mutable_scalars, written_arrays
-
-    def _find_address_taken(self, functions: Sequence[Function]) -> Set[str]:
-        taken: Set[str] = set()
-        for function in functions:
-            for inst in function.instructions():
-                for op in inst.operands:
-                    if isinstance(op, FunctionRef):
-                        taken.add(op.function_name)
-        return taken
-
-    def _collect_call_sites(self, functions: Sequence[Function]) -> Dict[str, List[Call]]:
-        sites: Dict[str, List[Call]] = {}
-        for function in functions:
-            for inst in function.instructions():
-                if isinstance(inst, Call):
-                    sites.setdefault(inst.callee.name, []).append(inst)
-        return sites
+                    self.result.written_arrays.add(inst.array.name)
 
     # -- the fixpoint (paper Figure 3) ---------------------------------------
 
@@ -431,11 +394,12 @@ class _Analysis:
 
     def _visit_param(self, function: Function, param: Argument) -> bool:
         """Paper's *multiple instances* policy for function parameters."""
-        if function.name in self._address_taken:
+        graph = self.result.call_graph
+        if function.name in graph.address_taken:
             # May be invoked through a pointer: call paths differ per
             # thread and arguments cannot be matched statically.
             return self._update(param, Category.NONE)
-        sites = self._call_sites.get(function.name, [])
+        sites = graph.call_sites.get(function.name, [])
         if not sites:
             if function.name == self.config.entry:
                 # Worker entry: parameters would be thread-start arguments;
@@ -487,14 +451,14 @@ class _Analysis:
         name = inst.global_.name
         if name in self.result.tid_counters:
             return self._update(inst, Category.THREADID)
-        if name in self._mutable_scalars:
+        if name in self.result.mutable_scalars:
             # Written during the parallel section: the value observed
             # depends on timing, so no static similarity holds.
             return self._update(inst, Category.NONE)
         return self._update(inst, Category.SHARED)
 
     def _visit_loadelem(self, inst: LoadElem) -> bool:
-        if inst.array.name in self._written_arrays:
+        if inst.array.name in self.result.written_arrays:
             return self._update(inst, Category.NONE)
         index_cat = self._operand_category(inst.index)
         if index_cat is Category.NA:
@@ -652,9 +616,10 @@ class _Analysis:
         """Coefficient of a parameter: all call sites must pass arguments
         with one agreeing coefficient (intercepts may differ — the
         runtime keys checks by call-site path)."""
-        if function.name in self._address_taken:
+        graph = self.result.call_graph
+        if function.name in graph.address_taken:
             return None
-        sites = self._call_sites.get(function.name, [])
+        sites = graph.call_sites.get(function.name, [])
         if not sites:
             return None
         slopes = set()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import SpecError
 from repro.faults.models import FaultType

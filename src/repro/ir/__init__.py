@@ -10,7 +10,7 @@ multi-core machine.
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.builder import IRBuilder
-from repro.ir.cfg import CFG, DominatorTree
+from repro.ir.cfg import CFG, CallGraph, DominatorTree
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BINARY_OPS,
@@ -71,7 +71,8 @@ from repro.ir.values import (
 from repro.ir.verifier import verify_function, verify_module
 
 __all__ = [
-    "BasicBlock", "IRBuilder", "Function", "Module", "CFG", "DominatorTree",
+    "BasicBlock", "IRBuilder", "Function", "Module", "CFG", "CallGraph",
+    "DominatorTree",
     "BINARY_OPS", "CMP_OPS", "ORDERED_CMP_OPS", "UNARY_OPS",
     "BarrierWait", "BinOp", "Branch", "Call", "CallIndirect", "Cast", "Cmp",
     "EnterLoop", "GetTid", "Instruction", "Intrinsic", "Jump", "LoadElem",

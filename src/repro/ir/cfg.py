@@ -1,9 +1,11 @@
 """Control-flow-graph library: edge maps, block orders, reachability,
-and (post)dominator trees.
+(post)dominator trees, and the call graph of a parallel region.
 
-The verifier, the loop finder, the lint dataflow engine, SSA
-construction and the vulnerability model all derive whole-function
-structure here.  :class:`DominatorTree` is the Cooper–Harvey–Kennedy
+The verifier, the loop finder, the dataflow engine
+(:mod:`repro.ir.dataflow`), SSA construction and the vulnerability
+model all derive whole-function structure here, and every static
+analysis reads the parallel region and its call sites from one
+:class:`CallGraph`.  :class:`DominatorTree` is the Cooper–Harvey–Kennedy
 iteration; the postdominator tree (:meth:`DominatorTree.post`) is the
 same iteration over reversed edges, rooted at the exit blocks.  The
 module lives in :mod:`repro.ir` because the verifier needs it before
@@ -12,11 +14,14 @@ any analysis is trusted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.errors import VerificationError
+from repro.errors import AnalysisError, VerificationError
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
+from repro.ir.instructions import Call, CallIndirect
+from repro.ir.module import Module
+from repro.ir.values import FunctionRef
 
 Edges = Dict[BasicBlock, List[BasicBlock]]
 
@@ -190,3 +195,48 @@ def _immediate_dominators(roots: Sequence[BasicBlock], successors: Edges,
                 changed = True
     return {block: (block if idom[block] is _ROOT else idom[block])
             for block in order}
+
+
+class CallGraph:
+    """The parallel region below ``entry`` and the calls inside it.
+
+    The region is every function reachable from ``entry`` through
+    direct calls, plus every function whose address is taken inside it
+    (conservatively callable through a pointer).
+    """
+
+    def __init__(self, module: Module, entry: str):
+        if entry not in module.functions:
+            raise AnalysisError(
+                "entry function %r not found in module" % entry)
+        self.entry = entry
+        #: Names of the functions in the region.
+        self.parallel: Set[str] = set()
+        #: Region functions whose address is taken inside the region.
+        self.address_taken: Set[str] = set()
+        #: Region functions that contain a ``CallIndirect``.
+        self.indirect_callers: Set[str] = set()
+        #: callee name -> its direct call sites, ordered by caller name,
+        #: then program order.  A site's caller is ``site.parent.parent``.
+        self.call_sites: Dict[str, List[Call]] = {}
+        calls: Dict[str, List[Call]] = {}
+        worklist = [entry]
+        while worklist:
+            name = worklist.pop()
+            if name in self.parallel:
+                continue
+            self.parallel.add(name)
+            calls[name] = []
+            for inst in module.functions[name].instructions():
+                if isinstance(inst, Call):
+                    calls[name].append(inst)
+                    worklist.append(inst.callee.name)
+                elif isinstance(inst, CallIndirect):
+                    self.indirect_callers.add(name)
+                for op in inst.operands:
+                    if isinstance(op, FunctionRef):
+                        self.address_taken.add(op.function_name)
+                        worklist.append(op.function_name)
+        for name in sorted(calls):
+            for site in calls[name]:
+                self.call_sites.setdefault(site.callee.name, []).append(site)

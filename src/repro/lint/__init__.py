@@ -1,13 +1,16 @@
-"""Static lint layer: dataflow engine, sync analyses, race detection.
+"""Static lint layer: sync analyses, race detection, vulnerability
+prediction.
 
 Public surface:
 
 * :func:`lint_module` — run the race detector over a compiled module
   and return a finalized, deterministically-ordered
   :class:`~repro.lint.diagnostics.LintReport`;
-* :mod:`repro.lint.dataflow` — the reusable worklist engine other
-  analyses build on;
 * the `repro lint` command (:mod:`repro.lint.cli`).
+
+The sync analyses run on the dataflow engine in
+:mod:`repro.ir.dataflow` and read the parallel region from the
+similarity analysis' :class:`~repro.ir.CallGraph`.
 """
 
 from __future__ import annotations
@@ -15,16 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir import Module
-from repro.lint.dataflow import (
-    BACKWARD,
-    FORWARD,
-    TOP,
-    DataflowResult,
-    IntersectionLattice,
-    Semilattice,
-    UnionLattice,
-    run_dataflow,
-)
 from repro.lint.diagnostics import (
     LINT_SCHEMA,
     SEVERITY_ERROR,
@@ -61,28 +54,21 @@ def lint_module(module: Module, entry: str = "slave",
 
 
 __all__ = [
-    "BACKWARD",
     "CLASSES",
     "CLASS_MASKED",
     "CLASS_MONITORED",
     "CLASS_SDC",
-    "FORWARD",
     "MODELS",
     "MODEL_CONDITION",
     "MODEL_FLIP",
-    "TOP",
     "VULN_SCHEMA",
     "AccessSite",
-    "DataflowResult",
     "Diagnostic",
-    "IntersectionLattice",
     "LINT_SCHEMA",
     "LintReport",
     "RaceDetector",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "Semilattice",
-    "UnionLattice",
     "VulnReport",
     "VulnSite",
     "analyze_program",
@@ -93,6 +79,5 @@ __all__ = [
     "lint_module",
     "lockset_analysis",
     "phase_analysis",
-    "run_dataflow",
     "summarize_function",
 ]

@@ -37,7 +37,7 @@ reports are byte-identical under any ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.similarity import (
     AnalysisConfig,
@@ -55,19 +55,17 @@ from repro.ir import (
     Cmp,
     Constant,
     Function,
-    FunctionRef,
     GetTid,
     Instruction,
     LoadElem,
     LoadGlobal,
     Module,
-    Phi,
     StoreElem,
     StoreGlobal,
     UnaryOp,
     Value,
 )
-from repro.lint.dataflow import run_dataflow
+from repro.ir.dataflow import run_dataflow
 from repro.lint.diagnostics import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
@@ -79,7 +77,7 @@ from repro.lint.sync import (
     ENTRY_PHASE,
     _PhaseLattice,
     barrier_token,
-    entry_token,
+    functions_with_barriers,
     lockset_analysis,
     lockset_at,
     phases_at,
@@ -165,8 +163,8 @@ class RaceDetector:
         self.functions = [self.module.functions[n] for n in names]
         for function in self.functions:
             function.number_values()
-        self._find_memory()
-        self._build_call_graph()
+        self.graph = self.analysis.call_graph
+        self._find_barrier_callers()
         self._phase_results = self._solve_phases()
         self._lock_results = {f.name: lockset_analysis(f, self._cfg(f))
                               for f in self.functions}
@@ -185,58 +183,25 @@ class RaceDetector:
         fa = self.analysis.per_function.get(function.name)
         return fa.domtree if fa is not None else None
 
-    # -- memory + call graph ---------------------------------------------
+    # -- calls that may cross a barrier ---------------------------------
 
-    def _find_memory(self) -> None:
-        self.mutable_scalars = set()
-        self.written_arrays = set()
-        self.address_taken = set()
-        for function in self.functions:
-            for inst in function.instructions():
-                if isinstance(inst, StoreGlobal):
-                    self.mutable_scalars.add(inst.global_.name)
-                elif isinstance(inst, StoreElem):
-                    self.written_arrays.add(inst.array.name)
-                for op in inst.operands:
-                    if isinstance(op, FunctionRef):
-                        self.address_taken.add(op.function_name)
-
-    def _build_call_graph(self) -> None:
-        parallel = {f.name for f in self.functions}
-        #: callee -> [(caller_function, call_inst)] in program order.
-        self.call_sites: Dict[str, List[Tuple[Function, Call]]] = {}
-        self.has_indirect: Dict[str, bool] = {}
-        calls_out: Dict[str, List[str]] = {}
-        for function in self.functions:
-            out = []
-            indirect = False
-            for inst in function.instructions():
-                if isinstance(inst, Call) and inst.callee.name in parallel:
-                    self.call_sites.setdefault(
-                        inst.callee.name, []).append((function, inst))
-                    out.append(inst.callee.name)
-                elif isinstance(inst, CallIndirect):
-                    indirect = True
-            calls_out[function.name] = out
-            self.has_indirect[function.name] = indirect
-
-        direct_barrier = {
-            f.name for f in self.functions
-            if any(isinstance(i, BarrierWait) for i in f.instructions())}
-        self.indirect_may_barrier = bool(direct_barrier & self.address_taken)
-        # Transitive "calling this may cross a barrier".
-        trans = set(direct_barrier)
-        changed = True
-        while changed:
-            changed = False
-            for function in self.functions:
-                name = function.name
-                if name in trans:
-                    continue
-                if any(c in trans for c in calls_out[name]) or (
-                        self.has_indirect[name] and self.indirect_may_barrier):
-                    trans.add(name)
-                    changed = True
+    def _find_barrier_callers(self) -> None:
+        graph = self.graph
+        direct = functions_with_barriers(self.functions)
+        self.indirect_may_barrier = bool(direct & graph.address_taken)
+        # Transitive "calling this may cross a barrier": the callers of
+        # barrier code, and every indirect caller once a pointer may
+        # reach barrier code.
+        trans = set(direct)
+        if self.indirect_may_barrier:
+            trans |= graph.indirect_callers
+        pending = sorted(trans)
+        while pending:
+            for site in graph.call_sites.get(pending.pop(), ()):
+                caller = site.parent.parent.name
+                if caller not in trans:
+                    trans.add(caller)
+                    pending.append(caller)
         self.trans_barrier = trans
 
     # -- barrier phases (call-aware) -------------------------------------
@@ -358,8 +323,8 @@ class RaceDetector:
                 name = function.name
                 if name == entry:
                     continue
-                sites = self.call_sites.get(name, [])
-                if not sites or name in self.address_taken:
+                sites = self.graph.call_sites.get(name, [])
+                if not sites or name in self.graph.address_taken:
                     tokens = frozenset([UNIVERSAL])
                     locks: Optional[FrozenSet] = frozenset()
                     guards: Optional[FrozenSet] = frozenset()
@@ -367,7 +332,8 @@ class RaceDetector:
                     tokens = frozenset()
                     locks = None
                     guards = None
-                    for caller, site in sites:
+                    for site in sites:
+                        caller = site.parent.parent
                         cname = caller.name
                         tokens |= self._subst(
                             cname, phases_at(self._phase_results[cname], site))
@@ -414,13 +380,13 @@ class RaceDetector:
                     if isinstance(inst, StoreGlobal):
                         kind, loc, index = "store", inst.global_.name, None
                     elif isinstance(inst, LoadGlobal):
-                        if inst.global_.name not in self.mutable_scalars:
+                        if inst.global_.name not in self.analysis.mutable_scalars:
                             continue
                         kind, loc, index = "load", inst.global_.name, None
                     elif isinstance(inst, StoreElem):
                         kind, loc, index = "store", inst.array.name, inst.index
                     elif isinstance(inst, LoadElem):
-                        if inst.array.name not in self.written_arrays:
+                        if inst.array.name not in self.analysis.written_arrays:
                             continue
                         kind, loc, index = "load", inst.array.name, inst.index
                     else:
@@ -478,7 +444,7 @@ class RaceDetector:
         elif isinstance(value, GetTid):
             out = ("tid",)
         elif isinstance(value, LoadGlobal) \
-                and value.global_.name not in self.mutable_scalars:
+                and value.global_.name not in self.analysis.mutable_scalars:
             # Loads of an immutable global are value-stable anywhere.
             out = ("ldro", value.global_.name)
         else:

@@ -1,6 +1,6 @@
 """Synchronization analyses: barrier phases and must-locksets.
 
-Both are instances of the :mod:`repro.lint.dataflow` engine.
+Both are instances of the :mod:`repro.ir.dataflow` engine.
 
 **Barrier phases.**  In an SPMD program whose threads all reach the same
 textually-aligned barriers, execution splits into *dynamic phases*: the
@@ -24,7 +24,7 @@ excluded and cannot race.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import FrozenSet, Set, Tuple
 
 from repro.ir import (
     CFG,
@@ -34,7 +34,7 @@ from repro.ir import (
     LockAcquire,
     LockRelease,
 )
-from repro.lint.dataflow import (
+from repro.ir.dataflow import (
     TOP,
     DataflowResult,
     IntersectionLattice,
@@ -108,10 +108,10 @@ def phases_at(result: DataflowResult, inst: Instruction) -> FrozenSet[PhaseToken
     return result.before(inst)
 
 
-def functions_with_barriers(functions) -> Dict[str, bool]:
-    """Which functions directly contain a ``BarrierWait``."""
-    out: Dict[str, bool] = {}
-    for function in functions:
-        out[function.name] = any(
-            isinstance(inst, BarrierWait) for inst in function.instructions())
-    return out
+def functions_with_barriers(functions) -> Set[str]:
+    """Names of the ``functions`` that directly contain a
+    ``BarrierWait`` (the race detector closes this over the call
+    graph)."""
+    return {function.name for function in functions
+            if any(isinstance(inst, BarrierWait)
+                   for inst in function.instructions())}

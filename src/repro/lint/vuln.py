@@ -54,6 +54,7 @@ from repro.ir import (
     CFG,
     Branch,
     Call,
+    CallGraph,
     CallIndirect,
     Cmp,
     Constant,
@@ -603,7 +604,8 @@ def analyze_vulnerability(module: Module, entry: str = "slave",
                           output_globals: Sequence[str] = (),
                           store=None, name: str = "module",
                           telemetry=None) -> VulnReport:
-    """Classify every fault site of ``module``'s parallel region.
+    """Classify every fault site of ``module``'s parallel region (the
+    :class:`~repro.ir.CallGraph` region the similarity analysis checks).
 
     ``module`` must be the *instrumented* image (checked branches carry
     ``bw_info``) — i.e. ``ParallelProgram.protected``; use
@@ -612,12 +614,7 @@ def analyze_vulnerability(module: Module, entry: str = "slave",
     text (``store.vuln.hit``/``store.vuln.miss`` counters).
     """
     summaries: Dict[str, dict] = {}
-    pending = [entry]
-    module.function_named(entry)  # raise early on a bad entry
-    while pending:
-        fname = pending.pop()
-        if fname in summaries or fname not in module.functions:
-            continue
+    for fname in sorted(CallGraph(module, entry).parallel):
         function = module.functions[fname]
         if store is not None:
             from repro.store.hashing import vuln_key
@@ -628,23 +625,6 @@ def analyze_vulnerability(module: Module, entry: str = "slave",
         else:
             summary = summarize_function(function)
         summaries[fname] = summary
-        for callee in summary["calls"].values():
-            if callee:
-                pending.append(callee)
-        if any(callee == "" for callee in summary["calls"].values()):
-            pending.extend(summary["refs"])
-    # Address-taken functions are reachable the moment any reachable
-    # function calls indirectly; pull their refs transitively too.
-    while True:
-        if not any(c == "" for s in summaries.values()
-                   for c in s["calls"].values()):
-            break
-        fresh = [r for s in summaries.values() for r in s["refs"]
-                 if r not in summaries and r in module.functions]
-        if not fresh:
-            break
-        for fname in sorted(set(fresh)):
-            summaries[fname] = summarize_function(module.functions[fname])
 
     composer = _Composer(summaries, output_globals)
     composer.run()

@@ -48,7 +48,9 @@ from typing import Dict, Optional, Tuple
 #: pickles its id-keyed maps keyed by the IR values themselves.
 #: 6: every analysis keys its maps by the IR objects, so a stored
 #: program's loop and lock-region queries answer like a fresh one's.
-ARTIFACT_SCHEMA = 6
+#: 7: a similarity result carries its call graph and the region's
+#: written globals; lock regions carry no per-block depths.
+ARTIFACT_SCHEMA = 7
 
 #: Version of the compiled-program content address.  Program keys are
 #: also part of every campaign plan hash (journals, served jobs), so

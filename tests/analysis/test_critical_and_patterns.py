@@ -3,7 +3,7 @@
 from repro.analysis import CriticalSections, find_tid_counters
 from repro.analysis.critical_sections import functions_only_called_under_lock
 from repro.frontend import compile_source
-from repro.ir import CFG, Branch
+from repro.ir import CFG, Branch, CallGraph
 
 PRELUDE = """
 global int g;
@@ -58,7 +58,7 @@ class TestCriticalSections:
         module, f, cs = sections_for(
             "lock(l); inner(); unlock(l);", extra=extra)
         serialized = functions_only_called_under_lock(
-            module, {"slave", "inner"},
+            CallGraph(module, "slave"),
             {"slave": cs, "inner": CriticalSections(module.function_named("inner"))})
         assert serialized == {"inner"}
 
@@ -67,7 +67,7 @@ class TestCriticalSections:
         module, f, cs = sections_for(
             "lock(l); inner(); unlock(l); inner();", extra=extra)
         serialized = functions_only_called_under_lock(
-            module, {"slave", "inner"},
+            CallGraph(module, "slave"),
             {"slave": cs, "inner": CriticalSections(module.function_named("inner"))})
         assert serialized == set()
 
@@ -78,7 +78,8 @@ class TestCriticalSections:
         names = {"slave", "mid", "leaf"}
         sections = {name: CriticalSections(module.function_named(name))
                     for name in names}
-        serialized = functions_only_called_under_lock(module, names, sections)
+        serialized = functions_only_called_under_lock(
+            CallGraph(module, "slave"), sections)
         assert serialized == {"mid", "leaf"}
 
 

@@ -16,10 +16,10 @@ from repro.analysis import (
     CHECK_UNIFORM,
     Category,
     analyze_module,
-    parallel_function_names,
 )
 from repro.errors import AnalysisError
 from repro.frontend import compile_source
+from repro.ir import CallGraph
 
 PRELUDE = """
 global int id;
@@ -342,8 +342,7 @@ class TestParallelRegion:
         func slave() { helper(); }
         """
         module = compile_source(source)
-        names = parallel_function_names(module, "slave")
-        assert names == {"slave", "helper"}
+        assert CallGraph(module, "slave").parallel == {"slave", "helper"}
 
     def test_address_taken_included(self):
         source = PRELUDE + """
@@ -352,9 +351,9 @@ class TestParallelRegion:
         func slave() { fp = &pointee; }
         """
         module = compile_source(source)
-        assert "pointee" in parallel_function_names(module, "slave")
+        assert "pointee" in CallGraph(module, "slave").parallel
 
     def test_missing_entry_raises(self):
         module = compile_source(PRELUDE + "func slave() { }")
         with pytest.raises(AnalysisError):
-            parallel_function_names(module, "nonexistent")
+            CallGraph(module, "nonexistent")

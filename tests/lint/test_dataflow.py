@@ -4,7 +4,7 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.ir import BarrierWait, Branch, Constant, Function, Jump, Ret
-from repro.lint.dataflow import (
+from repro.ir.dataflow import (
     BACKWARD,
     FORWARD,
     TOP,

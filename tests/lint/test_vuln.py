@@ -158,6 +158,38 @@ class TestInterprocedural:
         report = classes_of("out[0] = g;", extra=extra)
         assert "unused" not in report.functions
 
+    LATE_TARGET = ("global int fp;\n"
+                   "func helper() { if (g > 2) { out[1] = 1; } }\n"
+                   "func viaptr() { helper(); }\n"
+                   "func init() { fp = &viaptr; }\n")
+
+    def test_direct_callee_of_an_address_taken_function_is_analyzed(
+            self, tmp_path):
+        # init() takes viaptr's address but calls nothing indirectly;
+        # slave does.  helper is reached only by viaptr's direct call,
+        # so it is in the region the similarity analysis checks.
+        report = classes_of("init(); callptr(fp);", extra=self.LATE_TARGET)
+        assert "helper" in report.functions
+        assert [site.function for site in report.sites] == ["helper"]
+
+        from repro.store import open_store
+        store = open_store(str(tmp_path))
+        module = module_of("init(); callptr(fp);", self.LATE_TARGET)
+        stored = analyze_vulnerability(module, entry="slave",
+                                       output_globals=("out",), store=store)
+        assert stored.as_dict() == report.as_dict()
+        assert (store.counters.get("store.vuln.hit", 0)
+                + store.counters.get("store.vuln.miss", 0)
+                == len(report.functions))
+
+    def test_kernel_function_sets_are_the_analysis_region(self):
+        from repro.splash2 import all_kernels
+        for spec in all_kernels():
+            program = ParallelProgram(spec.source, spec.name)
+            report = analyze_program(program)
+            assert list(report.functions) == sorted(
+                program.analysis.parallel_functions), spec.name
+
 
 class TestDeterminismAndTable:
     def test_site_table_matches_branch_site_map(self):

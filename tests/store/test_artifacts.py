@@ -73,16 +73,12 @@ class TestProgramCache:
 
     def test_loaded_program_answers_analysis_queries_like_a_fresh_one(
             self, store):
-        """The analysis keys categories, slopes, loops and lock depths
-        by the IR objects themselves, which pickle with the module; a
-        program loaded from disk must answer every query for every
-        value, block and instruction as the fresh program does."""
+        """The analysis keys categories, slopes, loops, lock depths and
+        call sites by the IR objects themselves, which pickle with the
+        module; a program loaded from disk must answer every query for
+        every value, block, instruction and call as the fresh program
+        does.  raytrace adds address-taken functions and ``callptr``."""
         from repro.splash2 import kernel
-        spec = kernel("radix")
-        fresh = store.get_program(spec.source, spec.name)
-        loaded = ArtifactStore(store.root).get_program(spec.source,
-                                                       spec.name)
-        assert loaded is not fresh
 
         def answers(program):
             analysis = program.analysis
@@ -103,12 +99,32 @@ class TestProgramCache:
                                  for inst in block.instructions)
             return blocks, insts
 
-        assert answers(loaded) == answers(fresh)
-        assert sum(not none for _, none in answers(fresh)) > 0
-        blocks, insts = structure(fresh)
-        assert structure(loaded) == (blocks, insts)
-        assert sum(depth for _, depth in blocks) > 0
-        assert sum(insts) > 0
+        def calls(program):
+            graph = program.analysis.call_graph
+            sites = {callee: [(site.parent.parent.name, site.callsite_id)
+                              for site in sites]
+                     for callee, sites in graph.call_sites.items()}
+            return (sites, graph.parallel, graph.address_taken,
+                    graph.indirect_callers,
+                    program.analysis.serialized_functions)
+
+        for name in ("radix", "raytrace"):
+            spec = kernel(name)
+            fresh = store.get_program(spec.source, spec.name)
+            loaded = ArtifactStore(store.root).get_program(spec.source,
+                                                           spec.name)
+            assert loaded is not fresh
+            assert answers(loaded) == answers(fresh)
+            assert sum(not none for _, none in answers(fresh)) > 0
+            blocks, insts = structure(fresh)
+            assert structure(loaded) == (blocks, insts)
+            assert sum(depth for _, depth in blocks) > 0
+            assert sum(insts) > 0
+            assert calls(loaded) == calls(fresh)
+            assert calls(fresh)[0]
+
+        graph = fresh.analysis.call_graph
+        assert graph.address_taken and graph.indirect_callers
 
     def test_corrupt_entry_is_a_miss_and_self_heals(self, store):
         store.get_program(FIGURE_1, "fig1")
