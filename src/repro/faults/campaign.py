@@ -144,8 +144,8 @@ class CampaignResult:
 
 def quantize_signature(signature, bits: int):
     """Drop ``bits`` low-order bits from every integer in a signature
-    (recursively through the nested tuples); floats are coarsened to the
-    matching relative precision."""
+    (recursively through the nested tuples) and map every finite float
+    to ``round(value / 2**bits)``: an absolute step of ``2**bits``."""
     if bits <= 0:
         return signature
 
@@ -634,7 +634,7 @@ def run_campaign(spec: CampaignSpec,
     ``None`` (stats and records are unaffected).
 
     ``pool`` (a :class:`repro.parallel.WorkerPool`) runs the chunks of a
-    ``jobs > 1`` campaign on long-lived workers instead of a pool forked
+    ``jobs > 1`` campaign on long-lived workers instead of a pool started
     for this call.  Each worker resolves the program, the setup and the
     golden run from the spec through its own handle on ``store``'s root
     and keeps them for later chunks and campaigns; the result is the

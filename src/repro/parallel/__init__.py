@@ -8,8 +8,9 @@ execution:
 
 * :func:`run_tasks` — the generic pool runner (fork-first, spawn
   fallback, serial last resort; ``jobs=1`` never touches a pool);
-* :class:`WorkerPool` — a fork pool that outlives the calls it serves,
-  whose workers keep the contexts they built, by key;
+* :class:`WorkerPool` — the one pool: short-lived for a call given
+  none, or long-lived across the calls it serves; its workers keep
+  their contexts by key;
 * :func:`derive_seed` / :func:`stable_hash` — hash-stable seed
   derivation, so any partitioning of the work reproduces the same
   per-item RNG streams across processes and interpreter invocations;

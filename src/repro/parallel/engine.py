@@ -5,39 +5,28 @@ work items and returns the results **in item order**, regardless of how
 the items were chunked or which worker finished first — so any
 aggregation of the result list is automatically partition-independent.
 
-Execution strategy, in order of preference:
+Every ``jobs > 1`` call runs on a :class:`WorkerPool`, whose workers
+keep contexts in one keyed cache and run each chunk through one loop,
+:func:`_run_chunk`.  A call given no ``pool`` starts a short-lived one
+and closes it when it returns, raises or is stopped by a raising
+callback.  Its workers cache the caller's context as they start: under
+``fork`` (where the platform has it) the context is *inherited*, not
+pickled, so workers start with the parent's compiled image and never
+recompile; under ``spawn`` each worker builds it once with the
+picklable ``context_factory`` (or unpickles ``context`` when no factory
+is given) and keeps it for all its chunks.  A context that cannot cross
+a spawn boundary runs on the serial loop, as does ``jobs=1`` or a
+single item.
 
-``fork``
-    The default on platforms that support it.  The expensive per-campaign
-    context (compiled program, golden-run artifacts, setup closures) is
-    handed to each worker through the pool initializer, which under fork
-    is *inherited*, not pickled — workers start with the parent's
-    compiled image and never recompile.
-
-``spawn``
-    Fallback when fork is unavailable.  Workers cannot inherit memory,
-    so the initializer instead receives a picklable ``context_factory``
-    and rebuilds the context **once per worker process** (one compile +
-    analyze + instrument per worker, cached for all its chunks — never
-    once per injection).  Requires the factory arguments (or the context
-    itself) to survive ``pickle``.
-
-serial
-    ``jobs=1``, a single work item, or an unpicklable spawn context all
-    stay on the plain in-process loop — today's code path, no pool, no
-    pickling.
-
-Those pools live for one call.  A :class:`WorkerPool` instead outlives
-the calls that use it (the campaign server forks one per server): its
-workers keep the contexts they built, and a call names its context by a
-key.  Each chunk carries the key with a picklable ``context_factory``
+A ``pool`` the caller passes outlives the calls that use it (the
+campaign server keeps one per server), and a call names its context by
+a key.  Each chunk carries the key with a picklable ``context_factory``
 and its arguments; a worker that has no context under the key builds
 one with them and keeps it for later chunks and later calls.
 
-Both lifetimes share one worker loop, :func:`_run_chunk`.  Dispatch is
-chunked: items are grouped into contiguous chunks that are consumed by
-an unordered ``imap``, and an optional ``progress`` callback fires once
-per completed chunk with ``(done, total, chunk_seconds)``.
+Dispatch is chunked: items are grouped into contiguous chunks that are
+consumed by an unordered ``imap``, and an optional ``progress`` callback
+fires once per completed chunk with ``(done, total, chunk_seconds)``.
 """
 
 from __future__ import annotations
@@ -87,32 +76,38 @@ def default_chunk_size(nitems: int, jobs: int) -> int:
     return max(1, -(-nitems // (jobs * 4)))
 
 
+def _start_method() -> str:
+    """``fork`` where the platform has it, else ``spawn``."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
+
+
 # -- worker-side state -------------------------------------------------------
 
-#: Per-worker cache of a per-call pool, populated exactly once by
-#: :func:`_init_worker`.
-_WORKER = {"fn": None, "ctx": None}
-
-#: Contexts a :class:`WorkerPool` worker built, by key, least recently
-#: used first.
+#: Contexts a worker holds, by key, least recently used first.
 _WARM: "OrderedDict[str, object]" = OrderedDict()
 
-#: Contexts a :class:`WorkerPool` worker keeps.
+#: Contexts a worker keeps.
 WARM_CONTEXTS = 8
 
+#: The key a short-lived pool caches its caller's context under.
+_CALL_KEY = "run_tasks"
 
-def _init_worker(task_fn, context, context_factory, factory_args) -> None:
-    _WORKER["fn"] = task_fn
-    if context_factory is not None and context is None:
+
+def _seed_worker(context, context_factory, factory_args) -> None:
+    """Pool initializer of a short-lived pool: cache the caller's
+    context (inherited under fork) or, if none was given, build it."""
+    if context is None and context_factory is not None:
         context = context_factory(*factory_args)
-    _WORKER["ctx"] = context
+    _WARM[_CALL_KEY] = context
 
 
-def _warm_context(key: str, context_factory: Callable, factory_args: Tuple):
-    ctx = _WARM.get(key)
-    if ctx is None:
-        ctx = context_factory(*factory_args)
-    _WARM[key] = ctx
+def _warm_context(key: str, context_factory: Optional[Callable],
+                  factory_args: Tuple):
+    try:
+        ctx = _WARM[key]
+    except KeyError:
+        ctx = _WARM[key] = context_factory(*factory_args)
     _WARM.move_to_end(key)
     while len(_WARM) > WARM_CONTEXTS:
         _WARM.popitem(last=False)
@@ -120,51 +115,48 @@ def _warm_context(key: str, context_factory: Callable, factory_args: Tuple):
 
 
 def _run_chunk(payload):
-    """Run one chunk: ``(chunk_id, [(index, item), ...], warm)``, where
-    ``warm`` is None in a per-call pool (task and context came with the
-    fork) and ``(task_fn, key, context_factory, factory_args)`` in a
-    :class:`WorkerPool`."""
-    chunk_id, chunk, warm = payload
-    if warm is None:
-        fn, ctx = _WORKER["fn"], _WORKER["ctx"]
-    else:
-        fn, key, context_factory, factory_args = warm
-        ctx = _warm_context(key, context_factory, factory_args)
+    """Run one chunk: ``(chunk_id, [(index, item), ...], (task_fn, key,
+    context_factory, factory_args))``.  A short-lived pool's chunks
+    carry no factory: its workers were seeded at their start."""
+    chunk_id, chunk, (fn, key, context_factory, factory_args) = payload
+    ctx = _warm_context(key, context_factory, factory_args)
     started = time.perf_counter()
     out = [(index, fn(ctx, item)) for index, item in chunk]
     return chunk_id, out, time.perf_counter() - started
 
 
 class WorkerPool:
-    """A fork pool that outlives the :func:`run_tasks` calls it serves.
+    """A process pool whose workers keep the contexts they build, by key.
 
-    The pool forks its ``processes`` workers at its first use, not at
+    The pool starts its ``processes`` workers at its first use, not at
     construction, and keeps them until :meth:`close`.  A call that fails
     or stops early abandons its chunks still in flight: they run to
     their end and their results are dropped, and the pool stays usable.
-    Needs the ``fork`` start method (see :attr:`available`).
+    Workers are forked where the platform can, else spawned.
     """
-
-    #: Whether this platform can fork a pool at all.
-    available = "fork" in multiprocessing.get_all_start_methods()
 
     def __init__(self, processes: int):
         self.processes = max(1, int(processes))
         self._pool = None
         self._lock = threading.Lock()
+        #: ``_seed_worker``'s arguments, for a short-lived pool.
+        self._seed: Optional[Tuple] = None
 
     def _started(self):
         with self._lock:
             if self._pool is None:
-                self._pool = multiprocessing.get_context("fork").Pool(
-                    processes=self.processes)
+                mp = multiprocessing.get_context(_start_method())
+                self._pool = mp.Pool(
+                    processes=self.processes,
+                    initializer=None if self._seed is None else _seed_worker,
+                    initargs=self._seed or ())
             return self._pool
 
     def imap_unordered(self, payloads):
         return self._started().imap_unordered(_run_chunk, payloads)
 
     def close(self) -> None:
-        """Terminate and join the workers (a later use forks anew)."""
+        """Terminate and join the workers (a later use starts anew)."""
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -193,18 +185,20 @@ def _run_serial(task_fn, items, context, context_factory, factory_args,
     return results
 
 
-def _spawn_initargs(task_fn, context, context_factory, factory_args):
-    """The initializer payload for a spawn pool, or None if it cannot be
-    pickled (live programs / setup closures with no factory)."""
+def _seed_args(context, context_factory, factory_args) -> Optional[Tuple]:
+    """``_seed_worker``'s arguments, or None where spawn workers cannot
+    receive them: they build from the factory if there is one, else
+    unpickle the context."""
+    seed = (context, context_factory, factory_args)
+    if _start_method() == "fork":
+        return seed
     if context_factory is not None:
-        initargs = (task_fn, None, context_factory, factory_args)
-    else:
-        initargs = (task_fn, context, None, ())
+        seed = (None, context_factory, factory_args)
     try:
-        pickle.dumps(initargs)
+        pickle.dumps(seed)
     except Exception:
         return None
-    return initargs
+    return seed
 
 
 def run_tasks(task_fn: Callable,
@@ -230,8 +224,10 @@ def run_tasks(task_fn: Callable,
     builds it with ``context_factory(*factory_args)``: once per spawn
     worker (``context`` is pickled directly when no factory is given),
     or once per :class:`WorkerPool` worker and ``context_key`` when
-    ``pool`` is given.  The serial loop (``jobs=1``) uses ``context``.
-    Exceptions raised by any task propagate.
+    ``pool`` is given.  With no ``pool``, the call starts a
+    :class:`WorkerPool` of its own and closes it before it returns.
+    The serial loop (``jobs=1``) uses ``context``.  Exceptions raised
+    by any task propagate.
 
     ``timings``, when given a list, receives one ``(chunk_id, items,
     seconds)`` tuple per completed dispatch unit — the per-worker
@@ -244,6 +240,15 @@ def run_tasks(task_fn: Callable,
     """
     items = list(items)
     jobs = min(resolve_jobs(jobs), len(items)) if items else 1
+    own = pool is None
+    if jobs > 1 and own:
+        seed = _seed_args(context, context_factory, factory_args)
+        if seed is None:
+            warnings.warn(
+                "parallel context is not picklable and fork is "
+                "unavailable; falling back to serial execution",
+                RuntimeWarning, stacklevel=2)
+            jobs = 1
     if jobs <= 1:
         return _run_serial(task_fn, items, context, context_factory,
                            factory_args, progress, timings, on_results)
@@ -252,36 +257,22 @@ def run_tasks(task_fn: Callable,
     indexed = list(enumerate(items))
     chunks = [indexed[start:start + size]
               for start in range(0, len(indexed), size)]
-    if pool is not None:
-        if context_key is None or context_factory is None:
-            raise ValueError("a WorkerPool call needs a context_key and "
-                             "the context_factory its workers build from")
+    if own:
+        pool = WorkerPool(min(jobs, len(chunks)))
+        pool._seed = seed
+        warm = (task_fn, _CALL_KEY, None, ())
+    elif context_key is None or context_factory is None:
+        raise ValueError("a WorkerPool call needs a context_key and "
+                         "the context_factory its workers build from")
+    else:
         warm = (task_fn, context_key, context_factory, factory_args)
+    try:
         return _collect(pool.imap_unordered(
             [(cid, chunk, warm) for cid, chunk in enumerate(chunks)]),
             len(items), progress, timings, on_results)
-
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        mp = multiprocessing.get_context("fork")
-        initargs = (task_fn, context, context_factory, factory_args)
-    else:  # pragma: no cover - exercised only on spawn-only platforms
-        mp = multiprocessing.get_context("spawn")
-        initargs = _spawn_initargs(task_fn, context, context_factory,
-                                   factory_args)
-        if initargs is None:
-            warnings.warn(
-                "parallel context is not picklable and fork is "
-                "unavailable; falling back to serial execution",
-                RuntimeWarning, stacklevel=2)
-            return _run_serial(task_fn, items, context, context_factory,
-                               factory_args, progress, timings, on_results)
-    with mp.Pool(processes=min(jobs, len(chunks)),
-                 initializer=_init_worker, initargs=initargs) as per_call:
-        return _collect(per_call.imap_unordered(
-            _run_chunk, [(cid, chunk, None)
-                         for cid, chunk in enumerate(chunks)]),
-            len(items), progress, timings, on_results)
+    finally:
+        if own:
+            pool.close()
 
 
 def _collect(completed, total: int, progress, timings, on_results) -> List:

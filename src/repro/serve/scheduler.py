@@ -4,7 +4,7 @@ The scheduler owns everything about a job except the sockets: admission
 (bounded queue → backpressure), execution (each campaign runs in a
 worker thread via the one spec-driven :func:`repro.run_campaign` path,
 journaled to the store; a sharded one on the server's one
-:class:`~repro.parallel.WorkerPool`, forked at the first sharded job
+:class:`~repro.parallel.WorkerPool`, started at the first sharded job
 and kept until drain), durability (every state transition is an
 atomic JSON write under ``<store>/serve/jobs/``, so a killed server
 rescans the directory and re-enqueues every unfinished job with
@@ -172,11 +172,9 @@ class CampaignScheduler:
         self._draining = False
         self._seq = 0
         self.jobs_dir = os.path.join(store.root, "serve", "jobs")
-        #: The worker processes every sharded job runs on; forked at the
-        #: first one, terminated by :meth:`drain`.
-        self.pool: Optional[WorkerPool] = None
-        if WorkerPool.available:
-            self.pool = WorkerPool(config.shards or available_cpus())
+        #: The worker processes every sharded job runs on; started at
+        #: the first one, terminated by :meth:`drain`.
+        self.pool = WorkerPool(config.shards or available_cpus())
 
     # -- durability -------------------------------------------------------
 
@@ -273,9 +271,8 @@ class CampaignScheduler:
             self._executor = None
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: executor.shutdown(wait=True))
-        if self.pool is not None:
-            # No campaign is left on the pool; its abandoned chunks die.
-            self.pool.close()
+        # No campaign is left on the pool; its abandoned chunks die.
+        self.pool.close()
 
     # -- admission --------------------------------------------------------
 

@@ -28,6 +28,15 @@ from repro.serve.scheduler import CampaignScheduler, ServeConfig
 from repro.store.runtime import store_for
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request line; :class:`ServeError` if it is over the limit."""
+    try:
+        return await reader.readline()
+    except ValueError:  # how ``readline`` reports a line over the limit
+        raise ServeError("protocol line exceeds %d bytes"
+                         % protocol.MAX_LINE) from None
+
+
 class CampaignServer:
     """The TCP server plus its scheduler; lives on one event loop."""
 
@@ -63,17 +72,17 @@ class CampaignServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            line = await reader.readline()
-            if not line:
-                return
             try:
+                line = await _read_line(reader)
+                if not line:
+                    return
                 request = protocol.decode(line)
                 op = protocol.check_request(request)
                 await self._dispatch(op, request, writer)
             except ServeError as exc:
                 writer.write(protocol.encode(protocol.error(str(exc))))
             await writer.drain()
-        except (ConnectionError, asyncio.LimitOverrunError):
+        except ConnectionError:
             pass
         finally:
             writer.close()

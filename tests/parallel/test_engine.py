@@ -26,6 +26,18 @@ def _make_offset(base):
     return base + 100
 
 
+class _Unpicklable:
+    """A context ``pickle`` refuses: it holds a lambda."""
+
+    def __init__(self, base):
+        self.base = base
+        self.hook = lambda: base
+
+
+def _add_held(ctx, item):
+    return ctx.base + item
+
+
 class TestResolveJobs:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -92,8 +104,9 @@ class TestPool:
 
     def test_live_context_reaches_workers(self):
         # fork delivers the parent's context object without pickling
-        assert run_tasks(_add_context, range(5), jobs=2,
-                         context=1000) == [1000 + i for i in range(5)]
+        assert run_tasks(_add_held, range(5), jobs=2,
+                         context=_Unpicklable(1000)) == [1000 + i
+                                                         for i in range(5)]
 
     def test_progress_counts_reach_total(self):
         seen = []
@@ -112,6 +125,30 @@ class TestPool:
 
     def test_empty_items(self):
         assert run_tasks(_square, [], jobs=4) == []
+
+
+class TestShortLivedPool:
+    """A call given no ``pool`` leaves no worker behind, however it
+    ends."""
+
+    def test_none_left_after_return(self):
+        assert run_tasks(_square, range(8), jobs=2) == [i * i
+                                                        for i in range(8)]
+        assert multiprocessing.active_children() == []
+
+    def test_none_left_after_raise(self):
+        with pytest.raises(ValueError, match="cursed"):
+            run_tasks(_explode, range(8), jobs=2, chunk_size=1)
+        assert multiprocessing.active_children() == []
+
+    def test_none_left_after_callback_raises(self):
+        def stop(_pairs):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_tasks(_square, range(8), jobs=2, chunk_size=1,
+                      on_results=stop)
+        assert multiprocessing.active_children() == []
 
 
 def _labelled(base):
@@ -182,3 +219,57 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
         # A later call forks anew.
         assert [v for _t, v in self.call(pool, "a", 1, range(3))] == [1, 2, 3]
+
+
+def _start_method_of(ctx, item):
+    """The item and how the worker that ran it was started."""
+    return item, multiprocessing.get_start_method(allow_none=True)
+
+
+@pytest.fixture
+def spawn_only(monkeypatch):
+    """A platform without ``fork``: every pool spawns its workers."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+
+
+class TestSpawn:
+    def test_results_in_item_order(self, spawn_only):
+        assert run_tasks(_start_method_of, range(10), jobs=2) == [
+            (i, "spawn") for i in range(10)]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_build_from_the_factory(self, spawn_only):
+        # The context cannot cross a spawn boundary; the factory can.
+        out = run_tasks(_labelled_add, range(6), jobs=2, chunk_size=1,
+                        context=_Unpicklable(0), context_factory=_labelled,
+                        factory_args=(100,))
+        assert [value for _token, value in out] == [100 + i
+                                                    for i in range(6)]
+        assert 1 <= len({token for token, _ in out}) <= 2
+
+    def test_worker_pool_keeps_contexts_by_key(self, spawn_only):
+        pool = WorkerPool(2)
+
+        def tokens(key, base):
+            out = run_tasks(_labelled_add, range(8), jobs=2, chunk_size=1,
+                            context_factory=_labelled, factory_args=(base,),
+                            pool=pool, context_key=key)
+            assert [value for _token, value in out] == [base + i
+                                                        for i in range(8)]
+            return {token for token, _ in out}
+
+        try:
+            first, again = tokens("a", 0), tokens("a", 0)
+            assert 1 <= len(first | again) <= 2
+            assert tokens("b", 50).isdisjoint(first)
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_context_runs_serially(self, spawn_only):
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            out = run_tasks(_add_held, range(4), jobs=2,
+                            context=_Unpicklable(10))
+        assert out == [10, 11, 12, 13]
+        assert multiprocessing.active_children() == []

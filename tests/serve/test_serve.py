@@ -201,6 +201,24 @@ class TestBackpressureAndQuota:
             thread.stop()
 
 
+class TestOversizedLine:
+    def test_oversized_request_line_gets_an_error_reply(
+            self, tmp_path, monkeypatch):
+        """A request line over the stream limit is answered with one
+        error line, and the server keeps serving."""
+        monkeypatch.setattr(protocol, "MAX_LINE", 1024)
+        thread = ServerThread(ServeConfig(store_root=str(tmp_path / "s")))
+        thread.start()
+        try:
+            client = ServeClient(port=thread.port)
+            with pytest.raises(ServeError,
+                               match="protocol line exceeds 1024 bytes"):
+                client.call("ping", pad="x" * 4096)
+            assert client.ping()["ok"]
+        finally:
+            thread.stop()
+
+
 class TestJobStateDurability:
     def test_fetch_right_after_watch_ends(self, server):
         """``watch`` reports the end only once the final state is on
