@@ -10,12 +10,7 @@ from repro.runtime.machine import (
     ThreadContext,
     ThreadStatus,
 )
-from repro.runtime.closures import (
-    CODEGEN_VERSION,
-    Frame,
-    compile_module,
-    get_compiled,
-)
+from repro.runtime.closures import Frame, compile_module, get_compiled
 from repro.runtime.memory import SharedMemory
 from repro.runtime.program import (
     ParallelProgram,
@@ -40,7 +35,7 @@ __all__ = [
     "FaultHook", "Frame", "Machine", "RunResult", "ThreadContext",
     "ThreadStatus", "SharedMemory", "ParallelProgram", "RunConfig",
     "resolve_opt_level",
-    "CODEGEN_VERSION", "compile_module", "get_compiled",
+    "compile_module", "get_compiled",
     "SimBarrier", "SimMutex",
     "INT_MAX", "INT_MIN", "flip_float_bit", "flip_int_bit", "flip_value_bit",
     "float_to_int", "int_div", "int_mod", "wrap_int",

@@ -102,10 +102,6 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import ThreadStatus
 from repro.runtime.values import float_div, float_to_int, int_div, int_mod
 
-#: Bump when generated code changes shape — part of every store key, so
-#: stale cached closure bundles can never be loaded into a new runtime.
-CODEGEN_VERSION = 3
-
 _RUNNABLE = ThreadStatus.RUNNABLE
 _DONE = ThreadStatus.DONE
 _BLOCKED_LOCK = ThreadStatus.BLOCKED_LOCK
@@ -214,28 +210,14 @@ class CompiledFunction:
 class CompiledProgram:
     """One module compiled for one (cost model, thread count)."""
 
-    __slots__ = ("by_name", "by_function", "chunks", "units", "sites")
+    __slots__ = ("by_name", "by_function", "sites")
 
     def __init__(self):
         self.by_name: Dict[str, CompiledFunction] = {}
         self.by_function: Dict[Function, CompiledFunction] = {}
-        #: Per-function generated source, one chunk per unit.
-        self.chunks: Dict[str, List[str]] = {}
         #: static branch id -> the monitor's check site for that branch
         #: (shared by its outcome and condition messages).
         self.sites: Dict[int, CheckSite] = {}
-        #: Per-function unit metadata (bi, start, end, kind, seg_map) —
-        #: together with ``chunks`` this is the storable compile result.
-        self.units: Dict[str, List] = {}
-
-    def bundle(self) -> Dict[str, Any]:
-        """Picklable artifact-store payload: everything a later process
-        needs to skip code *generation* (it still plans and ``exec``\\ s
-        against its own live module objects)."""
-        return {"version": CODEGEN_VERSION,
-                "functions": {name: {"chunks": self.chunks[name],
-                                     "units": self.units[name]}
-                              for name in self.chunks}}
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +341,18 @@ class _FunctionCodegen:
         #: (target, predecessor) -> that edge's phi-copy name.
         self.edge_names = {(target, pred): name
                            for target, pred, name in _edges(fi, function)}
-        #: Generated source, one chunk per unit.
-        self.chunks: List[str] = []
+        self.filename = "<closures:%s>" % function.name
+        #: The globals of every unit of this function.
+        self.namespace = {"_idiv": int_div, "_imod": int_mod,
+                          "_ftoi": float_to_int, "_fdiv": float_div,
+                          "_stall": _stall, "inf": math.inf, "nan": math.nan}
+
+    def _define(self, name: str, source: str) -> Callable:
+        """``compile`` and ``exec`` one generated unit on its own: many
+        small compiles keep the compiler's peak memory at one unit's, not
+        one function's."""
+        exec(compile(source, self.filename, "exec"), self.namespace)
+        return self.namespace[name]
 
     # -- value references --------------------------------------------------
 
@@ -486,9 +478,9 @@ class _FunctionCodegen:
     # -- emitters ----------------------------------------------------------
 
     def emit_run(self, name: str, block: BasicBlock, start: int, end: int,
-                 force_slots: bool) -> Tuple[str, int]:
+                 force_slots: bool) -> Tuple[Callable, int]:
         """Generate one unit function for instructions [start, end) of
-        ``block``; returns (function name, static step count).
+        ``block``; returns (the function, static step count).
 
         The instructions are fusible ones, optionally followed by a
         *tail* from the end of the block: a ``SendBranchCondition``
@@ -598,10 +590,9 @@ class _FunctionCodegen:
             header.append("    tid = thread.tid")
         if "mem" in needs:
             header.append("    mem = machine.memory")
-        self.chunks.append("\n".join(header)
-                           + "\n" + "\n".join("    " + line for line in body)
-                           + "\n")
-        return name, steps
+        return self._define(name, "\n".join(header) + "\n"
+                            + "\n".join("    " + line for line in body)
+                            + "\n"), steps
 
     @staticmethod
     def _send(msg: str, pos: int, pending: str, cycles: float,
@@ -659,7 +650,8 @@ class _FunctionCodegen:
                 "frame.index = %d" % len(target.phis())]
 
     def emit_segments(self, fi: int, bi: int, block: BasicBlock,
-                      start: int, end: int) -> Dict[int, List[Tuple[int, str]]]:
+                      start: int, end: int
+                      ) -> Dict[int, List[Tuple[int, Callable]]]:
         """Compile fused segments covering the run [start, end).
 
         One full-run segment (when short enough to ever fit a quantum),
@@ -667,9 +659,9 @@ class _FunctionCodegen:
         the quantum loop can cover any remaining budget mostly with
         large chunks.  The segments that end at the run's end also run
         the tail that follows it (see :meth:`emit_run`).  Returns
-        {position: [(steps, name), ...]}.
+        {position: [(steps, fn), ...]}.
         """
-        segments: Dict[int, List[Tuple[int, str]]] = {}
+        segments: Dict[int, List[Tuple[int, Callable]]] = {}
         n = end - start
         insts = block.instructions
         stop = end
@@ -678,9 +670,9 @@ class _FunctionCodegen:
         if stop < len(insts) and isinstance(insts[stop], (Jump, Branch)):
             stop += 1
         if n <= 64:
-            name, steps = self.emit_run("g_%d_%d_%d_%d" % (fi, bi, start, n),
-                                        block, start, stop, force_slots=False)
-            segments.setdefault(start, []).append((steps, name))
+            fn, steps = self.emit_run("g_%d_%d_%d_%d" % (fi, bi, start, n),
+                                      block, start, stop, force_slots=False)
+            segments.setdefault(start, []).append((steps, fn))
         size = 1
         while size * 2 <= min(n, 32):
             size *= 2
@@ -688,25 +680,24 @@ class _FunctionCodegen:
                 continue  # already emitted as the full-run segment
             for offset in range(0, n - size + 1, size):
                 position = start + offset
-                name, steps = self.emit_run(
+                fn, steps = self.emit_run(
                     "g_%d_%d_%d_%d" % (fi, bi, position, size),
                     block, position,
                     stop if offset + size == n else position + size,
                     force_slots=False)
-                segments.setdefault(position, []).append((steps, name))
+                segments.setdefault(position, []).append((steps, fn))
         return segments
 
-    def emit_phi_skip(self, name: str, position: int) -> str:
+    def emit_phi_skip(self, name: str, position: int) -> Callable:
         """Stepping onto a phi just skips it: phis run as the parallel
         edge copy of the transfer into their block."""
-        self.chunks.append(
-            "def %s(machine, thread, frame):\n"
-            "    frame.index = %d\n"
-            "    return 1\n" % (name, position + 1))
-        return name
+        return self._define(name, "def %s(machine, thread, frame):\n"
+                                  "    frame.index = %d\n"
+                                  "    return 1\n" % (name, position + 1))
 
-    def emit_edge_copies(self) -> None:
-        """Parallel phi-copies, one per CFG edge into a block with phis."""
+    def emit_edge_copies(self, cfunc: CompiledFunction) -> None:
+        """Parallel phi-copies, one per CFG edge into a block with phis,
+        installed on ``cfunc``'s blocks."""
         plan = self.plan
         for target, pred, name in _edges(self.fi, self.function):
             reads: List[str] = []
@@ -715,10 +706,10 @@ class _FunctionCodegen:
                 source = phi.incoming_for(pred)
                 reads.append("t%d = %s" % (n, self._ref(source, {})))
                 writes.append("regs[%d] = t%d" % (plan.slot_of[phi], n))
-            self.chunks.append("def %s(regs):\n" % name
-                               + "\n".join("    " + line
-                                           for line in reads + writes)
-                               + "\n")
+            cfunc.blocks[target].edge_copy[pred] = self._define(
+                name, "def %s(regs):\n" % name
+                + "\n".join("    " + line for line in reads + writes)
+                + "\n")
 
 
 
@@ -913,54 +904,13 @@ def _edges(fi: int, function: Function) -> List[Tuple[BasicBlock,
             for pi, pred in enumerate(block.predecessors())]
 
 
-def _exec_units(chunks: List[str], filename: str) -> Dict[str, Any]:
-    """``exec`` each generated unit on its own into one namespace: many
-    small compiles keep the compiler's peak memory at one unit's, not
-    one function's."""
-    namespace = {"_idiv": int_div, "_imod": int_mod, "_ftoi": float_to_int,
-                 "_fdiv": float_div, "_stall": _stall, "inf": math.inf,
-                 "nan": math.nan}
-    for chunk in chunks:
-        exec(compile(chunk, filename, "exec"), namespace)
-    return namespace
-
-
-def _bundle_usable(namespace: Dict[str, Any], fi: int, function,
-                   unit_meta) -> bool:
-    """Does the exec'd warm source define every name the dispatch
-    tables and edge copies will look up for this function (the singles
-    of phis, jumps, sends and branches included)?"""
-    for bi, start, end, kind, seg_map in unit_meta:
-        if kind != "generic":
-            for pos in range(start, end):
-                if "s_%d_%d_%d" % (fi, bi, pos) not in namespace:
-                    return False
-        for entries in seg_map.values():
-            for _steps, name in entries:
-                if name not in namespace:
-                    return False
-    return all(name in namespace for _, _, name in _edges(fi, function))
-
-
 def compile_module(module: Module, cost: Optional[CostModel] = None,
-                   nthreads: int = 1,
-                   bundle: Optional[Dict[str, Any]] = None) -> CompiledProgram:
-    """Compile every function of ``module`` to block closures.
-
-    ``bundle`` (from a warm artifact store, see
-    :meth:`CompiledProgram.bundle`) short-circuits code *generation*
-    only: the plan and ``exec`` phases always re-run against the live
-    module objects, so a stale bundle can at worst waste time, not
-    corrupt semantics — a bundle whose unit layout or names disagree
-    with the fresh plan is discarded per-function.
-    """
+                   nthreads: int = 1) -> CompiledProgram:
+    """Compile every function of ``module`` to block closures."""
     from repro.opt.legality import compute_frozen  # lazy: avoid import cycle
 
     if cost is None:
         cost = CostModel()
-    warm_functions: Dict[str, Any] = {}
-    if bundle and bundle.get("version") == CODEGEN_VERSION:
-        warm_functions = bundle.get("functions", {}) or {}
     program = CompiledProgram()
     if module.bw_metadata is not None:
         program.sites = check_sites(module.bw_metadata)
@@ -983,94 +933,57 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
         program.by_name[function.name] = cfunc
         program.by_function[function] = cfunc
 
-    # Phase 2, per function: generate (or take from the bundle) and exec
-    # the units, then assemble the dispatch and singles tables.
+    # Phase 2, per function: generate and exec the units, filling the
+    # dispatch and singles tables as they come.
     for fi, function in enumerate(module.function_table):
-        plan = plans[function.name]
-        filename = "<closures:%s>" % function.name
-        namespace = None
-        warm = warm_functions.get(function.name)
-        if warm is not None:
-            stored = [tuple(entry) for entry in warm.get("units", ())]
-            chunks = warm.get("chunks")
-            fresh_units = [(bi, start, end, kind)
-                           for bi, block in enumerate(function.blocks)
-                           for start, end, kind in plan.units[block]]
-            if [entry[:4] for entry in stored] == fresh_units and chunks:
-                try:
-                    namespace = _exec_units(chunks, filename)
-                except SyntaxError:
-                    pass
-                else:
-                    if not _bundle_usable(namespace, fi, function, stored):
-                        namespace = None
-                unit_meta = stored
-        if namespace is None:  # cold (or rejected warm entry): generate
-            gen = _FunctionCodegen(fi, function, plan, cost, nthreads,
-                                   func_index)
-            unit_meta = []
-            for bi, block in enumerate(function.blocks):
-                for start, end, kind in plan.units[block]:
-                    if kind == "fused":
-                        seg_map = gen.emit_segments(fi, bi, block, start, end)
-                    else:
-                        seg_map = {}
-                    unit_meta.append((bi, start, end, kind, seg_map))
-                    for pos in range(start, end):
-                        name = "s_%d_%d_%d" % (fi, bi, pos)
-                        if isinstance(block.instructions[pos], Phi):
-                            gen.emit_phi_skip(name, pos)
-                        elif kind != "generic":
-                            gen.emit_run(name, block, pos, pos + 1,
-                                         force_slots=True)
-            gen.emit_edge_copies()
-            chunks = gen.chunks
-            namespace = _exec_units(chunks, filename)
-        program.chunks[function.name] = chunks
-        program.units[function.name] = unit_meta
+        cfunc = program.by_name[function.name]
+        gen = _FunctionCodegen(fi, function, plans[function.name], cost,
+                               nthreads, func_index)
         # Generated units retarget frames, call the fault hook and send
         # to check sites through these globals (the block shells exist
         # since phase 1).
-        cfunc = program.by_name[function.name]
+        namespace = gen.namespace
         for ti, tblock in enumerate(function.blocks):
             namespace["B_%d_%d" % (fi, ti)] = tblock
             namespace["C_%d_%d" % (fi, ti)] = cfunc.blocks[tblock]
             if isinstance(tblock.terminator, Branch):
                 namespace["I_%d_%d" % (fi, ti)] = tblock.terminator
         namespace.update(site_names)
-        for target, pred, name in _edges(fi, function):
-            cfunc.blocks[target].edge_copy[pred] = namespace[name]
+        gen.emit_edge_copies(cfunc)
 
-        blocks = function.blocks
-        for block in blocks:
-            cblock = cfunc.blocks[block]
-            n = len(block.instructions)
-            cblock.dispatch = [None] * n
-            cblock.singles = [None] * n
-        for bi, start, end, kind, seg_map in unit_meta:
-            block = blocks[bi]
+        for bi, block in enumerate(function.blocks):
             cblock = cfunc.blocks[block]
             insts = block.instructions
-            for pos in range(start, end):
-                ghost = getattr(insts[pos], "ghost", None)
-                gcosts = (tuple(cost.ghost_kind_cost(kind_, nthreads)
-                                for kind_ in ghost[1])
-                          if ghost is not None else ())
-                if kind == "generic":
-                    single = _make_generic(program, cfunc, insts[pos], pos,
-                                           func_index)
-                else:
-                    single = namespace["s_%d_%d_%d" % (fi, bi, pos)]
-                if kind == "fused":
-                    # Larger segments have strictly larger step counts,
-                    # so a descending sort is unambiguous.
-                    segments = tuple(
-                        (steps, namespace[name]) for steps, name in
-                        sorted(seg_map.get(pos, ()), reverse=True))
-                else:
-                    segments = ((1, single),)
-                cblock.dispatch[pos] = (segments, gcosts)
-                cblock.singles[pos] = single
+            cblock.dispatch = [None] * len(insts)
+            cblock.singles = [None] * len(insts)
+            for start, end, kind in gen.plan.units[block]:
+                seg_map = (gen.emit_segments(fi, bi, block, start, end)
+                           if kind == "fused" else {})
+                for pos in range(start, end):
+                    inst = insts[pos]
+                    name = "s_%d_%d_%d" % (fi, bi, pos)
+                    if kind == "generic":
+                        single = _make_generic(program, cfunc, inst, pos,
+                                               func_index)
+                    elif isinstance(inst, Phi):
+                        single = gen.emit_phi_skip(name, pos)
+                    else:
+                        single = gen.emit_run(name, block, pos, pos + 1,
+                                              force_slots=True)[0]
+                    if kind == "fused":
+                        # Larger segments have strictly larger step
+                        # counts, so a descending sort is unambiguous.
+                        segments = tuple(sorted(seg_map.get(pos, ()),
+                                                key=lambda seg: seg[0],
+                                                reverse=True))
+                    else:
+                        segments = ((1, single),)
+                    ghost = getattr(inst, "ghost", None)
+                    gcosts = (tuple(cost.ghost_kind_cost(kind_, nthreads)
+                                    for kind_ in ghost[1])
+                              if ghost is not None else ())
+                    cblock.dispatch[pos] = (segments, gcosts)
+                    cblock.singles[pos] = single
     return program
 
 
@@ -1103,43 +1016,14 @@ _COMPILE_CACHE = _CompileCache()
 
 
 def get_compiled(module: Module, cost: Optional[CostModel] = None,
-                 nthreads: int = 1,
-                 telemetry=None) -> CompiledProgram:
-    """compile_module, memoized twice over.
-
-    In-process: on the module itself, keyed on (cost tuple, nthreads).
-    Cross-process: when a default artifact store is active
-    (``$REPRO_STORE`` / ``set_default_store``), the generated source
-    bundle is content-addressed on the printed IR + cost model + thread
-    count + codegen version, so repeated campaigns skip the string-
-    building half of compilation (``store.closure.hit`` /
-    ``store.closure.miss``).
-    """
+                 nthreads: int = 1) -> CompiledProgram:
+    """compile_module, memoized on the module itself, keyed on (cost
+    tuple, nthreads)."""
     if cost is None:
         cost = CostModel()
     per_module = _COMPILE_CACHE.of(module)
     key = (astuple(cost), nthreads)
     compiled = per_module.get(key)
     if compiled is None:
-        from repro.store.runtime import default_store
-        store = default_store()
-        if store is None:
-            compiled = compile_module(module, cost, nthreads)
-        else:
-            from repro.ir.printer import print_module
-            from repro.store.hashing import closure_key
-            skey = closure_key(print_module(module), astuple(cost),
-                               nthreads, CODEGEN_VERSION)
-            holder: Dict[str, CompiledProgram] = {}
-
-            def _compute() -> Dict[str, Any]:
-                holder["compiled"] = compile_module(module, cost, nthreads)
-                return holder["compiled"].bundle()
-
-            bundle = store.get_closure(skey, _compute, telemetry=telemetry)
-            compiled = holder.get("compiled")
-            if compiled is None:  # warm hit: rebuild closures from bundle
-                compiled = compile_module(module, cost, nthreads,
-                                          bundle=bundle)
-        per_module[key] = compiled
+        compiled = per_module[key] = compile_module(module, cost, nthreads)
     return compiled

@@ -276,8 +276,7 @@ class Machine:
         self._rng = random.Random(seed)
         self._jitter = schedule_jitter
 
-        compiled = closures.get_compiled(module, self.cost, nthreads,
-                                         telemetry=self.telemetry)
+        compiled = closures.get_compiled(module, self.cost, nthreads)
         self.memory = SharedMemory(module)
         entry_cf = compiled.by_name[entry]
         self.threads = [ThreadContext(tid, entry_cf.make_frame(()))

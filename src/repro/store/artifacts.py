@@ -1,5 +1,5 @@
-"""Content-addressed artifact cache: compiled programs, closure bundles,
-lint, vulnerability and triage reports on disk, golden runs in memory.
+"""Content-addressed artifact cache: compiled programs and lint,
+vulnerability and triage reports on disk, golden runs in memory.
 
 On-disk layout (everything under one *store root*)::
 
@@ -300,26 +300,20 @@ class ArtifactStore:
                       (_file_identity(data_path), program))
         return program
 
-    def get_closure(self, key: str, compute: Callable[[], dict],
-                    telemetry=None) -> dict:
-        """One compiled-closure source bundle per distinct (module IR,
-        cost model, thread count, codegen version) — computed via
-        :func:`repro.store.hashing.closure_key`.  Bundles are plain
-        picklable dicts of generated source text plus unit metadata;
-        the executable closures are always rebuilt in-process by
-        ``exec`` (code objects do not pickle portably).  Counters:
-        ``store.closure.hit`` / ``store.closure.miss``.
-        """
+    def _get_report(self, key: str, kind: str, compute: Callable[[], dict],
+                    name: str, telemetry) -> dict:
+        """Load ``kind`` object ``key``, or ``compute`` and store it.  A
+        corrupt or schema-mismatched entry is a miss and is overwritten."""
         try:
-            bundle = self.load(key, "closure")
-            self._count("store.closure.hit", telemetry)
-            return bundle
+            report = self.load(key, kind)
+            self._count("store.%s.hit" % kind, telemetry)
+            return report
         except StoreError:
             pass
-        self._count("store.closure.miss", telemetry)
-        bundle = compute()
-        self.put(key, "closure", bundle, name="closure bundle")
-        return bundle
+        self._count("store.%s.miss" % kind, telemetry)
+        report = compute()
+        self.put(key, kind, report, name=name)
+        return report
 
     def get_lint(self, source: str, name: str, entry: str,
                  compute: Callable[[], dict], telemetry=None) -> dict:
@@ -327,54 +321,24 @@ class ArtifactStore:
         data) per distinct (source, entry, diagnostic schema).  Counters:
         ``store.lint.hit`` / ``store.lint.miss``."""
         from repro.lint import LINT_SCHEMA
-        key = lint_key(source, name, entry, LINT_SCHEMA)
-        try:
-            report = self.load(key, "lint")
-            self._count("store.lint.hit", telemetry)
-            return report
-        except StoreError:
-            pass
-        self._count("store.lint.miss", telemetry)
-        report = compute()
-        self.put(key, "lint", report, name="lint %s" % name)
-        return report
+        return self._get_report(lint_key(source, name, entry, LINT_SCHEMA),
+                                "lint", compute, "lint %s" % name, telemetry)
 
     def get_vuln(self, key: str, compute: Callable[[], dict],
                  name: str = "vuln summary", telemetry=None) -> dict:
         """One per-function vulnerability summary (JSON-safe dict) per
         distinct normalized function text — computed via
-        :func:`repro.store.hashing.vuln_key`.  A corrupt or
-        schema-mismatched entry is treated as a miss: the analysis falls
-        back to a cold :func:`compute` and overwrites the entry.
-        Counters: ``store.vuln.hit`` / ``store.vuln.miss``."""
-        try:
-            summary = self.load(key, "vuln")
-            self._count("store.vuln.hit", telemetry)
-            return summary
-        except StoreError:
-            pass
-        self._count("store.vuln.miss", telemetry)
-        summary = compute()
-        self.put(key, "vuln", summary, name=name)
-        return summary
+        :func:`repro.store.hashing.vuln_key`.  Counters:
+        ``store.vuln.hit`` / ``store.vuln.miss``."""
+        return self._get_report(key, "vuln", compute, name, telemetry)
 
     def get_triage(self, key: str, compute: Callable[[], dict],
                    name: str = "triage report", telemetry=None) -> dict:
         """One clustered triage report (JSON-safe dict) per distinct
         triage fingerprint — computed via
-        :func:`repro.store.hashing.triage_key`.  A corrupt or
-        schema-mismatched entry is treated as a miss and overwritten.
-        Counters: ``store.triage.hit`` / ``store.triage.miss``."""
-        try:
-            report = self.load(key, "triage")
-            self._count("store.triage.hit", telemetry)
-            return report
-        except StoreError:
-            pass
-        self._count("store.triage.miss", telemetry)
-        report = compute()
-        self.put(key, "triage", report, name=name)
-        return report
+        :func:`repro.store.hashing.triage_key`.  Counters:
+        ``store.triage.hit`` / ``store.triage.miss``."""
+        return self._get_report(key, "triage", compute, name, telemetry)
 
     def get_golden(self, program, nthreads: int, seed: int,
                    quantum: int, output_globals: Tuple[str, ...],

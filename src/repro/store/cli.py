@@ -65,6 +65,10 @@ def cmd_gc(args) -> int:
     store = _require_store(args)
     if args.max_entries is None and args.max_bytes is None:
         raise UsageError("gc needs --max-entries and/or --max-bytes")
+    for flag, bound in (("--max-entries", args.max_entries),
+                        ("--max-bytes", args.max_bytes)):
+        if bound is not None and bound < 0:
+            raise UsageError("gc %s must be >= 0, got %d" % (flag, bound))
     evicted = store.gc(max_entries=args.max_entries,
                        max_bytes=args.max_bytes, dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"

@@ -112,25 +112,6 @@ def program_key_of(program) -> str:
                        opt_level=program.opt_level)
 
 
-def closure_key(module_text: str, cost_key, nthreads: int,
-                codegen_version: int) -> str:
-    """Content address of one compiled-closure source bundle.
-
-    Keyed on the printed IR (the exact instruction stream being
-    compiled — covers instrumentation, optimization, and ghosts), the
-    cost-model tuple and thread count (both baked into generated cycle
-    literals), and the codegen version.
-    """
-    return _digest({
-        "schema": ARTIFACT_SCHEMA,
-        "kind": "closure",
-        "module": module_text,
-        "cost": list(cost_key),
-        "nthreads": int(nthreads),
-        "codegen": int(codegen_version),
-    })
-
-
 def plan_fingerprint(prog_key: str, fault_type, config,
                      telemetry: bool = False,
                      extra: Optional[dict] = None) -> Tuple[str, dict]:

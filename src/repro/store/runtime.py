@@ -14,7 +14,10 @@ Campaigns, kernels, and CLIs all consult one optional *default store*:
 ``None`` (the initial state, and the state when ``REPRO_STORE`` is
 unset) means every caching path is disabled and the package behaves
 exactly as it did before :mod:`repro.store` existed — compilation and
-golden runs happen inline, nothing touches disk.
+golden runs happen inline, nothing touches disk.  A store caches
+programs, golden runs and reports, never block closures: every process
+generates its own at a module's first run, store or not
+(:func:`repro.runtime.closures.get_compiled`).
 
 Resolution order for :func:`default_store`:
 

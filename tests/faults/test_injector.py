@@ -206,8 +206,8 @@ def condition_details(program, store=None):
 
 
 def test_condition_details_do_not_depend_on_printing(tmp_path):
-    """Printing a module numbers its values; a default store prints the
-    protected image to key its closures.  Neither may rename victims."""
+    """Printing a module numbers its values, and a default store
+    pickles the program.  Neither may rename victims."""
     from repro.ir import print_module
     from repro.store import ArtifactStore
     from repro.store.runtime import set_default_store

@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import FaultType
 from repro.runtime import ParallelProgram, get_compiled
-from repro.runtime.closures import CODEGEN_VERSION, _COMPILE_CACHE
+from repro.runtime.closures import _COMPILE_CACHE
 
 from tests.conftest import FIGURE_1, figure1_setup
 from tests.opt.helpers import run_signature
@@ -143,93 +143,20 @@ def test_compile_cache_is_not_pickled(figure1_program):
     assert pickle.loads(pickle.dumps(module)).closure_cache == {}
 
 
-def test_closure_bundle_store_round_trip(tmp_path):
-    """Cold run misses the closure cache; a fresh process-equivalent
-    (in-process cache wiped) recompile hits it and stays
-    trace-identical."""
+def test_default_store_keeps_no_closures(tmp_path):
+    """Closures are generated in process, store or not: a run under an
+    installed default store writes only its program and traces like a
+    run with no store."""
     from repro.store import ArtifactStore
     from repro.store.runtime import set_default_store
+    plain = ParallelProgram(FIGURE_1, "figure1").run_protected(
+        4, seed=3, setup=figure1_setup(4))
     store = ArtifactStore(str(tmp_path / "store"))
     set_default_store(store)
     try:
-        program = ParallelProgram(FIGURE_1, "figure1")
-        cold = program.run_protected(4, seed=3, setup=figure1_setup(4))
-        assert store.counters.get("store.closure.miss") == 1
-        assert "store.closure.hit" not in store.counters
-
-        _COMPILE_CACHE.clear()
-        rebuilt = ParallelProgram(FIGURE_1, "figure1")
-        warm = rebuilt.run_protected(4, seed=3, setup=figure1_setup(4))
-        assert store.counters.get("store.closure.hit") == 1
-        assert run_signature(warm) == run_signature(cold)
+        program = store.get_program(FIGURE_1, "figure1")
+        stored = program.run_protected(4, seed=3, setup=figure1_setup(4))
     finally:
         set_default_store(None)
-
-
-def test_corrupt_closure_bundle_is_rejected_not_trusted(tmp_path):
-    """A bundle whose unit layout disagrees with the fresh plan must be
-    discarded (per-function cold recompile), never executed."""
-    from repro.store import ArtifactStore
-    from repro.store.runtime import set_default_store
-    store = ArtifactStore(str(tmp_path / "store"))
-    set_default_store(store)
-    try:
-        program = ParallelProgram(FIGURE_1, "figure1")
-        cold = program.run_protected(4, seed=3, setup=figure1_setup(4))
-        # Corrupt every stored bundle: garble the generated sources.
-        for entry in store.entries():
-            if entry.kind != "closure":
-                continue
-            bundle = store.load(entry.key, "closure")
-            for data in bundle["functions"].values():
-                data["chunks"] = ["def nonsense(:\n"]
-            store.put(entry.key, "closure", bundle)
-        _COMPILE_CACHE.clear()
-        rebuilt = ParallelProgram(FIGURE_1, "figure1")
-        warm = rebuilt.run_protected(4, seed=3, setup=figure1_setup(4))
-        assert run_signature(warm) == run_signature(cold)
-    finally:
-        set_default_store(None)
-
-
-def _run_with_stored_bundle(tmp_path, version):
-    """Cold run; then rewrite every stored closure bundle so its units
-    charge 1000 extra cycles, mark it ``version`` and rerun warm."""
-    from repro.store import ArtifactStore
-    from repro.store.runtime import set_default_store
-    store = ArtifactStore(str(tmp_path / ("store%d" % version)))
-    set_default_store(store)
-    try:
-        program = ParallelProgram(FIGURE_1, "figure1")
-        cold = program.run_protected(4, seed=3, setup=figure1_setup(4))
-        for entry in store.entries():
-            if entry.kind != "closure":
-                continue
-            bundle = store.load(entry.key, "closure")
-            bundle["version"] = version
-            for data in bundle["functions"].values():
-                data["chunks"] = [
-                    chunk.replace("thread.cycles += ",
-                                  "thread.cycles += 1000.0 + ")
-                    for chunk in data["chunks"]]
-            store.put(entry.key, "closure", bundle)
-        _COMPILE_CACHE.clear()
-        rebuilt = ParallelProgram(FIGURE_1, "figure1")
-        warm = rebuilt.run_protected(4, seed=3, setup=figure1_setup(4))
-        assert store.counters.get("store.closure.hit") == 1
-        return cold, warm
-    finally:
-        set_default_store(None)
-
-
-def test_older_codegen_bundle_is_ignored(tmp_path):
-    """``compile_module`` ignores a bundle of an older codegen version:
-    the warm run equals the cold compile although the bundle's code,
-    were it executed, would change the cycle counts (as it does at the
-    current version)."""
-    assert CODEGEN_VERSION == 3
-    cold, current = _run_with_stored_bundle(tmp_path, CODEGEN_VERSION)
-    assert run_signature(current) != run_signature(cold)
-    for version in (1, 2):
-        cold, old = _run_with_stored_bundle(tmp_path, version)
-        assert run_signature(old) == run_signature(cold)
+    assert [entry.kind for entry in store.entries()] == ["program"]
+    assert run_signature(stored) == run_signature(plain)

@@ -58,6 +58,15 @@ def test_gc_without_a_bound_is_a_usage_error(root, capsys):
     assert err.startswith("error: gc needs") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--max-entries", "--max-bytes"])
+def test_gc_rejects_a_negative_bound(root, capsys, flag):
+    assert store(root, "gc", flag, "-1", "--dry-run") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gc %s must be >= 0, got -1\n" % flag
+    assert len(open_store(root).entries()) == 2
+
+
 def test_verify_reports_and_deletes_corrupt_objects(root, capsys):
     assert store(root, "verify") == 0
     assert "2 object(s), all verifiable" in capsys.readouterr().out

@@ -44,17 +44,6 @@ class TestProgramKey:
                 != program_key("s", "p", opt_level=1))
 
 
-class TestClosureKey:
-    def test_every_input_participates(self):
-        from repro.store.hashing import closure_key
-        base = closure_key("module m {}", (1.0, 2.0), 4, 1)
-        assert closure_key("module m {}", (1.0, 2.0), 4, 1) == base
-        assert closure_key("module n {}", (1.0, 2.0), 4, 1) != base
-        assert closure_key("module m {}", (1.0, 4.0), 4, 1) != base
-        assert closure_key("module m {}", (1.0, 2.0), 8, 1) != base
-        assert closure_key("module m {}", (1.0, 2.0), 4, 2) != base
-
-
 class TestPlanFingerprint:
     def make(self, **overrides):
         config = CampaignConfig(**overrides)
