@@ -133,6 +133,10 @@ def _run_once(args, trace_path: Optional[str]) -> int:
     except ValueError as exc:
         # Run settings the machine rejects (e.g. ``-t 0``).
         raise UsageError(str(exc)) from None
+    # The trace goes to disk before the report goes to stdout, so a
+    # reader that closes stdout early (``| head``) still leaves it whole.
+    traced = (write_trace(trace_path, result.telemetry.events)
+              if trace_path is not None else None)
     print("status: %s" % result.status)
     if result.failure_message:
         print("failure: %s" % result.failure_message)
@@ -153,9 +157,8 @@ def _run_once(args, trace_path: Optional[str]) -> int:
         print("telemetry (steps/s: %.0f):"
               % result.telemetry.rate("interp.steps", "interp.wall_ns"))
         print(result.telemetry.format_summary())
-        if trace_path is not None:
-            count = write_trace(trace_path, result.telemetry.events)
-            print("trace: %d events -> %s" % (count, trace_path))
+        if traced is not None:
+            print("trace: %d events -> %s" % (traced, trace_path))
     return 0 if result.status == "ok" and not result.detected else 1
 
 
@@ -175,6 +178,8 @@ def cmd_inject(args) -> int:
         result = bw.inject(spec=spec, jobs=args.jobs, store=store)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # Written before the report, as in ``_run_once``.
+    traced = result.write_trace(args.trace) if args.trace is not None else None
     stats = result.stats
     print(format_table(
         stats.SUMMARY_HEADERS, [stats.summary_row()],
@@ -196,9 +201,8 @@ def cmd_inject(args) -> int:
     if args.journal is not None:
         print("journal: %s%s" % (args.journal,
                                  " (resumed)" if args.resume else ""))
-    if args.trace is not None:
-        count = result.write_trace(args.trace)
-        print("trace: %d events -> %s" % (count, args.trace))
+    if traced is not None:
+        print("trace: %d events -> %s" % (traced, args.trace))
         print(result.telemetry.format_summary())
     return 0
 

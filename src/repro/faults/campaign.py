@@ -337,7 +337,8 @@ def _dispatch(items: List[Tuple[int, PlannedFault]], ctx: _CampaignContext,
         factory = _campaign_context_from_source
         args = (program.source, program.name, program.entry, ctx.config,
                 ctx.setup, ctx.golden_signature, ctx.max_steps,
-                ctx.telemetry, program.opt_level)
+                ctx.telemetry, program.opt_level, program.analysis_config,
+                program.instrument_config)
         key = None
     else:
         light = dataclasses.replace(ctx, program=None, setup=None,
@@ -353,11 +354,16 @@ def _dispatch(items: List[Tuple[int, PlannedFault]], ctx: _CampaignContext,
 def _campaign_context_from_source(source: str, name: str, entry: str,
                                   config: CampaignConfig, setup,
                                   golden_signature, max_steps,
-                                  telemetry=False,
-                                  opt_level=0) -> _CampaignContext:
+                                  telemetry=False, opt_level=0,
+                                  analysis_config=None,
+                                  instrument_config=None) -> _CampaignContext:
     """Spawn-pool factory: compile + analyze + instrument once per worker
-    process and reuse it for every injection the worker executes."""
-    program = ParallelProgram(source, name, entry=entry, opt_level=opt_level)
+    process, with the parent program's configs, and reuse it for every
+    injection the worker executes."""
+    program = ParallelProgram(source, name, entry=entry,
+                              analysis_config=analysis_config,
+                              instrument_config=instrument_config,
+                              opt_level=opt_level)
     return _CampaignContext(program=program, config=config, setup=setup,
                             golden_signature=golden_signature,
                             max_steps=max_steps, telemetry=telemetry)
@@ -832,10 +838,14 @@ class _TrialContext:
 
 def _trial_context_from_source(source: str, name: str, entry: str,
                                nthreads: int, base_seed: int,
-                               setup, opt_level=0) -> _TrialContext:
-    return _TrialContext(program=ParallelProgram(source, name, entry=entry,
-                                                 opt_level=opt_level),
-                         nthreads=nthreads, base_seed=base_seed, setup=setup)
+                               setup, opt_level=0, analysis_config=None,
+                               instrument_config=None) -> _TrialContext:
+    program = ParallelProgram(source, name, entry=entry,
+                              analysis_config=analysis_config,
+                              instrument_config=instrument_config,
+                              opt_level=opt_level)
+    return _TrialContext(program=program, nthreads=nthreads,
+                         base_seed=base_seed, setup=setup)
 
 
 def _trial_task(ctx: _TrialContext, index: int) -> bool:
@@ -863,6 +873,6 @@ def run_false_positive_trial(program: ParallelProgram, nthreads: int,
         _trial_task, range(runs), jobs=jobs, context=ctx,
         context_factory=_trial_context_from_source,
         factory_args=(program.source, program.name, program.entry,
-                      nthreads, base_seed, setup,
-                      program.opt_level))
+                      nthreads, base_seed, setup, program.opt_level,
+                      program.analysis_config, program.instrument_config))
     return sum(detections)

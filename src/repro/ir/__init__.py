@@ -36,14 +36,12 @@ from repro.ir.instructions import (
     LoopTick,
     Output,
     Phi,
-    ReadLocal,
     Ret,
     SendBranchCondition,
     StoreElem,
     StoreGlobal,
     Terminator,
     UnaryOp,
-    WriteLocal,
 )
 from repro.ir.module import Module
 from repro.ir.printer import print_function, print_module
@@ -65,7 +63,6 @@ from repro.ir.values import (
     Constant,
     FunctionRef,
     GlobalVariable,
-    LocalSlot,
     Value,
 )
 from repro.ir.verifier import verify_function, verify_module
@@ -77,12 +74,11 @@ __all__ = [
     "BarrierWait", "BinOp", "Branch", "Call", "CallIndirect", "Cast", "Cmp",
     "EnterLoop", "GetTid", "Instruction", "Intrinsic", "Jump", "LoadElem",
     "LoadGlobal", "LockAcquire", "LockRelease", "LoopTick", "Output", "Phi",
-    "ReadLocal", "Ret", "SendBranchCondition", "StoreElem", "StoreGlobal",
-    "Terminator", "UnaryOp", "WriteLocal",
+    "Ret", "SendBranchCondition", "StoreElem", "StoreGlobal", "Terminator",
+    "UnaryOp",
     "print_function", "print_module",
     "BARRIER", "BOOL", "FLOAT", "INT", "LOCK", "VOID",
     "ArrayType", "Type", "array_of", "common_numeric", "scalar_type",
-    "Argument", "Constant", "FunctionRef", "GlobalVariable", "LocalSlot",
-    "Value",
+    "Argument", "Constant", "FunctionRef", "GlobalVariable", "Value",
     "verify_function", "verify_module",
 ]

@@ -364,63 +364,6 @@ class StoreElem(Instruction):
             self.array.short(), self.index.short(), self.value.short())
 
 
-class ReadLocal(Instruction):
-    """Read the current value of a :class:`~repro.ir.values.LocalSlot`.
-
-    Only produced by the out-of-SSA translation; a module containing
-    these is in *non-SSA form* (slots carry merged values instead of phi
-    nodes) and is meant to be promoted back by ``to_ssa`` before any
-    SSA-based pass runs over it.
-    """
-
-    __slots__ = ()
-
-    opcode = "readlocal"
-
-    def __init__(self, slot: Value, name: str = ""):
-        from repro.ir.values import LocalSlot
-        if not isinstance(slot, LocalSlot):
-            raise TypeError("readlocal of non-slot %r" % (slot,))
-        super().__init__(slot.type, (slot,), name)
-
-    @property
-    def slot(self) -> Value:
-        return self.operands[0]
-
-    def __repr__(self) -> str:
-        return "%s: %s = readlocal %s" % (
-            self.short(), self.type, self.slot.short())
-
-
-class WriteLocal(Instruction):
-    """Write a value into a :class:`~repro.ir.values.LocalSlot`."""
-
-    __slots__ = ()
-
-    opcode = "writelocal"
-
-    def __init__(self, slot: Value, value: Value):
-        from repro.ir.values import LocalSlot
-        if not isinstance(slot, LocalSlot):
-            raise TypeError("writelocal to non-slot %r" % (slot,))
-        if value.type is not slot.type and not (
-                value.type.is_numeric and slot.type.is_numeric):
-            raise TypeError("writelocal of %s value to %s slot"
-                            % (value.type, slot.type))
-        super().__init__(VOID, (slot, value))
-
-    @property
-    def slot(self) -> Value:
-        return self.operands[0]
-
-    @property
-    def value(self) -> Value:
-        return self.operands[1]
-
-    def __repr__(self) -> str:
-        return "writelocal %s, %s" % (self.slot.short(), self.value.short())
-
-
 # ---------------------------------------------------------------------------
 # SSA merge
 # ---------------------------------------------------------------------------

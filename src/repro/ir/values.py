@@ -111,32 +111,6 @@ class Argument(Value):
         return "Argument(%%%s: %s)" % (self.name, self.type)
 
 
-class LocalSlot(Value):
-    """A named mutable storage cell local to one function activation.
-
-    Slots are *not* SSA registers: they are written by
-    :class:`~repro.ir.instructions.WriteLocal` and read by
-    :class:`~repro.ir.instructions.ReadLocal`, any number of times, in any
-    order.  They exist so the optimizer's out-of-SSA translation
-    (:func:`repro.opt.ssa.from_ssa`) has something to lower phi nodes
-    into, and so the round-trip back (:func:`repro.opt.ssa.to_ssa`) has
-    something to promote.  The front-end never emits them.
-    """
-
-    __slots__ = ("slot_id",)
-
-    def __init__(self, name: str, type_: Type, slot_id: int):
-        super().__init__(type_, name)
-        #: Dense per-function numbering (assigned by the out-of-SSA pass).
-        self.slot_id = slot_id
-
-    def short(self) -> str:
-        return "$%s" % (self.name or str(self.slot_id))
-
-    def __repr__(self) -> str:
-        return "LocalSlot($%s: %s)" % (self.name or str(self.slot_id), self.type)
-
-
 class FunctionRef(Value):
     """The address of a function as a first-class (int-typed) value.
 

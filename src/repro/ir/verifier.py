@@ -47,7 +47,6 @@ from repro.ir.values import (
     Constant,
     FunctionRef,
     GlobalVariable,
-    LocalSlot,
 )
 
 
@@ -175,11 +174,6 @@ def _check_dominance(function: Function, cfg: CFG) -> None:
                         raise VerificationError(
                             "%s: use of foreign argument %%%s"
                             % (function.name, value.name))
-                elif isinstance(value, LocalSlot):
-                    # Slots are mutable cells, not SSA values: no dominance
-                    # requirement (out-of-SSA form is legal, just not
-                    # optimizable until promoted back).
-                    pass
                 elif not isinstance(value, (Constant, GlobalVariable, FunctionRef)):
                     raise VerificationError(
                         "%s: unknown operand kind %r" % (function.name, value))

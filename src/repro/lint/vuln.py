@@ -67,12 +67,10 @@ from repro.ir import (
     Module,
     Output,
     Phi,
-    ReadLocal,
     Ret,
     SendBranchCondition,
     StoreElem,
     StoreGlobal,
-    WriteLocal,
 )
 from repro.ir.printer import print_function
 from repro.ir.types import VOID
@@ -149,12 +147,6 @@ def _keys_couple(store_key: str, load_keys: FrozenSet[str]) -> bool:
     return store_key in load_keys
 
 
-def _slot_location(function_name: str, slot) -> str:
-    # LocalSlot "locations" are function-private; prefix them so two
-    # functions' slot ids never alias.  Only present pre-``to_ssa``.
-    return "$%s@%s" % (slot.slot_id, function_name)
-
-
 def _is_opaque(value) -> bool:
     return isinstance(value, (Constant, GlobalVariable, FunctionRef))
 
@@ -229,9 +221,6 @@ def summarize_function(function: Function) -> dict:
                                          _index_key(inst.index))
                 contribute(inst, inst.value, token)
                 contribute(inst, inst.index, token)
-            elif isinstance(inst, WriteLocal):
-                contribute(inst, inst.value, "store:%s:%s"
-                           % (_slot_location(fname, inst.slot), ANY_INDEX))
             elif isinstance(inst, Output):
                 contribute(inst, inst.value, "output")
             elif isinstance(inst, Ret):
@@ -257,9 +246,6 @@ def summarize_function(function: Function) -> dict:
             elif isinstance(inst, LoadElem):
                 in_port[inst] = "load:%s:%s" % (inst.array.name,
                                                     _index_key(inst.index))
-            elif isinstance(inst, ReadLocal):
-                in_port[inst] = "load:%s:%s" % (
-                    _slot_location(fname, inst.slot), ANY_INDEX)
             elif isinstance(inst, (Call, CallIndirect)):
                 if inst.type is not VOID:
                     in_port[inst] = "callret:%d" % call_of[inst]

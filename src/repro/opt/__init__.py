@@ -20,7 +20,6 @@ from repro.opt.pipeline import (
     PipelineReport,
     optimize_module,
 )
-from repro.opt.ssa import from_ssa, to_ssa
 
 __all__ = [
     "PASS_FUNCS",
@@ -28,7 +27,5 @@ __all__ = [
     "PassStats",
     "PipelineReport",
     "compute_frozen",
-    "from_ssa",
     "optimize_module",
-    "to_ssa",
 ]

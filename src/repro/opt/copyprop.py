@@ -5,8 +5,8 @@ arise as *trivial phi nodes*: ``phi [v, pred1], [v, pred2]`` (one
 distinct incoming value, possibly plus self-references from loop back
 edges).  This pass forwards the unique source through the phi and
 deletes it, iterating because pruning one phi frequently makes the next
-one trivial (the classic Braun construction cleanup, and the promotion
-cleanup after :func:`repro.opt.ssa.to_ssa`).
+one trivial (the classic Braun construction cleanup; ``-O2`` runs it
+again to clean up after SCCP).
 
 Legality: a frozen phi stays (the monitor/injector observes its
 register), and a phi never forwards a frozen *source* to its users —

@@ -36,10 +36,8 @@ from repro.ir import (
     Instruction,
     LoadGlobal,
     Phi,
-    ReadLocal,
     UnaryOp,
     Value,
-    WriteLocal,
 )
 
 #: Ghost cost-kind tuples (resolved by CostModel.ghost_cycles).
@@ -86,8 +84,6 @@ def ghost_kind_of(inst: Instruction) -> Optional[Tuple]:
         return KIND_MEM
     if isinstance(inst, GetTid):
         return KIND_INTRINSIC
-    if isinstance(inst, (ReadLocal, WriteLocal)):
-        return KIND_ALU
     return None
 
 

@@ -11,13 +11,11 @@ Pass schedules (all trace-preserving; see :mod:`repro.opt.legality`):
 level     passes
 ========  ==========================================================
 ``-O0``   (nothing — the module is left untouched, no summary)
-``-O1``   to-ssa, copyprop, fold, dce
-``-O2``   to-ssa, copyprop, fold, sccp, copyprop, fold, dce
+``-O1``   copyprop, fold, dce
+``-O2``   copyprop, fold, sccp, copyprop, fold, dce
 ========  ==========================================================
 
-``from-ssa`` is registered but scheduled by no level: it adds executed
-instructions and exists for round-trip validation and slot-form
-lowering experiments.
+The front end builds SSA directly, so every pass takes and leaves SSA.
 """
 
 from __future__ import annotations
@@ -28,14 +26,12 @@ from typing import Callable, Dict, List, Set, Tuple
 from repro.errors import OptimizationError, VerificationError
 from repro.ir import Function, Module, Value
 from repro.ir.verifier import verify_module
-from repro.opt import copyprop, dce, fold, sccp, ssa
+from repro.opt import copyprop, dce, fold, sccp
 from repro.opt.legality import compute_frozen
 
 PassFunc = Callable[[Function, Set[Value]], Dict[str, int]]
 
 PASS_FUNCS: Dict[str, PassFunc] = {
-    "to-ssa": ssa.run_to_ssa,
-    "from-ssa": ssa.run_from_ssa,
     "copyprop": copyprop.run,
     "fold": fold.run,
     "sccp": sccp.run,
@@ -44,8 +40,8 @@ PASS_FUNCS: Dict[str, PassFunc] = {
 
 PIPELINES: Dict[int, Tuple[str, ...]] = {
     0: (),
-    1: ("to-ssa", "copyprop", "fold", "dce"),
-    2: ("to-ssa", "copyprop", "fold", "sccp", "copyprop", "fold", "dce"),
+    1: ("copyprop", "fold", "dce"),
+    2: ("copyprop", "fold", "sccp", "copyprop", "fold", "dce"),
 }
 
 
@@ -94,8 +90,7 @@ def _count_instructions(module: Module) -> int:
                for _ in function.instructions())
 
 
-def optimize_module(module: Module, level: int,
-                    verify: bool = True) -> PipelineReport:
+def optimize_module(module: Module, level: int) -> PipelineReport:
     """Run the ``-O<level>`` schedule over ``module`` in place.
 
     Frozen sets are computed once per function up front: legality is a
@@ -124,13 +119,12 @@ def optimize_module(module: Module, level: int,
             stats.replaced += counts.get("replaced", 0)
         stats.instructions_after = _count_instructions(module)
         report.passes.append(stats)
-        if verify:
-            try:
-                verify_module(module)
-            except VerificationError as exc:
-                raise OptimizationError(
-                    "pass %r broke module %r: %s"
-                    % (pass_name, module.name, exc)) from exc
+        try:
+            verify_module(module)
+        except VerificationError as exc:
+            raise OptimizationError(
+                "pass %r broke module %r: %s"
+                % (pass_name, module.name, exc)) from exc
     report.instructions_after = _count_instructions(module)
     module.opt_summary = report.to_dict()
     return report

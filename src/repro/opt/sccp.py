@@ -12,7 +12,7 @@ under arbitrary branch flips.
 
 Lattice: TOP (unknown, optimistic) → Constant → BOTTOM (overdefined).
 Frozen values start at BOTTOM (their registers are observables).  Loads,
-calls, tid, and slot reads are BOTTOM.  Evaluation shares the fold
+calls and tid are BOTTOM.  Evaluation shares the fold
 pass's machine-exact helpers; anything that would trap goes BOTTOM.
 
 Replacement RAUWs const-valued instructions with Constants and leaves

@@ -16,12 +16,14 @@ Every basic block is compiled once, at a module's first run, into
 * calls, returns, locks and barriers become hand-built generic
   closures.
 
-Every instruction also gets a *single* unit that executes exactly that
-instruction; the quantum loop runs it when no larger unit fits its
-budget.  The singles of phis, sends, jumps and branches come from the
-same emitter as the fused units, so send and branch semantics live in
-one place.  A send that finds its monitor queue full leaves through
-one cold helper, :func:`_stall`, which parks the message for
+Every instruction but a phi also gets a *single* unit that executes
+exactly that instruction; the quantum loop runs it when no larger unit
+fits its budget.  The singles of sends, jumps and branches come from
+the same emitter as the fused units, so send and branch semantics live
+in one place.  Phis get no unit: they run as the parallel edge copy of
+the transfer into their block, which leaves the frame past them.  A
+send that finds its monitor queue full leaves through one cold helper,
+:func:`_stall`, which parks the message for
 :meth:`repro.runtime.machine.Machine._retry_pending`.
 
 **Schedule identity.**  The scheduler draws jitter from a seeded RNG at
@@ -87,7 +89,6 @@ from repro.ir import (
     Module,
     Output,
     Phi,
-    ReadLocal,
     Ret,
     SendBranchCondition,
     StoreElem,
@@ -95,7 +96,6 @@ from repro.ir import (
     UnaryOp,
     VOID,
     Value,
-    WriteLocal,
 )
 from repro.monitor import CheckSite, check_sites
 from repro.runtime.costmodel import CostModel
@@ -112,8 +112,7 @@ _BLOCKED_QUEUE = ThreadStatus.BLOCKED_QUEUE
 #: scheduling interaction (they may crash the guest — that aborts the
 #: whole run, so mid-unit crashes stay correct).
 _FUSIBLE = (BinOp, UnaryOp, Cmp, Cast, LoadGlobal, StoreGlobal, LoadElem,
-            StoreElem, GetTid, Output, EnterLoop, LoopTick, ReadLocal,
-            WriteLocal)
+            StoreElem, GetTid, Output, EnterLoop, LoopTick)
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
           "xor": "^"}
@@ -123,14 +122,6 @@ _CMP_INFIX = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
 #: Branch-free 64-bit two's-complement wrap, inlined into generated
 #: code (mirrors repro.runtime.values.wrap_int bit for bit).
 _WRAP = "((%s + 9223372036854775808) & 18446744073709551615) - 9223372036854775808"
-
-
-def _slot_default(type_):
-    if type_ is FLOAT:
-        return 0.0
-    if type_.name == "bool":
-        return False
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +160,9 @@ class CompiledBlock:
     a straight-line run longer than the scheduler quantum still mostly
     executes through big compiled chunks.  ``ghost_costs`` is the
     per-kind cycle tuple of instruction ``i``'s leading ghost.
+
+    Both tables hold ``None`` at a phi: a frame enters a block at
+    ``nphis``, past its phis, so it never steps onto one.
     """
 
     __slots__ = ("block", "nphis", "dispatch", "singles", "edge_copy")
@@ -176,30 +170,24 @@ class CompiledBlock:
     def __init__(self, block: BasicBlock, nphis: int):
         self.block = block
         self.nphis = nphis
-        self.dispatch: List[Tuple[Tuple[Tuple[int, Callable], ...],
-                                  Tuple[float, ...]]] = []
-        self.singles: List[Callable] = []
+        self.dispatch: List[Optional[Tuple[
+            Tuple[Tuple[int, Callable], ...], Tuple[float, ...]]]] = []
+        self.singles: List[Optional[Callable]] = []
         self.edge_copy: Dict[BasicBlock, Callable] = {}
 
 
 class CompiledFunction:
-    __slots__ = ("function", "slot_of", "nslots", "param_slots",
-                 "slot_defaults", "blocks")
+    __slots__ = ("function", "slot_of", "nslots", "param_slots", "blocks")
 
     def __init__(self, function: Function):
         self.function = function
         self.slot_of: Dict[Value, int] = {}
         self.nslots = 0
         self.param_slots: Tuple[int, ...] = ()
-        #: (slot, default) pairs for LocalSlots — unwritten locals read
-        #: as typed zeros, so each new frame prefills them.
-        self.slot_defaults: Tuple[Tuple[int, Any], ...] = ()
         self.blocks: Dict[BasicBlock, CompiledBlock] = {}
 
     def make_frame(self, args: Tuple, call_inst=None) -> Frame:
         regs: List[Any] = [None] * self.nslots
-        for slot, default in self.slot_defaults:
-            regs[slot] = default
         for slot, value in zip(self.param_slots, args):
             regs[slot] = value
         entry = self.function.entry
@@ -226,16 +214,16 @@ class CompiledProgram:
 
 
 def _partition(block: BasicBlock) -> List[Tuple[int, int, str]]:
-    """Split a block's instruction list into units: maximal fusible runs,
-    and every other instruction alone — a generated *single* for phis
-    and the block tail (sends, jumps, branches), a hand-built *generic*
-    closure for the rest."""
+    """Split a block's instruction list, past its phis, into units:
+    maximal fusible runs, and every other instruction alone — a
+    generated *single* for the block tail (sends, jumps, branches), a
+    hand-built *generic* closure for the rest.  Phis get no unit."""
     insts = block.instructions
     units: List[Tuple[int, int, str]] = []
-    i, n = 0, len(insts)
+    i, n = len(block.phis()), len(insts)
     while i < n:
         inst = insts[i]
-        if isinstance(inst, (Phi, SendBranchCondition, Jump, Branch)):
+        if isinstance(inst, (SendBranchCondition, Jump, Branch)):
             units.append((i, i + 1, "single"))
             i += 1
         elif isinstance(inst, _FUSIBLE):
@@ -266,18 +254,11 @@ class _Plan:
             return slot
 
         self.param_slots = tuple(alloc(p) for p in function.params)
-        defaults = []
         for block in function.blocks:
             for inst in block.instructions:
-                if isinstance(inst, (ReadLocal, WriteLocal)):
-                    slot = inst.slot
-                    if slot not in slot_of:
-                        defaults.append((alloc(slot),
-                                         _slot_default(slot.type)))
                 if inst.type is not VOID:
                     alloc(inst)
         self.slot_of = slot_of
-        self.slot_defaults = tuple(defaults)
         self.nslots = len(slot_of)
         self.units = {b: _partition(b) for b in function.blocks}
         #: inst -> (block, position) for escape analysis.
@@ -382,8 +363,6 @@ class _FunctionCodegen:
             return cost.intrinsic
         if isinstance(inst, Output):
             return cost.output
-        if isinstance(inst, (ReadLocal, WriteLocal)):
-            return cost.alu
         raise SimulationError("no cost for %r" % inst)  # pragma: no cover
 
     def _expr(self, inst: Instruction, local_names: Dict[Value, str],
@@ -446,8 +425,6 @@ class _FunctionCodegen:
         if isinstance(inst, GetTid):
             needs.add("tid")
             return "tid"
-        if isinstance(inst, ReadLocal):
-            return "regs[%d]" % self.plan.slot_of[inst.slot]
         raise SimulationError("no expr for %r" % inst)  # pragma: no cover
 
     def _stmt(self, inst: Instruction, local_names: Dict[Value, str],
@@ -470,9 +447,6 @@ class _FunctionCodegen:
             lid = inst.loop_id
             return ["_li = thread.loop_iters",
                     "_li[%d] = _li.get(%d, -1) + 1" % (lid, lid)]
-        if isinstance(inst, WriteLocal):
-            return ["regs[%d] = %s" % (self.plan.slot_of[inst.slot],
-                                       ref(inst.value))]
         raise SimulationError("no stmt for %r" % inst)  # pragma: no cover
 
     # -- emitters ----------------------------------------------------------
@@ -687,13 +661,6 @@ class _FunctionCodegen:
                     force_slots=False)
                 segments.setdefault(position, []).append((steps, fn))
         return segments
-
-    def emit_phi_skip(self, name: str, position: int) -> Callable:
-        """Stepping onto a phi just skips it: phis run as the parallel
-        edge copy of the transfer into their block."""
-        return self._define(name, "def %s(machine, thread, frame):\n"
-                                  "    frame.index = %d\n"
-                                  "    return 1\n" % (name, position + 1))
 
     def emit_edge_copies(self, cfunc: CompiledFunction) -> None:
         """Parallel phi-copies, one per CFG edge into a block with phis,
@@ -926,7 +893,6 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
         cfunc.slot_of = plan.slot_of
         cfunc.nslots = plan.nslots
         cfunc.param_slots = plan.param_slots
-        cfunc.slot_defaults = plan.slot_defaults
         for block in function.blocks:
             nphis = sum(1 for _ in block.phis())
             cfunc.blocks[block] = CompiledBlock(block, nphis)
@@ -965,8 +931,6 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
                     if kind == "generic":
                         single = _make_generic(program, cfunc, inst, pos,
                                                func_index)
-                    elif isinstance(inst, Phi):
-                        single = gen.emit_phi_skip(name, pos)
                     else:
                         single = gen.emit_run(name, block, pos, pos + 1,
                                               force_slots=True)[0]

@@ -50,7 +50,9 @@ from typing import Dict, Optional, Tuple
 #: program's loop and lock-region queries answer like a fresh one's.
 #: 7: a similarity result carries its call graph and the region's
 #: written globals; lock regions carry no per-block depths.
-ARTIFACT_SCHEMA = 7
+#: 8: the IR has no local-slot form, and an -O1/-O2 program's pass
+#: summary no longer lists the removed SSA-promotion pass.
+ARTIFACT_SCHEMA = 8
 
 #: Version of the compiled-program content address.  Program keys are
 #: also part of every campaign plan hash (journals, served jobs), so

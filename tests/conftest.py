@@ -6,6 +6,8 @@ compiled/analyzed/instrumented once and shared across every test module.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.runtime import ParallelProgram
@@ -59,6 +61,13 @@ def figure1_setup(nthreads: int):
 @pytest.fixture(scope="session")
 def figure1_program() -> ParallelProgram:
     return ParallelProgram(FIGURE_1, "figure1")
+
+
+@pytest.fixture
+def spawn_only(monkeypatch):
+    """A platform without ``fork``: every pool spawns its workers."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ spec-for-spec."""
 import pytest
 
 from repro import BlockWatch
+from repro.analysis import AnalysisConfig
+from repro.faults import campaign as campaign_module
 from repro.faults import (
     FaultType,
     injection_seed,
@@ -13,7 +15,9 @@ from repro.faults import (
     run_campaign,
     run_false_positive_trial,
 )
+from repro.ir import print_module
 from repro.runtime import ParallelProgram
+from repro.splash2 import kernel
 from tests.conftest import FIGURE_1, figure1_setup
 
 
@@ -24,6 +28,10 @@ def program():
 
 SEED = 9
 INJECTIONS = 16
+
+#: Checks fewer branches than the default profile (11 of radix's 14).
+SPARSE = AnalysisConfig(elide_redundant_checks=True,
+                        promote_none_to_partial=False)
 
 
 def campaign(program, fault_type=FaultType.BRANCH_FLIP, **kwargs):
@@ -89,3 +97,44 @@ class TestSeedStability:
                   for i in range(4)]
         assert first == second
         assert len(set(first)) == 4
+
+
+class TestSpawnWorkersRunTheParentsProgram:
+    """A spawn-started worker rebuilds the program from its source; it
+    must rebuild it with the parent's analysis and instrumentation
+    configs, or it checks a different set of branches."""
+
+    @pytest.fixture(scope="class")
+    def sparse_radix(self):
+        radix = kernel("radix")
+        return radix, radix.program(analysis_config=SPARSE)
+
+    def test_campaign_records_match_serial(self, sparse_radix, spawn_only):
+        radix, program = sparse_radix
+        spec = BlockWatch.from_program(program).spec(
+            fault="flip", nthreads=4, injections=24, seed=99,
+            output_globals=radix.output_globals)
+
+        def records(jobs):
+            return run_campaign(spec, program=program, setup=radix.setup(4),
+                                keep_records=True, jobs=jobs).records
+
+        assert records(2) == records(1)
+
+    def test_false_positive_trial_worker_builds_the_same_image(
+            self, sparse_radix, monkeypatch):
+        radix, program = sparse_radix
+        built = []
+
+        def run_like_a_spawn_worker(task, items, context_factory,
+                                    factory_args, **kwargs):
+            ctx = context_factory(*factory_args)
+            built.append(ctx.program)
+            return [task(ctx, item) for item in items]
+
+        monkeypatch.setattr(campaign_module, "run_tasks",
+                            run_like_a_spawn_worker)
+        assert run_false_positive_trial(program, 4, 1, 5,
+                                        setup=radix.setup(4), jobs=2) == 0
+        assert (print_module(built[0].protected)
+                == print_module(program.protected))

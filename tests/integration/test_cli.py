@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.telemetry import validate_trace_file
 
 MALFORMED = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                          "malformed.mc")
@@ -110,6 +111,30 @@ class TestInject:
         assert main(["inject", demo_file, "-t", "2", "-n", "5",
                      "--fault", "condition", "--outputs", "out"]) == 0
         assert "branch-condition" in capsys.readouterr().out
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away (``repro run ... | head``)."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestTraceBeforeReport:
+    @pytest.mark.parametrize("argv", [
+        ["run", "-t", "2"],
+        ["inject", "-t", "2", "-n", "3", "--outputs", "out"],
+    ], ids=["run", "inject"])
+    def test_trace_survives_a_closed_stdout(self, demo_file, tmp_path,
+                                            monkeypatch, argv):
+        trace = str(tmp_path / "early.jsonl")
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(argv[:1] + [demo_file] + argv[1:]
+                    + ["--trace", trace]) == 2
+        assert validate_trace_file(trace) > 0
 
 
 def one_error_line(capsys) -> str:

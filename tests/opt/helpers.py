@@ -19,21 +19,3 @@ def run_signature(result):
               for v in result.violations),
     )
 
-
-def semantic_signature(result, globals_=()):
-    """What any *semantics*-preserving transformation must keep: final
-    status, outputs, detections, and the named result globals — but not
-    the clocks (``from_ssa`` adds executed instructions)."""
-    memory = result.memory
-    finals = {}
-    for name in globals_:
-        finals[name] = (tuple(memory.get_array(name))
-                        if name in memory.arrays
-                        else memory.get_scalar(name))
-    return (
-        str(result.status),
-        tuple(result.outputs),
-        tuple((v.info.static_id, tuple(v.thread_ids))
-              for v in result.violations),
-        finals,
-    )

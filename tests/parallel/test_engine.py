@@ -226,13 +226,6 @@ def _start_method_of(ctx, item):
     return item, multiprocessing.get_start_method(allow_none=True)
 
 
-@pytest.fixture
-def spawn_only(monkeypatch):
-    """A platform without ``fork``: every pool spawns its workers."""
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-
-
 class TestSpawn:
     def test_results_in_item_order(self, spawn_only):
         assert run_tasks(_start_method_of, range(10), jobs=2) == [
