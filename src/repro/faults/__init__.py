@@ -12,11 +12,11 @@ from repro.faults.campaign import (
     run_campaign,
     run_false_positive_trial,
     run_one_injection,
+    site_streams,
 )
 from repro.faults.injector import InjectingHook, plan_fault
 from repro.faults.models import FaultSpec, FaultType
 from repro.faults.outcomes import CampaignStats, Outcome
-from repro.faults.recording import RecordingHook, record_site_streams
 from repro.faults.spec import CampaignSpec, SpecSetup
 from repro.faults.validation import check_validation, validate_predictions
 
@@ -26,7 +26,7 @@ __all__ = [
     "allocate_stratified", "check_validation",
     "golden_run", "injection_seed", "plan_injection", "plan_stratified",
     "run_campaign", "run_false_positive_trial",
-    "run_one_injection", "InjectingHook", "plan_fault",
+    "run_one_injection", "site_streams", "InjectingHook", "plan_fault",
     "FaultSpec", "FaultType", "CampaignStats", "Outcome",
-    "RecordingHook", "record_site_streams", "validate_predictions",
+    "validate_predictions",
 ]

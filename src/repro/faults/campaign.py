@@ -31,7 +31,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.faults.injector import InjectingHook, plan_fault
 from repro.faults.models import FaultSpec, FaultType
@@ -39,12 +40,16 @@ from repro.faults.outcomes import CampaignStats, Outcome
 from repro.faults.spec import CampaignSpec
 from repro.monitor import MonitorMode
 from repro.parallel import derive_seed, run_tasks
-from repro.runtime.golden import GoldenRecorder, select_checkpoint
+from repro.runtime.golden import (GoldenRecorder, group_streams,
+                                  select_checkpoint)
 from repro.runtime.machine import Checkpoint, RunResult
 from repro.runtime.memory import SharedMemory
 from repro.runtime.program import ParallelProgram, RunConfig
 from repro.telemetry import Telemetry, TelemetrySnapshot
 from repro.telemetry import write_trace as _write_trace_file
+
+if TYPE_CHECKING:
+    from repro.store.artifacts import GoldenSummary
 
 
 @dataclass
@@ -110,6 +115,12 @@ class CampaignResult:
     #: Thread similarity classes recorded by the golden run: sorted tid
     #: lists ordered by least member (see repro.runtime.golden).
     thread_classes: List[List[int]] = field(default_factory=list)
+    #: The golden run's :class:`~repro.store.artifacts.GoldenSummary`,
+    #: on a golden-cache hit too (its branch streams attribute records
+    #: to static sites: :func:`site_streams`).  In memory only: a
+    #: result read back from its wire form has none.
+    summary: Optional["GoldenSummary"] = field(default=None, compare=False,
+                                               repr=False)
 
     @property
     def trace_events(self) -> List[dict]:
@@ -172,7 +183,7 @@ def golden_run(program: ParallelProgram, config: CampaignConfig,
                recorder: GoldenRecorder,
                telemetry: Optional[Telemetry] = None) -> RunResult:
     """The campaign's fault-free reference run; ``recorder`` collects its
-    thread classes and checkpoints."""
+    branch streams and checkpoints."""
     result = program.run(
         RunConfig(nthreads=config.nthreads, seed=config.seed,
                   monitor_mode=MonitorMode.FULL, quantum=config.quantum,
@@ -195,7 +206,27 @@ def _golden_summary_of(golden: RunResult, recorder: GoldenRecorder,
         signature=golden.output_signature(config.output_globals),
         branch_counts=dict(golden.branch_counts),
         steps=golden.steps,
-        thread_classes=recorder.thread_classes(golden.branch_counts))
+        thread_classes=group_streams(recorder.streams,
+                                     len(golden.branch_counts)),
+        streams=recorder.streams,
+        branch_sites=tuple(recorder.sites))
+
+
+def site_streams(summary: "GoldenSummary", program: ParallelProgram,
+                 report) -> Dict[int, List[int]]:
+    """The golden run's branch streams as static fault sites of
+    ``report`` (a :class:`~repro.lint.vuln.VulnReport` of ``program``):
+    ``streams[tid][k-1]`` is the site id of thread ``tid``'s ``k``-th
+    dynamic branch, the ``(thread, k)`` coordinates a
+    :class:`FaultSpec` targets.  Maps what the golden run recorded; runs
+    nothing."""
+    from repro.lint.vuln import branch_site_map
+    site_of = {(branch.parent.parent.name, branch.parent.name): site
+               for branch, site
+               in branch_site_map(program.protected, report).items()}
+    table = [site_of[block] for block in summary.branch_sites]
+    return {tid: [table[symbol >> 1] for symbol in stream]
+            for tid, stream in summary.streams.items()}
 
 
 def injection_seed(base_seed: int, fault_type: FaultType, index: int) -> int:
@@ -233,12 +264,12 @@ class PlannedFault:
 class _CampaignContext:
     """Per-worker campaign state: the compiled program plus the golden
     artifacts every injection classifies against and resumes from.
-    Built once in the parent (fork workers inherit it, checkpoints
-    included); rebuilt once per worker from source under spawn, without
-    checkpoints (its injections start at step 0).  A
-    :class:`~repro.parallel.WorkerPool` worker gets every field but the
-    program, the setup and the checkpoints with each chunk, and
-    resolves those itself (:func:`_context_in_worker`)."""
+    Built once in the parent: fork workers inherit it, checkpoints
+    included; spawn workers unpickle it without them (its injections
+    start at step 0).  A :class:`~repro.parallel.WorkerPool` worker
+    gets every field but the program, the setup and the checkpoints
+    with each chunk, and resolves those itself
+    (:func:`_context_in_worker`)."""
 
     program: ParallelProgram
     config: CampaignConfig
@@ -251,6 +282,13 @@ class _CampaignContext:
     checkpoints: Tuple[Checkpoint, ...] = ()
     #: :func:`repro.store.hashing.golden_fingerprint` of the golden run.
     golden_fingerprint: str = ""
+
+    def __getstate__(self):
+        # Checkpoints point into this process's compiled closures, the
+        # reason a Module pickles without its closure cache.
+        state = dict(self.__dict__)
+        state["checkpoints"] = ()
+        return state
 
 
 def _campaign_context(spec: CampaignSpec, store,
@@ -328,45 +366,17 @@ def _context_in_worker(light: _CampaignContext, spec: CampaignSpec,
 
 def _dispatch(items: List[Tuple[int, PlannedFault]], ctx: _CampaignContext,
               spec: CampaignSpec, store, pool, **kwargs) -> List:
-    """``run_tasks`` of :func:`_injection_task` over ``items`` with the
-    worker-side factory the pool lifetime needs: rebuild from source
-    for a spawn worker, or resolve from the spec for a warm ``pool``
-    worker."""
-    program = ctx.program
+    """``run_tasks`` of :func:`_injection_task` over ``items``: on the
+    caller's context, or on a warm ``pool`` whose workers resolve it
+    from the spec."""
     if pool is None:
-        factory = _campaign_context_from_source
-        args = (program.source, program.name, program.entry, ctx.config,
-                ctx.setup, ctx.golden_signature, ctx.max_steps,
-                ctx.telemetry, program.opt_level, program.analysis_config,
-                program.instrument_config)
-        key = None
-    else:
-        light = dataclasses.replace(ctx, program=None, setup=None,
-                                    checkpoints=())
-        factory = _context_in_worker
-        args = (light, spec, store.root if store is not None else None)
-        key = spec.plan_hash
+        return run_tasks(_injection_task, items, context=ctx, **kwargs)
+    light = dataclasses.replace(ctx, program=None, setup=None)
     return run_tasks(_injection_task, items, context=ctx,
-                     context_factory=factory, factory_args=args, pool=pool,
-                     context_key=key, **kwargs)
-
-
-def _campaign_context_from_source(source: str, name: str, entry: str,
-                                  config: CampaignConfig, setup,
-                                  golden_signature, max_steps,
-                                  telemetry=False, opt_level=0,
-                                  analysis_config=None,
-                                  instrument_config=None) -> _CampaignContext:
-    """Spawn-pool factory: compile + analyze + instrument once per worker
-    process, with the parent program's configs, and reuse it for every
-    injection the worker executes."""
-    program = ParallelProgram(source, name, entry=entry,
-                              analysis_config=analysis_config,
-                              instrument_config=instrument_config,
-                              opt_level=opt_level)
-    return _CampaignContext(program=program, config=config, setup=setup,
-                            golden_signature=golden_signature,
-                            max_steps=max_steps, telemetry=telemetry)
+                     context_factory=_context_in_worker,
+                     factory_args=(light, spec,
+                                   store.root if store is not None else None),
+                     pool=pool, context_key=spec.plan_hash, **kwargs)
 
 
 def _injection_task(ctx: _CampaignContext,
@@ -515,16 +525,14 @@ def _plan_campaign(spec: CampaignSpec, ctx: _CampaignContext, summary,
     planner's summary (None for a full sweep)."""
     config, fault_type = ctx.config, spec.fault_type
     if spec.plan == "stratified":
-        from repro.faults.recording import record_site_streams
         from repro.lint.vuln import analyze_program
         if vuln_report is None:
             vuln_report = analyze_program(
                 ctx.program, output_globals=config.output_globals,
                 store=store)
-        streams = record_site_streams(ctx.program, config, setup=ctx.setup,
-                                      report=vuln_report)
-        return plan_stratified(vuln_report, streams, fault_type,
-                               config.injections, config.seed)
+        return plan_stratified(
+            vuln_report, site_streams(summary, ctx.program, vuln_report),
+            fault_type, config.injections, config.seed)
     plan = []
     for index in range(config.injections):
         fault = plan_injection(fault_type, summary.branch_counts,
@@ -732,7 +740,8 @@ def run_campaign(spec: CampaignSpec,
     stats = CampaignStats(program=program.name, fault_type=spec.fault,
                           nthreads=config.nthreads)
     result = CampaignResult(stats=stats, golden=golden,
-                            thread_classes=list(summary.thread_classes))
+                            thread_classes=list(summary.thread_classes),
+                            summary=summary)
     timings: Optional[List[Tuple[int, int, float]]] = (
         [] if parent_tel is not None else None)
 
@@ -836,18 +845,6 @@ class _TrialContext:
     setup: Optional[Callable[[SharedMemory], None]]
 
 
-def _trial_context_from_source(source: str, name: str, entry: str,
-                               nthreads: int, base_seed: int,
-                               setup, opt_level=0, analysis_config=None,
-                               instrument_config=None) -> _TrialContext:
-    program = ParallelProgram(source, name, entry=entry,
-                              analysis_config=analysis_config,
-                              instrument_config=instrument_config,
-                              opt_level=opt_level)
-    return _TrialContext(program=program, nthreads=nthreads,
-                         base_seed=base_seed, setup=setup)
-
-
 def _trial_task(ctx: _TrialContext, index: int) -> bool:
     result = ctx.program.run_protected(
         ctx.nthreads, seed=ctx.base_seed + index, setup=ctx.setup)
@@ -869,10 +866,4 @@ def run_false_positive_trial(program: ParallelProgram, nthreads: int,
     ``jobs`` workers without changing a single schedule."""
     ctx = _TrialContext(program=program, nthreads=nthreads,
                         base_seed=base_seed, setup=setup)
-    detections = run_tasks(
-        _trial_task, range(runs), jobs=jobs, context=ctx,
-        context_factory=_trial_context_from_source,
-        factory_args=(program.source, program.name, program.entry,
-                      nthreads, base_seed, setup, program.opt_level,
-                      program.analysis_config, program.instrument_config))
-    return sum(detections)
+    return sum(run_tasks(_trial_task, range(runs), jobs=jobs, context=ctx))

@@ -2,8 +2,9 @@
 
 :func:`validate_predictions` joins a full fault-injection sweep against
 the per-site predictions of :mod:`repro.lint.vuln`: every injection
-record's ``(thread, k)`` coordinates resolve — through the golden
-branch streams of :mod:`repro.faults.recording` — to a static site and
+record's ``(thread, k)`` coordinates resolve — through the branch
+streams the sweep's golden run recorded
+(:func:`~repro.faults.campaign.site_streams`) — to a static site and
 therefore to a predicted class, giving per-class *measured* detection
 rates, a precision/recall summary for the ``monitored`` prediction, and
 a stratified-vs-full coverage comparison.  This is the harness behind
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import run_campaign, site_streams
 from repro.faults.outcomes import Outcome
-from repro.faults.recording import record_site_streams
 from repro.faults.spec import CampaignSpec
 
 #: Schema of the validation payload (bump on shape changes).
@@ -43,8 +43,8 @@ def validate_predictions(spec: CampaignSpec, program=None, setup=None,
     Runs the full sweep (``spec.injections`` uniform injections, records
     kept), attributes every outcome to its predicted class, then runs
     the stratified campaign ``spec.replace(plan="stratified",
-    injections=budget)`` on ``budget_fraction`` of the injections and
-    compares coverage estimates.  ``program=`` overrides the
+    injections=budget)`` on ``budget_fraction`` (in (0, 1]) of the
+    injections and compares coverage estimates.  ``program=`` overrides the
     spec-resolved program (e.g. one compiled under another analysis
     profile) and ``setup=`` the spec's default inputs, as in
     :func:`~repro.faults.campaign.run_campaign`.  ``report`` may be a
@@ -53,6 +53,9 @@ def validate_predictions(spec: CampaignSpec, program=None, setup=None,
     """
     from repro.lint.vuln import CLASS_MONITORED, CLASS_SDC, analyze_program
 
+    if not 0 < budget_fraction <= 1:
+        raise ValueError("budget_fraction must be in (0, 1], got %r"
+                         % (budget_fraction,))
     if program is None:
         program = spec.resolve_program(store)
     if setup is None:
@@ -62,12 +65,11 @@ def validate_predictions(spec: CampaignSpec, program=None, setup=None,
         report = analyze_program(program,
                                  output_globals=config.output_globals,
                                  store=store)
-    streams = record_site_streams(program, config, setup=setup,
-                                  report=report)
     model = spec.fault
 
     full = run_campaign(spec, program=program, setup=setup,
                         keep_records=True, jobs=jobs, store=store)
+    streams = site_streams(full.summary, program, report)
 
     classes: dict = {}
     detected_total = 0

@@ -87,11 +87,6 @@ def _lint_task(store_root: Optional[str], target: Target) -> Dict:
     return _lint_one(name, source, entry, store=open_store(store_root))
 
 
-def _store_ctx_factory(store_root: Optional[str]) -> Optional[str]:
-    """Spawn-pool context factory: the context *is* the store root."""
-    return store_root
-
-
 def _run(task, items, args, what: str) -> List[Dict]:
     """``task`` over ``items`` on ``--jobs`` workers sharing the
     ``--store``/``$REPRO_STORE`` store; a failure is a usage error."""
@@ -100,9 +95,7 @@ def _run(task, items, args, what: str) -> List[Dict]:
     store = open_store(args.store)
     root = store.root if store is not None else None
     try:
-        return run_tasks(task, items, jobs=args.jobs, context=root,
-                         context_factory=_store_ctx_factory,
-                         factory_args=(root,))
+        return run_tasks(task, items, jobs=args.jobs, context=root)
     except Exception as exc:
         raise UsageError("%s failed: %s" % (what, exc)) from None
 
@@ -280,6 +273,9 @@ def _vuln_validate(args, targets) -> int:
     from repro.splash2 import kernel as kernel_spec
     from repro.store import open_store
 
+    if not 0 < args.budget_fraction <= 1:
+        raise UsageError("--budget-fraction must be in (0, 1], got %s"
+                         % args.budget_fraction)
     store = open_store(args.store)
     results = []
     failures: List[str] = []
@@ -370,8 +366,8 @@ def register(sub) -> None:
     parser.add_argument("--injections", type=int, default=120,
                         help="full-sweep injections for --validate")
     parser.add_argument("--budget-fraction", type=float, default=0.25,
-                        help="stratified budget as a fraction of the "
-                             "full sweep (default: 0.25)")
+                        help="stratified budget as a fraction in "
+                             "(0, 1] of the full sweep (default: 0.25)")
     parser.add_argument("--seed", type=int, default=12345,
                         help="campaign base seed for --validate")
     parser.set_defaults(func=cmd_vuln)

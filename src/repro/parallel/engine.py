@@ -12,11 +12,9 @@ and closes it when it returns, raises or is stopped by a raising
 callback.  Its workers cache the caller's context as they start: under
 ``fork`` (where the platform has it) the context is *inherited*, not
 pickled, so workers start with the parent's compiled image and never
-recompile; under ``spawn`` each worker builds it once with the
-picklable ``context_factory`` (or unpickles ``context`` when no factory
-is given) and keeps it for all its chunks.  A context that cannot cross
-a spawn boundary runs on the serial loop, as does ``jobs=1`` or a
-single item.
+recompile; under ``spawn`` each worker unpickles it once and keeps it
+for all its chunks.  A context that cannot cross a spawn boundary runs
+on the serial loop, as does ``jobs=1`` or a single item.
 
 A ``pool`` the caller passes outlives the calls that use it (the
 campaign server keeps one per server), and a call names its context by
@@ -94,11 +92,9 @@ WARM_CONTEXTS = 8
 _CALL_KEY = "run_tasks"
 
 
-def _seed_worker(context, context_factory, factory_args) -> None:
+def _seed_worker(context) -> None:
     """Pool initializer of a short-lived pool: cache the caller's
-    context (inherited under fork) or, if none was given, build it."""
-    if context is None and context_factory is not None:
-        context = context_factory(*factory_args)
+    context (inherited under fork, unpickled under spawn)."""
     _WARM[_CALL_KEY] = context
 
 
@@ -166,10 +162,8 @@ class WorkerPool:
 
 # -- driver ------------------------------------------------------------------
 
-def _run_serial(task_fn, items, context, context_factory, factory_args,
-                progress, timings, on_results) -> List:
-    if context is None and context_factory is not None:
-        context = context_factory(*factory_args)
+def _run_serial(task_fn, items, context, progress, timings,
+                on_results) -> List:
     results = []
     total = len(items)
     for index, item in enumerate(items):
@@ -185,15 +179,12 @@ def _run_serial(task_fn, items, context, context_factory, factory_args,
     return results
 
 
-def _seed_args(context, context_factory, factory_args) -> Optional[Tuple]:
+def _seed_args(context) -> Optional[Tuple]:
     """``_seed_worker``'s arguments, or None where spawn workers cannot
-    receive them: they build from the factory if there is one, else
-    unpickle the context."""
-    seed = (context, context_factory, factory_args)
+    unpickle them."""
+    seed = (context,)
     if _start_method() == "fork":
         return seed
-    if context_factory is not None:
-        seed = (None, context_factory, factory_args)
     try:
         pickle.dumps(seed)
     except Exception:
@@ -220,14 +211,13 @@ def run_tasks(task_fn: Callable,
 
     ``task_fn`` must be a module-level function (it crosses the pool's
     task queue by reference).  ``context`` is the shared heavy state —
-    delivered for free under fork; a worker that cannot inherit it
-    builds it with ``context_factory(*factory_args)``: once per spawn
-    worker (``context`` is pickled directly when no factory is given),
-    or once per :class:`WorkerPool` worker and ``context_key`` when
-    ``pool`` is given.  With no ``pool``, the call starts a
-    :class:`WorkerPool` of its own and closes it before it returns.
-    The serial loop (``jobs=1``) uses ``context``.  Exceptions raised
-    by any task propagate.
+    delivered for free under fork, unpickled once per spawn worker.
+    With no ``pool``, the call starts a :class:`WorkerPool` of its own
+    and closes it before it returns.  A ``pool``'s workers instead
+    build the context with ``context_factory(*factory_args)``, once
+    per worker and ``context_key``; the two are accepted only with
+    ``pool``.  The serial loop (``jobs=1``) uses ``context``.
+    Exceptions raised by any task propagate.
 
     ``timings``, when given a list, receives one ``(chunk_id, items,
     seconds)`` tuple per completed dispatch unit — the per-worker
@@ -238,11 +228,14 @@ def run_tasks(task_fn: Callable,
     completion (not item) order — the checkpoint hook: a crash loses at
     most the chunks whose callback had not yet run.
     """
+    own = pool is None
+    if own and (context_factory is not None or factory_args):
+        raise ValueError("context_factory and factory_args need a "
+                         "WorkerPool; a short-lived pool gets the context")
     items = list(items)
     jobs = min(resolve_jobs(jobs), len(items)) if items else 1
-    own = pool is None
     if jobs > 1 and own:
-        seed = _seed_args(context, context_factory, factory_args)
+        seed = _seed_args(context)
         if seed is None:
             warnings.warn(
                 "parallel context is not picklable and fork is "
@@ -250,8 +243,8 @@ def run_tasks(task_fn: Callable,
                 RuntimeWarning, stacklevel=2)
             jobs = 1
     if jobs <= 1:
-        return _run_serial(task_fn, items, context, context_factory,
-                           factory_args, progress, timings, on_results)
+        return _run_serial(task_fn, items, context, progress, timings,
+                           on_results)
 
     size = chunk_size if chunk_size else default_chunk_size(len(items), jobs)
     indexed = list(enumerate(items))

@@ -3,12 +3,17 @@
 :class:`GoldenRecorder` rides along the golden run as its (passive)
 fault hook and collects two things:
 
-* **Thread similarity classes.**  Per thread, a digest of the
-  ``(function, block, taken)`` stream of every dynamic branch.  Threads
-  with equal digests (and equal branch counts) executed the same blocks
-  in the same order and took the same decisions: one class.  Triage
-  maps witness thread ids to class ranks and compares performance
-  vectors within a class (:mod:`repro.triage`).
+* **Branch streams.**  Per thread, one symbol per dynamic branch: the
+  symbol of the ``(function, block)`` the branch ends plus its decision
+  bit.  ``streams[tid][k-1]`` is thread ``tid``'s ``k``-th dynamic
+  branch, the ``(thread, k)`` coordinates a fault targets, so the
+  stratified planner and the predictor's validation map the streams to
+  static fault sites (:func:`repro.faults.campaign.site_streams`)
+  instead of observing the schedule again.  Threads with equal streams
+  executed the same blocks in the same order and took the same
+  decisions: one thread similarity class (:func:`group_streams`).
+  Triage maps witness thread ids to class ranks and compares
+  performance vectors within a class (:mod:`repro.triage`).
 * **Checkpoints.**  At most :data:`CHECKPOINTS` machine states
   (:class:`~repro.runtime.machine.Checkpoint`), taken at scheduling
   quantum boundaries evenly spaced over the run.  An injection whose
@@ -25,7 +30,7 @@ The run ends holding between half and all of the slots, evenly spaced.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.machine import Checkpoint, FaultHook
 
@@ -38,10 +43,6 @@ CHECKPOINTS = 8
 
 #: Steps between checkpoints before the first thinning.
 FIRST_INTERVAL = 4096
-
-#: Stream digests are polynomial hashes modulo this Mersenne prime.
-_PRIME = (1 << 61) - 1
-_BASE = 0x9E3779B97F4A7C15 % _PRIME
 
 
 def group_streams(streams: Dict[int, Sequence],
@@ -58,8 +59,8 @@ def group_streams(streams: Dict[int, Sequence],
 
 
 class GoldenRecorder(FaultHook):
-    """Records branch-stream digests and checkpoints during one run
-    (pass it to :meth:`repro.runtime.program.ParallelProgram.run` as
+    """Records branch streams and checkpoints during one run (pass it
+    to :meth:`repro.runtime.program.ParallelProgram.run` as
     ``recorder=``).  Decisions pass through unchanged."""
 
     def __init__(self) -> None:
@@ -68,19 +69,22 @@ class GoldenRecorder(FaultHook):
         self.interval = FIRST_INTERVAL
         #: Total step count at which the machine calls :meth:`capture`.
         self.next_at = FIRST_INTERVAL
-        self._digests: Dict[int, int] = {}
-        #: Branch instruction -> its stream symbol (even, > 0: the low
-        #: bit carries the decision).
+        #: Per thread that branched, one symbol per dynamic branch:
+        #: ``2 * i + taken`` for the branch ending ``sites[i]``.
+        self.streams: Dict[int, List[int]] = {}
+        #: ``(function, block)`` of each symbol pair, in first-seen order.
+        self.sites: List[Tuple[str, str]] = []
+        #: Branch instruction -> its even symbol.
         self._symbols: Dict[object, int] = {}
-        self._symbol_of_site: Dict[tuple, int] = {}
 
     def before_branch(self, machine, thread, branch, frame, taken):
         symbol = self._symbols.get(branch)
         if symbol is None:
             symbol = self._new_symbol(branch)
-        tid = thread.tid
-        self._digests[tid] = ((self._digests.get(tid, 0) * _BASE
-                               + symbol + bool(taken)) % _PRIME)
+        try:
+            self.streams[thread.tid].append(symbol + bool(taken))
+        except KeyError:
+            self.streams[thread.tid] = [symbol + bool(taken)]
         return taken
 
     def _new_symbol(self, branch) -> int:
@@ -88,9 +92,9 @@ class GoldenRecorder(FaultHook):
         # the stream is the sequence of blocks a thread branched from.
         block = branch.parent
         site = (block.parent.name, block.name)
-        symbol = self._symbol_of_site.setdefault(
-            site, 2 * (len(self._symbol_of_site) + 1))
-        self._symbols[branch] = symbol
+        if site not in self.sites:
+            self.sites.append(site)
+        symbol = self._symbols[branch] = 2 * self.sites.index(site)
         return symbol
 
     def capture(self, machine) -> int:
@@ -103,14 +107,6 @@ class GoldenRecorder(FaultHook):
             self.checkpoints.append(machine.checkpoint())
         self.next_at = (len(self.checkpoints) + 1) * self.interval
         return self.next_at
-
-    def thread_classes(self, branch_counts: Dict[int, int]
-                       ) -> List[List[int]]:
-        """The recorded run's thread similarity classes."""
-        keys: Dict[int, Hashable] = {
-            tid: (count, self._digests.get(tid, 0))
-            for tid, count in branch_counts.items()}
-        return group_streams(keys, len(branch_counts))
 
 
 def select_checkpoint(checkpoints: Sequence[Checkpoint], thread_id: int,

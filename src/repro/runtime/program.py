@@ -159,7 +159,7 @@ class ParallelProgram:
         instead (``setup`` is then already part of the restored
         memory).  ``recorder`` (a
         :class:`repro.runtime.golden.GoldenRecorder`, in place of a
-        fault hook) records thread classes and checkpoints.
+        fault hook) records branch streams and checkpoints.
         ``cut_short`` (fault trials without telemetry only: the golden
         run's checkpoints) ends the run once its outcome is decided
         (:attr:`RunResult.cut`).

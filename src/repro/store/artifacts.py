@@ -121,6 +121,10 @@ class GoldenSummary:
     #: Thread similarity classes (sorted tid lists, ordered by least
     #: member) recorded during the run.
     thread_classes: List[List[int]]
+    #: The recorder's per-thread branch streams and the ``(function,
+    #: block)`` behind each symbol pair (see repro.runtime.golden).
+    streams: Dict[int, List[int]]
+    branch_sites: Tuple[Tuple[str, str], ...]
 
 
 @dataclass

@@ -6,10 +6,12 @@ same code and are therefore comparable, both for mapping a witness's
 thread id to a stable class rank and for the performance-anomaly arm's
 within-class centroid comparison.
 
-The campaign's golden run records the grouping
-(:class:`repro.runtime.golden.GoldenRecorder`): threads whose
-``(function, block, taken)`` branch streams are equal form one class.
-Every :class:`~repro.faults.CampaignResult` carries those classes —
+The campaign's golden run records the grouping's input
+(:class:`repro.runtime.golden.GoldenRecorder`): each thread's branch
+stream, one symbol per dynamic branch for the ``(function, block)`` it
+ends and its decision.  Threads whose streams are equal form one class;
+the same streams plan stratified campaigns, so no second fault-free run
+observes the schedule.  Every :class:`~repro.faults.CampaignResult` carries those classes —
 through the store's golden summaries and served results too — so
 triage only reads them.
 

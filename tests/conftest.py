@@ -70,6 +70,23 @@ def spawn_only(monkeypatch):
                         lambda: ["spawn"])
 
 
+@pytest.fixture
+def fault_free_runs(monkeypatch):
+    """The seeds of every in-process ``ParallelProgram.run`` made
+    without an injecting fault hook, in call order."""
+    from repro.faults.injector import InjectingHook
+    runs = []
+    original = ParallelProgram.run
+
+    def counting(self, config, *args, **kwargs):
+        if not isinstance(kwargs.get("fault_hook"), InjectingHook):
+            runs.append(config.seed)
+        return original(self, config, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelProgram, "run", counting)
+    return runs
+
+
 @pytest.fixture(scope="session")
 def compiled_kernels():
     """name -> (spec, ParallelProgram) for all seven benchmarks."""

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.faults import FaultSpec, FaultType, InjectingHook, plan_fault
-from repro.faults.recording import RecordingHook
 from repro.runtime import FaultHook, ParallelProgram, RunConfig
 from repro.runtime.golden import GoldenRecorder, select_checkpoint
 from repro.splash2 import kernel
@@ -146,7 +145,7 @@ class TestHookTrigger:
         assert calls == {}
 
     @pytest.mark.parametrize("make", [
-        lambda: RecordingHook({}), GoldenRecorder,
+        GoldenRecorder,
         lambda: type("Observer", (FaultHook,), {
             "before_branch": lambda self, m, t, b, f, taken: taken})()])
     def test_overriding_hooks_see_every_branch(self, program, make):

@@ -3,6 +3,8 @@
 ``N`` and any chunking, and the per-injection fault plans match
 spec-for-spec."""
 
+import pickle
+
 import pytest
 
 from repro import BlockWatch
@@ -100,9 +102,9 @@ class TestSeedStability:
 
 
 class TestSpawnWorkersRunTheParentsProgram:
-    """A spawn-started worker rebuilds the program from its source; it
-    must rebuild it with the parent's analysis and instrumentation
-    configs, or it checks a different set of branches."""
+    """A spawn-started worker unpickles the parent's context: the
+    program compiled with the parent's analysis and instrumentation
+    configs, not a rebuild that could check another set of branches."""
 
     @pytest.fixture(scope="class")
     def sparse_radix(self):
@@ -126,9 +128,8 @@ class TestSpawnWorkersRunTheParentsProgram:
         radix, program = sparse_radix
         built = []
 
-        def run_like_a_spawn_worker(task, items, context_factory,
-                                    factory_args, **kwargs):
-            ctx = context_factory(*factory_args)
+        def run_like_a_spawn_worker(task, items, context, **kwargs):
+            ctx = pickle.loads(pickle.dumps(context))
             built.append(ctx.program)
             return [task(ctx, item) for item in items]
 
@@ -136,5 +137,21 @@ class TestSpawnWorkersRunTheParentsProgram:
                             run_like_a_spawn_worker)
         assert run_false_positive_trial(program, 4, 1, 5,
                                         setup=radix.setup(4), jobs=2) == 0
+        assert built[0] is not program
         assert (print_module(built[0].protected)
+                == print_module(program.protected))
+
+    def test_campaign_context_pickles_without_checkpoints(self,
+                                                          sparse_radix):
+        radix, program = sparse_radix
+        spec = BlockWatch.from_program(program).spec(
+            fault="flip", nthreads=4, injections=1, seed=99,
+            output_globals=radix.output_globals)
+        _golden, _summary, ctx = campaign_module._campaign_context(
+            spec, None, program, radix.setup(4), None)
+        assert ctx.checkpoints
+        clone = pickle.loads(pickle.dumps(ctx))
+        assert clone.checkpoints == ()
+        assert clone.golden_fingerprint == ctx.golden_fingerprint
+        assert (print_module(clone.program.protected)
                 == print_module(program.protected))

@@ -11,9 +11,10 @@ from repro.faults import (
     FaultType,
     allocate_stratified,
     plan_stratified,
-    record_site_streams,
     run_campaign,
+    site_streams,
 )
+from repro.faults.campaign import _campaign_context
 from repro.lint.vuln import analyze_program
 from repro.runtime import ParallelProgram
 from tests.conftest import FIGURE_1, figure1_setup
@@ -38,11 +39,6 @@ def spec(program):
     return BlockWatch.from_program(program).spec(
         fault="flip", nthreads=NTHREADS, injections=BUDGET, seed=77,
         output_globals=("result",))
-
-
-@pytest.fixture(scope="module")
-def config(spec):
-    return spec.campaign_config()
 
 
 @pytest.fixture(scope="module")
@@ -77,21 +73,25 @@ class TestAllocate:
         assert allocate_stratified(0, {"a": 1.0}) == {}
 
 
+def golden_site_streams(program, spec, report):
+    """The site streams of one golden run of ``spec``."""
+    _golden, summary, _ctx = _campaign_context(
+        spec, None, program, figure1_setup(NTHREADS), None)
+    return site_streams(summary, program, report)
+
+
 class TestPlanning:
-    def test_streams_are_deterministic(self, program, config, report):
-        setup = figure1_setup(NTHREADS)
-        s1 = record_site_streams(program, config, setup=setup, report=report)
-        s2 = record_site_streams(program, config, setup=setup, report=report)
+    def test_streams_are_deterministic(self, program, spec, report):
+        s1 = golden_site_streams(program, spec, report)
+        s2 = golden_site_streams(program, spec, report)
         assert s1 == s2
         assert sorted(s1) == list(range(NTHREADS))
         known = {s.site_id for s in report.sites}
         assert all(site in known for stream in s1.values()
                    for site in stream)
 
-    def test_plan_spends_exact_budget(self, program, config, report):
-        streams = record_site_streams(program, config,
-                                      setup=figure1_setup(NTHREADS),
-                                      report=report)
+    def test_plan_spends_exact_budget(self, program, spec, report):
+        streams = golden_site_streams(program, spec, report)
         plan, meta = plan_stratified(report, streams,
                                      FaultType.BRANCH_FLIP, BUDGET, 77)
         assert len(plan) == BUDGET
@@ -105,10 +105,8 @@ class TestPlanning:
                 planned.spec.branch_index - 1]
             assert report.class_of(site, meta["model"]) == planned.stratum
 
-    def test_plan_is_deterministic(self, program, config, report):
-        streams = record_site_streams(program, config,
-                                      setup=figure1_setup(NTHREADS),
-                                      report=report)
+    def test_plan_is_deterministic(self, program, spec, report):
+        streams = golden_site_streams(program, spec, report)
         a = plan_stratified(report, streams, FaultType.BRANCH_FLIP,
                             BUDGET, 77)
         b = plan_stratified(report, streams, FaultType.BRANCH_FLIP,
@@ -135,8 +133,8 @@ class TestStratifiedCampaign:
             assert sum(cls["outcomes"].values()) == cls["planned"]
 
     def test_every_planned_site_activates(self, program, spec, report):
-        # Sites come from a golden-equivalent recording with k <= n_j,
-        # so the deterministic replay always reaches them.
+        # Sites come from the golden run's streams with k <= n_j, so
+        # the deterministic replay always reaches them.
         result = self.run(program, spec, report, keep_records=True)
         assert all(r.outcome.value != "not-activated"
                    for r in result.records)

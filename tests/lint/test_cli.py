@@ -272,3 +272,15 @@ class TestVulnCli:
         assert capsys.readouterr().out == first
         store = open_store(root)
         assert [e for e in store.entries() if e.kind == "vuln"]
+
+
+class TestValidateBudget:
+    @pytest.mark.parametrize("fraction", ["0", "-0.5", "2", "nan"])
+    def test_fraction_outside_unit_interval_is_a_usage_error(
+            self, fraction, capsys):
+        assert main(["vuln", "kernel:radix", "--validate", "--injections",
+                     "8", "--budget-fraction", fraction]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--budget-fraction" in captured.err

@@ -75,10 +75,10 @@ class TestSerial:
     def test_context_passed(self):
         assert run_tasks(_add_context, [1, 2], jobs=1, context=10) == [11, 12]
 
-    def test_factory_builds_context_when_missing(self):
-        assert run_tasks(_add_context, [1], jobs=1,
-                         context_factory=_make_offset,
-                         factory_args=(5,)) == [106]
+    def test_factory_needs_a_worker_pool(self):
+        with pytest.raises(ValueError, match="WorkerPool"):
+            run_tasks(_add_context, [1], jobs=1,
+                      context_factory=_make_offset, factory_args=(5,))
 
     def test_progress_fires_per_item(self):
         seen = []
@@ -232,14 +232,9 @@ class TestSpawn:
             (i, "spawn") for i in range(10)]
         assert multiprocessing.active_children() == []
 
-    def test_workers_build_from_the_factory(self, spawn_only):
-        # The context cannot cross a spawn boundary; the factory can.
-        out = run_tasks(_labelled_add, range(6), jobs=2, chunk_size=1,
-                        context=_Unpicklable(0), context_factory=_labelled,
-                        factory_args=(100,))
-        assert [value for _token, value in out] == [100 + i
-                                                    for i in range(6)]
-        assert 1 <= len({token for token, _ in out}) <= 2
+    def test_workers_unpickle_the_context(self, spawn_only):
+        assert run_tasks(_add_context, range(6), jobs=2,
+                         context=100) == [100 + i for i in range(6)]
 
     def test_worker_pool_keeps_contexts_by_key(self, spawn_only):
         pool = WorkerPool(2)

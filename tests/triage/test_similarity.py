@@ -20,7 +20,7 @@ from tests.conftest import FIGURE_1, figure1_setup
 class BlockStreamHook(FaultHook):
     """Reference recorder: each thread's full ``(function, block,
     decision)`` branch stream, kept as a list.  The golden run records
-    a digest of the same stream; the classes must agree."""
+    the same stream as one symbol per branch; the classes must agree."""
 
     def __init__(self) -> None:
         self.streams: Dict[int, List[tuple]] = {}
@@ -46,7 +46,7 @@ def reference_classes(program, config, setup) -> List[List[int]]:
 def recorded_classes(program, config, setup) -> List[List[int]]:
     recorder = GoldenRecorder()
     golden = golden_run(program, config, setup, recorder)
-    return recorder.thread_classes(golden.branch_counts)
+    return group_streams(recorder.streams, len(golden.branch_counts))
 
 
 def figure1_campaign(program, seed):
